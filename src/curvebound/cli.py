@@ -10,6 +10,7 @@ Exit codes: 0 analysis ran, 2 at least one criterion certified nonexistence
 
 import argparse
 import csv
+import inspect
 import json
 import os
 import sys
@@ -160,6 +161,14 @@ def _parse_params(tokens):
 
 def cmd_gen(args):
     params = _parse_params(args.param)
+    accepted = {"net": ["epsilon", "radius", "segments", "max_points"],
+                "sphere-circles": ["radius", "segments"]}.get(args.name)
+    if accepted is None and args.name in gen_mod.SHAPE_BUILDERS:
+        accepted = inspect.signature(gen_mod.SHAPE_BUILDERS[args.name]).parameters
+    unknown = sorted(set(params) - set(accepted)) if accepted is not None else []
+    if unknown:
+        raise ValueError(f"'{args.name}' takes no parameter {', '.join(unknown)} "
+                         f"(accepted: {', '.join(sorted(accepted))})")
     if args.name == "net":
         eps = params.pop("epsilon", 0.1)
         radius = params.pop("radius", None)

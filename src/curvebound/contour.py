@@ -10,6 +10,8 @@ import json
 import numpy as np
 
 MIN_SEPARATION = 1e-9
+_SEGMENT_LEAF = 32  # segments per leaf in component_pair_distances
+_SEGMENT_BATCH = 65536  # segment pairs per numpy call there
 
 
 class ContourError(Exception):
@@ -34,6 +36,8 @@ class Contour:
                 raise ContourError(f"component {i} must be (m, 3), got {a.shape}")
             if len(a) < 3:
                 raise ContourError(f"component {i} has fewer than 3 points")
+            if not np.all(np.isfinite(a)):
+                raise ContourError(f"component {i} has non-finite coordinates")
             closed_pairs = np.vstack([a, a[:1]])
             seg = np.linalg.norm(np.diff(closed_pairs, axis=0), axis=1)
             if np.any(seg == 0.0):
@@ -42,6 +46,7 @@ class Contour:
             comps.append(a)
         self.components = comps
         self.dimension = 3
+        self._cache = {}  # derived measures; components are never mutated
 
     def __len__(self):
         return len(self.components)
@@ -52,12 +57,6 @@ class Contour:
 
     def all_points(self):
         return np.vstack(self.components)
-
-    def segment_arrays(self, i):
-        """Start points and edge vectors of component i, closure included."""
-        a = self.components[i]
-        nxt = np.roll(a, -1, axis=0)
-        return a, nxt - a
 
     def check_disjoint(self, tol=MIN_SEPARATION):
         if self.n_components < 2:
@@ -77,80 +76,88 @@ def contour_length(c: Contour) -> float:
 
 
 def contour_diameter(c: Contour) -> float:
-    """Extrinsic diameter over all component points.
+    """Extrinsic diameter over all component points, computed once per contour.
 
     For polylines the farthest pair is attained at vertices, so this is exact.
     """
     from .mesh import extrinsic_diameter
 
-    return extrinsic_diameter(c.all_points())
+    if "diameter" not in c._cache:
+        c._cache["diameter"] = extrinsic_diameter(c.all_points())
+    return c._cache["diameter"]
 
 
 def component_distance_matrix(c: Contour) -> np.ndarray:
-    """Symmetric matrix of min segment-segment distances between components.
-
-    Each row is computed against every later component's segments in one
-    vectorized pass, so thousand-component contours stay tractable; entries
-    remain the exact pairwise segment minima.
-    """
+    """Symmetric matrix of ``component_pair_distances`` over all pairs i < j."""
     n = c.n_components
     if n < 2:
         raise ContourError("need at least 2 components for a distance matrix")
-    starts = []
-    dirs = []
-    offsets = np.empty(n + 1, dtype=np.int64)
-    offsets[0] = 0
-    for i in range(n):
-        p, dvec = c.segment_arrays(i)
-        starts.append(p)
-        dirs.append(dvec)
-        offsets[i + 1] = offsets[i] + len(p)
-    all_p = np.vstack(starts)
-    all_d = np.vstack(dirs)
-
+    ii, jj = np.triu_indices(n, k=1)
     d = np.zeros((n, n))
-    for i in range(n - 1):
-        lo = offsets[i + 1]
-        tail_p = all_p[lo:]
-        tail_d = all_d[lo:]
-        pi = starts[i]
-        di = dirs[i]
-        per_seg = np.full(len(tail_p), np.inf)
-        rows_per_block = max(1, 400000 // max(1, len(tail_p)))
-        for r0 in range(0, len(pi), rows_per_block):
-            s = slice(r0, r0 + rows_per_block)
-            dist = segment_segment_distance(
-                pi[s, None, :], di[s, None, :], tail_p[None, :, :], tail_d[None, :, :]
-            )
-            np.minimum(per_seg, dist.min(axis=0), out=per_seg)
-        row = np.minimum.reduceat(per_seg, offsets[i + 1 :-1] - lo)
-        d[i, i + 1 :] = row
-        d[i + 1 :, i] = row
+    d[ii, jj] = d[jj, ii] = component_pair_distances(c, ii, jj)
     return d
 
 
-def min_cross_distance(c: Contour, group_a, group_b) -> float:
-    """Min segment-segment distance between two groups of component indices."""
-    best = np.inf
-    for i in group_a:
-        pi, di = c.segment_arrays(i)
-        for j in group_b:
-            pj, dj = c.segment_arrays(j)
-            best = min(best, _min_segment_set_distance(pi, di, pj, dj))
-    return float(best)
+def component_pair_distances(c: Contour, first, second) -> np.ndarray:
+    """Exact min segment-segment distance between components first[k] and second[k].
 
+    Each entry is the minimum of ``segment_segment_distance`` over all
+    segment pairs, segments of first[k] as its first argument, but few pairs
+    are evaluated. Components are cut into leaves of consecutive segments (a
+    polyline is ordered along its curve). A leaf box covers the end vertices
+    of its segments, so box distances bound segment distances from below.
+    Leaf pairs are visited in ascending bound, many per numpy call, and
+    skipped when the bound exceeds best*(1 + rho) + rho*lmax, with best the
+    pair's minimum so far, lmax the longest segment and rho = 1e-12.
 
-def _min_segment_set_distance(p1, d1, p2, d2, chunk=200000):
-    """Min distance between two segment sets, all pairs, vectorized in blocks."""
-    m = len(p1)
-    rows_per_block = max(1, chunk // max(1, len(p2)))
-    best = np.inf
-    for i0 in range(0, m, rows_per_block):
-        s = slice(i0, i0 + rows_per_block)
-        d = segment_segment_distance(
-            p1[s, None, :], d1[s, None, :], p2[None, :, :], d2[None, :, :]
-        )
-        best = min(best, float(d.min()))
+    The slack keeps the result bit-identical to the full minimum. A computed
+    distance is the norm of r + s*d1 - t*d2 for computed s, t in [0, 1], a
+    difference of two points of the segments formed by a few rounded
+    operations, so it undershoots the exact distance D by at most about
+    10u(D + 4*lmax) with u = 2^-53; the segment p + s*d leaves the box of its
+    stored vertices by at most u*lmax. rho is about 4500u, so no skipped
+    entry can fall below the best one.
+    """
+    first = np.asarray(first, dtype=np.int64)
+    second = np.asarray(second, dtype=np.int64)
+    seg_counts = np.array([len(a) for a in c.components])
+    size = int(min(_SEGMENT_LEAF, seg_counts.max()))
+    n_leaves = -(-seg_counts // size)
+    starts, dirs, lo, hi = [], [], [], []
+    for a, m, n in zip(c.components, seg_counts, n_leaves):
+        nxt = np.roll(a, -1, axis=0)
+        bounds = (np.arange(n + 1) * m) // n
+        leaf = bounds[:-1, None] + np.minimum(np.arange(size), np.diff(bounds)[:, None] - 1)
+        starts.append(a[leaf])
+        dirs.append((nxt - a)[leaf])
+        lo.append(np.minimum(a, nxt)[leaf].min(axis=1))
+        hi.append(np.maximum(a, nxt)[leaf].max(axis=1))
+    starts, dirs = np.concatenate(starts), np.concatenate(dirs)
+    lo, hi = np.concatenate(lo), np.concatenate(hi)
+    lmax = float(np.linalg.norm(dirs, axis=-1).max())
+
+    # leaf pairs (la, lb) of every component pair; owner[i] is the pair's k
+    per_pair = n_leaves[first] * n_leaves[second]
+    owner = np.repeat(np.arange(len(first)), per_pair)
+    r = np.arange(per_pair.sum()) - np.repeat(np.cumsum(per_pair) - per_pair, per_pair)
+    leaf_start = np.cumsum(n_leaves) - n_leaves
+    la = leaf_start[first][owner] + r // n_leaves[second][owner]
+    lb = leaf_start[second][owner] + r % n_leaves[second][owner]
+    gap = np.maximum(np.maximum(lo[lb] - hi[la], lo[la] - hi[lb]), 0.0)
+    bound = np.sqrt(np.einsum("ij,ij->i", gap, gap))
+    order = np.argsort(bound, kind="stable")
+    best = np.full(len(first), np.inf)
+    batch = max(1, _SEGMENT_BATCH // (size * size))
+    for i in range(0, len(order), batch):
+        take = order[i:i + batch]
+        limit = best * (1 + 1e-12) + 1e-12 * lmax
+        if bound[take[0]] > limit.max():
+            break  # bounds ascend: nothing left can lower any minimum
+        take = take[bound[take] <= limit[owner[take]]]
+        dist = segment_segment_distance(
+            starts[la[take]][:, :, None], dirs[la[take]][:, :, None],
+            starts[lb[take]][:, None], dirs[lb[take]][:, None])
+        np.minimum.at(best, owner[take], dist.min(axis=(1, 2)))
     return best
 
 
@@ -203,7 +210,10 @@ def save_contour(c: Contour, path):
 def load_contour(path) -> Contour:
     with open(path) as fh:
         doc = json.load(fh)
-    if doc.get("dimension") != 3:
+    if not isinstance(doc, dict) or doc.get("dimension") != 3:
         raise ContourError("contour documents are 3-dimensional")
-    comps = [np.array(entry["vertices"], dtype=float) for entry in doc["components"]]
+    try:
+        comps = [np.array(entry["vertices"], dtype=float) for entry in doc["components"]]
+    except (KeyError, TypeError) as exc:
+        raise ContourError(f"malformed contour document: {exc!r}") from exc
     return Contour(comps)

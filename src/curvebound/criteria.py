@@ -26,7 +26,8 @@ import numpy as np
 from scipy.sparse import csgraph
 from scipy.sparse import csr_matrix
 
-from .contour import Contour, component_distance_matrix, contour_diameter, contour_length
+from .contour import (Contour, component_distance_matrix, component_pair_distances,
+                      contour_diameter, contour_length)
 
 STRICT_MARGIN = 1e-9  # normalized-units floor for "strictly positive"
 
@@ -235,64 +236,6 @@ def bottleneck_split(dist_graph) -> tuple:
     return value, (side0, side1)
 
 
-FULL_MATRIX_COMPONENT_CAP = 600
-
-
-def _bottleneck_exact_large(c: Contour) -> tuple:
-    """Bottleneck split of a many-component contour without the full matrix.
-
-    Centroid-ball bounds LB <= d(i,j) <= UB bracket every pairwise distance.
-    The bottleneck of the UB graph (its longest MST edge) is an upper bound
-    t* for the exact bottleneck, and every exact-MST edge satisfies
-    LB <= d <= t*; exact segment distances are therefore computed only for
-    candidate pairs with LB <= t*, whose graph provably contains the exact
-    minimum spanning tree and is connected.
-    """
-    from .contour import segment_segment_distance
-
-    n = c.n_components
-    cents = np.array([comp.mean(axis=0) for comp in c.components])
-    radii = np.array([
-        np.linalg.norm(comp - cents[i], axis=1).max()
-        for i, comp in enumerate(c.components)
-    ])
-    cd = np.linalg.norm(cents[:, None, :] - cents[None, :, :], axis=-1)
-    rr = radii[:, None] + radii[None, :]
-    ub = cd + rr
-    np.fill_diagonal(ub, 0.0)
-    t_star = float(csgraph.minimum_spanning_tree(csr_matrix(ub)).data.max())
-    lb = cd - rr
-    ii, jj = np.nonzero(np.triu(lb <= t_star, k=1))
-
-    starts = [c.segment_arrays(i) for i in range(n)]
-    seg_counts = np.array([len(p) for p, _ in starts])
-    if seg_counts.min() == seg_counts.max():
-        # uniform segment counts: batch the candidate pairs
-        m = int(seg_counts[0])
-        all_p = np.stack([p for p, _ in starts])
-        all_d = np.stack([d for _, d in starts])
-        exact = np.empty(len(ii))
-        chunk = max(1, 2_000_000 // (m * m))
-        for c0 in range(0, len(ii), chunk):
-            sl = slice(c0, c0 + chunk)
-            pa = all_p[ii[sl]][:, :, None, :]
-            da = all_d[ii[sl]][:, :, None, :]
-            pb = all_p[jj[sl]][:, None, :, :]
-            db = all_d[jj[sl]][:, None, :, :]
-            dist = segment_segment_distance(pa, da, pb, db)
-            exact[sl] = dist.reshape(len(dist), -1).min(axis=1)
-    else:
-        from .contour import _min_segment_set_distance
-
-        exact = np.array([
-            _min_segment_set_distance(starts[a][0], starts[a][1],
-                                      starts[b][0], starts[b][1])
-            for a, b in zip(ii, jj)
-        ])
-    graph = csr_matrix((exact, (ii, jj)), shape=(n, n))
-    return bottleneck_split(graph + graph.T)
-
-
 def white_bruteforce_oracle(c_or_matrix) -> float:
     """Exhaustive bottleneck over all 2^(N-1) - 1 bipartitions, N <= 12."""
     if isinstance(c_or_matrix, Contour):
@@ -314,19 +257,38 @@ def white_bruteforce_oracle(c_or_matrix) -> float:
 
 
 def white_check(c: Contour) -> CriterionEntry:
-    """Certify when the best decomposition satisfies dist > length / pi."""
+    """Certify when the best decomposition satisfies dist > length / pi.
+
+    The bottleneck split is found without the full distance matrix.
+    Centroid-ball bounds LB <= d(i,j) <= UB bracket every pairwise distance.
+    The bottleneck of the UB graph (its longest MST edge) is an upper bound
+    t* for the exact bottleneck, and every exact-MST edge satisfies
+    LB <= d <= t*; exact segment distances are therefore computed only for
+    candidate pairs with LB <= t*, whose graph provably contains the exact
+    minimum spanning tree and is connected. LB is compared with t* up to a
+    slack of 1e-12 * (t* + r_i + r_j), far above the rounding in the bounds
+    and in the computed distances, so that rounding cannot drop a tree edge.
+    """
     ell = contour_length(c)
-    if c.n_components < 2:
+    n = c.n_components
+    if n < 2:
         return CriterionEntry(
             name="white",
             verdict=VERDICT_NOT_APPLICABLE,
             measured={"length": ell},
             notes="single Jordan curve: no decomposition into components exists",
         )
-    if c.n_components <= FULL_MATRIX_COMPONENT_CAP:
-        value, split = bottleneck_split(component_distance_matrix(c))
-    else:
-        value, split = _bottleneck_exact_large(c)
+    cents = np.array([comp.mean(axis=0) for comp in c.components])
+    radii = np.array([np.linalg.norm(comp - m, axis=1).max()
+                      for comp, m in zip(c.components, cents)])
+    cd = np.linalg.norm(cents[:, None, :] - cents[None, :, :], axis=-1)
+    rr = radii[:, None] + radii[None, :]
+    ub = cd + rr
+    np.fill_diagonal(ub, 0.0)
+    t_star = float(csgraph.minimum_spanning_tree(csr_matrix(ub)).data.max())
+    ii, jj = np.nonzero(np.triu(cd - rr <= t_star + 1e-12 * (t_star + rr), k=1))
+    graph = csr_matrix((component_pair_distances(c, ii, jj), (ii, jj)), shape=(n, n))
+    value, split = bottleneck_split(graph + graph.T)
     threshold = ell / np.pi
     margin = value - threshold
     verdict = VERDICT_CERTIFIED if margin > STRICT_MARGIN * max(1.0, ell) else VERDICT_NOT_TRIGGERED

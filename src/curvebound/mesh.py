@@ -11,12 +11,10 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import sparse
 from scipy.sparse import csgraph
-from scipy.spatial import ConvexHull, QhullError
 
 DEGENERATE_AREA_TOL = 1e-12
-# Above this vertex count the exact O(V^2) diameter loop switches to the
-# convex-hull prefilter (result-identical, see extrinsic_diameter).
-HULL_PREFILTER_THRESHOLD = 4096
+_DIAMETER_LEAF = 16  # points per kd leaf in extrinsic_diameter
+_DIAMETER_BATCH = 128  # leaf pairs per numpy call in extrinsic_diameter
 
 
 class MeshError(Exception):
@@ -292,69 +290,89 @@ def validate(mesh: SurfaceMesh) -> ValidationReport:
 # -- measures ---------------------------------------------------------------
 
 
-def extrinsic_diameter(points, use_hull=None, chunk=1024) -> float:
+def extrinsic_diameter(points) -> float:
     """Exact max pairwise Euclidean distance over a point set.
 
     For piecewise-linear bodies the maximum is attained at vertices, so this
     is the extrinsic diameter of a mesh when given its vertex array.
 
-    Parameters
-    ----------
-    points : array_like, shape (V, n)
-    use_hull : bool or None
-        Convex-hull prefilter. The farthest pair consists of extreme points,
-        so restricting to hull vertices cannot change the result; it is purely
-        a performance switch. ``None`` enables it above
-        ``HULL_PREFILTER_THRESHOLD`` vertices.
-    chunk : int
-        Row block size of the O(V^2) loop. The max-reduction is
-        order-independent, so any partition gives bit-identical results.
+    Branch and bound over kd leaf boxes (after Har-Peled, SoCG 2001, and
+    Malandain & Boissonnat, IJCGA 12(6), 2002): a double farthest-point sweep
+    seeds the best entry, node pairs are refined level by level, and the
+    surviving leaf pairs are evaluated in descending bound, many per numpy
+    call. Every entry is the squared coordinate differences accumulated in
+    dimension order, as in the plain O(V^2) loop. The bound of two boxes is
+    accumulated the same way from max(hi_a - lo_b, hi_b - lo_a) per
+    dimension. Rounded subtraction is monotone, so for x in box a and y in
+    box b the computed x_k - y_k and y_k - x_k never exceed the computed
+    hi_a - lo_b and hi_b - lo_a; squaring of non-negative numbers and
+    addition are monotone too. The bound is thus >= every entry it covers
+    *as computed*, a pair is dropped only when its bound is <= the best
+    entry, and the result is bit-identical to the plain loop.
+
+    Raises ValueError for fewer than 2 points or non-finite coordinates.
     """
     p = np.asarray(points, dtype=float)
     if p.ndim != 2 or len(p) < 2:
         raise ValueError("need at least 2 points")
-    if use_hull is None:
-        use_hull = len(p) > HULL_PREFILTER_THRESHOLD
-    if use_hull:
-        p = p[_hull_candidates(p)]
-    # Per-dimension accumulation keeps entries bit-identical for any chunking
-    # (fixed op order per entry; max is order-independent) and bounds the
-    # temporary to chunk x V.
-    n = len(p)
-    cols = [np.ascontiguousarray(p[:, d]) for d in range(p.shape[1])]
+    if not np.all(np.isfinite(p)):
+        raise ValueError("point coordinates must be finite")
+    far = p[np.argmax(((p - p[0]) ** 2).sum(axis=1))]
     best = 0.0
-    buf = None
-    for i0 in range(0, n, chunk):
-        hi = min(i0 + chunk, n)
-        if buf is None or buf.shape[0] != hi - i0:
-            buf = np.empty((hi - i0, n))
-            sq = np.empty((hi - i0, n))
-        acc = buf
-        acc.fill(0.0)
-        for col in cols:
-            np.subtract.outer(col[i0:hi], col, out=sq)
-            np.multiply(sq, sq, out=sq)
-            np.add(acc, sq, out=acc)
+    for x in p[np.argmax(((p - far) ** 2).sum(axis=1))] - far:
+        best += x * x  # the seed entry, accumulated like every other one
+    leaves = p[_kd_leaves(p)]
+    lo, hi = leaves.min(axis=1), leaves.max(axis=1)
+    # implicit binary tree: node i of a level covers the i-th run of leaves
+    a = b = np.zeros(1, dtype=np.int64)
+    for level in range(len(leaves).bit_length()):
+        if level:
+            a = np.concatenate([2 * a, 2 * a, 2 * a + 1, 2 * a + 1])
+            b = np.concatenate([2 * b, 2 * b + 1, 2 * b, 2 * b + 1])
+            a, b = a[a <= b], b[a <= b]
+        lo_t = lo.reshape(1 << level, -1, p.shape[1]).min(axis=1)
+        hi_t = hi.reshape(1 << level, -1, p.shape[1]).max(axis=1)
+        bound = np.zeros(len(a))
+        for k in range(p.shape[1]):
+            gap = np.maximum(hi_t[a, k] - lo_t[b, k], hi_t[b, k] - lo_t[a, k])
+            bound += gap * gap
+        a, b, bound = a[bound > best], b[bound > best], bound[bound > best]
+    order = np.argsort(-bound, kind="stable")
+    a, b, bound = a[order], b[order], bound[order]
+    for i in range(0, len(a), _DIAMETER_BATCH):
+        if bound[i] <= best:
+            break
+        pa, pb = leaves[a[i:i + _DIAMETER_BATCH]], leaves[b[i:i + _DIAMETER_BATCH]]
+        acc = np.zeros((len(pa), pa.shape[1], pb.shape[1]))
+        for k in range(p.shape[1]):
+            diff = pa[:, :, None, k] - pb[:, None, :, k]
+            acc += diff * diff
         best = max(best, float(acc.max()))
     return float(np.sqrt(best))
 
 
-def _hull_candidates(p):
-    """Indices of extreme-point candidates; always a superset of the farthest pair."""
-    c = p.mean(axis=0)
-    q = p - c
-    # Rank-reduce first: Qhull rejects degenerate (flat) inputs.
-    _, s, vt = np.linalg.svd(q, full_matrices=False)
-    tol = max(1.0, s[0]) * 1e-10
-    rank = int(np.sum(s > tol))
-    if rank <= 1:
-        proj = q @ vt[0] if rank == 1 else np.zeros(len(p))
-        return np.unique([int(np.argmin(proj)), int(np.argmax(proj))])
-    x = q @ vt[:rank].T
-    try:
-        return np.unique(ConvexHull(x).vertices)
-    except QhullError:
-        return np.arange(len(p))
+def _kd_leaves(p):
+    """Indices of p in 2^depth kd-ordered leaves of at most _DIAMETER_LEAF.
+
+    Each level splits every node at its middle along its widest axis; short
+    leaves repeat their last index. The order only affects the pruning.
+    """
+    n = len(p)
+    n_leaves = 1 << max(0, int(np.ceil(np.log2(n / _DIAMETER_LEAF))))
+    bounds = (np.arange(n_leaves + 1) * n) // n_leaves
+    order = np.arange(n)
+    width = n_leaves
+    while width > 1:
+        x = p[order]
+        lo = np.minimum.reduceat(x, bounds[:-1:width])
+        span = np.maximum.reduceat(x, bounds[:-1:width]) - lo
+        node = np.repeat(np.arange(len(lo)), np.diff(bounds[::width]))
+        axis = np.argmax(span, axis=1)[node]
+        rel = (x[np.arange(n), axis] - lo[node, axis]) / np.maximum(span[node, axis], 1e-300)
+        order = order[np.argsort(node + 0.5 * rel, kind="stable")]
+        width //= 2
+    sizes = np.diff(bounds)
+    return order[bounds[:-1, None] + np.minimum(np.arange(sizes.max()), sizes[:, None] - 1)]
 
 
 def boundary_length(mesh: SurfaceMesh) -> float:

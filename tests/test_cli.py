@@ -76,6 +76,19 @@ class TestCheckContour:
         _, out4 = run(capsys, ["--threads", "4", "check-contour", antipodal_contour])
         assert out1 == out4
 
+    @pytest.mark.parametrize("doc", [
+        '{"dimension": 3, "components": [{"verts": [[0, 0, 0]]}]}',
+        '{"dimension": 3}',
+        '{"dimension": 3, "components": [{"vertices": '
+        '[[0, 0, 0], [1, 0, 0], [NaN, 1, 0]]}]}',
+    ])
+    def test_malformed_contour_exit_code(self, capsys, tmp_path, doc):
+        path = tmp_path / "bad.contour.json"
+        path.write_text(doc)
+        code = main(["check-contour", str(path)])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_repeat_run_byte_identical(self, capsys, antipodal_contour):
         _, out1 = run(capsys, ["--seed", "0", "check-contour", antipodal_contour])
         _, out2 = run(capsys, ["--seed", "0", "check-contour", antipodal_contour])
@@ -140,6 +153,14 @@ class TestGenCommand:
     def test_unknown_shape(self, capsys, tmp_path):
         code, _ = run(capsys, ["gen", "moebius", "--out", str(tmp_path / "x.obj")])
         assert code == 1
+
+    @pytest.mark.parametrize("name", ["disk", "net", "sphere-circles"])
+    def test_unknown_parameter(self, capsys, tmp_path, name):
+        out = tmp_path / "x.json"
+        code = main(["gen", name, "--param", "foo=1", "--out", str(out)])
+        assert code == 1
+        assert "foo" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestAuditCommand:

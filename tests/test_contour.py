@@ -4,8 +4,8 @@ import pytest
 from conftest import random_rotation
 from curvebound import generators as gen
 from curvebound.contour import (Contour, ContourError, component_distance_matrix,
-                                contour_diameter, contour_length, load_contour,
-                                min_cross_distance, save_contour,
+                                component_pair_distances, contour_diameter,
+                                contour_length, load_contour, save_contour,
                                 segment_segment_distance)
 
 
@@ -29,6 +29,11 @@ class TestContourValidation:
     def test_must_be_3d(self):
         with pytest.raises(ContourError):
             Contour([[[0, 0], [1, 0], [0, 1]]])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(ContourError):
+            Contour([[[0, 0, 0], [1, 0, 0], [bad, 1, 0]]])
 
     def test_disjointness_check(self):
         c = gen.coaxial_circles_contour(1.0, 0.5, segments=64)
@@ -105,9 +110,28 @@ class TestComponentDistances:
             component_distance_matrix(unit_circle(16))
 
     def test_min_cross_distance_matches_matrix(self):
-        c = gen.coaxial_circles_contour(1.0, 0.7, segments=90)
-        d = component_distance_matrix(c)
-        assert min_cross_distance(c, [0], [1]) == d[0, 1]
+        """The pruned kernel equals the full broadcast minimum, bit for bit."""
+        circles = [gen.circle_contour(r, n, center, normal).components[0]
+                   for r, n, center, normal in [
+                       (1.0, 90, (0, 0, 0.7), (0, 0, 1)),
+                       (1.0, 90, (0, 0, -0.7), (0, 0, 1)),
+                       (0.3, 40, (1.6, 0.2, 0.0), (1, 0, 0)),
+                       (0.8, 200, (0.1, 2.5, 0.1), (0, 1, 1)),
+                       (0.05, 3, (-1.4, 0.0, 0.0), (0, 1, 0))]]
+        rot = random_rotation(6)
+        for comps in (circles, [a @ rot.T + 5.0 for a in circles]):
+            c = Contour(comps)
+            d = component_distance_matrix(c)
+            first, second = np.nonzero(~np.eye(len(comps), dtype=bool))
+            got = component_pair_distances(c, first, second)
+            for k, (i, j) in enumerate(zip(first, second)):
+                pi, pj = c.components[i], c.components[j]
+                di, dj = np.roll(pi, -1, axis=0) - pi, np.roll(pj, -1, axis=0) - pj
+                full = segment_segment_distance(pi[:, None], di[:, None],
+                                                pj[None], dj[None]).min()
+                assert got[k] == full
+                if i < j:
+                    assert got[k] == d[i, j]
 
     def test_rigid_motion_invariance(self):
         c = gen.coaxial_circles_contour(1.0, 0.6, segments=90)
@@ -171,5 +195,18 @@ class TestContourIO:
     def test_dimension_enforced(self, tmp_path):
         path = tmp_path / "bad.contour.json"
         path.write_text('{"dimension": 2, "components": []}')
+        with pytest.raises(ContourError):
+            load_contour(path)
+
+    @pytest.mark.parametrize("doc", [
+        '{"dimension": 3}',
+        '{"dimension": 3, "components": {"vertices": []}}',
+        '{"dimension": 3, "components": [{"verts": [[0, 0, 0]]}]}',
+        '{"dimension": 3, "components": [[[0, 0, 0], [1, 0, 0], [0, 1, 0]]]}',
+        '[3]',
+    ])
+    def test_malformed_document_rejected(self, tmp_path, doc):
+        path = tmp_path / "bad.contour.json"
+        path.write_text(doc)
         with pytest.raises(ContourError):
             load_contour(path)

@@ -6,7 +6,7 @@ from curvebound import generators as gen
 from curvebound.contour import Contour, component_distance_matrix
 from curvebound.criteria import (VERDICT_CERTIFIED, VERDICT_NO_CERTIFICATE,
                                  VERDICT_NOT_APPLICABLE, VERDICT_NOT_TRIGGERED,
-                                 ConeSeparator, _bottleneck_exact_large, analyze,
+                                 ConeSeparator, analyze,
                                  bottleneck_split, cone_check,
                                  diameter_length_check, tau_root,
                                  tau_root_bisection, verify_cone_separator,
@@ -101,9 +101,9 @@ class TestWhite:
         net = gen.fibonacci_net(0.18)
         gam = gen.sphere_circles(net, 0.18**2.5, segments=16)
         v_full, s_full = bottleneck_split(component_distance_matrix(gam))
-        v_fast, s_fast = _bottleneck_exact_large(gam)
-        assert v_full == v_fast
-        assert sorted(map(sorted, s_full)) == sorted(map(sorted, s_fast))
+        entry = white_check(gam)
+        assert entry.measured["best_cross_distance"] == v_full
+        assert sorted(map(sorted, s_full)) == sorted(entry.certificate["partition"])
 
     def test_oracle_range(self):
         with pytest.raises(ValueError):
@@ -209,6 +209,18 @@ def contour_total_length_delta(a, b):
 
 
 class TestAnalyze:
+    def test_diameter_computed_once(self, monkeypatch, antipodal_microcircles):
+        import curvebound.mesh
+
+        calls = []
+        real = curvebound.mesh.extrinsic_diameter
+        monkeypatch.setattr(curvebound.mesh, "extrinsic_diameter",
+                            lambda pts: calls.append(len(pts)) or real(pts))
+        c = Contour(antipodal_microcircles.components)
+        report = analyze(c, search_budget=500)
+        assert calls == [len(c.all_points())]
+        assert report.diameter == real(c.all_points())
+
     def test_stadium_everything_silent(self):
         report = analyze(gen.stadium_contour(10.0, 1.0), mode="conjectural",
                          search_budget=500)

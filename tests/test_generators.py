@@ -189,9 +189,9 @@ class TestSphereCircles:
 
     def test_components_pairwise_separated(self, net_family):
         net, gam = net_family[0.2]
-        from curvebound.criteria import _bottleneck_exact_large
+        from curvebound.criteria import white_check
         # positive separation: the exact bottleneck path builds real distances
-        assert gam.check_disjoint() or _bottleneck_exact_large(gam)[0] > 0
+        assert gam.check_disjoint() or white_check(gam).measured["best_cross_distance"] > 0
 
 
 class TestMeshGenerators:

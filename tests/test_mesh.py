@@ -9,6 +9,19 @@ from curvebound.mesh import (MeshError, SurfaceMesh, boundary_length,
                              validate)
 
 
+def brute_force_diameter(points, rows=256):
+    """The O(V^2) loop: squared differences accumulated in dimension order."""
+    p = np.asarray(points, dtype=float)
+    best = 0.0
+    for i0 in range(0, len(p), rows):
+        acc = np.zeros((len(p[i0:i0 + rows]), len(p)))
+        for k in range(p.shape[1]):
+            diff = p[i0:i0 + rows, None, k] - p[None, :, k]
+            acc += diff * diff
+        best = max(best, float(acc.max()))
+    return float(np.sqrt(best))
+
+
 def single_triangle():
     return SurfaceMesh([[0, 0, 0], [3, 0, 0], [3, 4, 0]], [[0, 1, 2]])
 
@@ -84,26 +97,40 @@ class TestExtrinsicDiameter:
             moved = unit_disk.vertices @ rot.T + np.array([0.3, -2.0, 11.0])
             assert abs(extrinsic_diameter(moved) - d0) < 1e-9
 
-    @pytest.mark.parametrize("shape", ["disk", "icosphere", "cylinder"])
-    def test_hull_prefilter_identical(self, shape, unit_disk, icosphere4):
-        mesh = {"disk": unit_disk, "icosphere": icosphere4,
-                "cylinder": gen.open_cylinder(1.0, 4.0)}[shape]
-        d_plain = extrinsic_diameter(mesh.vertices, use_hull=False)
-        d_hull = extrinsic_diameter(mesh.vertices, use_hull=True)
-        assert d_plain == d_hull
+    @pytest.mark.parametrize("shape", [
+        "disk", "icosphere", "cylinder", "rotated", "line", "planar",
+        "duplicates", "r4", "two_points", "net"])
+    def test_matches_brute_force(self, shape, unit_disk, icosphere4):
+        """Bit-identical to the plain O(V^2) loop on regular and degenerate sets."""
+        rng = np.random.default_rng(3)
+        if shape == "disk":
+            pts = unit_disk.vertices
+        elif shape == "icosphere":
+            pts = icosphere4.vertices
+        elif shape == "cylinder":
+            pts = gen.open_cylinder(1.0, 4.0).vertices
+        elif shape == "rotated":
+            pts = icosphere4.vertices @ random_rotation(4).T + np.array([0.3, -2.0, 11.0])
+        elif shape == "line":
+            pts = np.column_stack([np.linspace(0, 7, 50), np.zeros(50), np.zeros(50)])
+        elif shape == "planar":
+            pts = gen.flat_disk(2.0, 8, 32).vertices
+        elif shape == "duplicates":
+            base = gen.capped_cylinder(0.5, 4.0, segments=24, rings_cap=4).vertices
+            pts = np.vstack([base, base[rng.integers(0, len(base), 500)]])
+        elif shape == "r4":
+            pts = rng.normal(size=(3000, 4)) * np.array([1.0, 2.0, 0.5, 3.0])
+        elif shape == "two_points":
+            pts = np.array([[0.1, -0.2, 0.3], [1.7, 2.9, -4.1]])
+        else:
+            pts = gen.sphere_circles(gen.fibonacci_net(0.2), 0.2**2.5,
+                                     segments=16).all_points()
+        assert extrinsic_diameter(pts) == brute_force_diameter(pts)
 
-    def test_hull_prefilter_on_degenerate_inputs(self):
-        line = np.column_stack([np.linspace(0, 7, 50), np.zeros(50), np.zeros(50)])
-        assert extrinsic_diameter(line, use_hull=True) == 7.0
-        planar = gen.flat_disk(2.0, 8, 32).vertices
-        assert (extrinsic_diameter(planar, use_hull=True)
-                == extrinsic_diameter(planar, use_hull=False))
-
-    def test_chunking_bit_identical(self, icosphere4):
-        # data-parallel partitioning: max is order-independent
-        vals = {extrinsic_diameter(icosphere4.vertices, chunk=c)
-                for c in (7, 64, 1024, 10**6)}
-        assert len(vals) == 1
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(ValueError):
+            extrinsic_diameter([[0, 0, 0], [1, 0, 0], [bad, 0, 0]])
 
 
 class TestBoundaryLength:
