@@ -13,8 +13,8 @@ from .criteria import (CriterionReport, analyze, cone_check, diameter_length_che
 from .curvature import (MeanCurvatureField, mean_curvature_field, total_abs_curvature,
                         total_mean_curvature)
 from .doubling import (BoundaryFrame, DoubledSurface, build_boundary_frames,
-                       build_double, build_tube, convergence_table,
-                       regularity_threshold)
+                       build_double, build_tube, convergence_rows,
+                       convergence_table, regularity_threshold)
 from .mesh import (BoundaryLoop, SurfaceMesh, ValidationReport, boundary_length,
                    extrinsic_diameter, geodesic_distances, intrinsic_ball_volume,
                    load_mesh, save_mesh, validate)
@@ -42,6 +42,7 @@ __all__ = [
     "cone_check",
     "contour_diameter",
     "contour_length",
+    "convergence_rows",
     "convergence_table",
     "diameter_length_check",
     "extrinsic_diameter",

@@ -85,28 +85,27 @@ def cmd_double(args):
     mesh = load_mesh(args.mesh)
     k_list = [int(tok) for tok in args.k_list.split(",")]
     eps = "auto" if args.epsilon == "auto" else float(args.epsilon)
-    rows = doubling_mod.convergence_table(mesh, k_list, epsilon=eps)
     header = ["k", "epsilon", "sigma_curvature", "sigma_diameter",
               "target_curvature", "target_diameter", "curvature_error",
               "diameter_error"]
-    _print(" ".join(header))
-    for r in rows:
-        _print(" ".join([str(r["k"])] + [_fmt(r[h]) for h in header[1:]]))
-    if args.csv:
-        with open(args.csv, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(header)
-            for r in rows:
-                w.writerow([r["k"]] + [_fmt(r[h]) for h in header[1:]])
     if args.out_dir:
         os.makedirs(args.out_dir, exist_ok=True)
-        for k in k_list:
-            dbl = doubling_mod.build_double(mesh, k, epsilon=eps)
-            base = os.path.join(args.out_dir, f"double_k{k}")
+    table = []
+    # export each double with its row instead of building it again afterwards
+    for r, dbl in doubling_mod.convergence_rows(mesh, k_list, epsilon=eps):
+        table.append([str(r["k"])] + [_fmt(r[h]) for h in header[1:]])
+        if args.out_dir:
+            base = os.path.join(args.out_dir, f"double_k{r['k']}")
             save_mesh(dbl.sigma, base + ".mesh.json")
             with open(base + ".provenance.json", "w") as fh:
                 json.dump({label: [int(a), int(b)] for label, (a, b) in
                            dbl.provenance.items()}, fh, indent=1, sort_keys=True)
+    for line in [header] + table:
+        _print(" ".join(line))
+    if args.csv:
+        with open(args.csv, "w", newline="") as fh:
+            csv.writer(fh).writerows([header] + table)
+    if args.out_dir:
         _print(f"doubled meshes written to {args.out_dir}")
     return 0
 
@@ -311,8 +310,6 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    _ = _thread_count(args)
-    np.random.seed(args.seed)
     try:
         return args.func(args)
     except (MeshError, ContourError, ValueError, OSError) as exc:

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh import SurfaceMesh
+from .mesh import SurfaceMesh, _ball_area_from_distances
 
 COT_CLAMP = 1e6
 
@@ -77,7 +77,6 @@ def mixed_voronoi_areas(mesh: SurfaceMesh) -> np.ndarray:
         e = p[:, (k + 1) % 3] - p[:, (k + 2) % 3]
         l2[:, k] = np.einsum("ij,ij->i", e, e)
 
-    obtuse_corner = np.where(cots < 0.0, 1, 0)
     any_obtuse = cots.min(axis=1) < 0.0
 
     vertex_area = np.zeros(mesh.n_vertices)
@@ -95,7 +94,6 @@ def mixed_voronoi_areas(mesh: SurfaceMesh) -> np.ndarray:
         share = np.where(is_obt, 0.5, 0.25) * areas[bad, None]
         for k in range(3):
             np.add.at(vertex_area, tri[bad, k], share[:, k])
-    del obtuse_corner
     return vertex_area
 
 
@@ -105,8 +103,11 @@ def mean_curvature_field(mesh: SurfaceMesh) -> MeanCurvatureField:
     H_v = (1/(4 A_v)) * sum over one-ring edges of (cot a + cot b)(x_v - x_w),
     the averaged-convention mean curvature vector (|H| = 1 on a unit sphere).
     Boundary vertices are flagged; their cotangent sum lacks half its one-ring
-    and is excluded from surface integrals.
+    and is excluded from surface integrals. Computed once per mesh and kept
+    in its cache, with read-only arrays.
     """
+    if "curvature" in mesh._cache:
+        return mesh._cache["curvature"]
     tri = mesh.triangles
     x = mesh.vertices
     cots, clamped = _corner_cotangents(mesh)
@@ -122,12 +123,16 @@ def mean_curvature_field(mesh: SurfaceMesh) -> MeanCurvatureField:
     areas = mixed_voronoi_areas(mesh)
     safe = np.maximum(areas, 1e-300)
     vectors = lap / (4.0 * safe[:, None])
-    return MeanCurvatureField(
+    field = MeanCurvatureField(
         vectors=vectors,
         areas=areas,
         boundary_mask=mesh.boundary_vertex_mask(),
         clamped=clamped,
     )
+    for a in (field.vectors, field.areas, field.boundary_mask):
+        a.setflags(write=False)
+    mesh._cache["curvature"] = field
+    return field
 
 
 def total_mean_curvature(mesh: SurfaceMesh, field: MeanCurvatureField | None = None) -> float:
@@ -152,24 +157,13 @@ def curvature_in_ball(mesh: SurfaceMesh, field: MeanCurvatureField,
     excluded) times the ball-clipped triangle area, so it is consistent with
     ``intrinsic_ball_volume`` and monotone in r.
     """
-    from .mesh import _ball_area_from_distances
-
     mags = np.where(field.boundary_mask, 0.0, field.magnitudes())
     tri = mesh.triangles
     tri_density = mags[tri].mean(axis=1)
 
-    # Clip each triangle by the distance level set, weight by its density:
-    # reuse the area-clipping helper trick by scaling per-triangle areas.
-    class _Weighted:
-        def __init__(self, m, w):
-            self._m = m
-            self._w = w
-            self.triangles = m.triangles
-
-        def triangle_areas(self):
-            return self._m.triangle_areas() * self._w
-
-    return _ball_area_from_distances(_Weighted(mesh, tri_density), distances, r)
+    # Clip each triangle by the distance level set, weighted by its density.
+    return _ball_area_from_distances(tri, mesh.triangle_areas() * tri_density,
+                                     distances, r)
 
 
 def total_abs_curvature(points, closed=False) -> float:

@@ -330,10 +330,11 @@ def build_double(mesh: SurfaceMesh, k: int, epsilon="auto",
                           provenance=provenance)
 
 
-def convergence_table(mesh: SurfaceMesh, k_list, epsilon="auto") -> list:
-    """Doubling sweep over k: measured curvature/diameter vs. their limits.
+def convergence_rows(mesh: SurfaceMesh, k_list, epsilon="auto"):
+    """Doubling sweep over k, one double at a time: yields (row, double).
 
-    Targets are computed from the input mesh with the same discrete operators:
+    Each row holds the double's measured curvature and diameter and their
+    limits, computed from the input mesh with the same discrete operators:
     target curvature 2*int|H| + (pi/2)*l(boundary), target diameter d(M).
     """
     from .mesh import boundary_length
@@ -343,21 +344,23 @@ def convergence_table(mesh: SurfaceMesh, k_list, epsilon="auto") -> list:
     base_diam = extrinsic_diameter(mesh.vertices)
     target_curv = 2.0 * base_curv + (np.pi / 2.0) * base_len
 
-    rows = []
     for k in k_list:
         double = build_double(mesh, k, epsilon=epsilon)
         curv = total_mean_curvature(double.sigma)
         diam = extrinsic_diameter(double.sigma.vertices)
-        rows.append(
-            {
-                "k": int(k),
-                "epsilon": double.epsilon,
-                "sigma_curvature": curv,
-                "sigma_diameter": diam,
-                "target_curvature": target_curv,
-                "target_diameter": base_diam,
-                "curvature_error": abs(curv - target_curv),
-                "diameter_error": abs(diam - base_diam),
-            }
-        )
-    return rows
+        row = {
+            "k": int(k),
+            "epsilon": double.epsilon,
+            "sigma_curvature": curv,
+            "sigma_diameter": diam,
+            "target_curvature": target_curv,
+            "target_diameter": base_diam,
+            "curvature_error": abs(curv - target_curv),
+            "diameter_error": abs(diam - base_diam),
+        }
+        yield row, double
+
+
+def convergence_table(mesh: SurfaceMesh, k_list, epsilon="auto") -> list:
+    """The rows of ``convergence_rows``, without the doubles."""
+    return [row for row, _ in convergence_rows(mesh, k_list, epsilon)]

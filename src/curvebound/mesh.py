@@ -80,6 +80,8 @@ class SurfaceMesh:
             raise MeshError(f"triangles must be (T, 3), got {t.shape}")
         if t.size and (t.min() < 0 or t.max() >= len(v)):
             raise MeshError("triangle index out of range")
+        if not np.all(np.isfinite(v)):
+            raise MeshError("vertex coordinates must be finite")
         v.setflags(write=False)
         t.setflags(write=False)
         self.vertices = v
@@ -123,13 +125,23 @@ class SurfaceMesh:
         return np.concatenate([t[:, [0, 1]], t[:, [1, 2]], t[:, [2, 0]]])
 
     def _edge_tables(self):
-        """Unique undirected edges with incidence counts, and directed-edge counts."""
+        """Edge table from 1-D int64 keys, built once per mesh.
+
+        Returns (edges, undirected counts, directed keys, directed counts,
+        boundary directed edges). Undirected keys are min*V + max and
+        directed keys u*V + v; both sort like their index pairs, so ``edges``
+        is in the lexicographic order of ``np.unique(axis=0)``.
+        """
         if "edge_tables" not in self._cache:
+            n = max(self.n_vertices, 1)
             de = self._directed_edges()
-            ue = np.sort(de, axis=1)
-            edges, ue_counts = np.unique(ue, axis=0, return_counts=True)
-            _, de_counts = np.unique(de, axis=0, return_counts=True)
-            self._cache["edge_tables"] = (edges, ue_counts, de_counts)
+            ukeys, inverse, ue_counts = np.unique(
+                de.min(axis=1) * n + de.max(axis=1), return_inverse=True,
+                return_counts=True)
+            dkeys, de_counts = np.unique(de[:, 0] * n + de[:, 1], return_counts=True)
+            edges = np.stack(np.divmod(ukeys, n), axis=1)
+            self._cache["edge_tables"] = (edges, ue_counts, dkeys, de_counts,
+                                          de[ue_counts[inverse] == 1])
         return self._cache["edge_tables"]
 
     @property
@@ -141,12 +153,11 @@ class SurfaceMesh:
         return np.linalg.norm(self.vertices[e[:, 0]] - self.vertices[e[:, 1]], axis=1)
 
     def boundary_edges(self):
-        edges, counts, _ = self._edge_tables()
+        edges, counts = self._edge_tables()[:2]
         return edges[counts == 1]
 
     def is_closed(self):
-        _, counts, _ = self._edge_tables()
-        return bool(np.all(counts == 2))
+        return bool(np.all(self._edge_tables()[1] == 2))
 
     def euler_characteristic(self):
         return self.n_vertices - len(self.edges) + self.n_triangles
@@ -187,18 +198,9 @@ class SurfaceMesh:
             self._cache["loops"] = self._trace_boundary_loops()
         return self._cache["loops"]
 
-    def _boundary_directed_edges(self):
-        de = self._directed_edges()
-        ue = np.sort(de, axis=1)
-        edges, inverse, counts = np.unique(
-            ue, axis=0, return_inverse=True, return_counts=True
-        )
-        return de[counts[inverse] == 1]
-
     def _trace_boundary_loops(self):
-        bde = self._boundary_directed_edges()
         succ = {}
-        for u, v in bde:
+        for u, v in self._edge_tables()[4]:
             if u in succ:
                 raise MeshError(
                     f"boundary is not a union of simple loops (vertex {u} repeats)"
@@ -245,12 +247,13 @@ def validate(mesh: SurfaceMesh) -> ValidationReport:
     if len(degenerate) > 10:
         errors.append(f"... {len(degenerate) - 10} more degenerate triangles")
 
-    for tri_idx, tri in enumerate(mesh.triangles):
-        if len(set(tri.tolist())) != 3:
-            errors.append(f"triangle {tri_idx} repeats a vertex")
-            break
+    t = mesh.triangles
+    repeats = np.nonzero((t[:, 0] == t[:, 1]) | (t[:, 1] == t[:, 2])
+                         | (t[:, 2] == t[:, 0]))[0]
+    if len(repeats):
+        errors.append(f"triangle {repeats[0]} repeats a vertex")
 
-    edges, ue_counts, de_counts = mesh._edge_tables()
+    edges, ue_counts, dkeys, de_counts, _ = mesh._edge_tables()
     bad = np.nonzero(ue_counts > 2)[0]
     manifold = len(bad) == 0
     for i in bad[:10]:
@@ -258,9 +261,8 @@ def validate(mesh: SurfaceMesh) -> ValidationReport:
 
     oriented = bool(np.all(de_counts == 1))
     if not oriented:
-        de = mesh._directed_edges()
-        uniq, cnt = np.unique(de, axis=0, return_counts=True)
-        for e in uniq[cnt > 1][:10]:
+        repeated = np.divmod(dkeys[de_counts > 1][:10], mesh.n_vertices)
+        for e in np.stack(repeated, axis=1):
             errors.append(f"inconsistent orientation across edge {tuple(e)}")
 
     closed = bool(np.all(ue_counts == 2))
@@ -404,12 +406,13 @@ def intrinsic_ball_volume(mesh: SurfaceMesh, p: int, r: float, distances=None) -
     if r <= 0:
         raise ValueError("r must be positive")
     d = geodesic_distances(mesh, p) if distances is None else distances
-    return _ball_area_from_distances(mesh, d, r)
+    return _ball_area_from_distances(mesh.triangles, mesh.triangle_areas(), d, r)
 
 
-def _ball_area_from_distances(mesh, d, r):
-    areas = mesh.triangle_areas()
-    dv = d[mesh.triangles]  # (T, 3)
+def _ball_area_from_distances(triangles, areas, d, r):
+    """Sum of ``areas`` over the part of each triangle where the linear
+    interpolant of the vertex values ``d`` is <= r."""
+    dv = d[triangles]  # (T, 3)
     inside = dv <= r
     n_in = inside.sum(axis=1)
     total = float(areas[n_in == 3].sum())
@@ -483,19 +486,27 @@ def save_mesh_json(mesh: SurfaceMesh, path):
         "triangles": mesh.triangles.tolist(),
     }
     with open(path, "w") as fh:
-        json.dump(doc, fh)
+        fh.write(json.dumps(doc))  # the C encoder; json.dump streams in Python
 
 
 def load_mesh_json(path) -> SurfaceMesh:
     with open(path) as fh:
         doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise MeshError("mesh document must be a JSON object")
     for key in ("dimension", "vertices", "triangles"):
         if key not in doc:
             raise MeshError(f"mesh document missing '{key}'")
-    v = np.array(doc["vertices"], dtype=float)
-    if v.shape[1] != doc["dimension"]:
+    try:
+        v = np.array(doc["vertices"], dtype=float)
+    except TypeError as exc:
+        raise MeshError(f"vertex coordinates must be numbers ({exc})") from None
+    if v.ndim != 2 or v.shape[1] != doc["dimension"]:
         raise MeshError("vertex width disagrees with declared dimension")
-    return SurfaceMesh(v, np.array(doc["triangles"], dtype=np.int64))
+    t = np.array(doc["triangles"])
+    if t.size and t.dtype.kind not in "iu":
+        raise MeshError("triangle indices must be integers")
+    return SurfaceMesh(v, t)
 
 
 def load_mesh(path) -> SurfaceMesh:

@@ -5,6 +5,7 @@ import pytest
 from curvebound import generators as gen
 from curvebound.cli import main
 from curvebound.contour import load_contour, save_contour
+from curvebound.doubling import build_double
 from curvebound.mesh import load_mesh, save_mesh
 
 
@@ -40,6 +41,23 @@ class TestVerifyBound:
     def test_missing_file(self, capsys):
         code, _ = run(capsys, ["verify-bound", "/nonexistent.obj"])
         assert code == 1
+
+    @pytest.mark.parametrize("command", ["verify-bound", "double"])
+    @pytest.mark.parametrize("doc", [
+        '{"dimension": 3, "vertices": [], "triangles": []}',
+        '{"dimension": 3, "vertices": [[0, 0, 0], [1, 0, 0], [0, Infinity, 0]], '
+        '"triangles": [[0, 1, 2]]}',
+        '{"dimension": 3, "vertices": [[0, 0, 0], [1, 0, 0], [0, NaN, 0]], '
+        '"triangles": [[0, 1, 2]]}',
+    ])
+    def test_malformed_mesh_exit_code(self, capsys, tmp_path, command, doc):
+        path = tmp_path / "bad.mesh.json"
+        path.write_text(doc)
+        code = main([command, str(path)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "Traceback" not in captured.err
 
 
 class TestTeardropCommand:
@@ -110,6 +128,29 @@ class TestDoubleCommand:
         prov = json.loads(open(tmp_path / "doubles" /
                                "double_k10.provenance.json").read())
         assert "copy-1" in prov and "tube-0" in prov
+
+    def test_each_double_built_once(self, capsys, tmp_path, monkeypatch):
+        from curvebound import doubling
+
+        path = tmp_path / "disk.mesh.json"
+        save_mesh(gen.flat_disk(1.0, 8, 32), path)
+        built = []
+
+        def counting_build_double(*args, **kwargs):
+            built.append(args[1])
+            return build_double(*args, **kwargs)
+
+        monkeypatch.setattr(doubling, "build_double", counting_build_double)
+        out_dir = tmp_path / "doubles"
+        code, _ = run(capsys, ["double", str(path), "--k-list", "10,25",
+                               "--out-dir", str(out_dir)])
+        assert code == 0
+        assert built == [10, 25]
+        monkeypatch.undo()
+        for k in (10, 25):
+            fresh = tmp_path / f"fresh_k{k}.mesh.json"
+            save_mesh(build_double(load_mesh(path), k).sigma, fresh)
+            assert (out_dir / f"double_k{k}.mesh.json").read_bytes() == fresh.read_bytes()
 
     def test_closed_mesh_is_an_error(self, capsys, tmp_path):
         path = tmp_path / "sphere.obj"

@@ -9,6 +9,25 @@ from curvebound.mesh import extrinsic_diameter
 
 
 class TestMeanCurvatureField:
+    def test_computed_once_per_mesh(self, monkeypatch):
+        from curvebound import curvature
+
+        mesh = gen.icosphere(2)
+        calls = []
+        original = curvature._corner_cotangents
+        monkeypatch.setattr(curvature, "_corner_cotangents",
+                            lambda m: calls.append(m) or original(m))
+        f = mean_curvature_field(mesh)
+        assert mean_curvature_field(mesh) is f
+        n_calls = len(calls)
+        total_mean_curvature(mesh)
+        assert len(calls) == n_calls
+        for a in (f.vectors, f.areas, f.boundary_mask):
+            with pytest.raises(ValueError):
+                a[0] = a[1]
+        # a new mesh over the same arrays gets its own field
+        assert mean_curvature_field(mesh.with_vertices(mesh.vertices)) is not f
+
     def test_flat_disk_interior_vanishes(self, unit_disk):
         f = mean_curvature_field(unit_disk)
         interior = ~f.boundary_mask

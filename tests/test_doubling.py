@@ -5,8 +5,8 @@ from scipy.spatial import cKDTree
 from curvebound import generators as gen
 from curvebound.curvature import total_mean_curvature
 from curvebound.doubling import (BoundaryFrame, build_boundary_frames,
-                                 build_double, build_tube, convergence_table,
-                                 regularity_threshold)
+                                 build_double, build_tube, convergence_rows,
+                                 convergence_table, regularity_threshold)
 from curvebound.mesh import MeshError, extrinsic_diameter, validate
 from curvebound.teardrop import build_sweep_profile
 
@@ -210,3 +210,11 @@ class TestConvergenceTable:
             assert r["diameter_error"] <= 4 * r["epsilon"]
             assert r["epsilon"] < 1.0 / r["k"]
         assert abs(rows[0]["target_curvature"] - np.pi**2) / np.pi**2 < 0.001
+
+    def test_rows_stream_with_their_doubles(self):
+        mesh = gen.flat_disk(1.0, 8, 32)
+        pairs = list(convergence_rows(mesh, [10, 25]))
+        assert [row for row, _ in pairs] == convergence_table(mesh, [10, 25])
+        for row, dbl in pairs:
+            assert dbl.k == row["k"] and dbl.epsilon == row["epsilon"]
+            assert extrinsic_diameter(dbl.sigma.vertices) == row["sigma_diameter"]

@@ -1,3 +1,6 @@
+import io
+import json
+
 import numpy as np
 import pytest
 
@@ -73,6 +76,85 @@ class TestValidate:
         for name, mesh in shapes.items():
             rep = validate(mesh)
             assert rep.is_valid, f"{name}: {rep}"
+
+
+def oracle_edge_tables(mesh):
+    """Edge tables by np.unique over index pairs, the pre-key construction."""
+    t = mesh.triangles
+    de = np.concatenate([t[:, [0, 1]], t[:, [1, 2]], t[:, [2, 0]]])
+    edges, inverse, ue_counts = np.unique(
+        np.sort(de, axis=1), axis=0, return_inverse=True, return_counts=True)
+    directed, de_counts = np.unique(de, axis=0, return_counts=True)
+    return edges, ue_counts, directed, de_counts, de[ue_counts[inverse] == 1]
+
+
+class TestEdgeTable:
+    @pytest.mark.parametrize("shape", [
+        "disk", "cylinder", "disk_r4", "double_k10", "triangle", "non_manifold"])
+    def test_matches_unique_over_pairs(self, shape, unit_disk):
+        if shape == "disk":
+            mesh = unit_disk
+        elif shape == "cylinder":
+            mesh = gen.open_cylinder(1.0, 4.0, segments=24)
+        elif shape == "disk_r4":
+            mesh = gen.embed_in_r4(unit_disk)
+        elif shape == "double_k10":
+            from curvebound.doubling import build_double
+            mesh = build_double(gen.flat_disk(1.0, 8, 32), 10).sigma
+        elif shape == "triangle":
+            mesh = single_triangle()
+        else:
+            mesh = SurfaceMesh(
+                [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1], [0, -1, 0]],
+                [[0, 1, 2], [1, 0, 3], [0, 1, 4]])
+        edges, ue_counts, directed, de_counts, boundary = oracle_edge_tables(mesh)
+        got_edges, got_ue, dkeys, got_de, got_boundary = mesh._edge_tables()
+        n = mesh.n_vertices
+        assert got_edges.shape == edges.shape and (got_edges == edges).all()
+        assert (got_ue == ue_counts).all() and (got_de == de_counts).all()
+        assert (np.stack([dkeys // n, dkeys % n], axis=1) == directed).all()
+        assert got_boundary.shape == boundary.shape and (got_boundary == boundary).all()
+
+    def test_empty_mesh(self):
+        mesh = SurfaceMesh(np.zeros((0, 3)), np.zeros((0, 3), dtype=np.int64))
+        assert mesh.edges.shape == (0, 2)
+        assert mesh.boundary_loops == []
+
+
+class TestValidateMessages:
+    """The exact error lines, as earlier releases printed them."""
+
+    def test_non_manifold_edge(self):
+        mesh = SurfaceMesh(
+            [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1], [0, -1, 0]],
+            [[0, 1, 2], [1, 0, 3], [0, 1, 4]])
+        assert validate(mesh).errors == [
+            "non-manifold edge (np.int64(0), np.int64(1)) in 3 triangles",
+            "inconsistent orientation across edge (np.int64(0), np.int64(1))"]
+
+    def test_inconsistent_orientation(self):
+        mesh = SurfaceMesh([[0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 0]],
+                           [[0, 1, 2], [3, 1, 2]])
+        assert validate(mesh).errors == [
+            "inconsistent orientation across edge (np.int64(1), np.int64(2))"]
+
+    def test_repeated_vertex_names_the_first_triangle(self):
+        mesh = SurfaceMesh([[0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 0]],
+                           [[0, 1, 2], [1, 3, 3], [2, 2, 3]])
+        rep = validate(mesh)
+        assert not rep.is_valid
+        assert rep.errors[:3] == ["degenerate triangle 1 (area 0.000e+00)",
+                                  "degenerate triangle 2 (area 0.000e+00)",
+                                  "triangle 1 repeats a vertex"]
+
+    def test_pinched_boundary_chain(self):
+        # two triangles meeting only at vertex 0: its boundary chain branches
+        mesh = SurfaceMesh([[0, 0, 0], [1, 0, 0], [0, 1, 0], [-1, 0, 0], [0, -1, 0]],
+                           [[0, 1, 2], [0, 3, 4]])
+        rep = validate(mesh)
+        assert not rep.is_valid
+        assert rep.errors == [
+            "boundary is not a union of simple loops (vertex 0 repeats)"]
 
 
 class TestExtrinsicDiameter:
@@ -262,6 +344,36 @@ class TestIO:
         with pytest.raises(MeshError):
             load_mesh(tmp_path / "nope.stl")
 
+    @pytest.mark.parametrize("doc", [
+        {"dimension": 3, "vertices": [], "triangles": []},
+        {"dimension": 3, "vertices": [1.0, 2.0, 3.0], "triangles": []},
+        {"dimension": 3, "vertices": [[0, 0, 0], [1, 0, 0], [0, 1, 0]], "triangles": []},
+        [1, 2, 3],
+        3,
+        {"dimension": 3, "vertices": [[0, 0, 0], [1, 0, 0], [0, 1, {}]],
+         "triangles": [[0, 1, 2]]},
+        {"dimension": 3, "vertices": [[0, 0, 0], [1, 0, 0], [0, 1, 0]],
+         "triangles": [[0, 1, 1.5]]},
+        {"dimension": 3, "vertices": [[0, 0, 0], [1, 0, 0], [0, 1, 0]],
+         "triangles": [[0, 1, 2**70]]},
+        {"dimension": 3, "vertices": [[0, 0, 0], [1, 0, 0], [0, 1, 0]],
+         "triangles": [[0, 1, "2"]]},
+    ])
+    def test_malformed_mesh_json(self, tmp_path, doc):
+        path = tmp_path / "bad.mesh.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(MeshError):
+            load_mesh(path)
+
+    def test_mesh_json_bytes_match_json_dump(self, tmp_path):
+        mesh = gen.embed_in_r4(gen.flat_disk(1.0, 4, 16))
+        path = tmp_path / "disk4.mesh.json"
+        save_mesh(mesh, path)
+        ref = io.StringIO()
+        json.dump({"dimension": 4, "vertices": mesh.vertices.tolist(),
+                   "triangles": mesh.triangles.tolist()}, ref)
+        assert path.read_text() == ref.getvalue()
+
 
 class TestConstruction:
     def test_bad_vertex_shape(self):
@@ -271,6 +383,11 @@ class TestConstruction:
     def test_index_out_of_range(self):
         with pytest.raises(MeshError):
             SurfaceMesh([[0, 0, 0], [1, 0, 0], [0, 1, 0]], [[0, 1, 3]])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_vertex_rejected(self, bad):
+        with pytest.raises(MeshError, match="finite"):
+            SurfaceMesh([[0, 0, 0], [1, 0, 0], [0, bad, 0]], [[0, 1, 2]])
 
     def test_vertices_frozen(self, unit_disk):
         with pytest.raises(ValueError):
