@@ -17,7 +17,7 @@ from .doubling import (BoundaryFrame, DoubledSurface, build_boundary_frames,
                        convergence_table, regularity_threshold)
 from .mesh import (BoundaryLoop, SurfaceMesh, ValidationReport, boundary_length,
                    extrinsic_diameter, geodesic_distances, intrinsic_ball_volume,
-                   load_mesh, save_mesh, validate)
+                   intrinsic_diameter, load_mesh, save_mesh, validate)
 from .teardrop import TeardropCurve, build_teardrop, transition_function
 
 __version__ = "0.1.0"
@@ -48,6 +48,7 @@ __all__ = [
     "extrinsic_diameter",
     "geodesic_distances",
     "intrinsic_ball_volume",
+    "intrinsic_diameter",
     "load_mesh",
     "mean_curvature_field",
     "regularity_threshold",

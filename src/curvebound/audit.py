@@ -14,8 +14,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .curvature import curvature_in_ball, mean_curvature_field, total_mean_curvature
-from .mesh import SurfaceMesh, geodesic_distances, intrinsic_ball_volume, validate
+from .curvature import _curvature_weights, mean_curvature_field, total_mean_curvature
+from .mesh import (SurfaceMesh, _ball_clip, _ball_integral, geodesic_distances,
+                   intrinsic_diameter, validate)
 
 SIGMA_SHARP = 2.0 * np.sqrt(np.pi)
 DELTA_SHARP = np.pi / 4.0
@@ -140,14 +141,18 @@ def m_kappa(mesh: SurfaceMesh, p: int, R: float, r_samples=50,
         field = mean_curvature_field(mesh)
     if distances is None:
         distances = geodesic_distances(mesh, p)
+    # the values of curvature_in_ball and intrinsic_ball_volume, with the
+    # per-probe work done once and one clipping per radius for both sums
+    areas = mesh.triangle_areas()
+    weighted = _curvature_weights(mesh, field)
+    dv = distances[mesh.triangles]
     m_best = -np.inf
     k_best = np.inf
     for j in range(1, r_samples + 1):
         r = R * j / r_samples
-        curv = curvature_in_ball(mesh, field, distances, r)
-        vol = intrinsic_ball_volume(mesh, p, r, distances=distances)
-        m_best = max(m_best, curv / r)
-        k_best = min(k_best, vol / (r * r))
+        clip = _ball_clip(dv, r)
+        m_best = max(m_best, _ball_integral(weighted, clip) / r)
+        k_best = min(k_best, _ball_integral(areas, clip) / (r * r))
     return DichotomyRecord(probe=int(p), radius=float(R), m=float(m_best),
                            kappa=float(k_best))
 
@@ -189,7 +194,6 @@ class CoveringRecord:
     d_int: float
     curvature: float
     bound: float
-    exact: bool
 
     @property
     def holds(self):
@@ -200,32 +204,18 @@ class CoveringRecord:
         return self.curvature / self.d_int if self.d_int > 0 else np.inf
 
 
-def covering_bound_check(mesh: SurfaceMesh, max_exact_vertices=5000,
-                         n_sources=64, seed=0) -> CoveringRecord:
+def covering_bound_check(mesh: SurfaceMesh) -> CoveringRecord:
     """Check d_int <= (16/pi) * int|H| on a closed connected mesh.
 
-    d_int is the max vertex eccentricity: exact over all vertices when the
-    mesh is small, otherwise over a seeded sample of sources (the bound has
-    huge slack, so the sampled estimate is more than enough).
+    d_int is the exact max vertex eccentricity of the edge graph
+    (``intrinsic_diameter``, which raises ValueError for a disconnected mesh).
     """
     if not mesh.is_closed():
         raise ValueError("covering bound applies to closed surfaces")
-    if not mesh.is_connected():
-        raise ValueError("mesh must be connected")
-    n = mesh.n_vertices
-    exact = n <= max_exact_vertices
-    if exact:
-        sources = np.arange(n)
-    else:
-        rng = np.random.default_rng(seed)
-        sources = rng.choice(n, size=n_sources, replace=False)
-    from scipy.sparse import csgraph
-
-    d = csgraph.dijkstra(mesh.vertex_adjacency(), directed=False, indices=sources)
-    d_int = float(d[np.isfinite(d)].max())
+    d_int = intrinsic_diameter(mesh)
     curv = total_mean_curvature(mesh)
     return CoveringRecord(d_int=d_int, curvature=curv,
-                          bound=float((16.0 / np.pi) * curv), exact=exact)
+                          bound=float((16.0 / np.pi) * curv))
 
 
 def ct_constants(n: int, conjectural=False) -> float:

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh import SurfaceMesh, _ball_area_from_distances
+from .mesh import SurfaceMesh, _ball_clip, _ball_integral
 
 COT_CLAMP = 1e6
 
@@ -157,13 +157,15 @@ def curvature_in_ball(mesh: SurfaceMesh, field: MeanCurvatureField,
     excluded) times the ball-clipped triangle area, so it is consistent with
     ``intrinsic_ball_volume`` and monotone in r.
     """
-    mags = np.where(field.boundary_mask, 0.0, field.magnitudes())
-    tri = mesh.triangles
-    tri_density = mags[tri].mean(axis=1)
+    return _ball_integral(_curvature_weights(mesh, field),
+                          _ball_clip(distances[mesh.triangles], r))
 
-    # Clip each triangle by the distance level set, weighted by its density.
-    return _ball_area_from_distances(tri, mesh.triangle_areas() * tri_density,
-                                     distances, r)
+
+def _curvature_weights(mesh, field):
+    """Triangle areas times the triangle's |H| density (corner average of
+    |H_v|, boundary corners excluded)."""
+    mags = np.where(field.boundary_mask, 0.0, field.magnitudes())
+    return mesh.triangle_areas() * mags[mesh.triangles].mean(axis=1)
 
 
 def total_abs_curvature(points, closed=False) -> float:

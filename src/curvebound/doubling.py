@@ -199,11 +199,12 @@ def _transported_complement(e1, e2, s, length):
     return e3, theta, closure, reseeded
 
 
-def regularity_threshold(frame: BoundaryFrame, teardrop: TeardropCurve) -> float:
+def regularity_threshold(frame: BoundaryFrame) -> float:
     """Conservative sweep amplitude below which the tube patch stays regular.
 
-    The profile stays inside radius 2 (teardrop bound), so displacement
-    derivatives along the loop are at most 2*eps*max(|de2|, |de3|); keeping
+    Every sweep profile stays inside radius 2 (teardrop bound), so the
+    threshold depends on the frame alone: displacement derivatives along
+    the loop are at most 2*eps*max(|de2|, |de3|); keeping
     them under 1/2 keeps the sweep's sigma-derivative dominated by the unit
     tangent. Capped for straight loops with no measurable frame bending.
     """
@@ -221,7 +222,7 @@ def build_tube(frame: BoundaryFrame, teardrop: TeardropCurve, epsilon: float) ->
     on a consistent diagonal; the row-0 edges run against the loop direction
     so the tube glues orientation-consistently onto the source mesh.
     """
-    eps_bar = regularity_threshold(frame, teardrop)
+    eps_bar = regularity_threshold(frame)
     if not 0.0 < epsilon < eps_bar:
         raise MeshError(f"epsilon {epsilon} outside the regular range (0, {eps_bar})")
     verts, tris, _ = _tube_grid(frame, teardrop, epsilon)
@@ -289,7 +290,7 @@ def build_double(mesh: SurfaceMesh, k: int, epsilon="auto",
     frames = build_boundary_frames(mesh)
     if profile is None:
         profile = build_sweep_profile(k)
-    eps_bar = min(regularity_threshold(fr, profile) for fr in frames)
+    eps_bar = min(regularity_threshold(fr) for fr in frames)
     if epsilon == "auto":
         epsilon = min(eps_bar / 2.0, 1.0 / (2.0 * k))
     if not 0.0 < epsilon < eps_bar:

@@ -323,21 +323,6 @@ def fibonacci_sphere(n) -> np.ndarray:
     return p / np.linalg.norm(p, axis=1)[:, None]
 
 
-def covering_radius_estimate(X: SphericalPointSet, resolution=20000) -> float:
-    """Max geodesic distance from a dense spiral sample to its nearest set point.
-
-    A lower estimate of the covering radius: the sample can miss the farthest
-    point, so the estimate falls short of the supremum by at most the
-    sample's own covering radius (~2.4/sqrt(resolution)).
-    """
-    if resolution < 10**4:
-        raise ValueError("resolution must be at least 10^4 sample points")
-    sample = fibonacci_sphere(resolution)
-    tree = cKDTree(X.points)
-    chord, _ = tree.query(sample, k=1)
-    return float(np.arccos(np.clip(1.0 - chord.max() ** 2 / 2.0, -1.0, 1.0)))
-
-
 def covering_radius_exact(X: SphericalPointSet) -> float:
     """Max geodesic distance from any point of S^2 to its nearest set point; exact.
 

@@ -15,6 +15,7 @@ from scipy.sparse import csgraph
 DEGENERATE_AREA_TOL = 1e-12
 _DIAMETER_LEAF = 16  # points per kd leaf in extrinsic_diameter
 _DIAMETER_BATCH = 128  # leaf pairs per numpy call in extrinsic_diameter
+_ECC_BATCH = 16  # Dijkstra sources per call in intrinsic_diameter
 
 
 class MeshError(Exception):
@@ -257,13 +258,13 @@ def validate(mesh: SurfaceMesh) -> ValidationReport:
     bad = np.nonzero(ue_counts > 2)[0]
     manifold = len(bad) == 0
     for i in bad[:10]:
-        errors.append(f"non-manifold edge {tuple(edges[i])} in {ue_counts[i]} triangles")
+        errors.append(f"non-manifold edge ({edges[i, 0]}, {edges[i, 1]}) "
+                      f"in {ue_counts[i]} triangles")
 
     oriented = bool(np.all(de_counts == 1))
     if not oriented:
-        repeated = np.divmod(dkeys[de_counts > 1][:10], mesh.n_vertices)
-        for e in np.stack(repeated, axis=1):
-            errors.append(f"inconsistent orientation across edge {tuple(e)}")
+        for a, b in zip(*np.divmod(dkeys[de_counts > 1][:10], mesh.n_vertices)):
+            errors.append(f"inconsistent orientation across edge ({a}, {b})")
 
     closed = bool(np.all(ue_counts == 2))
     n_loops = 0
@@ -392,8 +393,64 @@ def geodesic_distances(mesh: SurfaceMesh, source: int) -> np.ndarray:
     """
     if not 0 <= source < mesh.n_vertices:
         raise ValueError(f"source {source} out of range")
-    d = csgraph.dijkstra(mesh.vertex_adjacency(), directed=False, indices=source)
-    return d
+    # the adjacency is symmetric, so the directed search gives the same bits
+    # as directed=False in about half the time
+    return csgraph.dijkstra(mesh.vertex_adjacency(), directed=True, indices=source)
+
+
+def intrinsic_diameter(mesh: SurfaceMesh) -> float:
+    """Exact max vertex eccentricity of the edge graph (Dijkstra distances).
+
+    Eccentricity bounds, after BoundingDiameters (Takes & Kosters, CIKM
+    2011): each computed source v, with eccentricity e and distance d to a
+    vertex w, gives w the lower bound max(e - d, d) and the upper bound
+    e + d. Dijkstra runs from batches of candidates, half with the largest
+    upper bounds (they may reach the diameter) and half with the smallest
+    lower bounds (central vertices, whose rows tighten the upper bounds). A
+    candidate is dropped once its upper bound, widened by a relative slack,
+    is at most the best eccentricity computed so far. The result is the max
+    of the eccentricities actually computed.
+
+    Why this equals ``max`` over the all-pairs matrix, bit for bit: the
+    search from one source does not depend on the others (and on the
+    symmetric adjacency the directed search returns the bits of the
+    undirected one), so every computed row is the all-pairs row and the
+    result is <= the all-pairs max; it is >= unless a dropped row holds
+    more. A computed distance is the rounded sum, in path order, of at most
+    V - 1 edge lengths, so with unit roundoff u it lies within a factor
+    1 +- Vu of the exact length of its path, and hence of the exact graph
+    distance. Exactly, ecc(w) <= ecc(v) + d(v, w)
+    for every computed v, so the computed row max of a dropped w is at most
+    its rounded upper bound times about 1 + 2Vu. The slack,
+    max(1e-12, 4V eps) = max(1e-12, 8Vu), covers that, so no dropped row
+    exceeds the best entry as computed.
+
+    Raises ValueError for a mesh without vertices or with more than one
+    connected component (its eccentricities are infinite).
+    """
+    n = mesh.n_vertices
+    if not mesh.is_connected():
+        raise ValueError("intrinsic diameter needs a connected mesh")
+    graph = mesh.vertex_adjacency()
+    slack = max(1e-12, 4 * n * np.finfo(float).eps)
+    lower = np.zeros(n)
+    upper = np.full(n, np.inf)
+    candidate = np.ones(n, dtype=bool)
+    best = 0.0
+    while candidate.any():
+        live = np.nonzero(candidate)[0]
+        far = live[np.argsort(-upper[live], kind="stable")[:_ECC_BATCH // 2]]
+        central = live[np.argsort(lower[live], kind="stable")]
+        central = central[~np.isin(central, far)][:_ECC_BATCH - len(far)]
+        sources = np.concatenate([far, central])
+        d = csgraph.dijkstra(graph, directed=True, indices=sources)
+        ecc = d.max(axis=1)
+        best = max(best, float(ecc.max()))
+        lower = np.maximum(lower, np.maximum(d, ecc[:, None] - d).max(axis=0))
+        upper = np.minimum(upper, (ecc[:, None] + d).min(axis=0))
+        candidate[sources] = False
+        candidate &= upper * (1.0 + slack) > best
+    return best
 
 
 def intrinsic_ball_volume(mesh: SurfaceMesh, p: int, r: float, distances=None) -> float:
@@ -406,42 +463,47 @@ def intrinsic_ball_volume(mesh: SurfaceMesh, p: int, r: float, distances=None) -
     if r <= 0:
         raise ValueError("r must be positive")
     d = geodesic_distances(mesh, p) if distances is None else distances
-    return _ball_area_from_distances(mesh.triangles, mesh.triangle_areas(), d, r)
+    return _ball_integral(mesh.triangle_areas(), _ball_clip(d[mesh.triangles], r))
 
 
-def _ball_area_from_distances(triangles, areas, d, r):
-    """Sum of ``areas`` over the part of each triangle where the linear
-    interpolant of the vertex values ``d`` is <= r."""
-    dv = d[triangles]  # (T, 3)
+def _ball_clip(dv, r):
+    """Clip every triangle to the part where the linear interpolant of its
+    corner values ``dv`` (T, 3) is <= r.
+
+    Returns (whole, cut, kept, corner, tb, tc): the mask of triangles inside
+    the ball; the triangles with one corner outside and the fraction each
+    keeps once that corner is cut off at the two crossings; the triangles
+    with one corner inside and the crossing parameters of the corner
+    triangle they keep. ``_ball_integral`` applies it to any weights.
+    """
     inside = dv <= r
     n_in = inside.sum(axis=1)
-    total = float(areas[n_in == 3].sum())
 
-    # One corner outside: cut off the corner triangle at the two crossings.
-    idx = np.nonzero(n_in == 2)[0]
-    if len(idx):
-        dvi = dv[idx]
-        out_corner = np.argmin(inside[idx], axis=1)
-        rows = np.arange(len(idx))
-        da = dvi[rows, out_corner]
-        db = dvi[rows, (out_corner + 1) % 3]
-        dc = dvi[rows, (out_corner + 2) % 3]
-        sb = (da - r) / (da - db)
-        sc = (da - r) / (da - dc)
-        total += float((areas[idx] * (1.0 - sb * sc)).sum())
+    cut = np.nonzero(n_in == 2)[0]
+    out_corner = np.argmin(inside[cut], axis=1)
+    da = dv[cut, out_corner]
+    db = dv[cut, (out_corner + 1) % 3]
+    dc = dv[cut, (out_corner + 2) % 3]
+    kept = 1.0 - ((da - r) / (da - db)) * ((da - r) / (da - dc))
 
-    # One corner inside: keep the corner triangle.
-    idx = np.nonzero(n_in == 1)[0]
-    if len(idx):
-        dvi = dv[idx]
-        in_corner = np.argmax(inside[idx], axis=1)
-        rows = np.arange(len(idx))
-        da = dvi[rows, in_corner]
-        db = dvi[rows, (in_corner + 1) % 3]
-        dc = dvi[rows, (in_corner + 2) % 3]
-        tb = (r - da) / (db - da)
-        tc = (r - da) / (dc - da)
-        total += float((areas[idx] * tb * tc).sum())
+    corner = np.nonzero(n_in == 1)[0]
+    in_corner = np.argmax(inside[corner], axis=1)
+    da = dv[corner, in_corner]
+    tb = (r - da) / (dv[corner, (in_corner + 1) % 3] - da)
+    tc = (r - da) / (dv[corner, (in_corner + 2) % 3] - da)
+    return n_in == 3, cut, kept, corner, tb, tc
+
+
+def _ball_integral(weights, clip):
+    """Sum of per-triangle ``weights`` over the clipped triangles, each
+    partial triangle weighted by the fraction of it that ``clip`` keeps."""
+    whole, cut, kept, corner, tb, tc = clip
+    total = float(weights[whole].sum())
+    if len(cut):
+        total += float((weights[cut] * kept).sum())
+    if len(corner):
+        # left to right: weights * (tb * tc) would round differently
+        total += float((weights[corner] * tb * tc).sum())
     return total
 
 
@@ -460,6 +522,12 @@ def save_obj(mesh: SurfaceMesh, path):
 
 
 def load_obj(path) -> SurfaceMesh:
+    """Wavefront OBJ: `v` lines and triangular `f` lines.
+
+    Face indices are 1-based; a negative index counts back from the last
+    vertex read so far (-1 is that vertex). Index 0 and indices out of range
+    raise MeshError.
+    """
     verts, tris = [], []
     with open(path) as fh:
         for line in fh:
@@ -469,10 +537,12 @@ def load_obj(path) -> SurfaceMesh:
             if parts[0] == "v":
                 verts.append([float(x) for x in parts[1:4]])
             elif parts[0] == "f":
-                idx = [int(tok.split("/")[0]) - 1 for tok in parts[1:]]
+                idx = [int(tok.split("/")[0]) for tok in parts[1:]]
                 if len(idx) != 3:
                     raise MeshError("only triangular faces are supported")
-                tris.append(idx)
+                if 0 in idx or min(idx) < -len(verts):
+                    raise MeshError(f"face index out of range in line: {line.strip()}")
+                tris.append([i - 1 if i > 0 else len(verts) + i for i in idx])
     if not verts:
         raise MeshError(f"no vertices found in {path}")
     return SurfaceMesh(np.array(verts), np.array(tris, dtype=np.int64))

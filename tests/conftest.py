@@ -3,6 +3,7 @@ import sys
 
 import numpy as np
 import pytest
+from scipy.sparse import csgraph
 
 try:
     import curvebound  # noqa: F401
@@ -20,6 +21,17 @@ def random_rotation(seed, dim=3):
     if np.linalg.det(q) < 0:
         q[:, 0] = -q[:, 0]
     return q
+
+
+def brute_force_intrinsic_diameter(mesh, rows=512):
+    """Max over the all-pairs undirected Dijkstra matrix, in row blocks."""
+    graph = mesh.vertex_adjacency()
+    best = 0.0
+    for i0 in range(0, mesh.n_vertices, rows):
+        d = csgraph.dijkstra(graph, directed=False,
+                             indices=np.arange(i0, min(i0 + rows, mesh.n_vertices)))
+        best = max(best, float(d.max()))
+    return best
 
 
 @pytest.fixture(scope="session")

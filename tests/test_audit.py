@@ -1,12 +1,27 @@
 import numpy as np
 import pytest
 
+from conftest import brute_force_intrinsic_diameter
 from curvebound import generators as gen
 from curvebound.audit import (DELTA_SHARP, SIGMA_SHARP, comparison_identity_check,
                               covering_bound_check, ct_constants, m_kappa,
                               michael_simon_check, run_audit,
                               probe_function_library)
-from curvebound.mesh import geodesic_distances
+from curvebound.curvature import curvature_in_ball, mean_curvature_field
+from curvebound.mesh import geodesic_distances, intrinsic_ball_volume
+
+
+def reference_m_kappa(mesh, p, R, r_samples=50):
+    """m and kappa from one curvature_in_ball and one intrinsic_ball_volume
+    call per radius."""
+    field = mean_curvature_field(mesh)
+    d = geodesic_distances(mesh, p)
+    m, kappa = -np.inf, np.inf
+    for j in range(1, r_samples + 1):
+        r = R * j / r_samples
+        m = max(m, curvature_in_ball(mesh, field, d, r) / r)
+        kappa = min(kappa, intrinsic_ball_volume(mesh, p, r, distances=d) / (r * r))
+    return m, kappa
 
 
 class TestMichaelSimon:
@@ -81,6 +96,15 @@ class TestDichotomy:
         rec = m_kappa(icosphere4, 0, 50.0)  # far beyond the intrinsic radius
         assert np.isfinite(rec.m) and np.isfinite(rec.kappa)
 
+    @pytest.mark.parametrize("shape,p,R,r_samples", [
+        ("icosphere4", 0, 1.0, 50), ("icosphere4", 1234, 50.0, 50),
+        ("capped", 17, 2.0, 64), ("disk", 0, 0.5, 50)])
+    def test_matches_reference_loop(self, shape, p, R, r_samples, icosphere4, unit_disk):
+        mesh = {"icosphere4": icosphere4, "disk": unit_disk,
+                "capped": gen.capped_cylinder(0.5, 4.0, segments=48, rings_cap=10)}[shape]
+        rec = m_kappa(mesh, p, R, r_samples=r_samples)
+        assert (rec.m, rec.kappa) == reference_m_kappa(mesh, p, R, r_samples)
+
     def test_argument_floors(self, icosphere4):
         with pytest.raises(ValueError):
             m_kappa(icosphere4, 0, -1.0)
@@ -106,7 +130,8 @@ class TestComparisonIdentity:
 class TestCoveringBound:
     def test_icosphere(self, icosphere4):
         rec = covering_bound_check(icosphere4)
-        assert rec.holds and rec.exact
+        assert rec.holds
+        assert rec.d_int == brute_force_intrinsic_diameter(icosphere4)
         # worst-pair edge-graph bias measured at 6.2% on this lattice
         assert np.pi <= rec.d_int <= 1.07 * np.pi
         assert rec.bound > 60  # (16/pi) * 4 pi = 64 with huge slack
@@ -114,6 +139,8 @@ class TestCoveringBound:
     def test_capped_cylinder(self, capped_cyl_1_20):
         rec = covering_bound_check(capped_cyl_1_20)
         assert rec.holds
+        # exact over all 14,530 vertices (the value a 64-source sample found)
+        assert rec.d_int == 23.139350203046863
         # pole-to-pole meridian: axial length plus two quarter-cap polylines
         # (the inscribed-polygon defect can dip slightly below 20 + pi)
         assert 0.999 * (20 + np.pi) <= rec.d_int <= 1.1 * (20 + np.pi)

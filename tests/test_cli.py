@@ -59,6 +59,30 @@ class TestVerifyBound:
         assert captured.out == ""
         assert captured.err.startswith("error: ") and "Traceback" not in captured.err
 
+    def test_obj_relative_indices(self, capsys, tmp_path, disk_obj):
+        # the same disk with every face index written relative to the end
+        lines = open(disk_obj).read().splitlines()
+        n = sum(line.startswith("v ") for line in lines)
+        rel = tmp_path / "rel.obj"
+        rel.write_text("\n".join(
+            line if not line.startswith("f ") else
+            "f " + " ".join(str(int(i) - n - 1) for i in line.split()[1:])
+            for line in lines) + "\n")
+        _, ref = run(capsys, ["verify-bound", disk_obj])
+        code, out = run(capsys, ["verify-bound", str(rel)])
+        assert code == 0
+        assert out.replace(str(rel), disk_obj) == ref
+
+    @pytest.mark.parametrize("face", ["f 0 1 2", "f 1 2 4", "f -4 -2 -1"])
+    def test_obj_bad_face_index_exit_code(self, capsys, tmp_path, face):
+        path = tmp_path / "bad.obj"
+        path.write_text(f"v 0 0 0\nv 1 0 0\nv 0 1 0\n{face}\n")
+        code = main(["verify-bound", str(path)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+
 
 class TestTeardropCommand:
     def test_table_and_export(self, capsys, tmp_path):

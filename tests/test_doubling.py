@@ -63,9 +63,8 @@ class TestBoundaryFrames:
 
 class TestRegularityThreshold:
     def test_unit_disk_quarter(self, disk_frame):
-        prof = build_sweep_profile(50)
         # boundary circle of radius 1: |de2/ds| = 1, so eps_bar = 0.5/2
-        assert abs(regularity_threshold(disk_frame, prof) - 0.25) < 0.01
+        assert abs(regularity_threshold(disk_frame) - 0.25) < 0.01
 
     def test_straight_frame_hits_cap(self):
         # synthetic frame with constant fields: zero bending, cap applies
@@ -78,11 +77,11 @@ class TestRegularityThreshold:
         fr = BoundaryFrame(loop_indices=np.arange(m), positions=pos, e1=e1,
                            e2=e2, e3=e3, arclengths=t, length=1.0,
                            _closure_e3=e3[0])
-        assert regularity_threshold(fr, build_sweep_profile(10)) == 0.5
+        assert regularity_threshold(fr) == 0.5
 
     def test_half_threshold_builds_clean_tube(self, disk_frame):
         prof = build_sweep_profile(25)
-        eps_bar = regularity_threshold(disk_frame, prof)
+        eps_bar = regularity_threshold(disk_frame)
         tube = build_tube(disk_frame, prof, eps_bar / 2)
         rep = validate(tube)
         assert rep.is_valid
@@ -146,8 +145,7 @@ class TestDouble:
         assert rep.euler_characteristic == 2 * unit_disk.euler_characteristic()
 
     def test_auto_epsilon_rule(self, unit_disk, disk_frame):
-        prof = build_sweep_profile(50)
-        eps_bar = regularity_threshold(disk_frame, prof)
+        eps_bar = regularity_threshold(disk_frame)
         dbl = build_double(unit_disk, 50)
         assert dbl.epsilon == min(eps_bar / 2, 1 / (2 * 50))
 

@@ -54,7 +54,7 @@ class TestSphericalPointSet:
 
     def test_packing_strictly_below_covering(self):
         X = gen.SphericalPointSet(gen.fibonacci_sphere(50))
-        X.covering_radius = gen.covering_radius_estimate(X)
+        X.covering_radius = gen.covering_radius_exact(X)
         assert X.packing_radius < X.covering_radius
 
     def test_kdtree_path_matches_exact(self):
@@ -66,33 +66,44 @@ class TestSphericalPointSet:
         assert abs(exact - ref) < 1e-12
 
 
+def sampled_covering_radius(X, n):
+    """Max geodesic distance from an n-point spiral sample of S^2 to its
+    nearest point of X: a lower estimate of the covering radius."""
+    chord, _ = cKDTree(X.points).query(gen.fibonacci_sphere(n), k=1)
+    return float(2.0 * np.arcsin(min(1.0, chord.max() / 2.0)))
+
+
 class TestCoveringRadius:
     def test_single_point(self):
+        # the farthest point is the antipode, at pi > pi/2
         X = gen.SphericalPointSet(np.array([[0.0, 0, 1]]))
-        est = gen.covering_radius_estimate(X)
-        assert abs(est - np.pi) < 0.05
+        assert abs(sampled_covering_radius(X, 20000) - np.pi) < 0.05
+        with pytest.raises(ValueError):
+            gen.covering_radius_exact(X)
 
     def test_antipodal_pair(self):
-        est = gen.covering_radius_estimate(gen.antipodal_point_set())
-        assert abs(est - np.pi / 2) < 0.02
+        # the whole equator is at pi/2; the two points span no Voronoi vertex
+        X = gen.antipodal_point_set()
+        assert abs(sampled_covering_radius(X, 20000) - np.pi / 2) < 0.02
+        with pytest.raises(ValueError):
+            gen.covering_radius_exact(X)
 
     def test_octahedron(self):
         X = gen.SphericalPointSet(np.array(
             [[1.0, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0], [0, 0, 1], [0, 0, -1]]))
-        est = gen.covering_radius_estimate(X)
-        target = np.arccos(1 / np.sqrt(3))
-        assert est <= target + 1e-9  # finite sample never exceeds the sup
-        assert abs(est - target) < 0.02
+        exact = gen.covering_radius_exact(X)
+        est = sampled_covering_radius(X, 20000)
+        assert est <= exact + 1e-12  # a finite sample never exceeds the sup
+        assert abs(est - exact) < 0.02
 
     def test_estimate_grows_with_resolution(self):
         X = gen.SphericalPointSet(gen.fibonacci_sphere(100))
-        lo = gen.covering_radius_estimate(X, resolution=10**4)
-        hi = gen.covering_radius_estimate(X, resolution=8 * 10**4)
+        exact = gen.covering_radius_exact(X)
+        lo = sampled_covering_radius(X, 10**4)
+        hi = sampled_covering_radius(X, 8 * 10**4)
         assert hi >= lo - 1e-3
-
-    def test_resolution_floor(self):
-        with pytest.raises(ValueError):
-            gen.covering_radius_estimate(gen.antipodal_point_set(), resolution=100)
+        assert max(lo, hi) <= exact + 1e-12
+        assert exact - hi < 0.01
 
     def test_exact_matches_octahedron(self):
         X = gen.SphericalPointSet(np.array(

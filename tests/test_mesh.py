@@ -3,13 +3,14 @@ import json
 
 import numpy as np
 import pytest
+from scipy.sparse import csgraph
 
-from conftest import random_rotation
+from conftest import brute_force_intrinsic_diameter, random_rotation
 from curvebound import generators as gen
 from curvebound.mesh import (MeshError, SurfaceMesh, boundary_length,
                              extrinsic_diameter, geodesic_distances,
-                             intrinsic_ball_volume, load_mesh, save_mesh,
-                             validate)
+                             intrinsic_ball_volume, intrinsic_diameter,
+                             load_mesh, save_mesh, validate)
 
 
 def brute_force_diameter(points, rows=256):
@@ -122,21 +123,21 @@ class TestEdgeTable:
 
 
 class TestValidateMessages:
-    """The exact error lines, as earlier releases printed them."""
+    """The exact error lines, with vertex indices as plain integers."""
 
     def test_non_manifold_edge(self):
         mesh = SurfaceMesh(
             [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1], [0, -1, 0]],
             [[0, 1, 2], [1, 0, 3], [0, 1, 4]])
         assert validate(mesh).errors == [
-            "non-manifold edge (np.int64(0), np.int64(1)) in 3 triangles",
-            "inconsistent orientation across edge (np.int64(0), np.int64(1))"]
+            "non-manifold edge (0, 1) in 3 triangles",
+            "inconsistent orientation across edge (0, 1)"]
 
     def test_inconsistent_orientation(self):
         mesh = SurfaceMesh([[0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 0]],
                            [[0, 1, 2], [3, 1, 2]])
         assert validate(mesh).errors == [
-            "inconsistent orientation across edge (np.int64(1), np.int64(2))"]
+            "inconsistent orientation across edge (1, 2)"]
 
     def test_repeated_vertex_names_the_first_triangle(self):
         mesh = SurfaceMesh([[0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 0]],
@@ -270,6 +271,43 @@ class TestGeodesics:
         with pytest.raises(ValueError):
             geodesic_distances(unit_disk, unit_disk.n_vertices)
 
+    def test_directed_search_matches_undirected(self):
+        shapes = dict(gen.closed_library_meshes(), **gen.boundary_library_meshes())
+        for name, mesh in shapes.items():
+            for source in (0, mesh.n_vertices // 2, mesh.n_vertices - 1):
+                ref = csgraph.dijkstra(mesh.vertex_adjacency(), directed=False,
+                                       indices=source)
+                assert np.array_equal(geodesic_distances(mesh, source), ref), name
+
+
+class TestIntrinsicDiameter:
+    @pytest.mark.parametrize("shape", ["icosphere3", "icosphere4", "capped",
+                                       "capped_rotated", "disk"])
+    def test_matches_brute_force(self, shape, icosphere4, unit_disk):
+        capped = gen.capped_cylinder(0.5, 4.0, segments=48, rings_cap=10)
+        mesh = {
+            "icosphere3": gen.icosphere(3),
+            "icosphere4": icosphere4,
+            "capped": capped,
+            "capped_rotated": capped.with_vertices(capped.vertices @ random_rotation(7).T),
+            "disk": unit_disk,
+        }[shape]
+        assert intrinsic_diameter(mesh) == brute_force_intrinsic_diameter(mesh)
+
+    def test_small_meshes(self):
+        assert intrinsic_diameter(single_triangle()) == 5.0
+        point = SurfaceMesh([[0.0, 0, 0]], np.zeros((0, 3), dtype=np.int64))
+        assert intrinsic_diameter(point) == 0.0
+
+    def test_disconnected_or_empty_rejected(self):
+        two = SurfaceMesh(
+            [[0, 0, 0], [1, 0, 0], [0, 1, 0], [5, 5, 5], [6, 5, 5], [5, 6, 5]],
+            [[0, 1, 2], [3, 4, 5]])
+        empty = SurfaceMesh(np.zeros((0, 3)), np.zeros((0, 3), dtype=np.int64))
+        for mesh in (two, empty):
+            with pytest.raises(ValueError, match="connected"):
+                intrinsic_diameter(mesh)
+
 
 class TestBallVolume:
     def test_disk_center_small_ball(self, unit_disk):
@@ -335,6 +373,22 @@ class TestIO:
         back = load_mesh(path)
         assert back.dimension == 4
         assert validate(back).is_valid
+
+    def test_obj_negative_indices_are_relative(self, tmp_path):
+        # -1 is the last vertex read so far, so faces may precede later vertices
+        path = tmp_path / "rel.obj"
+        path.write_text("v 0 0 0\nv 1 0 0\nv 0 1 0\nf -3 -2 -1\n"
+                        "v 1 1 0\nf 2 -1 3\n")
+        mesh = load_mesh(path)
+        assert mesh.triangles.tolist() == [[0, 1, 2], [1, 3, 2]]
+        assert validate(mesh).is_valid
+
+    @pytest.mark.parametrize("face", ["f 0 1 2", "f 1 2 4", "f -4 -2 -1"])
+    def test_obj_bad_face_index(self, tmp_path, face):
+        path = tmp_path / "bad.obj"
+        path.write_text(f"v 0 0 0\nv 1 0 0\nv 0 1 0\n{face}\n")
+        with pytest.raises(MeshError):
+            load_mesh(path)
 
     def test_obj_rejects_4d(self, tmp_path, unit_disk):
         with pytest.raises(MeshError):
