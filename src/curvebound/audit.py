@@ -21,6 +21,7 @@ from .mesh import (SurfaceMesh, _ball_clip, _ball_integral, geodesic_distances,
 SIGMA_SHARP = 2.0 * np.sqrt(np.pi)
 DELTA_SHARP = np.pi / 4.0
 MS_DISCRETIZATION_SLACK = 0.05
+R_SAMPLES = 50  # radius grid of m_kappa
 
 
 @dataclass
@@ -125,31 +126,24 @@ class DichotomyRecord:
         return max(self.m, self.kappa) > DELTA_SHARP
 
 
-def m_kappa(mesh: SurfaceMesh, p: int, R: float, r_samples=50,
-            field=None, distances=None) -> DichotomyRecord:
+def m_kappa(mesh: SurfaceMesh, p: int, R: float) -> DichotomyRecord:
     """Curvature concentration m(p,R) and area collapsedness kappa(p,R).
 
     m = sup over sampled r of (1/r) * integral of |H| over B(p, r);
     kappa = inf over sampled r of V(p, r)/r^2. The sup/inf run over the grid
-    r = R*j/r_samples. R beyond the intrinsic radius just saturates the ball.
+    r = R*j/R_SAMPLES. R beyond the intrinsic radius just saturates the ball.
     """
     if R <= 0:
         raise ValueError("R must be positive")
-    if r_samples < 50:
-        raise ValueError("need at least 50 radius samples")
-    if field is None:
-        field = mean_curvature_field(mesh)
-    if distances is None:
-        distances = geodesic_distances(mesh, p)
     # the values of curvature_in_ball and intrinsic_ball_volume, with the
     # per-probe work done once and one clipping per radius for both sums
     areas = mesh.triangle_areas()
-    weighted = _curvature_weights(mesh, field)
-    dv = distances[mesh.triangles]
+    weighted = _curvature_weights(mesh, mean_curvature_field(mesh))
+    dv = geodesic_distances(mesh, p)[mesh.triangles]
     m_best = -np.inf
     k_best = np.inf
-    for j in range(1, r_samples + 1):
-        r = R * j / r_samples
+    for j in range(1, R_SAMPLES + 1):
+        r = R * j / R_SAMPLES
         clip = _ball_clip(dv, r)
         m_best = max(m_best, _ball_integral(weighted, clip) / r)
         k_best = min(k_best, _ball_integral(areas, clip) / (r * r))
@@ -284,6 +278,8 @@ def run_audit(shapes=None, probes_per_shape=20, seed=0) -> AuditReport:
     """Full verification pass over the closed shape library."""
     from .generators import closed_library_meshes
 
+    if probes_per_shape < 1:
+        raise ValueError(f"probes_per_shape must be at least 1, got {probes_per_shape}")
     if shapes is None:
         shapes = closed_library_meshes()
     report = AuditReport()
@@ -297,15 +293,10 @@ def run_audit(shapes=None, probes_per_shape=20, seed=0) -> AuditReport:
             michael_simon_check(mesh, f, fname)
             for fname, f in probe_function_library(mesh, seed=seed)
         ]
-        field_ = mean_curvature_field(mesh)
         diam_hint = float(np.linalg.norm(
             mesh.vertices.max(axis=0) - mesh.vertices.min(axis=0)))
         probes = rng.integers(0, mesh.n_vertices, size=probes_per_shape)
-        recs = []
-        for p in probes:
-            dist = geodesic_distances(mesh, int(p))
-            recs.append(m_kappa(mesh, int(p), R=0.5 * diam_hint, field=field_,
-                                distances=dist))
-        report.dichotomy[name] = recs
+        report.dichotomy[name] = [m_kappa(mesh, int(p), R=0.5 * diam_hint)
+                                  for p in probes]
         report.covering[name] = covering_bound_check(mesh)
     return report

@@ -2,8 +2,8 @@
 
 Subcommands: verify-bound, double, teardrop, check-contour, gen, audit.
 All floating output is printed at 12 significant digits; identical
-configuration and seed produce byte-identical reports regardless of the
-thread count (worker parallelism only ever maps deterministic work items).
+configuration and seed produce byte-identical reports. curvebound starts no
+worker threads of its own; ``--threads`` is accepted and ignored.
 Exit codes: 0 analysis ran, 2 at least one criterion certified nonexistence
 (check-contour only), 1 bad input or usage.
 """
@@ -36,15 +36,6 @@ def _fmt(x):
 
 def _print(line=""):
     sys.stdout.write(line + "\n")
-
-
-def _thread_count(args):
-    env = os.environ.get("CURVEBOUND_THREADS")
-    if args.threads is not None:
-        return max(1, args.threads)
-    if env:
-        return max(1, int(env))
-    return 1
 
 
 def cmd_verify_bound(args):
@@ -132,7 +123,6 @@ def cmd_check_contour(args):
         mode=args.mode,
         search_budget=args.budget,
         run_cone=not args.no_cone,
-        threads=_thread_count(args),
     )
     _print(report.table())
     if args.json:
@@ -258,7 +248,8 @@ def build_parser():
     parser.add_argument("--seed", type=int, default=0,
                         help="seed for the randomized pieces (default 0)")
     parser.add_argument("--threads", type=int, default=None,
-                        help="worker thread cap (default 1 or CURVEBOUND_THREADS)")
+                        help="accepted and ignored (curvebound starts no "
+                             "worker threads)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("verify-bound", help="diameter bound report for a mesh")

@@ -413,14 +413,14 @@ def verify_cone_separator(c: Contour, sep: ConeSeparator) -> tuple:
     return True, worst
 
 
-def cone_check(c: Contour, search_budget=20000, threads=1) -> CriterionEntry:
+def cone_check(c: Contour, search_budget=20000) -> CriterionEntry:
     """Search for a separating cone; certify only on re-verified success.
 
     Multistart (icosahedral directions plus contour PCA axes) Nelder-Mead over
     apex and an axis chart; each component is assigned to the nappe of its
-    centroid. Sound but incomplete: a missing certificate proves nothing.
-    Multistarts may run on worker threads; the reduction (best margin, ties to
-    the lowest start index) is deterministic regardless of thread count.
+    centroid. The starts run in order, and the best margin wins with ties to
+    the lowest start index. Sound but incomplete: a missing certificate
+    proves nothing.
     """
     if search_budget <= 0:
         raise ValueError("search budget must be positive")
@@ -436,11 +436,7 @@ def cone_check(c: Contour, search_budget=20000, threads=1) -> CriterionEntry:
 
     pts_orig = c.all_points()
     center = pts_orig.mean(axis=0)
-    if len(pts_orig) <= 20000:
-        scale = contour_diameter(c)
-    else:
-        # cheap scale within [d, 2d]; only normalization, not a reported measure
-        scale = 2.0 * float(np.linalg.norm(pts_orig - center, axis=1).max())
+    scale = contour_diameter(c)
     pts = (pts_orig - center) / scale
     counts = np.array([len(comp) for comp in c.components])
     offsets = np.concatenate([[0], np.cumsum(counts)[:-1]])
@@ -461,19 +457,11 @@ def cone_check(c: Contour, search_budget=20000, threads=1) -> CriterionEntry:
         )
         return x, val, (u0, t1, t2)
 
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run_start, starts))
-    else:
-        results = [run_start(u0) for u0 in starts]
-
-    best = (-np.inf, None, None)  # margin, params, start index
-    for s_idx, (x, val, chart) in enumerate(results):
+    best = (-np.inf, None)  # margin, params; ties go to the earlier start
+    for u0 in starts:
+        x, val, chart = run_start(u0)
         if val > best[0]:
-            u0, t1, t2 = chart
-            best = (val, (x, u0, t1, t2), s_idx)
+            best = (val, (x, *chart))
 
     measured = {"tau": root.tau, "sinh_sq": root.sinh_sq, "best_margin_normalized": best[0]}
     if best[0] > STRICT_MARGIN and best[1] is not None:
@@ -514,7 +502,7 @@ def cone_check(c: Contour, search_budget=20000, threads=1) -> CriterionEntry:
 
 
 def analyze(c: Contour, mode="proven", search_budget=20000,
-            run_cone=True, run_white=True, threads=1) -> CriterionReport:
+            run_cone=True) -> CriterionReport:
     """Run every applicable criterion and merge the entries into one report."""
     report = CriterionReport(
         n_components=c.n_components,
@@ -524,9 +512,7 @@ def analyze(c: Contour, mode="proven", search_budget=20000,
     report.entries.append(diameter_length_check(c, mode="proven"))
     if mode == "conjectural":
         report.entries.append(diameter_length_check(c, mode="conjectural"))
-    if run_white:
-        report.entries.append(white_check(c))
+    report.entries.append(white_check(c))
     if run_cone:
-        report.entries.append(cone_check(c, search_budget=search_budget,
-                                         threads=threads))
+        report.entries.append(cone_check(c, search_budget=search_budget))
     return report

@@ -135,7 +135,7 @@ def mean_curvature_field(mesh: SurfaceMesh) -> MeanCurvatureField:
     return field
 
 
-def total_mean_curvature(mesh: SurfaceMesh, field: MeanCurvatureField | None = None) -> float:
+def total_mean_curvature(mesh: SurfaceMesh) -> float:
     """Discrete integral of |H| over the surface interior.
 
     Sums |H_v| A_v over interior vertices in index order (deterministic and
@@ -143,8 +143,7 @@ def total_mean_curvature(mesh: SurfaceMesh, field: MeanCurvatureField | None = N
     insensitive to the measure-zero boundary, whose discrete values would be
     meaningless anyway.
     """
-    if field is None:
-        field = mean_curvature_field(mesh)
+    field = mean_curvature_field(mesh)
     interior = ~field.boundary_mask
     return float(np.sum(field.magnitudes()[interior] * field.areas[interior]))
 

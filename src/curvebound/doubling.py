@@ -267,13 +267,8 @@ class DoubledSurface:
     k: int
     provenance: dict
 
-    def triangles_of(self, label):
-        lo, hi = self.provenance[label]
-        return np.arange(lo, hi)
 
-
-def build_double(mesh: SurfaceMesh, k: int, epsilon="auto",
-                 profile: TeardropCurve | None = None) -> DoubledSurface:
+def build_double(mesh: SurfaceMesh, k: int, epsilon="auto") -> DoubledSurface:
     """Glue two copies of ``mesh`` into a closed surface through teardrop tubes.
 
     The copy is coincident with the original (the surfaces are immersions, so
@@ -288,8 +283,7 @@ def build_double(mesh: SurfaceMesh, k: int, epsilon="auto",
     if report.closed:
         raise MeshError("mesh is closed; doubling applies to surfaces with boundary")
     frames = build_boundary_frames(mesh)
-    if profile is None:
-        profile = build_sweep_profile(k)
+    profile = build_sweep_profile(k)
     eps_bar = min(regularity_threshold(fr) for fr in frames)
     if epsilon == "auto":
         epsilon = min(eps_bar / 2.0, 1.0 / (2.0 * k))

@@ -299,18 +299,12 @@ class SphericalPointSet:
 
 
 def _packing_radius(points):
-    """Half the minimum pairwise geodesic distance; exact."""
-    n = len(points)
-    if n < 2:
+    """Half the minimum pairwise geodesic distance, arcsin(chord / 2) of the
+    shortest nearest-neighbour chord; exact."""
+    if len(points) < 2:
         return float("inf")
-    if n <= 2048:
-        dots = np.clip(points @ points.T, -1.0, 1.0)
-        np.fill_diagonal(dots, -1.0)
-        return 0.5 * float(np.arccos(dots.max()))
-    tree = cKDTree(points)
-    dist, _ = tree.query(points, k=2)
-    chord = dist[:, 1].min()
-    return float(np.arcsin(min(1.0, chord / 2.0)))
+    dist, _ = cKDTree(points).query(points, k=2)
+    return float(np.arcsin(min(1.0, dist[:, 1].min() / 2.0)))
 
 
 def fibonacci_sphere(n) -> np.ndarray:

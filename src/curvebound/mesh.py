@@ -227,11 +227,6 @@ class SurfaceMesh:
             loops.append(BoundaryLoop(idx, float(seg.sum())))
         return loops
 
-    # -- copies --------------------------------------------------------------
-
-    def with_vertices(self, vertices):
-        return SurfaceMesh(vertices, self.triangles)
-
 
 def validate(mesh: SurfaceMesh) -> ValidationReport:
     """Check manifoldness, orientation, degeneracy and boundary structure.
@@ -524,9 +519,10 @@ def save_obj(mesh: SurfaceMesh, path):
 def load_obj(path) -> SurfaceMesh:
     """Wavefront OBJ: `v` lines and triangular `f` lines.
 
+    A `v` line needs three numeric coordinates (further tokens are ignored).
     Face indices are 1-based; a negative index counts back from the last
-    vertex read so far (-1 is that vertex). Index 0 and indices out of range
-    raise MeshError.
+    vertex read so far (-1 is that vertex). A short or non-numeric `v` line,
+    index 0 and indices out of range raise MeshError naming the line.
     """
     verts, tris = [], []
     with open(path) as fh:
@@ -535,7 +531,14 @@ def load_obj(path) -> SurfaceMesh:
             if not parts or parts[0].startswith("#"):
                 continue
             if parts[0] == "v":
-                verts.append([float(x) for x in parts[1:4]])
+                try:
+                    xyz = [float(x) for x in parts[1:4]]
+                except ValueError:
+                    xyz = []
+                if len(xyz) != 3:
+                    raise MeshError("vertex line needs three numeric coordinates: "
+                                    f"{line.strip()}")
+                verts.append(xyz)
             elif parts[0] == "f":
                 idx = [int(tok.split("/")[0]) for tok in parts[1:]]
                 if len(idx) != 3:

@@ -22,6 +22,9 @@ _RISE_CENTER = 0.0575
 _FALL_CENTER = 1.0 - _RISE_CENTER
 
 _GRID_N = 32768  # fixed grid for the graph arclength quadrature
+_MIN_CIRCLE_SAMPLES = 4096  # density floor on the half-circle of build_teardrop
+_SWEEP_GRAPH_SAMPLES = 64  # build_sweep_profile: samples per graph piece
+_SWEEP_CIRCLE_SAMPLES = 48  # build_sweep_profile: samples on the half-circle
 
 
 def _log_cosh(y):
@@ -119,15 +122,12 @@ def _assemble(k, upper_half):
     return TeardropCurve(k=int(k), s=s, points=pts)
 
 
-def build_teardrop(k, samples_per_unit=100, min_circle_samples=4096,
-                   auto_refine=True) -> TeardropCurve:
+def build_teardrop(k, samples_per_unit=100) -> TeardropCurve:
     """Build the index-k teardrop, resampled at uniform arclength.
 
     The sampling density is raised automatically so the half-circle (length
-    pi/k) carries at least ``min_circle_samples`` samples; that tight arc
-    dominates the turning-angle measurement. With ``auto_refine=False`` the
-    requested density is used as-is and fewer than 32 samples on the circle is
-    an error.
+    pi/k) carries at least 4096 samples; that tight arc dominates the
+    turning-angle measurement.
 
     Parameters
     ----------
@@ -140,15 +140,7 @@ def build_teardrop(k, samples_per_unit=100, min_circle_samples=4096,
         raise ValueError("k must be a positive integer")
     if samples_per_unit < 100:
         raise ValueError("samples_per_unit must be at least 100")
-    if auto_refine:
-        density = max(samples_per_unit, int(np.ceil(min_circle_samples * k / np.pi)))
-    else:
-        density = samples_per_unit
-        if density * np.pi / k < 32:
-            raise ValueError(
-                f"samples_per_unit={samples_per_unit} puts fewer than 32 samples "
-                f"on the radius-1/{k} half-circle; raise it or use auto_refine"
-            )
+    density = max(samples_per_unit, int(np.ceil(_MIN_CIRCLE_SAMPLES * k / np.pi)))
 
     s_graph = _graph_arclength_grid(k)
     graph_len = s_graph[-1]
@@ -169,22 +161,19 @@ def build_teardrop(k, samples_per_unit=100, min_circle_samples=4096,
     return _assemble(k, upper)
 
 
-def build_sweep_profile(k, graph_samples=64, circle_samples=48) -> TeardropCurve:
+def build_sweep_profile(k) -> TeardropCurve:
     """Coarse teardrop sampling for tube sweeping.
 
     Turning-angle telescoping makes swept curvature insensitive to the profile
-    density, so tubes stay small; at least 32 samples must land on the circle.
+    density, so tubes stay small: 64 samples per graph piece and 48 on the
+    half-circle.
     """
     if k < 1:
         raise ValueError("k must be a positive integer")
-    if circle_samples < 32:
-        raise ValueError("need at least 32 samples on the half-circle")
-    if graph_samples < 8:
-        raise ValueError("need at least 8 samples per graph piece")
-    xs = np.linspace(0.0, 1.0, graph_samples + 1)
+    xs = np.linspace(0.0, 1.0, _SWEEP_GRAPH_SAMPLES + 1)
     upper_graph = np.column_stack([xs, transition_function(xs) / k])
     # Quarter circle from the graph junction down to the apex, junction excluded.
-    theta = np.linspace(np.pi / 2.0, 0.0, circle_samples // 2 + 1)[1:]
+    theta = np.linspace(np.pi / 2.0, 0.0, _SWEEP_CIRCLE_SAMPLES // 2 + 1)[1:]
     upper_circle = np.column_stack([1.0 + np.cos(theta) / k, np.sin(theta) / k])
     upper = np.vstack([upper_graph, upper_circle])
     return _assemble(k, upper)

@@ -98,18 +98,16 @@ class TestDichotomy:
 
     @pytest.mark.parametrize("shape,p,R,r_samples", [
         ("icosphere4", 0, 1.0, 50), ("icosphere4", 1234, 50.0, 50),
-        ("capped", 17, 2.0, 64), ("disk", 0, 0.5, 50)])
+        ("capped", 17, 2.0, 50), ("disk", 0, 0.5, 50)])
     def test_matches_reference_loop(self, shape, p, R, r_samples, icosphere4, unit_disk):
         mesh = {"icosphere4": icosphere4, "disk": unit_disk,
                 "capped": gen.capped_cylinder(0.5, 4.0, segments=48, rings_cap=10)}[shape]
-        rec = m_kappa(mesh, p, R, r_samples=r_samples)
+        rec = m_kappa(mesh, p, R)
         assert (rec.m, rec.kappa) == reference_m_kappa(mesh, p, R, r_samples)
 
     def test_argument_floors(self, icosphere4):
         with pytest.raises(ValueError):
             m_kappa(icosphere4, 0, -1.0)
-        with pytest.raises(ValueError):
-            m_kappa(icosphere4, 0, 1.0, r_samples=10)
 
 
 class TestComparisonIdentity:
@@ -181,3 +179,8 @@ class TestRunAudit:
         doc = report.to_dict()
         assert doc["all_hold"]
         assert set(doc["covering"]) == set(shapes)
+
+    @pytest.mark.parametrize("probes", [0, -1])
+    def test_probes_below_one_rejected(self, probes):
+        with pytest.raises(ValueError, match="probes_per_shape"):
+            run_audit(shapes={"icosphere1": gen.icosphere(1)}, probes_per_shape=probes)

@@ -83,6 +83,17 @@ class TestVerifyBound:
         assert captured.out == ""
         assert captured.err.startswith("error: ") and "Traceback" not in captured.err
 
+    @pytest.mark.parametrize("vertex", ["v 0 1", "v 0 one 0"])
+    def test_obj_bad_vertex_line_exit_code(self, capsys, tmp_path, vertex):
+        path = tmp_path / "bad.obj"
+        path.write_text(f"v 0 0 0\nv 1 0 0\n{vertex}\nf 1 2 3\n")
+        code = main(["verify-bound", str(path)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+        assert vertex in captured.err
+
 
 class TestTeardropCommand:
     def test_table_and_export(self, capsys, tmp_path):
@@ -239,6 +250,13 @@ class TestAuditCommand:
         doc = json.loads(open(json_path).read())
         assert doc["all_hold"]
         assert len(open(csv_path).read().splitlines()) > 5
+
+    def test_zero_probes_rejected_before_output(self, capsys):
+        code = main(["audit", "--quick", "--probes", "0"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert "probes_per_shape" in captured.err
 
     def test_seeded_reruns_identical(self, capsys, tmp_path):
         _, out1 = run(capsys, ["--seed", "7", "audit", "--quick", "--probes", "2"])

@@ -3,7 +3,7 @@ import pytest
 
 from conftest import random_rotation
 from curvebound import generators as gen
-from curvebound.contour import Contour, component_distance_matrix
+from curvebound.contour import Contour, component_distance_matrix, contour_diameter
 from curvebound.criteria import (VERDICT_CERTIFIED, VERDICT_NO_CERTIFICATE,
                                  VERDICT_NOT_APPLICABLE, VERDICT_NOT_TRIGGERED,
                                  ConeSeparator, analyze,
@@ -129,12 +129,24 @@ class TestCone:
         assert entry.verdict == VERDICT_NO_CERTIFICATE
         assert "NOT a proof" in entry.notes
 
-    def test_thread_count_does_not_change_result(self):
+    def test_repeated_calls_give_same_result(self):
         c = gen.coaxial_circles_contour(1.0, 2.0, segments=90)
-        e1 = cone_check(c, threads=1)
-        e4 = cone_check(c, threads=4)
-        assert e1.margin == e4.margin
-        assert e1.certificate == e4.certificate
+        e1 = cone_check(c)
+        e2 = cone_check(c)
+        assert e1.margin == e2.margin
+        assert e1.certificate == e2.certificate
+
+    def test_large_contour_margin_normalized_by_diameter(self):
+        # above 20,000 points, with a diameter (sqrt(18.25)) unlike twice the
+        # largest distance from the centroid (2 sqrt(5))
+        top = gen.circle_contour(1.0, 10240, center=(0, 0, 2.0)).components[0]
+        bot = gen.circle_contour(0.5, 10240, center=(0, 0, -2.0)).components[0]
+        c = Contour([top, bot])
+        entry = cone_check(c, search_budget=100)
+        assert entry.verdict == VERDICT_CERTIFIED
+        ok, worst = verify_cone_separator(c, ConeSeparator.from_dict(entry.certificate))
+        assert ok
+        assert entry.margin == worst / contour_diameter(c)
 
     def test_separator_scale_covariance(self):
         c = gen.coaxial_circles_contour(1.0, 2.0, segments=90)

@@ -230,7 +230,7 @@ class TestBoundaryLength:
 
     def test_scaling(self, unit_disk):
         lam = 3.7
-        scaled = unit_disk.with_vertices(unit_disk.vertices * lam)
+        scaled = SurfaceMesh(unit_disk.vertices * lam, unit_disk.triangles)
         assert abs(boundary_length(scaled) - lam * boundary_length(unit_disk)) \
             <= 1e-9 * lam * boundary_length(unit_disk)
         assert abs(scaled.area() - lam**2 * unit_disk.area()) \
@@ -289,7 +289,8 @@ class TestIntrinsicDiameter:
             "icosphere3": gen.icosphere(3),
             "icosphere4": icosphere4,
             "capped": capped,
-            "capped_rotated": capped.with_vertices(capped.vertices @ random_rotation(7).T),
+            "capped_rotated": SurfaceMesh(capped.vertices @ random_rotation(7).T,
+                                          capped.triangles),
             "disk": unit_disk,
         }[shape]
         assert intrinsic_diameter(mesh) == brute_force_intrinsic_diameter(mesh)
@@ -388,6 +389,13 @@ class TestIO:
         path = tmp_path / "bad.obj"
         path.write_text(f"v 0 0 0\nv 1 0 0\nv 0 1 0\n{face}\n")
         with pytest.raises(MeshError):
+            load_mesh(path)
+
+    @pytest.mark.parametrize("vertex", ["v 0 1", "v", "v 0 1 z", "v 0,1,0"])
+    def test_obj_bad_vertex_line(self, tmp_path, vertex):
+        path = tmp_path / "bad.obj"
+        path.write_text(f"v 0 0 0\nv 1 0 0\n{vertex}\nf 1 2 3\n")
+        with pytest.raises(MeshError, match=vertex):
             load_mesh(path)
 
     def test_obj_rejects_4d(self, tmp_path, unit_disk):

@@ -56,7 +56,7 @@ class TestTeardropInvariants:
 
     @pytest.mark.parametrize("k", [1, 7, 50, 300])
     def test_radius_bound(self, k):
-        td = build_teardrop(k, min_circle_samples=256)
+        td = build_teardrop(k)
         assert td.max_radius() <= min(1.0 + 2.0 / k, 2.0) + 1e-12
 
     def test_unit_speed_parametrization(self):
@@ -109,10 +109,6 @@ class TestTeardropConvergence:
 
 
 class TestConstructionControls:
-    def test_undersampled_circle_rejected(self):
-        with pytest.raises(ValueError):
-            build_teardrop(1000, samples_per_unit=100, auto_refine=False)
-
     def test_auto_refine_keeps_circle_resolved(self):
         td = build_teardrop(500, samples_per_unit=100)
         assert (td.points[:, 0] >= 1.0).sum() >= 32
@@ -126,8 +122,6 @@ class TestConstructionControls:
             build_teardrop(10, samples_per_unit=50)
 
     def test_sweep_profile_minimums(self):
-        with pytest.raises(ValueError):
-            build_sweep_profile(10, circle_samples=16)
         prof = build_sweep_profile(10)
         assert np.linalg.norm(prof.points[0]) == 0.0
         assert prof.max_radius() <= 1.0 + 2.0 / 10
@@ -135,7 +129,7 @@ class TestConstructionControls:
 
 class TestExport:
     def test_text_roundtrip(self, tmp_path):
-        td = build_teardrop(25, min_circle_samples=256)
+        td = build_teardrop(25)
         path = tmp_path / "curve.txt"
         save_teardrop(td, path)
         back = load_teardrop(path)
