@@ -7,17 +7,17 @@ claims, and turns the resulting contour criterion plus two classical
 competitors into an automated nonexistence analyzer.
 """
 
-from .contour import Contour, component_distance_matrix, contour_diameter, contour_length
+from .contour import Contour, contour_diameter, contour_length
 from .criteria import (CriterionReport, analyze, cone_check, diameter_length_check,
                        tau_root, white_check)
 from .curvature import (MeanCurvatureField, mean_curvature_field, total_abs_curvature,
                         total_mean_curvature)
 from .doubling import (BoundaryFrame, DoubledSurface, build_boundary_frames,
                        build_double, build_tube, convergence_rows,
-                       convergence_table, regularity_threshold)
+                       regularity_threshold)
 from .mesh import (BoundaryLoop, SurfaceMesh, ValidationReport, boundary_length,
-                   extrinsic_diameter, geodesic_distances, intrinsic_ball_volume,
-                   intrinsic_diameter, load_mesh, save_mesh, validate)
+                   extrinsic_diameter, geodesic_distances, intrinsic_diameter,
+                   load_mesh, save_mesh, validate)
 from .teardrop import TeardropCurve, build_teardrop, transition_function
 
 __version__ = "0.1.0"
@@ -38,16 +38,13 @@ __all__ = [
     "build_double",
     "build_teardrop",
     "build_tube",
-    "component_distance_matrix",
     "cone_check",
     "contour_diameter",
     "contour_length",
     "convergence_rows",
-    "convergence_table",
     "diameter_length_check",
     "extrinsic_diameter",
     "geodesic_distances",
-    "intrinsic_ball_volume",
     "intrinsic_diameter",
     "load_mesh",
     "mean_curvature_field",

@@ -22,6 +22,8 @@ SIGMA_SHARP = 2.0 * np.sqrt(np.pi)
 DELTA_SHARP = np.pi / 4.0
 MS_DISCRETIZATION_SLACK = 0.05
 R_SAMPLES = 50  # radius grid of m_kappa
+N_BUMPS = 3  # extrinsic bumps in probe_function_library
+PERTURBED_DELTA = np.pi / 3.0  # comparison_identity_check's off-sharp delta
 
 
 @dataclass
@@ -91,7 +93,7 @@ def michael_simon_check(mesh: SurfaceMesh, f, name="f") -> MichaelSimonRecord:
     )
 
 
-def probe_function_library(mesh: SurfaceMesh, seed=0, n_bumps=3):
+def probe_function_library(mesh: SurfaceMesh, seed=0):
     """Named nonnegative test fields: constants, radial cutoffs, random bumps."""
     rng = np.random.default_rng(seed)
     out = [("const_1", np.ones(mesh.n_vertices))]
@@ -106,7 +108,7 @@ def probe_function_library(mesh: SurfaceMesh, seed=0, n_bumps=3):
             f = np.clip(1.0 - (d - r) / mu, 0.0, 1.0)
             out.append((f"cutoff_p{p}_r{frac}", f))
     # smooth extrinsic bumps
-    for b in range(n_bumps):
+    for b in range(N_BUMPS):
         q = mesh.vertices[rng.integers(0, mesh.n_vertices)]
         width = 0.5 * np.linalg.norm(mesh.vertices - q, axis=1).max()
         f = np.exp(-np.sum((mesh.vertices - q) ** 2, axis=1) / width**2)
@@ -135,8 +137,8 @@ def m_kappa(mesh: SurfaceMesh, p: int, R: float) -> DichotomyRecord:
     """
     if R <= 0:
         raise ValueError("R must be positive")
-    # the values of curvature_in_ball and intrinsic_ball_volume, with the
-    # per-probe work done once and one clipping per radius for both sums
+    # the integrals of |H| and of area over each ball, with the per-probe
+    # work done once and one clipping per radius for both sums
     areas = mesh.triangle_areas()
     weighted = _curvature_weights(mesh, mean_curvature_field(mesh))
     dv = geodesic_distances(mesh, p)[mesh.triangles]
@@ -163,22 +165,22 @@ class IdentityRecord:
         return abs(self.coefficient) <= 1e-12 and self.max_grid_residual <= 1e-11
 
 
-def comparison_identity_check(perturbed_delta=np.pi / 3.0) -> IdentityRecord:
+def comparison_identity_check() -> IdentityRecord:
     """Residual of v' + 2*delta*r - sigma*sqrt(v) for v = delta*r^2.
 
     The coefficient 4*delta - sigma*sqrt(delta) vanishes exactly at the sharp
-    constants; a perturbed delta is evaluated as well to show the check can
-    fail (pi/3 gives about 0.561).
+    constants; the coefficient at PERTURBED_DELTA = pi/3 (about 0.561) is
+    reported as well to show the check can fail.
     """
     coeff = 4.0 * DELTA_SHARP - SIGMA_SHARP * np.sqrt(DELTA_SHARP)
     r = np.linspace(1e-6, 10.0, 1001)
     v = DELTA_SHARP * r * r
     residual = 2.0 * DELTA_SHARP * r + 2.0 * DELTA_SHARP * r - SIGMA_SHARP * np.sqrt(v)
-    pert = 4.0 * perturbed_delta - SIGMA_SHARP * np.sqrt(perturbed_delta)
+    pert = 4.0 * PERTURBED_DELTA - SIGMA_SHARP * np.sqrt(PERTURBED_DELTA)
     return IdentityRecord(
         coefficient=float(coeff),
         max_grid_residual=float(np.abs(residual).max()),
-        perturbed_delta=float(perturbed_delta),
+        perturbed_delta=float(PERTURBED_DELTA),
         perturbed_coefficient=float(pert),
     )
 

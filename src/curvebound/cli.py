@@ -23,7 +23,7 @@ from . import doubling as doubling_mod
 from . import generators as gen_mod
 from . import teardrop as teardrop_mod
 from .contour import Contour, ContourError, load_contour, save_contour
-from .curvature import total_abs_curvature, total_mean_curvature
+from .curvature import total_mean_curvature
 from .mesh import (MeshError, boundary_length, extrinsic_diameter, load_mesh,
                    save_mesh, validate)
 
@@ -102,17 +102,18 @@ def cmd_double(args):
 
 
 def cmd_teardrop(args):
-    k_list = [int(tok) for tok in args.k.split(",")]
+    # build every curve before printing, so a bad k leaves stdout empty
+    curves = [teardrop_mod.build_teardrop(int(tok), samples_per_unit=args.samples_per_unit)
+              for tok in args.k.split(",")]
     _print("k length total_abs_curvature deviation_from_pi max_radius")
-    for k in k_list:
-        curve = teardrop_mod.build_teardrop(k, samples_per_unit=args.samples_per_unit)
-        turn = total_abs_curvature(curve.points, closed=False)
-        _print(" ".join([str(k), _fmt(curve.total_length), _fmt(turn),
+    for curve in curves:
+        turn = curve.turning()
+        _print(" ".join([str(curve.k), _fmt(curve.total_length), _fmt(turn),
                          _fmt(abs(turn - np.pi)), _fmt(curve.max_radius())]))
         if args.export:
             os.makedirs(args.export, exist_ok=True)
             teardrop_mod.save_teardrop(
-                curve, os.path.join(args.export, f"teardrop_k{k}.txt"))
+                curve, os.path.join(args.export, f"teardrop_k{curve.k}.txt"))
     return 0
 
 
@@ -161,16 +162,18 @@ def cmd_gen(args):
     if args.name == "net":
         eps = params.pop("epsilon", 0.1)
         radius = params.pop("radius", None)
-        segments = int(params.pop("segments", 32))
+        segments = params.pop("segments", 32)
+        # the contour is built before the net line is printed, so a failure
+        # leaves stdout empty
         net = gen_mod.fibonacci_net(eps, **params)
-        _print(f"net: {len(net)} points, covering = {_fmt(net.covering_radius)}, "
-               f"packing = {_fmt(net.packing_radius)}")
         if radius is None:
             radius = eps ** 2.5
         obj = gen_mod.sphere_circles(net, radius, segments=segments)
+        _print(f"net: {len(net)} points, covering = {_fmt(net.covering_radius)}, "
+               f"packing = {_fmt(net.packing_radius)}")
     elif args.name == "sphere-circles":
         radius = params.pop("radius", 0.1)
-        segments = int(params.pop("segments", 64))
+        segments = params.pop("segments", 64)
         obj = gen_mod.sphere_circles(gen_mod.antipodal_point_set(), radius,
                                      segments=segments)
     else:

@@ -9,7 +9,6 @@ import json
 
 import numpy as np
 
-MIN_SEPARATION = 1e-9
 _SEGMENT_LEAF = 32  # segments per leaf in component_pair_distances
 _SEGMENT_BATCH = 65536  # segment pairs per numpy call there
 
@@ -58,13 +57,6 @@ class Contour:
     def all_points(self):
         return np.vstack(self.components)
 
-    def check_disjoint(self, tol=MIN_SEPARATION):
-        if self.n_components < 2:
-            return True
-        d = component_distance_matrix(self)
-        off = d[np.triu_indices(self.n_components, k=1)]
-        return bool(np.all(off > tol))
-
 
 def contour_length(c: Contour) -> float:
     """Sum of the closed polyline lengths."""
@@ -85,17 +77,6 @@ def contour_diameter(c: Contour) -> float:
     if "diameter" not in c._cache:
         c._cache["diameter"] = extrinsic_diameter(c.all_points())
     return c._cache["diameter"]
-
-
-def component_distance_matrix(c: Contour) -> np.ndarray:
-    """Symmetric matrix of ``component_pair_distances`` over all pairs i < j."""
-    n = c.n_components
-    if n < 2:
-        raise ContourError("need at least 2 components for a distance matrix")
-    ii, jj = np.triu_indices(n, k=1)
-    d = np.zeros((n, n))
-    d[ii, jj] = d[jj, ii] = component_pair_distances(c, ii, jj)
-    return d
 
 
 def component_pair_distances(c: Contour, first, second) -> np.ndarray:

@@ -8,8 +8,8 @@ quantities and an explicit margin:
   factor 1/2 and is flagged as non-rigorous.
 - White: some decomposition of the components has cross-distance exceeding
   length/pi. The optimal decomposition is the bottleneck split of the
-  component-distance graph (longest MST edge), guarded by a brute-force
-  oracle.
+  component-distance graph (longest MST edge); the tests compare it with an
+  exhaustive search over all bipartitions.
 - cone: the components fit inside the two nappes of the cone
   x^2 + y^2 < z^2 sinh^2(tau), cosh(tau) = tau*sinh(tau), for some apex and
   axis. Certificates are re-verified by an independent membership check;
@@ -19,17 +19,17 @@ Components are atomic units of every decomposition (splitting single Jordan
 curves is not attempted); margins are normalized by the contour diameter.
 """
 
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.sparse import csgraph
 from scipy.sparse import csr_matrix
 
-from .contour import (Contour, component_distance_matrix, component_pair_distances,
-                      contour_diameter, contour_length)
+from .contour import Contour, component_pair_distances, contour_diameter, contour_length
 
 STRICT_MARGIN = 1e-9  # normalized-units floor for "strictly positive"
+TAU_TOL = 1e-12  # |cosh(tau) - tau*sinh(tau)| at which the Newton root is accepted
+TAU_MAX_ITER = 50
 
 VERDICT_CERTIFIED = "nonexistence-certified"
 VERDICT_NOT_TRIGGERED = "not-triggered"
@@ -45,35 +45,21 @@ class TauRoot:
     iterations: int
 
 
-def tau_root(tol=1e-12, max_iter=50) -> TauRoot:
+def tau_root() -> TauRoot:
     """Unique positive solution of cosh(tau) = tau*sinh(tau), by Newton.
 
     g(tau) = cosh - tau*sinh has g' = -tau*cosh; from tau_0 = 1.2 Newton
-    converges quadratically. Non-convergence within ``max_iter`` iterations is
-    a hard failure (it must not occur).
+    converges quadratically. Non-convergence within ``TAU_MAX_ITER``
+    iterations is a hard failure (it must not occur).
     """
     tau = 1.2
-    for it in range(1, max_iter + 1):
+    for it in range(1, TAU_MAX_ITER + 1):
         g = np.cosh(tau) - tau * np.sinh(tau)
-        if abs(g) <= tol:
+        if abs(g) <= TAU_TOL:
             return TauRoot(tau=float(tau), sinh_sq=float(np.sinh(tau) ** 2),
                            residual=float(abs(g)), iterations=it)
         tau = tau + g / (tau * np.cosh(tau))
-    raise RuntimeError(f"tau Newton iteration failed to reach {tol}")
-
-
-def tau_root_bisection(lo=1.0, hi=1.5, tol=1e-10) -> float:
-    """Independent bisection oracle for the tau root."""
-    g = lambda t: np.cosh(t) - t * np.sinh(t)
-    if g(lo) <= 0 or g(hi) >= 0:
-        raise ValueError("bisection bracket does not straddle the root")
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if g(mid) > 0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    raise RuntimeError(f"tau Newton iteration failed to reach {TAU_TOL}")
 
 
 @dataclass
@@ -86,7 +72,6 @@ class ConeSeparator:
     sinh_sq: float
     partition: tuple
     margin: float  # normalized by contour diameter
-    margin_raw: float = 0.0
 
     def to_dict(self):
         return {
@@ -234,26 +219,6 @@ def bottleneck_split(dist_graph) -> tuple:
     side0 = tuple(int(i) for i in np.nonzero(labels == labels[0])[0])
     side1 = tuple(int(i) for i in np.nonzero(labels != labels[0])[0])
     return value, (side0, side1)
-
-
-def white_bruteforce_oracle(c_or_matrix) -> float:
-    """Exhaustive bottleneck over all 2^(N-1) - 1 bipartitions, N <= 12."""
-    if isinstance(c_or_matrix, Contour):
-        d = component_distance_matrix(c_or_matrix)
-    else:
-        d = np.asarray(c_or_matrix, dtype=float)
-    n = len(d)
-    if not 2 <= n <= 12:
-        raise ValueError("brute-force oracle supports 2..12 components")
-    best = -np.inf
-    items = list(range(1, n))
-    for r in range(0, n - 1):
-        for rest in itertools.combinations(items, r):
-            side = (0,) + rest
-            other = tuple(i for i in range(n) if i not in side)
-            cross = d[np.ix_(side, other)].min()
-            best = max(best, cross)
-    return float(best)
 
 
 def white_check(c: Contour) -> CriterionEntry:
@@ -480,7 +445,6 @@ def cone_check(c: Contour, search_budget=20000) -> CriterionEntry:
         )
         ok, worst = verify_cone_separator(c, sep)
         if ok and worst / scale > STRICT_MARGIN:
-            sep.margin_raw = worst
             return CriterionEntry(
                 name="cone",
                 verdict=VERDICT_CERTIFIED,

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh import SurfaceMesh, _ball_clip, _ball_integral
+from .mesh import SurfaceMesh
 
 COT_CLAMP = 1e6
 
@@ -59,9 +59,10 @@ def _corner_cotangents(mesh):
     return cots, clamped
 
 
-def mixed_voronoi_areas(mesh: SurfaceMesh) -> np.ndarray:
+def mixed_voronoi_areas(mesh: SurfaceMesh, cots) -> np.ndarray:
     """Obtuse-safe mixed Voronoi vertex areas (Meyer et al. rule).
 
+    ``cots`` are the mesh's corner cotangents from ``_corner_cotangents``.
     Non-obtuse triangles distribute circumcentric Voronoi pieces; obtuse ones
     give half the area to the obtuse corner and a quarter to the others. The
     pieces tile each triangle, so the vertex areas sum to the mesh area.
@@ -69,7 +70,6 @@ def mixed_voronoi_areas(mesh: SurfaceMesh) -> np.ndarray:
     tri = mesh.triangles
     p = mesh.vertices[tri]
     areas = mesh.triangle_areas()
-    cots, _ = _corner_cotangents(mesh)
 
     # Squared edge lengths opposite each corner: l2[:, k] = |p_{k+1} - p_{k+2}|^2
     l2 = np.empty_like(cots)
@@ -120,7 +120,7 @@ def mean_curvature_field(mesh: SurfaceMesh) -> MeanCurvatureField:
         np.add.at(lap, a, w * (x[a] - x[b]))
         np.add.at(lap, b, w * (x[b] - x[a]))
 
-    areas = mixed_voronoi_areas(mesh)
+    areas = mixed_voronoi_areas(mesh, cots)
     safe = np.maximum(areas, 1e-300)
     vectors = lap / (4.0 * safe[:, None])
     field = MeanCurvatureField(
@@ -146,18 +146,6 @@ def total_mean_curvature(mesh: SurfaceMesh) -> float:
     field = mean_curvature_field(mesh)
     interior = ~field.boundary_mask
     return float(np.sum(field.magnitudes()[interior] * field.areas[interior]))
-
-
-def curvature_in_ball(mesh: SurfaceMesh, field: MeanCurvatureField,
-                      distances: np.ndarray, r: float) -> float:
-    """Integral of |H| over the intrinsic ball of radius r (fractional triangles).
-
-    Uses a per-triangle density (corner average of |H_v|, boundary corners
-    excluded) times the ball-clipped triangle area, so it is consistent with
-    ``intrinsic_ball_volume`` and monotone in r.
-    """
-    return _ball_integral(_curvature_weights(mesh, field),
-                          _ball_clip(distances[mesh.triangles], r))
 
 
 def _curvature_weights(mesh, field):

@@ -225,8 +225,7 @@ def build_tube(frame: BoundaryFrame, teardrop: TeardropCurve, epsilon: float) ->
     eps_bar = regularity_threshold(frame)
     if not 0.0 < epsilon < eps_bar:
         raise MeshError(f"epsilon {epsilon} outside the regular range (0, {eps_bar})")
-    verts, tris, _ = _tube_grid(frame, teardrop, epsilon)
-    tube = SurfaceMesh(verts, tris)
+    tube = SurfaceMesh(*_tube_grid(frame, teardrop, epsilon))
     areas = tube.triangle_areas()
     if areas.min() < 1e-14:
         raise MeshError(f"degenerate tube cell (area {areas.min():.3e})")
@@ -255,7 +254,7 @@ def _tube_grid(frame, teardrop, epsilon):
     t1 = np.stack([a, b, c], axis=-1).reshape(-1, 3)
     t2 = np.stack([a, c, d], axis=-1).reshape(-1, 3)
     tris = np.concatenate([t1, t2])
-    return verts, tris, (n_rows, m)
+    return verts, tris
 
 
 @dataclass
@@ -301,21 +300,20 @@ def build_double(mesh: SurfaceMesh, k: int, epsilon="auto") -> DoubledSurface:
     next_tri = 2 * mesh.n_triangles
 
     for i, frame in enumerate(frames):
-        verts, tris, (n_rows, m) = _tube_grid(frame, profile, epsilon)
-        if m != len(frame.loop_indices):
-            raise MeshError("gluing mismatch: tube and loop sample counts differ")
+        tube = build_tube(frame, profile, epsilon)
+        m = len(frame.loop_indices)
         # Weld: row 0 -> loop vertices on copy 1, last row -> loop on copy 2,
         # interior rows get fresh indices.
-        remap = np.empty(n_rows * m, dtype=np.int64)
+        remap = np.empty(tube.n_vertices, dtype=np.int64)
         remap[:m] = frame.loop_indices
         remap[-m:] = frame.loop_indices + v
-        n_interior = (n_rows - 2) * m
+        n_interior = tube.n_vertices - 2 * m
         remap[m:-m] = next_vertex + np.arange(n_interior)
-        vertex_blocks.append(verts[m:-m])
-        tri_blocks.append(remap[tris])
-        provenance[f"tube-{i}"] = (next_tri, next_tri + len(tris))
+        vertex_blocks.append(tube.vertices[m:-m])
+        tri_blocks.append(remap[tube.triangles])
+        provenance[f"tube-{i}"] = (next_tri, next_tri + tube.n_triangles)
         next_vertex += n_interior
-        next_tri += len(tris)
+        next_tri += tube.n_triangles
 
     sigma = SurfaceMesh(np.vstack(vertex_blocks), np.vstack(tri_blocks))
     sig_report = validate(sigma)
@@ -354,8 +352,3 @@ def convergence_rows(mesh: SurfaceMesh, k_list, epsilon="auto"):
             "diameter_error": abs(diam - base_diam),
         }
         yield row, double
-
-
-def convergence_table(mesh: SurfaceMesh, k_list, epsilon="auto") -> list:
-    """The rows of ``convergence_rows``, without the doubles."""
-    return [row for row, _ in convergence_rows(mesh, k_list, epsilon)]

@@ -19,34 +19,63 @@ GOLDEN_ANGLE = math.pi * (3.0 - math.sqrt(5.0))
 # -- meshes -------------------------------------------------------------------
 
 
+def _count(name, value, minimum):
+    """``value`` as an int; ValueError naming ``name`` unless it is an integer >= minimum."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < minimum:
+        raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
+    return int(value)
+
+
+def _steps(name, n, scale):
+    """scale * i / n for i = 0..n, with n a checked count >= 1."""
+    n = _count(name, n, 1)
+    return [scale * i / n for i in range(n + 1)]
+
+
+def _rings(profile, segments):
+    """One circle [rho cos, rho sin, z] of ``segments`` points per (rho, z) row."""
+    segments = _count("segments", segments, 3)
+    ang = 2.0 * np.pi * np.arange(segments) / segments
+    return [np.column_stack([rho * np.cos(ang), rho * np.sin(ang), np.full(segments, z)])
+            for rho, z in profile]
+
+
+def _fan(apex, first, segments):
+    """Triangles (apex, first + j, first + j + 1) around one ring, cyclically."""
+    j = np.arange(segments)
+    return np.column_stack([np.full(segments, apex), first + j, first + (j + 1) % segments])
+
+
+# Two triangles per quad (a + j, a + j + 1, b + j, b + j + 1) between rings a and b.
+_OUTWARD_QUAD = [[0, 2, 3], [0, 3, 1]]
+_UPWARD_QUAD = [[0, 1, 2], [1, 3, 2]]
+
+
+def _strips(first, bands, segments, quad):
+    """Quad strips between ``bands + 1`` consecutive rings starting at vertex ``first``."""
+    a = first + segments * np.arange(bands)[:, None]
+    j = np.arange(segments)
+    jn = (j + 1) % segments
+    corners = np.stack([a + j, a + jn, a + segments + j, a + segments + jn], axis=-1)
+    return corners[:, :, quad].reshape(-1, 3)
+
+
+def _polar_mesh(center, profile, segments) -> SurfaceMesh:
+    """Center vertex with one ring per (rho, z) row: a fan, then strips outward."""
+    vertices = np.vstack([center, *_rings(profile, segments)])
+    tris = np.vstack([_fan(0, 1, segments),
+                      _strips(1, len(profile) - 1, segments, _OUTWARD_QUAD)])
+    return SurfaceMesh(vertices, tris)
+
+
 def flat_disk(radius=1.0, rings=24, segments=96) -> SurfaceMesh:
     """Planar disk in the z = 0 plane: polar grid, boundary = outer ring.
 
     Spoke edges run straight through the center, so edge-graph distances from
     the center vertex are exact.
     """
-    if rings < 1 or segments < 3:
-        raise ValueError("need rings >= 1 and segments >= 3")
-    ang = 2.0 * np.pi * np.arange(segments) / segments
-    verts = [np.zeros(3)]
-    for i in range(1, rings + 1):
-        r = radius * i / rings
-        ring = np.column_stack([r * np.cos(ang), r * np.sin(ang), np.zeros(segments)])
-        verts.append(ring)
-    vertices = np.vstack(verts)
-
-    tris = []
-    for j in range(segments):
-        jn = (j + 1) % segments
-        tris.append([0, 1 + j, 1 + jn])
-    for i in range(1, rings):
-        a = 1 + (i - 1) * segments
-        b = 1 + i * segments
-        for j in range(segments):
-            jn = (j + 1) % segments
-            tris.append([a + j, b + j, b + jn])
-            tris.append([a + j, b + jn, a + jn])
-    return SurfaceMesh(vertices, np.array(tris, dtype=np.int64))
+    return _polar_mesh((0.0, 0.0, 0.0),
+                       [(r, 0.0) for r in _steps("rings", rings, radius)[1:]], segments)
 
 
 _ICO_T = (1.0 + math.sqrt(5.0)) / 2.0
@@ -77,7 +106,7 @@ def icosphere(subdivisions=3, radius=1.0) -> SurfaceMesh:
     """
     verts = _ICO_VERTS / np.linalg.norm(_ICO_VERTS[0])
     faces = _ICO_FACES
-    for _ in range(subdivisions):
+    for _ in range(_count("subdivisions", subdivisions, 0)):
         verts, faces = _subdivide_midpoint(verts, faces)
     verts = verts / np.linalg.norm(verts, axis=1)[:, None]
     return SurfaceMesh(verts * radius, faces)
@@ -106,31 +135,9 @@ def _subdivide_midpoint(verts, faces):
 
 def hemisphere(rings=24, segments=96, radius=1.0) -> SurfaceMesh:
     """Upper unit hemisphere (z >= 0) with the equator as its boundary loop."""
-    ang = 2.0 * np.pi * np.arange(segments) / segments
-    verts = [np.array([0.0, 0.0, radius])]
-    for i in range(1, rings + 1):
-        theta = (np.pi / 2.0) * i / rings  # polar angle from the north pole
-        ring = np.column_stack(
-            [
-                radius * np.sin(theta) * np.cos(ang),
-                radius * np.sin(theta) * np.sin(ang),
-                np.full(segments, radius * np.cos(theta)),
-            ]
-        )
-        verts.append(ring)
-    vertices = np.vstack(verts)
-    tris = []
-    for j in range(segments):
-        jn = (j + 1) % segments
-        tris.append([0, 1 + j, 1 + jn])
-    for i in range(1, rings):
-        a = 1 + (i - 1) * segments
-        b = 1 + i * segments
-        for j in range(segments):
-            jn = (j + 1) % segments
-            tris.append([a + j, b + j, b + jn])
-            tris.append([a + j, b + jn, a + jn])
-    return SurfaceMesh(vertices, np.array(tris, dtype=np.int64))
+    thetas = _steps("rings", rings, np.pi / 2.0)[1:]  # polar angles from the north pole
+    return _polar_mesh((0.0, 0.0, radius),
+                       [(radius * np.sin(t), radius * np.cos(t)) for t in thetas], segments)
 
 
 def capped_cylinder(radius=1.0, length=20.0, segments=64, rings_lateral=None,
@@ -140,71 +147,38 @@ def capped_cylinder(radius=1.0, length=20.0, segments=64, rings_lateral=None,
     Axis along z, caps centered at z = +-(length/2); the two pole vertices sit
     at z = +-(length/2 + radius), so the vertex diameter is length + 2*radius.
     """
+    segments = _count("segments", segments, 3)
     if rings_lateral is None:
         rings_lateral = max(8, int(round(length / (2.0 * np.pi * radius / segments))))
-    ang = 2.0 * np.pi * np.arange(segments) / segments
     half = length / 2.0
-
-    profile = []  # (r, z) rows from south pole (exclusive) to north pole (exclusive)
-    for i in range(1, rings_cap + 1):
-        theta = (np.pi / 2.0) * i / rings_cap
-        profile.append((radius * np.sin(theta), -half - radius * np.cos(theta)))
-    for i in range(1, rings_lateral):
-        profile.append((radius, -half + length * i / rings_lateral))
-    for i in range(rings_cap, 0, -1):
-        theta = (np.pi / 2.0) * i / rings_cap
-        profile.append((radius * np.sin(theta), half + radius * np.cos(theta)))
-
-    verts = [np.array([0.0, 0.0, -half - radius])]
-    for r, z in profile:
-        verts.append(np.column_stack([r * np.cos(ang), r * np.sin(ang), np.full(segments, z)]))
-    verts.append(np.array([0.0, 0.0, half + radius]))
-    vertices = np.vstack([verts[0][None, :], *verts[1:-1], verts[-1][None, :]])
-
-    south, north = 0, len(vertices) - 1
-    tris = []
-    for j in range(segments):
-        jn = (j + 1) % segments
-        tris.append([south, 1 + jn, 1 + j])
-    n_rows = len(profile)
-    for i in range(n_rows - 1):
-        a = 1 + i * segments
-        b = 1 + (i + 1) * segments
-        for j in range(segments):
-            jn = (j + 1) % segments
-            tris.append([a + j, a + jn, b + j])
-            tris.append([a + jn, b + jn, b + j])
-    a = 1 + (n_rows - 1) * segments
-    for j in range(segments):
-        jn = (j + 1) % segments
-        tris.append([north, a + j, a + jn])
-    return SurfaceMesh(vertices, np.array(tris, dtype=np.int64))
+    cap = _steps("rings_cap", rings_cap, np.pi / 2.0)[1:]
+    # (r, z) rows from the south pole (exclusive) to the north pole (exclusive)
+    profile = ([(radius * np.sin(t), -half - radius * np.cos(t)) for t in cap]
+               + [(radius, -half + z) for z in _steps("rings_lateral", rings_lateral,
+                                                      length)[1:-1]]
+               + [(radius * np.sin(t), half + radius * np.cos(t)) for t in cap[::-1]])
+    vertices = np.vstack([(0.0, 0.0, -half - radius), *_rings(profile, segments),
+                          (0.0, 0.0, half + radius)])
+    north = len(vertices) - 1
+    tris = np.vstack([_fan(0, 1, segments)[:, [0, 2, 1]],  # south fan faces -z
+                      _strips(1, len(profile) - 1, segments, _UPWARD_QUAD),
+                      _fan(north, north - segments, segments)])
+    return SurfaceMesh(vertices, tris)
 
 
 def open_cylinder(radius=1.0, length=4.0, segments=64, rings=None) -> SurfaceMesh:
     """Lateral cylinder surface only: two boundary circles."""
+    segments = _count("segments", segments, 3)
     if rings is None:
         rings = max(4, int(round(length / (2.0 * np.pi * radius / segments))))
-    ang = 2.0 * np.pi * np.arange(segments) / segments
-    rows = []
-    for i in range(rings + 1):
-        z = -length / 2.0 + length * i / rings
-        rows.append(np.column_stack([radius * np.cos(ang), radius * np.sin(ang),
-                                     np.full(segments, z)]))
-    vertices = np.vstack(rows)
-    tris = []
-    for i in range(rings):
-        a = i * segments
-        b = (i + 1) * segments
-        for j in range(segments):
-            jn = (j + 1) % segments
-            tris.append([a + j, a + jn, b + j])
-            tris.append([a + jn, b + jn, b + j])
-    return SurfaceMesh(vertices, np.array(tris, dtype=np.int64))
+    profile = [(radius, -length / 2.0 + z) for z in _steps("rings", rings, length)]
+    vertices = np.vstack(_rings(profile, segments))
+    return SurfaceMesh(vertices, _strips(0, len(profile) - 1, segments, _UPWARD_QUAD))
 
 
 def square_grid(n=32, size=1.0) -> SurfaceMesh:
     """Flat square [0, size]^2 as an n x n grid, each cell split on one diagonal."""
+    n = _count("n", n, 1)
     xs = np.linspace(0.0, size, n + 1)
     gx, gy = np.meshgrid(xs, xs, indexing="ij")
     vertices = np.column_stack([gx.ravel(), gy.ravel(), np.zeros((n + 1) ** 2)])
@@ -241,7 +215,7 @@ def _circle_points(center, normal, radius, segments):
     u = seed - np.dot(seed, n) * n
     u /= np.linalg.norm(u)
     w = np.cross(n, u)
-    t = 2.0 * np.pi * np.arange(segments) / segments
+    t = 2.0 * np.pi * np.arange(_count("segments", segments, 3)) / segments
     return center + radius * (np.outer(np.cos(t), u) + np.outer(np.sin(t), w))
 
 
@@ -252,7 +226,9 @@ def stadium_contour(a=10.0, r=1.0, cap_segments=64, side_segments=64) -> Contour
     it is the canonical silent case for all nonexistence criteria.
     """
     pts = []
-    xs = np.linspace(-a / 2.0, a / 2.0, side_segments, endpoint=False)
+    cap_segments = _count("cap_segments", cap_segments, 1)
+    xs = np.linspace(-a / 2.0, a / 2.0, _count("side_segments", side_segments, 1),
+                     endpoint=False)
     pts += [(x, -r, 0.0) for x in xs]
     th = np.linspace(-np.pi / 2.0, np.pi / 2.0, cap_segments, endpoint=False)
     pts += [(a / 2.0 + r * np.cos(t), r * np.sin(t), 0.0) for t in th]
@@ -383,8 +359,7 @@ def sphere_circles(X: SphericalPointSet, radius, segments=64) -> Contour:
         raise ValueError(
             f"radius {radius} >= packing radius {X.packing_radius}; circles would meet"
         )
-    if segments < 16:
-        raise ValueError("need at least 16 segments per circle")
+    _count("segments", segments, 16)
     comps = [
         _circle_points(math.cos(radius) * c, c, math.sin(radius), segments)
         for c in X.points
@@ -426,14 +401,4 @@ def closed_library_meshes():
         "icosphere4": icosphere(4),
         "capped_cylinder_1_20": capped_cylinder(1.0, 20.0),
         "capped_cylinder_0.5_4": capped_cylinder(0.5, 4.0, segments=48, rings_cap=10),
-    }
-
-
-def boundary_library_meshes():
-    """Library meshes with nonempty boundary."""
-    return {
-        "disk": flat_disk(1.0, 24, 96),
-        "hemisphere": hemisphere(24, 96),
-        "open_cylinder": open_cylinder(1.0, 4.0),
-        "small_disk": flat_disk(0.5, 12, 48),
     }

@@ -116,9 +116,6 @@ class SurfaceMesh:
             self._cache["areas"] = 0.5 * np.sqrt(gram)
         return self._cache["areas"]
 
-    def area(self):
-        return float(self.triangle_areas().sum())
-
     # -- connectivity ------------------------------------------------------
 
     def _directed_edges(self):
@@ -448,19 +445,6 @@ def intrinsic_diameter(mesh: SurfaceMesh) -> float:
     return best
 
 
-def intrinsic_ball_volume(mesh: SurfaceMesh, p: int, r: float, distances=None) -> float:
-    """Area of the intrinsic ball B(p, r).
-
-    Triangles fully inside the distance-r sublevel set count whole; partially
-    covered triangles contribute the area of the sublevel region of the linear
-    interpolant of the vertex distance field. Monotone nondecreasing in r.
-    """
-    if r <= 0:
-        raise ValueError("r must be positive")
-    d = geodesic_distances(mesh, p) if distances is None else distances
-    return _ball_integral(mesh.triangle_areas(), _ball_clip(d[mesh.triangles], r))
-
-
 def _ball_clip(dv, r):
     """Clip every triangle to the part where the linear interpolant of its
     corner values ``dv`` (T, 3) is <= r.
@@ -522,7 +506,8 @@ def load_obj(path) -> SurfaceMesh:
     A `v` line needs three numeric coordinates (further tokens are ignored).
     Face indices are 1-based; a negative index counts back from the last
     vertex read so far (-1 is that vertex). A short or non-numeric `v` line,
-    index 0 and indices out of range raise MeshError naming the line.
+    an `f` line without exactly three integer indices, index 0 and indices
+    out of range raise MeshError naming the line.
     """
     verts, tris = [], []
     with open(path) as fh:
@@ -540,9 +525,13 @@ def load_obj(path) -> SurfaceMesh:
                                     f"{line.strip()}")
                 verts.append(xyz)
             elif parts[0] == "f":
-                idx = [int(tok.split("/")[0]) for tok in parts[1:]]
+                try:
+                    idx = [int(tok.split("/")[0]) for tok in parts[1:]]
+                except ValueError:
+                    idx = []
                 if len(idx) != 3:
-                    raise MeshError("only triangular faces are supported")
+                    raise MeshError("face line needs three integer vertex indices "
+                                    f"(triangles only): {line.strip()}")
                 if 0 in idx or min(idx) < -len(verts):
                     raise MeshError(f"face index out of range in line: {line.strip()}")
                 tris.append([i - 1 if i > 0 else len(verts) + i for i in idx])

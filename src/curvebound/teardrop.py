@@ -185,18 +185,3 @@ def save_teardrop(curve: TeardropCurve, path):
         fh.write(f"# teardrop k={curve.k} length={curve.total_length:.12g}\n")
         for s, x, y in curve.to_rows():
             fh.write("%.12g %.12g %.12g\n" % (s, x, y))
-
-
-def load_teardrop(path, k=0) -> TeardropCurve:
-    rows = []
-    with open(path) as fh:
-        header = fh.readline()
-        if header.startswith("#") and "k=" in header:
-            k = int(header.split("k=")[1].split()[0])
-        else:
-            rows.append([float(tok) for tok in header.split()])
-        for line in fh:
-            if line.strip():
-                rows.append([float(tok) for tok in line.split()])
-    arr = np.array(rows)
-    return TeardropCurve(k=k, s=arr[:, 0], points=arr[:, 1:3])

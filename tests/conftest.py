@@ -1,3 +1,4 @@
+import itertools
 import pathlib
 import sys
 
@@ -11,6 +12,9 @@ except ImportError:  # running from a checkout without an installed package
     sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
 from curvebound import generators as gen
+from curvebound.contour import Contour, ContourError, component_pair_distances
+from curvebound.curvature import _curvature_weights
+from curvebound.mesh import _ball_clip, _ball_integral, geodesic_distances
 
 
 def random_rotation(seed, dim=3):
@@ -32,6 +36,85 @@ def brute_force_intrinsic_diameter(mesh, rows=512):
                              indices=np.arange(i0, min(i0 + rows, mesh.n_vertices)))
         best = max(best, float(d.max()))
     return best
+
+
+def intrinsic_ball_volume(mesh, p, r, distances=None):
+    """Area of the intrinsic ball B(p, r), one radius per call.
+
+    Triangles fully inside the distance-r sublevel set count whole; partially
+    covered triangles contribute the area of the sublevel region of the linear
+    interpolant of the vertex distance field. Monotone nondecreasing in r.
+    """
+    if r <= 0:
+        raise ValueError("r must be positive")
+    d = geodesic_distances(mesh, p) if distances is None else distances
+    return _ball_integral(mesh.triangle_areas(), _ball_clip(d[mesh.triangles], r))
+
+
+def curvature_in_ball(mesh, field, distances, r):
+    """Integral of |H| over the intrinsic ball of radius r, one radius per call.
+
+    A per-triangle density (corner average of |H_v|, boundary corners
+    excluded) times the ball-clipped triangle area, so it is consistent with
+    ``intrinsic_ball_volume`` and monotone in r.
+    """
+    return _ball_integral(_curvature_weights(mesh, field),
+                          _ball_clip(distances[mesh.triangles], r))
+
+
+def tau_root_bisection(lo=1.0, hi=1.5, tol=1e-10) -> float:
+    """Independent bisection oracle for the root of cosh(tau) = tau*sinh(tau)."""
+    g = lambda t: np.cosh(t) - t * np.sinh(t)
+    if g(lo) <= 0 or g(hi) >= 0:
+        raise ValueError("bisection bracket does not straddle the root")
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if g(mid) > 0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def component_distance_matrix(c: Contour) -> np.ndarray:
+    """Symmetric matrix of ``component_pair_distances`` over all pairs i < j."""
+    n = c.n_components
+    if n < 2:
+        raise ContourError("need at least 2 components for a distance matrix")
+    ii, jj = np.triu_indices(n, k=1)
+    d = np.zeros((n, n))
+    d[ii, jj] = d[jj, ii] = component_pair_distances(c, ii, jj)
+    return d
+
+
+def white_bruteforce_oracle(c_or_matrix) -> float:
+    """Exhaustive bottleneck over all 2^(N-1) - 1 bipartitions, N <= 12."""
+    if isinstance(c_or_matrix, Contour):
+        d = component_distance_matrix(c_or_matrix)
+    else:
+        d = np.asarray(c_or_matrix, dtype=float)
+    n = len(d)
+    if not 2 <= n <= 12:
+        raise ValueError("brute-force oracle supports 2..12 components")
+    best = -np.inf
+    items = list(range(1, n))
+    for r in range(0, n - 1):
+        for rest in itertools.combinations(items, r):
+            side = (0,) + rest
+            other = tuple(i for i in range(n) if i not in side)
+            cross = d[np.ix_(side, other)].min()
+            best = max(best, cross)
+    return float(best)
+
+
+def boundary_library_meshes():
+    """Library meshes with nonempty boundary."""
+    return {
+        "disk": gen.flat_disk(1.0, 24, 96),
+        "hemisphere": gen.hemisphere(24, 96),
+        "open_cylinder": gen.open_cylinder(1.0, 4.0),
+        "small_disk": gen.flat_disk(0.5, 12, 48),
+    }
 
 
 @pytest.fixture(scope="session")

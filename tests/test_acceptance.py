@@ -21,18 +21,18 @@ import time
 import numpy as np
 import pytest
 
+from conftest import (boundary_library_meshes, component_distance_matrix,
+                      tau_root_bisection, white_bruteforce_oracle)
 from curvebound import generators as gen
 from curvebound.audit import run_audit
 from curvebound.cli import main as cli_main
-from curvebound.contour import (Contour, component_distance_matrix,
-                                contour_length, save_contour)
+from curvebound.contour import Contour, contour_length, save_contour
 from curvebound.criteria import (VERDICT_CERTIFIED, VERDICT_NO_CERTIFICATE,
                                  ConeSeparator, bottleneck_split, cone_check,
                                  diameter_length_check, tau_root,
-                                 tau_root_bisection, verify_cone_separator,
-                                 white_bruteforce_oracle, white_check)
+                                 verify_cone_separator, white_check)
 from curvebound.curvature import total_abs_curvature, total_mean_curvature
-from curvebound.doubling import build_double, convergence_table
+from curvebound.doubling import build_double, convergence_rows
 from curvebound.mesh import boundary_length, extrinsic_diameter, validate
 from curvebound.teardrop import build_teardrop
 
@@ -77,7 +77,7 @@ def test_criterion_02_doubling_curvature_limit(unit_disk, hemisphere_mesh):
 
 def test_criterion_03_doubling_diameter_and_topology(unit_disk):
     t0 = time.perf_counter()
-    rows = convergence_table(unit_disk, [10, 25, 50])
+    rows = [row for row, _ in convergence_rows(unit_disk, [10, 25, 50])]
     dbl = build_double(unit_disk, 25)
     rep = validate(dbl.sigma)
     elapsed = time.perf_counter() - t0
@@ -112,7 +112,7 @@ def test_criterion_04_curvature_calibration(icosphere4, capped_cyl_1_20):
 def test_criterion_05_diameter_bound_suite():
     t0 = time.perf_counter()
     bad = []
-    for name, mesh in gen.boundary_library_meshes().items():
+    for name, mesh in boundary_library_meshes().items():
         d = extrinsic_diameter(mesh.vertices)
         rhs = (16 / np.pi) * (2 * total_mean_curvature(mesh)
                               + (np.pi / 2) * boundary_length(mesh))

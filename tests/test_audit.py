@@ -1,14 +1,14 @@
 import numpy as np
 import pytest
 
-from conftest import brute_force_intrinsic_diameter
+from conftest import brute_force_intrinsic_diameter, curvature_in_ball, intrinsic_ball_volume
 from curvebound import generators as gen
 from curvebound.audit import (DELTA_SHARP, SIGMA_SHARP, comparison_identity_check,
                               covering_bound_check, ct_constants, m_kappa,
                               michael_simon_check, run_audit,
                               probe_function_library)
-from curvebound.curvature import curvature_in_ball, mean_curvature_field
-from curvebound.mesh import geodesic_distances, intrinsic_ball_volume
+from curvebound.curvature import mean_curvature_field
+from curvebound.mesh import geodesic_distances
 
 
 def reference_m_kappa(mesh, p, R, r_samples=50):
@@ -43,7 +43,7 @@ class TestMichaelSimon:
                                   np.ones(capped_cyl_1_20.n_vertices), "const")
         assert rec.holds
         # lhs = sigma sqrt(area), rhs = 2 int|H| = 2 pi (L + 4r)
-        area = capped_cyl_1_20.area()
+        area = capped_cyl_1_20.triangle_areas().sum()
         assert abs(rec.lhs - SIGMA_SHARP * np.sqrt(area)) < 1e-9
 
     def test_function_library_all_hold(self, icosphere4):
@@ -80,8 +80,6 @@ class TestDichotomy:
 
     def test_small_radius_ratio_tends_to_pi(self):
         fine = gen.flat_disk(1.0, 60, 240)
-        from curvebound.mesh import intrinsic_ball_volume
-
         r = 0.02
         v = intrinsic_ball_volume(fine, 0, r)
         assert abs(v / r**2 - np.pi) / np.pi < 0.10
@@ -118,7 +116,8 @@ class TestComparisonIdentity:
         assert rec.holds
 
     def test_perturbed_delta_breaks_it(self):
-        rec = comparison_identity_check(perturbed_delta=np.pi / 3)
+        rec = comparison_identity_check()
+        assert rec.perturbed_delta == np.pi / 3
         # 4 delta' - sigma sqrt(delta') = (4/3) pi - 2 pi / sqrt(3)
         expected = (4.0 / 3.0) * np.pi - 2 * np.pi / np.sqrt(3)
         assert abs(rec.perturbed_coefficient - expected) < 1e-12

@@ -94,8 +94,28 @@ class TestVerifyBound:
         assert captured.err.startswith("error: ") and "Traceback" not in captured.err
         assert vertex in captured.err
 
+    @pytest.mark.parametrize("face", ["f 1 2 x", "f 1 2"])
+    def test_obj_bad_face_line_exit_code(self, capsys, tmp_path, face):
+        path = tmp_path / "bad.obj"
+        path.write_text(f"v 0 0 0\nv 1 0 0\nv 0 1 0\n{face}\n")
+        code = main(["verify-bound", str(path)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+        assert captured.err.rstrip().endswith(face)
+
 
 class TestTeardropCommand:
+    def test_bad_k_leaves_stdout_empty(self, capsys, tmp_path):
+        export = tmp_path / "curves"
+        code = main(["teardrop", "--k", "5,0", "--export", str(export)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+        assert not export.exists()
+
     def test_table_and_export(self, capsys, tmp_path):
         export = str(tmp_path / "curves")
         code, out = run(capsys, ["teardrop", "--k", "10,100", "--export", export])
@@ -187,6 +207,25 @@ class TestDoubleCommand:
             save_mesh(build_double(load_mesh(path), k).sigma, fresh)
             assert (out_dir / f"double_k{k}.mesh.json").read_bytes() == fresh.read_bytes()
 
+    def test_tubes_come_from_build_tube(self, capsys, tmp_path, monkeypatch):
+        from curvebound import doubling
+
+        path = tmp_path / "cylinder.mesh.json"
+        save_mesh(gen.open_cylinder(1.0, 2.0, segments=24, rings=4), path)
+        calls = []
+        original = doubling.build_tube
+
+        def counting_build_tube(frame, profile, epsilon):
+            calls.append((profile.k, tuple(frame.loop_indices)))
+            return original(frame, profile, epsilon)
+
+        monkeypatch.setattr(doubling, "build_tube", counting_build_tube)
+        code, _ = run(capsys, ["double", str(path), "--k-list", "10,25"])
+        assert code == 0
+        loops = [tuple(loop.vertex_indices) for loop in load_mesh(path).boundary_loops]
+        assert len(loops) == 2
+        assert calls == [(k, loop) for k in (10, 25) for loop in loops]
+
     def test_closed_mesh_is_an_error(self, capsys, tmp_path):
         path = tmp_path / "sphere.obj"
         save_mesh(gen.icosphere(2), path)
@@ -236,6 +275,38 @@ class TestGenCommand:
         code = main(["gen", name, "--param", "foo=1", "--out", str(out)])
         assert code == 1
         assert "foo" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_net_failure_leaves_stdout_empty(self, capsys, tmp_path):
+        out = tmp_path / "net.contour.json"
+        code = main(["gen", "net", "--param", "epsilon=0.2", "--param", "segments=8",
+                     "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert "segments" in captured.err and "Traceback" not in captured.err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("name,param", [
+        ("open-cylinder", "rings=0"),
+        ("icosphere", "subdivisions=1.5"),
+        ("icosphere", "subdivisions=-1"),
+        ("disk", "rings=2.5"),
+        ("disk", "segments=abc"),
+        ("hemisphere", "rings=0"),
+        ("capped-cylinder", "segments=abc"),
+        ("coaxial-circles", "segments=10.5"),
+        ("net", "segments=16.5"),
+        ("sphere-circles", "segments=20.5"),
+    ])
+    def test_bad_count_parameter(self, capsys, tmp_path, name, param):
+        out = tmp_path / "x.json"
+        code = main(["gen", name, "--param", param, "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith("error: " + param.split("=")[0])
+        assert "Traceback" not in captured.err
         assert not out.exists()
 
 

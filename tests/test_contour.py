@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from conftest import random_rotation
+from conftest import component_distance_matrix, random_rotation
 from curvebound import generators as gen
-from curvebound.contour import (Contour, ContourError, component_distance_matrix,
+from curvebound.contour import (Contour, ContourError,
                                 component_pair_distances, contour_diameter,
                                 contour_length, load_contour, save_contour,
                                 segment_segment_distance)
@@ -36,11 +36,14 @@ class TestContourValidation:
             Contour([[[0, 0, 0], [1, 0, 0], [bad, 1, 0]]])
 
     def test_disjointness_check(self):
-        c = gen.coaxial_circles_contour(1.0, 0.5, segments=64)
-        assert c.check_disjoint()
+        def disjoint(c):
+            d = component_distance_matrix(c)
+            return bool(np.all(d[np.triu_indices(c.n_components, k=1)] > 1e-9))
+
+        assert disjoint(gen.coaxial_circles_contour(1.0, 0.5, segments=64))
         overlapping = Contour([unit_circle(64).components[0],
                                unit_circle(64).components[0] + 1e-12])
-        assert not overlapping.check_disjoint()
+        assert not disjoint(overlapping)
 
 
 class TestContourLength:

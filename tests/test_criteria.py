@@ -1,16 +1,16 @@
 import numpy as np
 import pytest
 
-from conftest import random_rotation
+from conftest import (component_distance_matrix, random_rotation, tau_root_bisection,
+                      white_bruteforce_oracle)
 from curvebound import generators as gen
-from curvebound.contour import Contour, component_distance_matrix, contour_diameter
+from curvebound.contour import Contour, contour_diameter
 from curvebound.criteria import (VERDICT_CERTIFIED, VERDICT_NO_CERTIFICATE,
                                  VERDICT_NOT_APPLICABLE, VERDICT_NOT_TRIGGERED,
                                  ConeSeparator, analyze,
                                  bottleneck_split, cone_check,
                                  diameter_length_check, tau_root,
-                                 tau_root_bisection, verify_cone_separator,
-                                 white_bruteforce_oracle, white_check)
+                                 verify_cone_separator, white_check)
 
 
 class TestTauRoot:

@@ -9,6 +9,17 @@ from curvebound.mesh import SurfaceMesh, extrinsic_diameter
 
 
 class TestMeanCurvatureField:
+    def test_cotangents_computed_once_per_field(self, monkeypatch):
+        from curvebound import curvature
+
+        calls = []
+        original = curvature._corner_cotangents
+        monkeypatch.setattr(curvature, "_corner_cotangents",
+                            lambda m: calls.append(m) or original(m))
+        mesh = gen.icosphere(2)
+        mean_curvature_field(mesh)
+        assert calls == [mesh]
+
     def test_computed_once_per_mesh(self, monkeypatch):
         from curvebound import curvature
 
@@ -48,7 +59,8 @@ class TestMeanCurvatureField:
     def test_areas_partition_total(self, icosphere4, unit_disk):
         for mesh in (icosphere4, unit_disk):
             f = mean_curvature_field(mesh)
-            assert abs(f.areas.sum() - mesh.area()) <= 1e-9 * mesh.area()
+            area = mesh.triangle_areas().sum()
+            assert abs(f.areas.sum() - area) <= 1e-9 * area
 
     def test_boundary_vertices_flagged(self, unit_disk):
         f = mean_curvature_field(unit_disk)

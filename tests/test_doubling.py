@@ -6,7 +6,7 @@ from curvebound import generators as gen
 from curvebound.curvature import total_mean_curvature
 from curvebound.doubling import (BoundaryFrame, build_boundary_frames,
                                  build_double, build_tube, convergence_rows,
-                                 convergence_table, regularity_threshold)
+                                 regularity_threshold)
 from curvebound.mesh import MeshError, extrinsic_diameter, validate
 from curvebound.teardrop import build_sweep_profile
 
@@ -201,7 +201,7 @@ class TestDouble:
 
 class TestConvergenceTable:
     def test_flat_disk_rows(self, unit_disk):
-        rows = convergence_table(unit_disk, [10, 25, 50])
+        rows = [row for row, _ in convergence_rows(unit_disk, [10, 25, 50])]
         errs = [r["curvature_error"] for r in rows]
         assert errs[0] > errs[1] > errs[2]
         for r in rows:
@@ -212,7 +212,7 @@ class TestConvergenceTable:
     def test_rows_stream_with_their_doubles(self):
         mesh = gen.flat_disk(1.0, 8, 32)
         pairs = list(convergence_rows(mesh, [10, 25]))
-        assert [row for row, _ in pairs] == convergence_table(mesh, [10, 25])
+        assert [row for row, _ in pairs] == [row for row, _ in convergence_rows(mesh, [10, 25])]
         for row, dbl in pairs:
             assert dbl.k == row["k"] and dbl.epsilon == row["epsilon"]
             assert extrinsic_diameter(dbl.sigma.vertices) == row["sigma_diameter"]

@@ -1,7 +1,10 @@
+import hashlib
+
 import numpy as np
 import pytest
 from scipy.spatial import cKDTree
 
+from conftest import component_distance_matrix
 from curvebound import generators as gen
 from curvebound.contour import contour_diameter, contour_length
 from curvebound.curvature import total_mean_curvature
@@ -201,9 +204,8 @@ class TestSphereCircles:
 
     def test_components_pairwise_separated(self, net_family):
         net, gam = net_family[0.2]
-        from curvebound.criteria import white_check
-        # positive separation: the exact bottleneck path builds real distances
-        assert gam.check_disjoint() or white_check(gam).measured["best_cross_distance"] > 0
+        d = component_distance_matrix(gam)
+        assert np.all(d[~np.eye(gam.n_components, dtype=bool)] > 0)
 
 
 class TestMeshGenerators:
@@ -224,6 +226,67 @@ class TestMeshGenerators:
         d = geodesic_distances(unit_disk, 0)
         radii = np.linalg.norm(unit_disk.vertices, axis=1)
         assert np.max(np.abs(d - radii)) < 1e-12
+
+    # blake2b-128 digests of the vertex and triangle arrays: the meshes that
+    # every recorded number rests on, pinned bit for bit
+    @pytest.mark.parametrize("build,vertices,triangles", [
+        pytest.param(lambda: gen.flat_disk(),
+                     "0f676c384a914566b8844781069c3bec", "311e34000e9b93732a96fc95b15a0a0d",
+                     id="flat_disk()"),
+        pytest.param(lambda: gen.flat_disk(1.0, 8, 32),
+                     "554b0d59123a60f1a1053e485912b050", "e3d410976bc2ae9ffe583ce5cde60d70",
+                     id="flat_disk(1.0, 8, 32)"),
+        pytest.param(lambda: gen.hemisphere(),
+                     "c011ac8d83cfeb8d539dcf50349627aa", "311e34000e9b93732a96fc95b15a0a0d",
+                     id="hemisphere()"),
+        pytest.param(lambda: gen.open_cylinder(),
+                     "99a59af627c194350f5e88234fb92b20", "09d1383c775a3bbd81b89fd68db963cd",
+                     id="open_cylinder()"),
+        pytest.param(lambda: gen.open_cylinder(1.0, 4.0, segments=24),
+                     "8cfc91c9084900489cad5dc414e98b92", "aa61bab2f39d2679308772f7ac8b759e",
+                     id="open_cylinder(1.0, 4.0, segments=24)"),
+        pytest.param(lambda: gen.capped_cylinder(),
+                     "4c3ec5224899fb75a8c927a788734482", "f1f0abf0bf9679720563f7179ffe0b30",
+                     id="capped_cylinder()"),
+        pytest.param(lambda: gen.capped_cylinder(0.5, 4.0, segments=48, rings_cap=10),
+                     "20880403f170120665b5d7a20b406d73", "2801086550b14183abbfdf8385fe972c",
+                     id="capped_cylinder(0.5, 4.0, segments=48, rings_cap=10)"),
+    ])
+    def test_revolution_meshes_bit_identical(self, build, vertices, triangles):
+        mesh = build()
+        assert mesh.vertices.dtype == np.float64 and mesh.triangles.dtype == np.int64
+        digest = lambda a: hashlib.blake2b(a.tobytes(), digest_size=16).hexdigest()
+        assert digest(mesh.vertices) == vertices
+        assert digest(mesh.triangles) == triangles
+
+    @pytest.mark.parametrize("build,name", [
+        (lambda: gen.open_cylinder(rings=0), "rings"),
+        (lambda: gen.icosphere(1.5), "subdivisions"),
+        (lambda: gen.icosphere(-1), "subdivisions"),
+        (lambda: gen.flat_disk(rings=2.5), "rings"),
+        (lambda: gen.flat_disk(segments="abc"), "segments"),
+        (lambda: gen.hemisphere(rings=0), "rings"),
+        (lambda: gen.hemisphere(segments=2), "segments"),
+        (lambda: gen.capped_cylinder(rings_cap=0), "rings_cap"),
+        (lambda: gen.capped_cylinder(rings_lateral=2.0), "rings_lateral"),
+        (lambda: gen.capped_cylinder(segments="abc"), "segments"),
+        (lambda: gen.square_grid(0), "n"),
+        (lambda: gen.circle_contour(segments=2), "segments"),
+        (lambda: gen.coaxial_circles_contour(segments=10.5), "segments"),
+        (lambda: gen.stadium_contour(cap_segments=True), "cap_segments"),
+        (lambda: gen.stadium_contour(side_segments=0), "side_segments"),
+        (lambda: gen.sphere_circles(gen.antipodal_point_set(), 0.1, segments=16.5),
+         "segments"),
+    ])
+    def test_bad_counts_name_the_parameter(self, build, name):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer >= "):
+            build()
+
+    def test_numpy_integer_counts_accepted(self):
+        a = gen.flat_disk(1.0, np.int64(3), np.int32(8))
+        b = gen.flat_disk(1.0, 3, 8)
+        assert np.array_equal(a.vertices, b.vertices)
+        assert np.array_equal(a.triangles, b.triangles)
 
     def test_embed_in_r4(self, unit_disk):
         mesh4 = gen.embed_in_r4(unit_disk)

@@ -5,12 +5,12 @@ import numpy as np
 import pytest
 from scipy.sparse import csgraph
 
-from conftest import brute_force_intrinsic_diameter, random_rotation
+from conftest import (boundary_library_meshes, brute_force_intrinsic_diameter,
+                      intrinsic_ball_volume, random_rotation)
 from curvebound import generators as gen
 from curvebound.mesh import (MeshError, SurfaceMesh, boundary_length,
                              extrinsic_diameter, geodesic_distances,
-                             intrinsic_ball_volume, intrinsic_diameter,
-                             load_mesh, save_mesh, validate)
+                             intrinsic_diameter, load_mesh, save_mesh, validate)
 
 
 def brute_force_diameter(points, rows=256):
@@ -73,7 +73,7 @@ class TestValidate:
 
     def test_generated_library_meshes_all_valid(self):
         shapes = dict(gen.closed_library_meshes())
-        shapes.update(gen.boundary_library_meshes())
+        shapes.update(boundary_library_meshes())
         for name, mesh in shapes.items():
             rep = validate(mesh)
             assert rep.is_valid, f"{name}: {rep}"
@@ -233,8 +233,8 @@ class TestBoundaryLength:
         scaled = SurfaceMesh(unit_disk.vertices * lam, unit_disk.triangles)
         assert abs(boundary_length(scaled) - lam * boundary_length(unit_disk)) \
             <= 1e-9 * lam * boundary_length(unit_disk)
-        assert abs(scaled.area() - lam**2 * unit_disk.area()) \
-            <= 1e-9 * lam**2 * unit_disk.area()
+        area = unit_disk.triangle_areas().sum()
+        assert abs(scaled.triangle_areas().sum() - lam**2 * area) <= 1e-9 * lam**2 * area
 
     def test_boundary_diameter_within_mesh_diameter(self, unit_disk, hemisphere_mesh):
         for mesh in (unit_disk, hemisphere_mesh):
@@ -272,7 +272,7 @@ class TestGeodesics:
             geodesic_distances(unit_disk, unit_disk.n_vertices)
 
     def test_directed_search_matches_undirected(self):
-        shapes = dict(gen.closed_library_meshes(), **gen.boundary_library_meshes())
+        shapes = dict(gen.closed_library_meshes(), **boundary_library_meshes())
         for name, mesh in shapes.items():
             for source in (0, mesh.n_vertices // 2, mesh.n_vertices - 1):
                 ref = csgraph.dijkstra(mesh.vertex_adjacency(), directed=False,
@@ -317,7 +317,8 @@ class TestBallVolume:
         assert abs(v - np.pi * 0.0625) / (np.pi * 0.0625) < 0.03
 
     def test_full_coverage_returns_area(self, unit_disk):
-        assert abs(intrinsic_ball_volume(unit_disk, 0, 10.0) - unit_disk.area()) < 1e-9
+        area = unit_disk.triangle_areas().sum()
+        assert abs(intrinsic_ball_volume(unit_disk, 0, 10.0) - area) < 1e-9
 
     def test_icosphere_cap_regression(self, icosphere4):
         # analytic cap area 2*pi*(1 - cos 1) = 2.888; the edge-graph bias
@@ -396,6 +397,13 @@ class TestIO:
         path = tmp_path / "bad.obj"
         path.write_text(f"v 0 0 0\nv 1 0 0\n{vertex}\nf 1 2 3\n")
         with pytest.raises(MeshError, match=vertex):
+            load_mesh(path)
+
+    @pytest.mark.parametrize("face", ["f 1 2 x", "f 1 2", "f 1 2 3 1", "f"])
+    def test_obj_bad_face_line(self, tmp_path, face):
+        path = tmp_path / "bad.obj"
+        path.write_text(f"v 0 0 0\nv 1 0 0\nv 0 1 0\n{face}\n")
+        with pytest.raises(MeshError, match=f"{face}$"):
             load_mesh(path)
 
     def test_obj_rejects_4d(self, tmp_path, unit_disk):

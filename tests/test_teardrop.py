@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from curvebound.curvature import total_abs_curvature
-from curvebound.teardrop import (build_sweep_profile, build_teardrop,
-                                 load_teardrop, save_teardrop,
+from curvebound.teardrop import (build_sweep_profile, build_teardrop, save_teardrop,
                                  transition_function, transition_slope)
 
 
@@ -132,7 +131,9 @@ class TestExport:
         td = build_teardrop(25)
         path = tmp_path / "curve.txt"
         save_teardrop(td, path)
-        back = load_teardrop(path)
-        assert back.k == 25
-        assert np.allclose(back.points, td.points, atol=1e-10)
-        assert np.allclose(back.s, td.s, atol=1e-10)
+        with open(path) as fh:
+            assert fh.readline().split()[:3] == ["#", "teardrop", "k=25"]
+        back = np.loadtxt(path)
+        assert back.shape == (len(td.s), 3)
+        assert np.allclose(back[:, 1:], td.points, atol=1e-10)
+        assert np.allclose(back[:, 0], td.s, atol=1e-10)
