@@ -138,14 +138,14 @@ def _parse_params(tokens):
         if "=" not in tok:
             raise ValueError(f"--param expects name=value, got '{tok}'")
         key, val = tok.split("=", 1)
+        name = key.replace("-", "_")
         try:
-            parsed = int(val)
+            params[name] = int(val)
         except ValueError:
             try:
-                parsed = float(val)
+                params[name] = float(val)
             except ValueError:
-                parsed = val
-        params[key.replace("-", "_")] = parsed
+                raise ValueError(f"{name} must be a number, got '{val}'") from None
     return params
 
 
@@ -278,7 +278,7 @@ def build_parser():
     p.add_argument("contour")
     p.add_argument("--mode", choices=("proven", "conjectural"), default="proven")
     p.add_argument("--budget", type=int, default=20000,
-                   help="cone search budget (objective evaluations)")
+                   help="cone search budget (LP solves)")
     p.add_argument("--no-cone", action="store_true", help="skip the cone search")
     p.add_argument("--json", help="write the report as JSON")
     p.set_defaults(func=cmd_check_contour)

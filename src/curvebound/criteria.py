@@ -12,8 +12,9 @@ quantities and an explicit margin:
   exhaustive search over all bipartitions.
 - cone: the components fit inside the two nappes of the cone
   x^2 + y^2 < z^2 sinh^2(tau), cosh(tau) = tau*sinh(tau), for some apex and
-  axis. Certificates are re-verified by an independent membership check;
-  a failed search is NOT a proof of inseparability.
+  axis: threshold splits along fixed and searched axes, each apex from a
+  linear program. Certificates are re-verified by an independent
+  membership check; a failed search is NOT a proof of inseparability.
 
 Components are atomic units of every decomposition (splitting single Jordan
 curves is not attempted); margins are normalized by the contour diameter.
@@ -22,10 +23,10 @@ curves is not attempted); margins are normalized by the contour diameter.
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse import csgraph
-from scipy.sparse import csr_matrix
+from scipy.sparse import csgraph, csr_matrix
 
 from .contour import Contour, component_pair_distances, contour_diameter, contour_length
+from .generators import icosphere
 
 STRICT_MARGIN = 1e-9  # normalized-units floor for "strictly positive"
 TAU_TOL = 1e-12  # |cosh(tau) - tau*sinh(tau)| at which the Newton root is accepted
@@ -224,15 +225,15 @@ def bottleneck_split(dist_graph) -> tuple:
 def white_check(c: Contour) -> CriterionEntry:
     """Certify when the best decomposition satisfies dist > length / pi.
 
-    The bottleneck split is found without the full distance matrix.
-    Centroid-ball bounds LB <= d(i,j) <= UB bracket every pairwise distance.
-    The bottleneck of the UB graph (its longest MST edge) is an upper bound
-    t* for the exact bottleneck, and every exact-MST edge satisfies
-    LB <= d <= t*; exact segment distances are therefore computed only for
-    candidate pairs with LB <= t*, whose graph provably contains the exact
-    minimum spanning tree and is connected. LB is compared with t* up to a
-    slack of 1e-12 * (t* + r_i + r_j), far above the rounding in the bounds
-    and in the computed distances, so that rounding cannot drop a tree edge.
+    The bottleneck split is found without any dense matrix. Centroid-ball
+    bounds LB <= d(i,j) <= UB bracket every pairwise distance. The
+    bottleneck of the UB graph (its longest MST edge, by Prim one row at a
+    time) is an upper bound t* for the exact bottleneck, and every exact-MST
+    edge has LB <= d <= t*; exact segment distances are therefore computed
+    only for candidate pairs with LB <= t*, whose graph provably contains
+    the exact minimum spanning tree and is connected. LB is compared with t*
+    up to a slack of 1e-12 * (t* + r_i + r_j), far above the rounding in the
+    bounds and distances, so that rounding cannot drop a tree edge.
     """
     ell = contour_length(c)
     n = c.n_components
@@ -246,12 +247,16 @@ def white_check(c: Contour) -> CriterionEntry:
     cents = np.array([comp.mean(axis=0) for comp in c.components])
     radii = np.array([np.linalg.norm(comp - m, axis=1).max()
                       for comp, m in zip(c.components, cents)])
-    cd = np.linalg.norm(cents[:, None, :] - cents[None, :, :], axis=-1)
-    rr = radii[:, None] + radii[None, :]
-    ub = cd + rr
-    np.fill_diagonal(ub, 0.0)
-    t_star = float(csgraph.minimum_spanning_tree(csr_matrix(ub)).data.max())
-    ii, jj = np.nonzero(np.triu(cd - rr <= t_star + 1e-12 * (t_star + rr), k=1))
+    ub, done, t_star = np.where(np.arange(n) == 0, 0.0, np.inf), np.zeros(n, dtype=bool), 0.0
+    for _ in range(n):
+        j = int(np.argmin(np.where(done, np.inf, ub)))
+        done[j], t_star = True, max(t_star, float(ub[j]))
+        ub = np.minimum(ub, np.linalg.norm(cents[j] - cents, axis=1) + (radii[j] + radii))
+    near = []
+    for i in range(n - 1):
+        cd, rr = np.linalg.norm(cents[i] - cents[i + 1:], axis=1), radii[i] + radii[i + 1:]
+        near.append(np.nonzero(cd - rr <= t_star + 1e-12 * (t_star + rr))[0] + i + 1)
+    ii, jj = np.repeat(np.arange(n - 1), [len(k) for k in near]), np.concatenate(near)
     graph = csr_matrix((component_pair_distances(c, ii, jj), (ii, jj)), shape=(n, n))
     value, split = bottleneck_split(graph + graph.T)
     threshold = ell / np.pi
@@ -269,84 +274,105 @@ def white_check(c: Contour) -> CriterionEntry:
 
 # -- cone criterion ---------------------------------------------------------------
 
-
-def _icosahedral_directions():
-    from .generators import icosphere
-
-    return icosphere(1).vertices  # 42 well-spread unit directions
+_SIDES = 32  # sides of the polygon inscribed in each cross-section of the cone
+_CUTS = 16  # points that join the LP per constraint-generation round
+_STEPS = (0.25, 1e-3)  # first and last angle (radians) of the axis pattern search
 
 
-def _axis_starts(points):
-    dirs = [_icosahedral_directions()]
-    centered = points - points.mean(axis=0)
-    _, _, vt = np.linalg.svd(centered, full_matrices=False)
-    dirs.append(vt)
-    dirs.append(-vt)
-    return np.vstack(dirs)
+def _frame(u):
+    return np.linalg.svd(u[None, :])[2][1:]  # orthonormal basis of the plane normal to u
 
 
-def _cone_margin(params, u0, t1, t2, pts, comp_offsets, comp_counts, sinh_tau):
-    apex = params[:3]
-    axis = u0 + params[3] * t1 + params[4] * t2
-    nrm = np.linalg.norm(axis)
-    if nrm < 1e-12:
-        return -np.inf
-    axis = axis / nrm
-    rel = pts - apex
-    z = rel @ axis
-    rho = np.sqrt(np.maximum(np.einsum("ij,ij->i", rel, rel) - z * z, 0.0))
-    comp_mean_z = np.add.reduceat(z, comp_offsets) / comp_counts
-    sides = np.where(comp_mean_z > 0, 1.0, -1.0)
-    if np.all(sides > 0) or np.all(sides < 0):
-        return -np.inf
-    side_per_point = np.repeat(sides, comp_counts)
-    return float((side_per_point * z * sinh_tau - rho).min())
+class _ConeSearch:
+    """Threshold splits and LP apexes on points scaled into the unit ball.
 
+    ``best`` is (slack, axis, apex, upper components, binding points) of the
+    largest exact slack found. Until some split gets an LP, the largest
+    split bound ``best_q`` steers the axis search; ``axis`` is where it is.
+    """
 
-def _nelder_mead_max(fun, x0, scale, max_evals):
-    """Minimal Nelder-Mead maximizer (reflect / expand / contract / shrink)."""
-    n = len(x0)
-    simplex = [np.array(x0, dtype=float)]
-    for i in range(n):
-        p = np.array(x0, dtype=float)
-        p[i] += scale[i]
-        simplex.append(p)
-    vals = [fun(p) for p in simplex]
-    evals = len(vals)
-    while evals < max_evals:
-        order = np.argsort(vals)[::-1]  # descending: best first
-        simplex = [simplex[i] for i in order]
-        vals = [vals[i] for i in order]
-        centroid = np.mean(simplex[:-1], axis=0)
-        worst = simplex[-1]
-        refl = centroid + (centroid - worst)
-        f_refl = fun(refl)
-        evals += 1
-        if f_refl > vals[0]:
-            expa = centroid + 2.0 * (centroid - worst)
-            f_expa = fun(expa)
-            evals += 1
-            if f_expa > f_refl:
-                simplex[-1], vals[-1] = expa, f_expa
-            else:
-                simplex[-1], vals[-1] = refl, f_refl
-        elif f_refl > vals[-2]:
-            simplex[-1], vals[-1] = refl, f_refl
-        else:
-            contr = centroid + 0.5 * (worst - centroid)
-            f_contr = fun(contr)
-            evals += 1
-            if f_contr > vals[-1]:
-                simplex[-1], vals[-1] = contr, f_contr
-            else:
-                best = simplex[0]
-                simplex = [best] + [best + 0.5 * (p - best) for p in simplex[1:]]
-                vals = [vals[0]] + [fun(p) for p in simplex[1:]]
-                evals += n
-        if np.max([np.linalg.norm(p - simplex[0]) for p in simplex[1:]]) < 1e-10:
-            break
-    i = int(np.argmax(vals))
-    return simplex[i], vals[i]
+    def __init__(self, pts, counts, sinh_tau, budget):
+        self.pts, self.counts, self.s, self.budget = pts, counts, sinh_tau, budget
+        self.offsets = np.cumsum(counts) - counts
+        k = 2.0 * np.pi * np.arange(_SIDES) / _SIDES
+        # max(v @ sides) is the norm whose unit ball is the inscribed polygon
+        self.sides = np.array([np.cos(k), np.sin(k)]) / np.cos(np.pi / _SIDES)
+        self.rows = np.hstack([-self.sides.T, np.ones((_SIDES, 1))])  # LP columns e1, e2, t
+        self.best, self.best_q, self.axis = (-np.inf, None, None, None, ()), -np.inf, None
+
+    def _extremes(self, z, ufunc):
+        val = ufunc.reduceat(z, self.offsets)
+        hit = np.where(z == np.repeat(val, self.counts), np.arange(len(z)), len(z))
+        return val, np.minimum.reduceat(hit, self.offsets)
+
+    def splits(self, u):
+        """Threshold splits along u as (q, upper components, end points), by descending q.
+
+        With x the lowest point above the gap and y the highest below it, an
+        apex of margin m gives d = x - y slack >= 2m in the upper nappe (the
+        slack s*u.v - |P_u v| is concave and homogeneous), so q = (s*u.d -
+        |P_u d|)/2 bounds the margin. End points: each upper component's
+        lowest point and each lower one's highest.
+        """
+        z = self.pts @ u
+        (lo, lo_at), (hi, hi_at) = self._extremes(z, np.minimum), self._extremes(z, np.maximum)
+        order = np.argsort(lo, kind="stable")
+        top = np.maximum.accumulate(hi[order])
+        top_at = order[np.maximum.accumulate(np.where(hi[order] == top, np.arange(len(lo)), 0))]
+        gaps = np.nonzero(lo[order[1:]] > top[:-1])[0]
+        d = self.pts[lo_at[order[gaps + 1]]] - self.pts[hi_at[top_at[gaps]]]
+        q = 0.5 * (self.s * (d @ u) - np.linalg.norm(d - np.outer(d @ u, u), axis=1))
+        return [(q[k], order[j + 1:], np.concatenate([lo_at[order[j + 1:]], hi_at[order[:j + 1]]]))
+                for k, j in sorted(enumerate(gaps), key=lambda kj: -q[kj[0]])]
+
+    def apex(self, u, upper, seed):
+        """Exact slack, apex and binding points of the LP apex for axis u, or None.
+
+        The LP maximizes t subject to |P_u(x - a)| <= +-s*u.(x - a) - t,
+        with the polygon norm in place of |.|, over the points ``seed``; the
+        points the solution violates most join it until none does.
+        """
+        from scipy.optimize import linprog
+
+        e1, e2 = _frame(u)
+        z, w = self.pts @ u, self.pts @ np.column_stack([e1, e2])
+        sz = np.repeat(np.where(np.isin(np.arange(len(self.counts)), upper), self.s, -self.s),
+                       self.counts)
+        active, x = np.unique(seed), None  # variables: apex along u, e1, e2, and t
+        while self.budget > 0:
+            sa = sz[active]
+            a = np.column_stack([np.repeat(sa, _SIDES), np.tile(self.rows, (len(sa), 1))])
+            b = (sa * z[active])[:, None] - w[active] @ self.sides
+            res = linprog([0.0, 0.0, 0.0, -1.0], A_ub=a, b_ub=b.ravel(),
+                          bounds=(None, None), method="highs")
+            self.budget -= 1
+            if res.status != 0:
+                break
+            x = res.x
+            poly = sz * (z - x[0]) - ((w - x[1:3]) @ self.sides).max(axis=1)
+            cut = np.setdiff1d(np.nonzero(poly < x[3] - 1e-9)[0], active)
+            if len(cut) == 0:
+                break
+            active = np.union1d(active, cut[np.argsort(poly[cut], kind="stable")[:_CUTS]])
+        if x is None:
+            return None
+        slack = sz * (z - x[0]) - np.linalg.norm(w - x[1:3], axis=1)
+        apex = x[0] * u + x[1] * e1 + x[2] * e2
+        return float(slack.min()), apex, active[poly[active] <= x[3] + 1e-9]
+
+    def try_axis(self, u):
+        """LP each split along u while its q beats 0 and the best slack; True if u improved."""
+        improved, splits = False, self.splits(u)
+        for q, upper, ends in splits:
+            if q <= max(self.best[0], 0.0) or self.budget <= 0:
+                break
+            found = self.apex(u, upper, np.concatenate([ends, self.best[4]]).astype(np.int64))
+            if found is not None and found[0] > self.best[0]:
+                self.best, improved = (found[0], u, found[1], upper, found[2]), True
+        if self.best[1] is None and splits and splits[0][0] > self.best_q:
+            self.best_q, improved = splits[0][0], True
+        self.axis = u if improved else self.axis
+        return improved
 
 
 def verify_cone_separator(c: Contour, sep: ConeSeparator) -> tuple:
@@ -381,83 +407,56 @@ def verify_cone_separator(c: Contour, sep: ConeSeparator) -> tuple:
 def cone_check(c: Contour, search_budget=20000) -> CriterionEntry:
     """Search for a separating cone; certify only on re-verified success.
 
-    Multistart (icosahedral directions plus contour PCA axes) Nelder-Mead over
-    apex and an axis chart; each component is assigned to the nappe of its
-    centroid. The starts run in order, and the best margin wins with ties to
-    the lowest start index. Sound but incomplete: a missing certificate
-    proves nothing.
+    Along an axis u the nappes need u.x > u.apex and u.x < u.apex, so only
+    threshold splits of the components' projections can work. The axes are
+    the 42 icosahedral and 3 PCA axes, one of each +-pair (negating the axis
+    keeps the cones), then a pattern search of halving angle from the best.
+    A split gets an LP apex (disks replaced by inscribed polygons, after
+    Ben-Tal & Nemirovski 2001; warm-started from the best apex's binding
+    points) only if its bound q beats 0 and the best slack. The budget caps
+    the LP solves. Sound but incomplete: a missing certificate proves nothing.
     """
     if search_budget <= 0:
         raise ValueError("search budget must be positive")
     root = tau_root()
-    sinh_tau = np.sqrt(root.sinh_sq)
+    measured = {"tau": root.tau, "sinh_sq": root.sinh_sq}
     if c.n_components < 2:
-        return CriterionEntry(
-            name="cone",
-            verdict=VERDICT_NOT_APPLICABLE,
-            measured={"tau": root.tau, "sinh_sq": root.sinh_sq},
-            notes="single Jordan curve: no component bipartition exists",
-        )
+        return CriterionEntry(name="cone", verdict=VERDICT_NOT_APPLICABLE, measured=measured,
+                              notes="single Jordan curve: no component bipartition exists")
 
-    pts_orig = c.all_points()
-    center = pts_orig.mean(axis=0)
-    scale = contour_diameter(c)
-    pts = (pts_orig - center) / scale
-    counts = np.array([len(comp) for comp in c.components])
-    offsets = np.concatenate([[0], np.cumsum(counts)[:-1]])
-    slices = list(zip(offsets, offsets + counts))
-
-    starts = _axis_starts(pts)
-    per_start = max(60, search_budget // len(starts))
-
-    def run_start(u0):
-        seed = np.array([1.0, 0.0, 0.0]) if abs(u0[0]) < 0.9 else np.array([0.0, 1.0, 0.0])
-        t1 = seed - (seed @ u0) * u0
-        t1 /= np.linalg.norm(t1)
-        t2 = np.cross(u0, t1)
-        fun = lambda p: _cone_margin(p, u0, t1, t2, pts, offsets, counts, sinh_tau)
-        x, val = _nelder_mead_max(
-            fun, np.zeros(5), scale=np.array([0.25, 0.25, 0.25, 0.35, 0.35]),
-            max_evals=per_start,
-        )
-        return x, val, (u0, t1, t2)
-
-    best = (-np.inf, None)  # margin, params; ties go to the earlier start
-    for u0 in starts:
-        x, val, chart = run_start(u0)
-        if val > best[0]:
-            best = (val, (x, *chart))
-
-    measured = {"tau": root.tau, "sinh_sq": root.sinh_sq, "best_margin_normalized": best[0]}
-    if best[0] > STRICT_MARGIN and best[1] is not None:
-        x, u0, t1, t2 = best[1]
-        axis = u0 + x[3] * t1 + x[4] * t2
-        axis /= np.linalg.norm(axis)
-        apex = x[:3] * scale + center
-        rel = pts_orig - apex
-        z = rel @ axis
-        up, down = [], []
-        for i, (lo, hi) in enumerate(slices):
-            (up if z[lo:hi].mean() > 0 else down).append(i)
-        sep = ConeSeparator(
-            apex=apex, axis=axis, tau=root.tau, sinh_sq=root.sinh_sq,
-            partition=(tuple(up), tuple(down)), margin=float(best[0]),
-        )
+    pts = c.all_points()
+    center = pts.mean(axis=0)
+    radius = float(np.linalg.norm(pts - center, axis=1).max())
+    search = _ConeSearch((pts - center) / radius, np.array([len(comp) for comp in c.components]),
+                         np.sqrt(root.sinh_sq), search_budget)
+    ico = icosphere(1).vertices
+    for u in np.vstack([ico[ico @ np.array([1.0, 2.0, 4.0]) > 0],
+                        np.linalg.svd(pts - center, full_matrices=False)[2]]):
+        search.try_axis(u)
+    step = _STEPS[0]
+    while step >= _STEPS[1] and search.budget > 0 and search.axis is not None:
+        u = search.axis
+        if not any(search.try_axis(v / np.linalg.norm(v))
+                   for v in [u + step * t for e in _frame(u) for t in (e, -e)]):
+            step /= 2.0
+    slack, axis, apex, upper = search.best[:4]
+    measured["best_margin_normalized"] = None
+    if axis is not None:
+        scale = contour_diameter(c)
+        measured["best_margin_normalized"] = slack * radius / scale
+        lower = np.setdiff1d(np.arange(c.n_components), upper)
+        sep = ConeSeparator(apex=apex * radius + center, axis=axis, tau=root.tau,
+                            sinh_sq=root.sinh_sq, margin=slack * radius / scale,
+                            partition=(tuple(sorted(map(int, upper))), tuple(map(int, lower))))
         ok, worst = verify_cone_separator(c, sep)
         if ok and worst / scale > STRICT_MARGIN:
-            return CriterionEntry(
-                name="cone",
-                verdict=VERDICT_CERTIFIED,
-                measured=measured,
-                margin=float(worst / scale),
-                certificate=sep.to_dict(),
-                notes="certificate re-verified by independent membership check",
-            )
+            sep.margin = float(worst / scale)
+            return CriterionEntry(name="cone", verdict=VERDICT_CERTIFIED, measured=measured,
+                                  margin=sep.margin, certificate=sep.to_dict(),
+                                  notes="certificate re-verified by independent membership check")
     return CriterionEntry(
-        name="cone",
-        verdict=VERDICT_NO_CERTIFICATE,
-        measured=measured,
-        margin=float(best[0]) if np.isfinite(best[0]) else None,
+        name="cone", verdict=VERDICT_NO_CERTIFICATE, measured=measured,
+        margin=measured["best_margin_normalized"],
         notes="search exhausted; absence of a certificate is NOT a proof of inseparability",
     )
 

@@ -161,12 +161,8 @@ def _transported_complement(e1, e2, s, length):
     reseeded = 0
     for j in range(1, m):
         u, w = us[j - 1], ws[j - 1]
-        for vec, store in ((u, "u"), (w, "w")):
-            proj = vec - (vec @ e1[j]) * e1[j] - (vec @ e2[j]) * e2[j]
-            if store == "u":
-                pu = proj
-            else:
-                pw = proj
+        pu = u - (u @ e1[j]) * e1[j] - (u @ e2[j]) * e2[j]
+        pw = w - (w @ e1[j]) * e1[j] - (w @ e2[j]) * e2[j]
         nu = np.linalg.norm(pu)
         if nu < TRANSPORT_COLLAPSE_TOL:
             pu, pw = _complement_seed(e1[j], e2[j])

@@ -259,17 +259,17 @@ def validate(mesh: SurfaceMesh) -> ValidationReport:
             errors.append(f"inconsistent orientation across edge ({a}, {b})")
 
     closed = bool(np.all(ue_counts == 2))
-    n_loops = 0
+    n_loops, loops_traced = 0, True
     if manifold and oriented:
         try:
             n_loops = len(mesh.boundary_loops)
         except MeshError as exc:
             errors.append(str(exc))
+            loops_traced = False
 
     connected = mesh.is_connected()
-    is_valid = manifold and oriented and len(degenerate) == 0 and not any(
-        "repeats a vertex" in e or "loop" in e for e in errors
-    )
+    is_valid = (manifold and oriented and len(degenerate) == 0 and len(repeats) == 0
+                and loops_traced)
     return ValidationReport(
         is_valid=is_valid,
         manifold=manifold,

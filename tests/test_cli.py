@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -308,6 +311,31 @@ class TestGenCommand:
         assert captured.err.startswith("error: " + param.split("=")[0])
         assert "Traceback" not in captured.err
         assert not out.exists()
+
+    @pytest.mark.parametrize("name,param", [
+        ("disk", "radius=abc"),
+        ("net", "epsilon=abc"),
+        ("icosphere", "radius=x"),
+        ("stadium", "a=abc"),
+    ])
+    def test_non_numeric_parameter(self, capsys, tmp_path, name, param):
+        out = tmp_path / "x.json"
+        code = main(["gen", name, "--param", param, "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith("error: " + param.split("=")[0])
+        assert "Traceback" not in captured.err
+        assert not out.exists()
+
+
+def test_cli_import_leaves_scipy_optimize_unloaded():
+    # the cone search imports linprog when it runs, so start-up stays lean
+    code = "import sys, curvebound.cli; print('scipy.optimize' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True).stdout
+    assert out.strip() == "False"
 
 
 class TestAuditCommand:

@@ -186,9 +186,57 @@ class TestCone:
         entry = cone_check(gen.circle_contour(1.0, 64))
         assert entry.verdict == VERDICT_NOT_APPLICABLE
 
+    def test_linked_circles_have_no_split(self):
+        # linked curves overlap in projection along every axis, so no
+        # threshold split exists and no apex is ever solved
+        a = gen.circle_contour(1.0, 64).components[0]
+        b = gen.circle_contour(1.0, 64, center=(1.0, 0, 0), normal=(0, 1, 0)).components[0]
+        entry = cone_check(Contour([a, b]))
+        assert entry.verdict == VERDICT_NO_CERTIFICATE
+        assert entry.margin is None
+
     def test_bad_budget(self, antipodal_microcircles):
         with pytest.raises(ValueError):
             cone_check(antipodal_microcircles, search_budget=0)
+
+
+def _near_threshold_contours():
+    """Contours whose cone margin is a few percent of the diameter, 128-gons."""
+    s35, c35 = np.sin(np.radians(35.0)), np.cos(np.radians(35.0))
+
+    def circles(*specs):
+        return Contour([gen.circle_contour(r, 128, center, normal).components[0]
+                        for r, center, normal in specs])
+
+    return {
+        "coaxial-0.7": gen.coaxial_circles_contour(1.0, 0.7, 128),
+        "tilted-0.72": circles((1.0, (0, 0, 0.72), (s35, 0, c35)),
+                               (0.6, (0.3, 0.2, -0.72), (0, s35, c35))),
+        "three-0.62": circles((1.0, (0, 0, 0.62), (0, 0, 1)),
+                              (0.3, (0.5, 0, -0.62), (1, 0, 1)),
+                              (0.3, (-0.5, 0.1, -0.62), (0, 1, 1))),
+    }
+
+
+class TestConeNearThreshold:
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    @pytest.mark.parametrize("name", ["coaxial-0.7", "tilted-0.72", "three-0.62"])
+    def test_certified_under_rigid_motion(self, name, seed):
+        c = _near_threshold_contours()[name]
+        if seed:
+            rot = random_rotation(seed)
+            c = Contour([comp @ rot.T + 3.0 for comp in c.components])
+        entry = cone_check(c)
+        assert entry.verdict == VERDICT_CERTIFIED
+        ok, worst = verify_cone_separator(c, ConeSeparator.from_dict(entry.certificate))
+        assert ok and worst > 0
+        assert entry.margin == worst / contour_diameter(c)
+
+    def test_below_threshold_no_certificate(self):
+        # coaxial unit circles certify only for half gaps above 1/sinh(tau) ~ 0.663
+        entry = cone_check(gen.coaxial_circles_contour(1.0, 0.6, 128))
+        assert entry.verdict == VERDICT_NO_CERTIFICATE
+        assert entry.margin < 0
 
 
 class TestPerturbationProbes:
