@@ -15,8 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .curvature import _curvature_weights, mean_curvature_field, total_mean_curvature
-from .mesh import (SurfaceMesh, _ball_clip, _ball_integral, geodesic_distances,
-                   intrinsic_diameter, validate)
+from .mesh import SurfaceMesh, geodesic_distances, intrinsic_diameter, validate
 
 SIGMA_SHARP = 2.0 * np.sqrt(np.pi)
 DELTA_SHARP = np.pi / 4.0
@@ -51,13 +50,8 @@ def _triangle_gradients_l1(mesh, f):
     the linear interpolant; |grad f|^2 = df^T G^{-1} df.
     """
     tri = mesh.triangles
-    p = mesh.vertices[tri]
-    u = p[:, 1] - p[:, 0]
-    w = p[:, 2] - p[:, 0]
-    guu = np.einsum("ij,ij->i", u, u)
-    gww = np.einsum("ij,ij->i", w, w)
-    guw = np.einsum("ij,ij->i", u, w)
-    det = guu * gww - guw * guw
+    sq, dot, gram = mesh.corner_gram()
+    guu, gww, guw, det = sq[:, 0], sq[:, 2], dot[:, 0], gram[:, 0]
     df1 = f[tri[:, 1]] - f[tri[:, 0]]
     df2 = f[tri[:, 2]] - f[tri[:, 0]]
     grad_sq = np.where(
@@ -128,6 +122,35 @@ class DichotomyRecord:
         return max(self.m, self.kappa) > DELTA_SHARP
 
 
+def _ball_integrals(dv, r, *weights):
+    """Integral of each per-triangle weight array over the ball {d <= r}.
+
+    ``dv`` (T, 3) holds the corner distances. Each triangle keeps the part
+    where the linear interpolant of its corner values is <= r: with one
+    corner out, all but the corner triangle cut off at the two crossings;
+    with one corner in, that corner triangle.
+    """
+    inside = dv <= r
+    n_in = inside.sum(axis=1)
+
+    cut = np.nonzero(n_in == 2)[0]
+    out_corner = np.argmin(inside[cut], axis=1)
+    da = dv[cut, out_corner]
+    db = dv[cut, (out_corner + 1) % 3]
+    dc = dv[cut, (out_corner + 2) % 3]
+    kept = 1.0 - ((da - r) / (da - db)) * ((da - r) / (da - dc))
+
+    corner = np.nonzero(n_in == 1)[0]
+    in_corner = np.argmax(inside[corner], axis=1)
+    da = dv[corner, in_corner]
+    tb = (r - da) / (dv[corner, (in_corner + 1) % 3] - da)
+    tc = (r - da) / (dv[corner, (in_corner + 2) % 3] - da)
+
+    # w[corner] * tb * tc runs left to right; w * (tb * tc) would round differently
+    return [float(w[n_in == 3].sum()) + float((w[cut] * kept).sum())
+            + float((w[corner] * tb * tc).sum()) for w in weights]
+
+
 def m_kappa(mesh: SurfaceMesh, p: int, R: float) -> DichotomyRecord:
     """Curvature concentration m(p,R) and area collapsedness kappa(p,R).
 
@@ -137,18 +160,16 @@ def m_kappa(mesh: SurfaceMesh, p: int, R: float) -> DichotomyRecord:
     """
     if R <= 0:
         raise ValueError("R must be positive")
-    # the integrals of |H| and of area over each ball, with the per-probe
-    # work done once and one clipping per radius for both sums
-    areas = mesh.triangle_areas()
-    weighted = _curvature_weights(mesh, mean_curvature_field(mesh))
+    weights = (_curvature_weights(mesh, mean_curvature_field(mesh)),
+               mesh.triangle_areas())
     dv = geodesic_distances(mesh, p)[mesh.triangles]
     m_best = -np.inf
     k_best = np.inf
     for j in range(1, R_SAMPLES + 1):
         r = R * j / R_SAMPLES
-        clip = _ball_clip(dv, r)
-        m_best = max(m_best, _ball_integral(weighted, clip) / r)
-        k_best = min(k_best, _ball_integral(areas, clip) / (r * r))
+        curvature, area = _ball_integrals(dv, r, *weights)
+        m_best = max(m_best, curvature / r)
+        k_best = min(k_best, area / (r * r))
     return DichotomyRecord(probe=int(p), radius=float(R), m=float(m_best),
                            kappa=float(k_best))
 

@@ -2,10 +2,10 @@
 
 Subcommands: verify-bound, double, teardrop, check-contour, gen, audit.
 All floating output is printed at 12 significant digits; identical
-configuration and seed produce byte-identical reports. curvebound starts no
-worker threads of its own; ``--threads`` is accepted and ignored.
-Exit codes: 0 analysis ran, 2 at least one criterion certified nonexistence
-(check-contour only), 1 bad input or usage.
+configuration and seed produce byte-identical reports.
+Exit codes: 0 analysis ran (and ``--help``), 2 at least one criterion
+certified nonexistence (check-contour only), 1 bad input or usage, with
+nothing on stdout. A contour whose components touch or cross is bad input.
 """
 
 import argparse
@@ -154,7 +154,10 @@ def cmd_gen(args):
     accepted = {"net": ["epsilon", "radius", "segments", "max_points"],
                 "sphere-circles": ["radius", "segments"]}.get(args.name)
     if accepted is None and args.name in gen_mod.SHAPE_BUILDERS:
-        accepted = inspect.signature(gen_mod.SHAPE_BUILDERS[args.name]).parameters
+        # scalar parameters only: a number for a point or a direction would break
+        accepted = [name for name, p in inspect.signature(
+                        gen_mod.SHAPE_BUILDERS[args.name]).parameters.items()
+                    if p.default is None or isinstance(p.default, (int, float))]
     unknown = sorted(set(params) - set(accepted)) if accepted is not None else []
     if unknown:
         raise ValueError(f"'{args.name}' takes no parameter {', '.join(unknown)} "
@@ -250,9 +253,6 @@ def build_parser():
     )
     parser.add_argument("--seed", type=int, default=0,
                         help="seed for the randomized pieces (default 0)")
-    parser.add_argument("--threads", type=int, default=None,
-                        help="accepted and ignored (curvebound starts no "
-                             "worker threads)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("verify-bound", help="diameter bound report for a mesh")
@@ -302,8 +302,10 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse's usage-error 2 would read as "certified"
+        return 1 if exc.code else 0
     try:
         return args.func(args)
     except (MeshError, ContourError, ValueError, OSError) as exc:

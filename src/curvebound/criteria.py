@@ -25,7 +25,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.sparse import csgraph, csr_matrix
 
-from .contour import Contour, component_pair_distances, contour_diameter, contour_length
+from .contour import (Contour, ContourError, component_pair_distances, contour_diameter,
+                      contour_length)
 from .generators import icosphere
 
 STRICT_MARGIN = 1e-9  # normalized-units floor for "strictly positive"
@@ -234,6 +235,8 @@ def white_check(c: Contour) -> CriterionEntry:
     the exact minimum spanning tree and is connected. LB is compared with t*
     up to a slack of 1e-12 * (t* + r_i + r_j), far above the rounding in the
     bounds and distances, so that rounding cannot drop a tree edge.
+    Touching components (d <= 1e-12 * (r_i + r_j), always candidates as
+    LB <= d = 0 <= t*) raise ContourError.
     """
     ell = contour_length(c)
     n = c.n_components
@@ -257,7 +260,12 @@ def white_check(c: Contour) -> CriterionEntry:
         cd, rr = np.linalg.norm(cents[i] - cents[i + 1:], axis=1), radii[i] + radii[i + 1:]
         near.append(np.nonzero(cd - rr <= t_star + 1e-12 * (t_star + rr))[0] + i + 1)
     ii, jj = np.repeat(np.arange(n - 1), [len(k) for k in near]), np.concatenate(near)
-    graph = csr_matrix((component_pair_distances(c, ii, jj), (ii, jj)), shape=(n, n))
+    dist = component_pair_distances(c, ii, jj)
+    touch = np.nonzero(dist <= 1e-12 * (radii[ii] + radii[jj]))[0]
+    if len(touch):
+        raise ContourError(f"components {ii[touch[0]]} and {jj[touch[0]]} touch; "
+                           "a contour's components must be disjoint")
+    graph = csr_matrix((dist, (ii, jj)), shape=(n, n))
     value, split = bottleneck_split(graph + graph.T)
     threshold = ell / np.pi
     margin = value - threshold

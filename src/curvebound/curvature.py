@@ -39,23 +39,14 @@ def _corner_cotangents(mesh):
     Works in any codimension: sin is recovered from the Gram determinant.
     Returns (cot (T,3), n_clamped), corner k opposite to edge (k+1, k+2).
     """
-    p = mesh.vertices[mesh.triangles]
-    cots = np.empty((len(p), 3))
-    clamped = 0
-    for k in range(3):
-        u = p[:, (k + 1) % 3] - p[:, k]
-        w = p[:, (k + 2) % 3] - p[:, k]
-        dot = np.einsum("ij,ij->i", u, w)
-        gram = np.einsum("ij,ij->i", u, u) * np.einsum("ij,ij->i", w, w) - dot * dot
-        sin = np.sqrt(np.maximum(gram, 0.0))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            c = np.where(sin > 0.0, dot / np.where(sin > 0.0, sin, 1.0),
-                         np.sign(dot) * np.inf)
-        over = np.abs(c) > COT_CLAMP
-        clamped += int(over.sum())
-        cots[:, k] = np.clip(np.nan_to_num(c, nan=0.0, posinf=COT_CLAMP,
-                                           neginf=-COT_CLAMP),
-                             -COT_CLAMP, COT_CLAMP)
+    _, dot, gram = mesh.corner_gram()
+    sin = np.sqrt(np.maximum(gram, 0.0))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        c = np.where(sin > 0.0, dot / np.where(sin > 0.0, sin, 1.0),
+                     np.sign(dot) * np.inf)
+    clamped = int(np.count_nonzero(np.abs(c) > COT_CLAMP))
+    cots = np.clip(np.nan_to_num(c, nan=0.0, posinf=COT_CLAMP, neginf=-COT_CLAMP),
+                   -COT_CLAMP, COT_CLAMP)
     return cots, clamped
 
 
@@ -68,14 +59,9 @@ def mixed_voronoi_areas(mesh: SurfaceMesh, cots) -> np.ndarray:
     pieces tile each triangle, so the vertex areas sum to the mesh area.
     """
     tri = mesh.triangles
-    p = mesh.vertices[tri]
     areas = mesh.triangle_areas()
-
     # Squared edge lengths opposite each corner: l2[:, k] = |p_{k+1} - p_{k+2}|^2
-    l2 = np.empty_like(cots)
-    for k in range(3):
-        e = p[:, (k + 1) % 3] - p[:, (k + 2) % 3]
-        l2[:, k] = np.einsum("ij,ij->i", e, e)
+    l2 = mesh.corner_gram()[0][:, [1, 2, 0]]
 
     any_obtuse = cots.min(axis=1) < 0.0
 
@@ -169,7 +155,10 @@ def total_abs_curvature(points, closed=False) -> float:
     seg = np.diff(p, axis=0)
     if closed:
         seg = np.vstack([seg, p[0] - p[-1]])
-    if np.any(np.all(seg == 0.0, axis=1)):
+    repeated = seg[:, 0] == 0.0  # per column: a reduction along axis 1 is 4x slower
+    for col in seg.T[1:]:
+        repeated &= col == 0.0
+    if repeated.any():
         raise ValueError("consecutive samples must be distinct")
     u = seg[:-1]
     w = seg[1:]
@@ -178,9 +167,12 @@ def total_abs_curvature(points, closed=False) -> float:
         w = np.vstack([seg[1:], seg[:1]])
     if p.shape[1] == 2:
         # Planar: atan2(cross, dot) is exact-per-vertex; no noise rectification.
-        cross = u[:, 0] * w[:, 1] - u[:, 1] * w[:, 0]
-        dot = u[:, 0] * w[:, 0] + u[:, 1] * w[:, 1]
-        return float(np.abs(np.arctan2(cross, dot)).sum())
+        cross = u[:, 0] * w[:, 1]
+        cross -= u[:, 1] * w[:, 0]
+        dot = u[:, 0] * w[:, 0]
+        dot += u[:, 1] * w[:, 1]
+        turn = np.arctan2(cross, dot, out=cross)
+        return float(np.abs(turn, out=turn).sum())
     # Angle via rejection of w from u: stable for near-straight samples, where
     # the Gram-determinant sine would rectify roundoff into spurious turning.
     u_hat = u / np.linalg.norm(u, axis=1)[:, None]

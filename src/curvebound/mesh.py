@@ -103,17 +103,30 @@ class SurfaceMesh:
     def n_triangles(self):
         return len(self.triangles)
 
+    def corner_gram(self):
+        """Per-corner (|u|^2, u.w, |u|^2 |w|^2 - (u.w)^2), each (T, 3), built once.
+
+        Corner k has u = p[k+1] - p[k] and w = p[k+2] - p[k], that is u = e_k and
+        w = -e_{k+2} (exactly) for the edge vectors e_k. The determinant is
+        4 area^2 in any codimension, not clamped at 0.
+        """
+        if "corner_gram" not in self._cache:
+            p0, p1, p2 = (self.vertices[self.triangles[:, k]] for k in range(3))
+            e = (p1 - p0, p2 - p1, p0 - p2)
+            sq = np.column_stack([np.einsum("ij,ij->i", a, a) for a in e])
+            dot = -np.column_stack([np.einsum("ij,ij->i", e[k], e[k - 1])
+                                    for k in range(3)])
+            gram = sq * sq[:, [2, 0, 1]] - dot * dot
+            for a in (sq, dot, gram):
+                a.setflags(write=False)
+            self._cache["corner_gram"] = (sq, dot, gram)
+        return self._cache["corner_gram"]
+
     def triangle_areas(self):
         """Per-triangle areas via the Gram determinant (any codimension)."""
         if "areas" not in self._cache:
-            p = self.vertices[self.triangles]
-            u = p[:, 1] - p[:, 0]
-            w = p[:, 2] - p[:, 0]
-            uu = np.einsum("ij,ij->i", u, u)
-            ww = np.einsum("ij,ij->i", w, w)
-            uw = np.einsum("ij,ij->i", u, w)
-            gram = np.maximum(uu * ww - uw * uw, 0.0)
-            self._cache["areas"] = 0.5 * np.sqrt(gram)
+            gram = self.corner_gram()[2][:, 0]
+            self._cache["areas"] = 0.5 * np.sqrt(np.maximum(gram, 0.0))
         return self._cache["areas"]
 
     # -- connectivity ------------------------------------------------------
@@ -443,47 +456,6 @@ def intrinsic_diameter(mesh: SurfaceMesh) -> float:
         candidate[sources] = False
         candidate &= upper * (1.0 + slack) > best
     return best
-
-
-def _ball_clip(dv, r):
-    """Clip every triangle to the part where the linear interpolant of its
-    corner values ``dv`` (T, 3) is <= r.
-
-    Returns (whole, cut, kept, corner, tb, tc): the mask of triangles inside
-    the ball; the triangles with one corner outside and the fraction each
-    keeps once that corner is cut off at the two crossings; the triangles
-    with one corner inside and the crossing parameters of the corner
-    triangle they keep. ``_ball_integral`` applies it to any weights.
-    """
-    inside = dv <= r
-    n_in = inside.sum(axis=1)
-
-    cut = np.nonzero(n_in == 2)[0]
-    out_corner = np.argmin(inside[cut], axis=1)
-    da = dv[cut, out_corner]
-    db = dv[cut, (out_corner + 1) % 3]
-    dc = dv[cut, (out_corner + 2) % 3]
-    kept = 1.0 - ((da - r) / (da - db)) * ((da - r) / (da - dc))
-
-    corner = np.nonzero(n_in == 1)[0]
-    in_corner = np.argmax(inside[corner], axis=1)
-    da = dv[corner, in_corner]
-    tb = (r - da) / (dv[corner, (in_corner + 1) % 3] - da)
-    tc = (r - da) / (dv[corner, (in_corner + 2) % 3] - da)
-    return n_in == 3, cut, kept, corner, tb, tc
-
-
-def _ball_integral(weights, clip):
-    """Sum of per-triangle ``weights`` over the clipped triangles, each
-    partial triangle weighted by the fraction of it that ``clip`` keeps."""
-    whole, cut, kept, corner, tb, tc = clip
-    total = float(weights[whole].sum())
-    if len(cut):
-        total += float((weights[cut] * kept).sum())
-    if len(corner):
-        # left to right: weights * (tb * tc) would round differently
-        total += float((weights[corner] * tb * tc).sum())
-    return total
 
 
 # -- file formats -------------------------------------------------------------

@@ -99,7 +99,8 @@ class TeardropCurve:
         return float(self.s[-1])
 
     def max_radius(self):
-        return float(np.linalg.norm(self.points, axis=1).max())
+        x, y = self.points.T  # column sums: a norm along axis 1 is 3x slower
+        return float(np.sqrt((x * x + y * y).max()))
 
     def turning(self):
         """Total absolute curvature (the cusp angle at the origin not included)."""
@@ -112,13 +113,17 @@ class TeardropCurve:
 
 def _assemble(k, upper_half):
     """Mirror the upper half across y = 0 and glue; snap endpoints to the origin."""
-    lower = upper_half[-2::-1] * np.array([1.0, -1.0])
-    pts = np.vstack([upper_half, lower])
+    m = len(upper_half)
+    pts = np.concatenate([upper_half, upper_half[-2::-1]])
+    pts[m:, 1] *= -1.0
     pts[0] = (0.0, 0.0)
     pts[-1] = (0.0, 0.0)
-    d = np.diff(pts, axis=0)
-    chords = np.sqrt(d[:, 0] ** 2 + d[:, 1] ** 2)
-    s = np.concatenate([[0.0], np.cumsum(chords)])
+    # in place: on a curve of 10^6 samples each fresh temporary costs page faults
+    dx = np.diff(pts[:, 0])
+    dx *= dx
+    dx += np.diff(pts[:, 1]) ** 2
+    s = np.zeros(len(pts))
+    np.cumsum(np.sqrt(dx, out=dx), out=s[1:])
     return TeardropCurve(k=int(k), s=s, points=pts)
 
 
@@ -148,14 +153,13 @@ def build_teardrop(k, samples_per_unit=100) -> TeardropCurve:
     m = max(16, int(np.ceil(half_len * density))) + 1
 
     targets = np.linspace(0.0, half_len, m)
-    on_graph = targets <= graph_len
-    xs = np.interp(targets[on_graph], s_graph, _XGRID)
-    ys = np.interp(targets[on_graph], s_graph, _FGRID) / k
-    upper_graph = np.column_stack([xs, ys])
-    arc = targets[~on_graph] - graph_len
-    theta = np.pi / 2.0 - arc * k
-    upper_circle = np.column_stack([1.0 + np.cos(theta) / k, np.sin(theta) / k])
-    upper = np.vstack([upper_graph, upper_circle])
+    n_graph = int(np.searchsorted(targets, graph_len, side="right"))
+    upper = np.empty((m, 2))
+    upper[:n_graph, 0] = np.interp(targets[:n_graph], s_graph, _XGRID)
+    np.divide(np.interp(targets[:n_graph], s_graph, _FGRID), k, out=upper[:n_graph, 1])
+    theta = np.pi / 2.0 - (targets[n_graph:] - graph_len) * k
+    upper[n_graph:, 0] = 1.0 + np.cos(theta) / k
+    upper[n_graph:, 1] = np.sin(theta) / k
     if abs(upper[-1, 1]) > 0:  # force the apex (the symmetry midpoint) exactly
         upper[-1] = (1.0 + 1.0 / k, 0.0)
     return _assemble(k, upper)

@@ -12,9 +12,10 @@ except ImportError:  # running from a checkout without an installed package
     sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
 from curvebound import generators as gen
+from curvebound.audit import _ball_integrals
 from curvebound.contour import Contour, ContourError, component_pair_distances
 from curvebound.curvature import _curvature_weights
-from curvebound.mesh import _ball_clip, _ball_integral, geodesic_distances
+from curvebound.mesh import geodesic_distances
 
 
 def random_rotation(seed, dim=3):
@@ -48,7 +49,7 @@ def intrinsic_ball_volume(mesh, p, r, distances=None):
     if r <= 0:
         raise ValueError("r must be positive")
     d = geodesic_distances(mesh, p) if distances is None else distances
-    return _ball_integral(mesh.triangle_areas(), _ball_clip(d[mesh.triangles], r))
+    return _ball_integrals(d[mesh.triangles], r, mesh.triangle_areas())[0]
 
 
 def curvature_in_ball(mesh, field, distances, r):
@@ -58,8 +59,8 @@ def curvature_in_ball(mesh, field, distances, r):
     excluded) times the ball-clipped triangle area, so it is consistent with
     ``intrinsic_ball_volume`` and monotone in r.
     """
-    return _ball_integral(_curvature_weights(mesh, field),
-                          _ball_clip(distances[mesh.triangles], r))
+    return _ball_integrals(distances[mesh.triangles], r,
+                           _curvature_weights(mesh, field))[0]
 
 
 def tau_root_bisection(lo=1.0, hi=1.5, tol=1e-10) -> float:
@@ -105,6 +106,26 @@ def white_bruteforce_oracle(c_or_matrix) -> float:
             cross = d[np.ix_(side, other)].min()
             best = max(best, cross)
     return float(best)
+
+
+def touching_contours():
+    """Contours whose components 0 and 1 touch, by name.
+
+    shared-vertex: a unit 64-gon, a 64-gon of radius 2^-7 sharing its vertex
+    (1, 0, 0), and another small 64-gon 0.1 away on the far side (White used
+    to certify it); coincident: two equal circles; crossing: two squares
+    whose edges cross at (1, 0, 0), inside both edges.
+    """
+    r = 2.0 ** -7
+    return {
+        "shared-vertex": Contour([gen.circle_contour(radius, 64, center).components[0]
+                                  for radius, center in ((1.0, (0, 0, 0)),
+                                                         (r, (1 - r, 0, 0)),
+                                                         (r, (-1.1 - r, 0, 0)))]),
+        "coincident": gen.coaxial_circles_contour(1.0, 0.0, 64),
+        "crossing": Contour([[(-1, -1, 0), (1, -1, 0), (1, 1, 0), (-1, 1, 0)],
+                             [(1, 0, -0.5), (2, 0, -0.5), (2, 0, 0.5), (1, 0, 0.5)]]),
+    }
 
 
 def boundary_library_meshes():

@@ -1,0 +1,83 @@
+"""Pinned digests of the triangle-geometry outputs.
+
+The digests were taken with numpy 2.4.6 and scipy 1.17.1 (the versions the
+CI workflow pins). A change to how areas, cotangents, Voronoi weights,
+gradients or ball integrals are computed that moves any bit of these outputs
+fails here, even when every tolerance-based test still passes.
+"""
+
+import hashlib
+
+import numpy as np
+import pytest
+
+from curvebound import generators as gen
+from curvebound.audit import _triangle_gradients_l1, m_kappa, probe_function_library
+from curvebound.curvature import mean_curvature_field
+from curvebound.mesh import SurfaceMesh
+
+
+def _curved_disk_r4():
+    """A polar disk lifted to a curved graph in R^4."""
+    disk = gen.flat_disk(1.0, 8, 32)
+    x, y = disk.vertices[:, 0], disk.vertices[:, 1]
+    return SurfaceMesh(np.column_stack([x, y, 0.3 * x * y, 0.2 * (x * x - y * y)]),
+                       disk.triangles)
+
+
+MESHES = {
+    "icosphere3": lambda: gen.icosphere(3),
+    "capped_cylinder_0.5_4": lambda: gen.capped_cylinder(0.5, 4.0, segments=48,
+                                                         rings_cap=10),
+    "curved_disk_r4": _curved_disk_r4,
+}
+
+DIGESTS = {
+    "icosphere3": {
+        "areas": "f32aa953dc714ee6c433b7c5daef33eb",
+        "vectors": "94c6ec54013ebe1124ab84976f5bf5ab",
+        "voronoi": "c3bd6660dcfed4a7a60dd7e71d538680",
+        "gradients": "7a9a4479fd016abab3388b590c9301da",
+        "m_kappa": "4d8707d5cbf2b4bd120b990d01a79968",
+    },
+    "capped_cylinder_0.5_4": {
+        "areas": "f91564ed005494277294b129c172bee4",
+        "vectors": "92c295f9d1a4a3e92b7dc85d13919bf1",
+        "voronoi": "4b887fe372e29df6f2ffbb4324f50078",
+        "gradients": "b85d40ba73d80aa392b7794373760f47",
+        "m_kappa": "d37995461fab3ca9acc073e3c7874651",
+    },
+    "curved_disk_r4": {
+        "areas": "6ef95d354557755daed10899e9e2b72c",
+        "vectors": "213fb8b84eae2d3751faf6f587038a38",
+        "voronoi": "758f9e73fb34851c108e95df87194df8",
+        "gradients": "f2d3d91aab91dfcdc7fe59795b173182",
+        "m_kappa": "c239647b4ef3f13d63eb78031730a0cd",
+    },
+}
+
+
+def _digest(values):
+    return hashlib.blake2b(np.ascontiguousarray(values, dtype=float).tobytes(),
+                           digest_size=16).hexdigest()
+
+
+def _outputs(mesh):
+    field = mean_curvature_field(mesh)
+    radius = 0.5 * float(np.linalg.norm(mesh.vertices.max(axis=0)
+                                        - mesh.vertices.min(axis=0)))
+    dichotomy = [m_kappa(mesh, p, radius) for p in (0, mesh.n_vertices // 2)]
+    return {
+        "areas": mesh.triangle_areas(),
+        "vectors": field.vectors,
+        "voronoi": field.areas,
+        "gradients": [_triangle_gradients_l1(mesh, f)
+                      for _, f in probe_function_library(mesh, seed=0)],
+        "m_kappa": [[r.m, r.kappa] for r in dichotomy],
+    }
+
+
+@pytest.mark.parametrize("name", sorted(MESHES))
+def test_outputs_match_pinned_digests(name):
+    got = {key: _digest(values) for key, values in _outputs(MESHES[name]()).items()}
+    assert got == DIGESTS[name]

@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from conftest import touching_contours
 from curvebound import generators as gen
 from curvebound.cli import main
 from curvebound.contour import load_contour, save_contour
@@ -147,10 +148,16 @@ class TestCheckContour:
         assert code == 0
         assert "not-triggered" in out
 
-    def test_thread_count_byte_identical(self, capsys, antipodal_contour):
-        _, out1 = run(capsys, ["--threads", "1", "check-contour", antipodal_contour])
-        _, out4 = run(capsys, ["--threads", "4", "check-contour", antipodal_contour])
-        assert out1 == out4
+    @pytest.mark.parametrize("name", list(touching_contours()))
+    def test_touching_components_exit_code(self, capsys, tmp_path, name):
+        path = tmp_path / "touch.contour.json"
+        save_contour(touching_contours()[name], path)
+        code = main(["check-contour", str(path), "--json", str(tmp_path / "r.json")])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith("error: components 0 and 1 touch")
+        assert not (tmp_path / "r.json").exists()
 
     @pytest.mark.parametrize("doc", [
         '{"dimension": 3, "components": [{"verts": [[0, 0, 0]]}]}',
@@ -169,6 +176,16 @@ class TestCheckContour:
         _, out1 = run(capsys, ["--seed", "0", "check-contour", antipodal_contour])
         _, out2 = run(capsys, ["--seed", "0", "check-contour", antipodal_contour])
         assert out1 == out2
+
+    def test_thread_count_byte_identical(self, capsys, tmp_path, antipodal_contour):
+        # the cone search runs in one thread, so repeated runs agree in every
+        # byte, the JSON report included
+        reports = []
+        for i in range(2):
+            path = tmp_path / f"report{i}.json"
+            run(capsys, ["check-contour", antipodal_contour, "--json", str(path)])
+            reports.append(path.read_bytes())
+        assert reports[0] == reports[1]
 
 
 class TestDoubleCommand:
@@ -272,6 +289,17 @@ class TestGenCommand:
         code, _ = run(capsys, ["gen", "moebius", "--out", str(tmp_path / "x.obj")])
         assert code == 1
 
+    @pytest.mark.parametrize("param", ["normal=1", "center=1"])
+    def test_vector_parameter_rejected(self, capsys, tmp_path, param):
+        out = tmp_path / "x.json"
+        code = main(["gen", "circle", "--param", param, "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert "(accepted: radius, segments)" in captured.err
+        assert "Traceback" not in captured.err
+        assert not out.exists()
+
     @pytest.mark.parametrize("name", ["disk", "net", "sphere-circles"])
     def test_unknown_parameter(self, capsys, tmp_path, name):
         out = tmp_path / "x.json"
@@ -327,6 +355,28 @@ class TestGenCommand:
         assert captured.err.startswith("error: " + param.split("=")[0])
         assert "Traceback" not in captured.err
         assert not out.exists()
+
+
+class TestUsage:
+    @pytest.mark.parametrize("argv", [
+        ["check-contour", "x.json", "--bogus"],
+        ["check-contour", "x.json", "--budget", "abc"],
+        ["--threads", "4", "check-contour", "x.json"],
+        [],
+    ], ids=["unknown-option", "bad-budget", "removed-threads", "no-subcommand"])
+    def test_usage_error_exits_1(self, capsys, argv):
+        # 2 is the "certified" exit code of check-contour
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert "usage:" in captured.err
+
+    @pytest.mark.parametrize("argv", [["--help"], ["check-contour", "--help"]])
+    def test_help_exits_0(self, capsys, argv):
+        code, out = run(capsys, argv)
+        assert code == 0
+        assert "usage:" in out
 
 
 def test_cli_import_leaves_scipy_optimize_unloaded():

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from conftest import (component_distance_matrix, random_rotation, tau_root_bisection,
-                      white_bruteforce_oracle)
+                      touching_contours, white_bruteforce_oracle)
 from curvebound import generators as gen
-from curvebound.contour import Contour, contour_diameter
+from curvebound.contour import Contour, ContourError, contour_diameter
 from curvebound.criteria import (VERDICT_CERTIFIED, VERDICT_NO_CERTIFICATE,
                                  VERDICT_NOT_APPLICABLE, VERDICT_NOT_TRIGGERED,
                                  ConeSeparator, analyze,
@@ -104,6 +104,19 @@ class TestWhite:
         entry = white_check(gam)
         assert entry.measured["best_cross_distance"] == v_full
         assert sorted(map(sorted, s_full)) == sorted(entry.certificate["partition"])
+
+    @pytest.mark.parametrize("name", list(touching_contours()))
+    def test_touching_components_rejected(self, name):
+        # a zero distance is no edge to the MST, so a certificate or a crash
+        # would follow; the contour is not a disjoint union
+        with pytest.raises(ContourError, match="components 0 and 1 touch"):
+            white_check(touching_contours()[name])
+
+    def test_near_touching_components_kept(self):
+        r = 2.0 ** -7
+        near = Contour([gen.circle_contour(1.0, 64).components[0],
+                        gen.circle_contour(r, 64, (1 - r - 1e-6, 0, 0)).components[0]])
+        assert white_check(near).measured["best_cross_distance"] > 0.0
 
     def test_oracle_range(self):
         with pytest.raises(ValueError):
