@@ -10,6 +10,7 @@ import json
 import numpy as np
 
 _SEGMENT_LEAF = 32  # segments per leaf in component_pair_distances
+_SEGMENT_SUB = 4  # segments per sub-leaf there; divides _SEGMENT_LEAF
 _SEGMENT_BATCH = 65536  # segment pairs per numpy call there
 
 
@@ -85,11 +86,15 @@ def component_pair_distances(c: Contour, first, second) -> np.ndarray:
     Each entry is the minimum of ``segment_segment_distance`` over all
     segment pairs, segments of first[k] as its first argument, but few pairs
     are evaluated. Components are cut into leaves of consecutive segments (a
-    polyline is ordered along its curve). A leaf box covers the end vertices
-    of its segments, so box distances bound segment distances from below.
-    Leaf pairs are visited in ascending bound, many per numpy call, and
-    skipped when the bound exceeds best*(1 + rho) + rho*lmax, with best the
-    pair's minimum so far, lmax the longest segment and rho = 1e-12.
+    polyline is ordered along its curve), and leaves into sub-leaves of
+    ``_SEGMENT_SUB`` segments. A box covers the end vertices of its segments,
+    so box distances bound segment distances from below. Each pair's best is
+    seeded with the nearest sub-leaf pair of its nearest leaf pair. Leaf
+    pairs are then visited in ascending bound, many per numpy call, and the
+    sub-leaf pairs of each are evaluated unless their bound exceeds
+    best*(1 + rho) + rho*lmax, with best the pair's minimum so far, lmax the
+    longest segment and rho = 1e-12; a leaf pair whose own bound exceeds it
+    is skipped whole.
 
     The slack keeps the result bit-identical to the full minimum. A computed
     distance is the norm of r + s*d1 - t*d2 for computed s, t in [0, 1], a
@@ -97,12 +102,15 @@ def component_pair_distances(c: Contour, first, second) -> np.ndarray:
     operations, so it undershoots the exact distance D by at most about
     10u(D + 4*lmax) with u = 2^-53; the segment p + s*d leaves the box of its
     stored vertices by at most u*lmax. rho is about 4500u, so no skipped
-    entry can fall below the best one.
+    entry can fall below the best one. A sub-leaf box lies inside its leaf's
+    box, and every seed is one of the entries, so neither changes the
+    argument.
     """
     first = np.asarray(first, dtype=np.int64)
     second = np.asarray(second, dtype=np.int64)
     seg_counts = np.array([len(a) for a in c.components])
-    size = int(min(_SEGMENT_LEAF, seg_counts.max()))
+    # leaves of a whole number of sub-leaves; a short leaf repeats its last segment
+    size = int(min(_SEGMENT_LEAF, -(-seg_counts.max() // _SEGMENT_SUB) * _SEGMENT_SUB))
     n_leaves = -(-seg_counts // size)
     starts, dirs, lo, hi = [], [], [], []
     for a, m, n in zip(c.components, seg_counts, n_leaves):
@@ -111,11 +119,28 @@ def component_pair_distances(c: Contour, first, second) -> np.ndarray:
         leaf = bounds[:-1, None] + np.minimum(np.arange(size), np.diff(bounds)[:, None] - 1)
         starts.append(a[leaf])
         dirs.append((nxt - a)[leaf])
-        lo.append(np.minimum(a, nxt)[leaf].min(axis=1))
-        hi.append(np.maximum(a, nxt)[leaf].max(axis=1))
-    starts, dirs = np.concatenate(starts), np.concatenate(dirs)
+        sub = leaf.reshape(n, -1, _SEGMENT_SUB)
+        lo.append(np.minimum(a, nxt)[sub].min(axis=2))
+        hi.append(np.maximum(a, nxt)[sub].max(axis=2))
+    # segments by sub-leaf, and sub-leaf boxes by leaf
+    starts = np.concatenate(starts).reshape(-1, _SEGMENT_SUB, 3)
+    dirs = np.concatenate(dirs).reshape(-1, _SEGMENT_SUB, 3)
     lo, hi = np.concatenate(lo), np.concatenate(hi)
     lmax = float(np.linalg.norm(dirs, axis=-1).max())
+    n_sub = lo.shape[1]
+
+    def box_bound(alo, ahi, blo, bhi):
+        gap = np.maximum(np.maximum(blo - ahi, alo - bhi), 0.0)
+        return np.sqrt(np.einsum("...i,...i->...", gap, gap))
+
+    def sub_bounds(la, lb):  # (pairs, n_sub, n_sub) bounds of the sub-leaf pairs
+        return box_bound(lo[la][:, :, None], hi[la][:, :, None],
+                         lo[lb][:, None], hi[lb][:, None])
+
+    def sub_minima(sa, sb):  # min over the segment pairs of sub-leaves sa[k], sb[k]
+        return segment_segment_distance(
+            starts[sa][:, :, None], dirs[sa][:, :, None],
+            starts[sb][:, None], dirs[sb][:, None]).min(axis=(1, 2))
 
     # leaf pairs (la, lb) of every component pair; owner[i] is the pair's k
     per_pair = n_leaves[first] * n_leaves[second]
@@ -124,10 +149,14 @@ def component_pair_distances(c: Contour, first, second) -> np.ndarray:
     leaf_start = np.cumsum(n_leaves) - n_leaves
     la = leaf_start[first][owner] + r // n_leaves[second][owner]
     lb = leaf_start[second][owner] + r % n_leaves[second][owner]
-    gap = np.maximum(np.maximum(lo[lb] - hi[la], lo[la] - hi[lb]), 0.0)
-    bound = np.sqrt(np.einsum("ij,ij->i", gap, gap))
+    leaf_lo, leaf_hi = lo.min(axis=1), hi.max(axis=1)
+    bound = box_bound(leaf_lo[la], leaf_hi[la], leaf_lo[lb], leaf_hi[lb])
     order = np.argsort(bound, kind="stable")
-    best = np.full(len(first), np.inf)
+
+    # seed: every pair's nearest sub-leaf pair within its nearest leaf pair
+    seed = order[np.unique(owner[order], return_index=True)[1]]
+    near = sub_bounds(la[seed], lb[seed]).reshape(len(seed), n_sub * n_sub).argmin(axis=1)
+    best = sub_minima(la[seed] * n_sub + near // n_sub, lb[seed] * n_sub + near % n_sub)
     batch = max(1, _SEGMENT_BATCH // (size * size))
     for i in range(0, len(order), batch):
         take = order[i:i + batch]
@@ -135,10 +164,9 @@ def component_pair_distances(c: Contour, first, second) -> np.ndarray:
         if bound[take[0]] > limit.max():
             break  # bounds ascend: nothing left can lower any minimum
         take = take[bound[take] <= limit[owner[take]]]
-        dist = segment_segment_distance(
-            starts[la[take]][:, :, None], dirs[la[take]][:, :, None],
-            starts[lb[take]][:, None], dirs[lb[take]][:, None])
-        np.minimum.at(best, owner[take], dist.min(axis=(1, 2)))
+        k, sa, sb = np.nonzero(sub_bounds(la[take], lb[take]) <= limit[owner[take]][:, None, None])
+        np.minimum.at(best, owner[take][k],
+                      sub_minima(la[take][k] * n_sub + sa, lb[take][k] * n_sub + sb))
     return best
 
 

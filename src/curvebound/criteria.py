@@ -283,7 +283,7 @@ def white_check(c: Contour) -> CriterionEntry:
 # -- cone criterion ---------------------------------------------------------------
 
 _SIDES = 32  # sides of the polygon inscribed in each cross-section of the cone
-_CUTS = 16  # points that join the LP per constraint-generation round
+_CUTS = 16  # most violated points whose rows join the LP per constraint-generation round
 _STEPS = (0.25, 1e-3)  # first and last angle (radians) of the axis pattern search
 
 
@@ -337,8 +337,10 @@ class _ConeSearch:
         """Exact slack, apex and binding points of the LP apex for axis u, or None.
 
         The LP maximizes t subject to |P_u(x - a)| <= +-s*u.(x - a) - t,
-        with the polygon norm in place of |.|, over the points ``seed``; the
-        points the solution violates most join it until none does.
+        with the polygon norm in place of |.|: one row per point x and
+        polygon side. The ``seed`` points enter with every side; then each
+        point that the solution violates joins with its most violated side
+        and that side's two neighbours, until no row of any point is.
         """
         from scipy.optimize import linprog
 
@@ -346,27 +348,34 @@ class _ConeSearch:
         z, w = self.pts @ u, self.pts @ np.column_stack([e1, e2])
         sz = np.repeat(np.where(np.isin(np.arange(len(self.counts)), upper), self.s, -self.s),
                        self.counts)
-        active, x = np.unique(seed), None  # variables: apex along u, e1, e2, and t
+        w_sides = w @ self.sides
+        in_lp = np.zeros((len(z), _SIDES), dtype=bool)  # rows (point, side) of the LP
+        in_lp[seed] = True
+        x = None  # variables: apex along u, e1, e2, and t
         while self.budget > 0:
-            sa = sz[active]
-            a = np.column_stack([np.repeat(sa, _SIDES), np.tile(self.rows, (len(sa), 1))])
-            b = (sa * z[active])[:, None] - w[active] @ self.sides
-            res = linprog([0.0, 0.0, 0.0, -1.0], A_ub=a, b_ub=b.ravel(),
+            p, k = np.nonzero(in_lp)
+            a = np.column_stack([sz[p], self.rows[k]])
+            b = sz[p] * z[p] - w_sides[p, k]
+            res = linprog([0.0, 0.0, 0.0, -1.0], A_ub=a, b_ub=b,
                           bounds=(None, None), method="highs")
             self.budget -= 1
             if res.status != 0:
                 break
             x = res.x
-            poly = sz * (z - x[0]) - ((w - x[1:3]) @ self.sides).max(axis=1)
-            cut = np.setdiff1d(np.nonzero(poly < x[3] - 1e-9)[0], active)
+            values = (sz * (z - x[0]))[:, None] - (w - x[1:3]) @ self.sides
+            poly = values.min(axis=1)
+            values[in_lp] = np.inf  # rows in the LP hold up to HiGHS's tolerance
+            worst = values.argmin(axis=1)
+            cut = np.nonzero(values[np.arange(len(z)), worst] < x[3] - 1e-9)[0]
             if len(cut) == 0:
                 break
-            active = np.union1d(active, cut[np.argsort(poly[cut], kind="stable")[:_CUTS]])
+            cut = cut[np.argsort(values[cut, worst[cut]], kind="stable")[:_CUTS]]
+            in_lp[cut[:, None], (worst[cut, None] + np.arange(-1, 2)) % _SIDES] = True
         if x is None:
             return None
         slack = sz * (z - x[0]) - np.linalg.norm(w - x[1:3], axis=1)
         apex = x[0] * u + x[1] * e1 + x[2] * e2
-        return float(slack.min()), apex, active[poly[active] <= x[3] + 1e-9]
+        return float(slack.min()), apex, np.nonzero(in_lp.any(axis=1) & (poly <= x[3] + 1e-9))[0]
 
     def try_axis(self, u):
         """LP each split along u while its q beats 0 and the best slack; True if u improved."""

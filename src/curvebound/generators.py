@@ -240,6 +240,8 @@ def stadium_contour(a=10.0, r=1.0, cap_segments=64, side_segments=64) -> Contour
 
 def coaxial_circles_contour(radius=1.0, half_gap=2.0, segments=360) -> Contour:
     """Two circles of the same radius in the planes z = +-half_gap (catenoid wires)."""
+    if not half_gap > 0:
+        raise ValueError(f"half_gap must be positive, got {half_gap!r}")
     top = _circle_points(np.array([0.0, 0.0, half_gap]), np.array([0.0, 0.0, 1.0]),
                          radius, segments)
     bot = _circle_points(np.array([0.0, 0.0, -half_gap]), np.array([0.0, 0.0, 1.0]),

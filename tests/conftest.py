@@ -1,4 +1,5 @@
 import itertools
+import os
 import pathlib
 import sys
 
@@ -13,9 +14,19 @@ except ImportError:  # running from a checkout without an installed package
 
 from curvebound import generators as gen
 from curvebound.audit import _ball_integrals
-from curvebound.contour import Contour, ContourError, component_pair_distances
+from curvebound.contour import (Contour, ContourError, component_pair_distances,
+                                segment_segment_distance)
 from curvebound.curvature import _curvature_weights
 from curvebound.mesh import geodesic_distances
+
+try:
+    from hypothesis import settings
+except ImportError:  # the property tests skip themselves without hypothesis
+    pass
+else:
+    # derandomized unless HYPOTHESIS_PROFILE=default asks for fresh examples
+    settings.register_profile("ci", derandomize=True, deadline=None)
+    settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "ci"))
 
 
 def random_rotation(seed, dim=3):
@@ -77,6 +88,13 @@ def tau_root_bisection(lo=1.0, hi=1.5, tol=1e-10) -> float:
     return 0.5 * (lo + hi)
 
 
+def brute_force_pair_distance(c: Contour, i, j) -> float:
+    """Min of ``segment_segment_distance`` over all segment pairs of components i, j."""
+    pi, pj = c.components[i], c.components[j]
+    di, dj = np.roll(pi, -1, axis=0) - pi, np.roll(pj, -1, axis=0) - pj
+    return float(segment_segment_distance(pi[:, None], di[:, None], pj[None], dj[None]).min())
+
+
 def component_distance_matrix(c: Contour) -> np.ndarray:
     """Symmetric matrix of ``component_pair_distances`` over all pairs i < j."""
     n = c.n_components
@@ -122,7 +140,7 @@ def touching_contours():
                                   for radius, center in ((1.0, (0, 0, 0)),
                                                          (r, (1 - r, 0, 0)),
                                                          (r, (-1.1 - r, 0, 0)))]),
-        "coincident": gen.coaxial_circles_contour(1.0, 0.0, 64),
+        "coincident": Contour(2 * gen.circle_contour(1.0, 64).components),
         "crossing": Contour([[(-1, -1, 0), (1, -1, 0), (1, 1, 0), (-1, 1, 0)],
                              [(1, 0, -0.5), (2, 0, -0.5), (2, 0, 0.5), (1, 0, 0.5)]]),
     }

@@ -356,6 +356,19 @@ class TestGenCommand:
         assert "Traceback" not in captured.err
         assert not out.exists()
 
+    @pytest.mark.parametrize("half_gap", ["0", "-0.5"])
+    def test_coaxial_circles_need_a_gap(self, capsys, tmp_path, half_gap):
+        # at half_gap 0 the two circles coincide; the file must not be written
+        out = tmp_path / "x.contour.json"
+        code = main(["gen", "coaxial-circles", "--param", f"half_gap={half_gap}",
+                     "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith("error: half_gap")
+        assert "Traceback" not in captured.err
+        assert not out.exists()
+
 
 class TestUsage:
     @pytest.mark.parametrize("argv", [

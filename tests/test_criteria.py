@@ -252,6 +252,89 @@ class TestConeNearThreshold:
         assert entry.margin < 0
 
 
+def _polygon_lp(search, u, upper):
+    """The full polygon LP of an apex solve: rows (points x 32 sides), written afresh.
+
+    Variables are the apex along u, e1, e2 and the slack t; the row of point p
+    and side n reads sz*(u.p - a_u) - n.(P_u p - a_e) >= t, with sz = +-s
+    by the nappe of p's component.
+    """
+    from curvebound.criteria import _SIDES, _frame
+
+    angle = 2.0 * np.pi * np.arange(_SIDES) / _SIDES
+    normals = np.column_stack([np.cos(angle), np.sin(angle)]) / np.cos(np.pi / _SIDES)
+    sz = np.repeat(np.where(np.isin(np.arange(len(search.counts)), upper), search.s,
+                            -search.s), search.counts)
+    b = (sz * (search.pts @ u))[:, None] - search.pts @ _frame(u).T @ normals.T
+    a = np.column_stack([np.repeat(sz, _SIDES), np.tile(-normals, (len(sz), 1)),
+                         np.ones(b.size)])
+    return a, b.ravel()
+
+
+class TestConeLPConvergence:
+    """Constraint generation ends at a solution of the full 32-gon LP."""
+
+    @staticmethod
+    def _record(monkeypatch):
+        """Wrap linprog and the apex search; returns the list of finished apex solves."""
+        import scipy.optimize
+
+        from curvebound import criteria
+
+        solves, finished = [], []
+        linprog, apex = scipy.optimize.linprog, criteria._ConeSearch.apex
+
+        def recording_linprog(*args, **kwargs):
+            solves.append(linprog(*args, **kwargs))
+            return solves[-1]
+
+        def recording_apex(search, u, upper, seed):
+            before = len(solves)
+            found = apex(search, u, upper, seed)
+            last = solves[-1] if len(solves) > before else None
+            if search.budget > 0 and last is not None and last.status == 0:
+                finished.append((search, u, upper, last.x, found))
+            return found
+
+        monkeypatch.setattr(scipy.optimize, "linprog", recording_linprog)
+        monkeypatch.setattr(criteria._ConeSearch, "apex", recording_apex)
+        return finished
+
+    @staticmethod
+    def _check(finished):
+        from scipy.optimize import linprog
+
+        assert finished
+        for search, u, upper, x, _ in finished:
+            a, b = _polygon_lp(search, u, upper)
+            assert (b - a @ x).min() >= -1e-9  # no row of any point violated
+        # the best apex also solves the LP over every point and side at once
+        search, u, upper, x, _ = max(finished, key=lambda f: f[4][0])
+        a, b = _polygon_lp(search, u, upper)
+        full = linprog([0.0, 0.0, 0.0, -1.0], A_ub=a, b_ub=b, bounds=(None, None),
+                       method="highs")
+        assert full.status == 0
+        assert abs(full.x[3] - x[3]) <= 1e-9
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    @pytest.mark.parametrize("name", ["coaxial-0.7", "tilted-0.72", "three-0.62"])
+    def test_near_threshold(self, monkeypatch, name, seed):
+        c = _near_threshold_contours()[name]
+        if seed:
+            rot = random_rotation(seed)
+            c = Contour([comp @ rot.T + 3.0 for comp in c.components])
+        finished = self._record(monkeypatch)
+        assert cone_check(c).verdict == VERDICT_CERTIFIED
+        self._check(finished)
+
+    def test_tilted_coaxial_2048_gons(self, monkeypatch):
+        c = gen.coaxial_circles_contour(1.0, 2.0, 2048)
+        c = Contour([comp @ random_rotation(2).T + 0.5 for comp in c.components])
+        finished = self._record(monkeypatch)
+        assert cone_check(c, search_budget=2000).verdict == VERDICT_CERTIFIED
+        self._check(finished)
+
+
 class TestPerturbationProbes:
     def test_diameter_length_stable_under_far_tiny_circle(self, antipodal_microcircles):
         # adding a tiny circle far away raises d by much more than 8x its
