@@ -30,21 +30,31 @@ class Contour:
 
     def __init__(self, components):
         comps = []
-        for i, c in enumerate(components):
-            a = np.asarray(c, dtype=float)
-            if a.ndim != 2 or a.shape[1] != 3:
-                raise ContourError(f"component {i} must be (m, 3), got {a.shape}")
-            if len(a) < 3:
-                raise ContourError(f"component {i} has fewer than 3 points")
-            if not np.all(np.isfinite(a)):
-                raise ContourError(f"component {i} has non-finite coordinates")
-            closed_pairs = np.vstack([a, a[:1]])
-            seg = np.linalg.norm(np.diff(closed_pairs, axis=0), axis=1)
-            if np.any(seg == 0.0):
-                raise ContourError(f"component {i} has consecutive duplicate points")
-            a.setflags(write=False)
+        for i, c in enumerate(components):  # shapes here; values below, all at once
+            try:
+                a = np.asarray(c, dtype=float)
+                if a.ndim != 2 or a.shape[1] != 3:
+                    raise ContourError(f"component {i} must be (m, 3), got {a.shape}")
+                if len(a) < 3:
+                    raise ContourError(f"component {i} has fewer than 3 points")
+            except (TypeError, ValueError, ContourError):
+                Contour(comps)  # an unsound component before this one is named first
+                raise
             comps.append(a)
-        self.components = comps
+        self._points = pts = np.concatenate(comps + [np.zeros((0, 3))])
+        self.counts = counts = np.array([len(a) for a in comps], dtype=np.int64)
+        self.offsets = offsets = np.cumsum(counts) - counts
+        self._next = nxt = np.arange(1, len(pts) + 1)  # each vertex's successor
+        nxt[offsets + counts - 1] = offsets  # closure: the last vertex meets the first
+        with np.errstate(invalid="ignore"):  # inf - inf in a non-finite component
+            self._seg_lengths = np.linalg.norm(pts[nxt] - pts, axis=1)
+        repeated = np.logical_or.reduceat(self._seg_lengths == 0.0, offsets)
+        nonfinite = np.logical_or.reduceat(~np.isfinite(pts).all(axis=1), offsets)
+        for i in np.flatnonzero(nonfinite | repeated)[:1]:  # the first unsound component
+            raise ContourError(f"component {i} has non-finite coordinates" if nonfinite[i]
+                               else f"component {i} has consecutive duplicate points")
+        pts.setflags(write=False)
+        self.components = [pts[o:o + m] for o, m in zip(offsets.tolist(), counts.tolist())]
         self.dimension = 3
         self._cache = {}  # derived measures; components are never mutated
 
@@ -56,16 +66,19 @@ class Contour:
         return len(self.components)
 
     def all_points(self):
-        return np.vstack(self.components)
+        """All vertices as one read-only (sum m_i, 3) array; component i is rows
+        offsets[i] to offsets[i] + counts[i], and ``components`` holds views of it."""
+        return self._points
 
 
 def contour_length(c: Contour) -> float:
-    """Sum of the closed polyline lengths."""
-    total = 0.0
-    for a in c.components:
-        closed = np.vstack([a, a[:1]])
-        total += float(np.linalg.norm(np.diff(closed, axis=0), axis=1).sum())
-    return total
+    """Sum of the closed polyline lengths, computed once per contour."""
+    if "length" not in c._cache:
+        total = 0.0
+        for o, m in zip(c.offsets.tolist(), c.counts.tolist()):
+            total += float(c._seg_lengths[o:o + m].sum())  # one polyline at a time
+        c._cache["length"] = total
+    return c._cache["length"]
 
 
 def contour_diameter(c: Contour) -> float:
@@ -89,12 +102,12 @@ def component_pair_distances(c: Contour, first, second) -> np.ndarray:
     polyline is ordered along its curve), and leaves into sub-leaves of
     ``_SEGMENT_SUB`` segments. A box covers the end vertices of its segments,
     so box distances bound segment distances from below. Each pair's best is
-    seeded with the nearest sub-leaf pair of its nearest leaf pair. Leaf
-    pairs are then visited in ascending bound, many per numpy call, and the
-    sub-leaf pairs of each are evaluated unless their bound exceeds
-    best*(1 + rho) + rho*lmax, with best the pair's minimum so far, lmax the
-    longest segment and rho = 1e-12; a leaf pair whose own bound exceeds it
-    is skipped whole.
+    seeded with the nearest sub-leaf pair of its nearest leaf pair, which is
+    not evaluated again. Leaf pairs are then visited in ascending bound, many
+    per numpy call, and the sub-leaf pairs of each are evaluated unless their
+    bound exceeds best*(1 + rho) + rho*lmax, with best the pair's minimum so
+    far, lmax the longest segment and rho = 1e-12; a leaf pair whose own
+    bound exceeds it is skipped whole.
 
     The slack keeps the result bit-identical to the full minimum. A computed
     distance is the norm of r + s*d1 - t*d2 for computed s, t in [0, 1], a
@@ -108,24 +121,23 @@ def component_pair_distances(c: Contour, first, second) -> np.ndarray:
     """
     first = np.asarray(first, dtype=np.int64)
     second = np.asarray(second, dtype=np.int64)
-    seg_counts = np.array([len(a) for a in c.components])
+    m = c.counts
     # leaves of a whole number of sub-leaves; a short leaf repeats its last segment
-    size = int(min(_SEGMENT_LEAF, -(-seg_counts.max() // _SEGMENT_SUB) * _SEGMENT_SUB))
-    n_leaves = -(-seg_counts // size)
-    starts, dirs, lo, hi = [], [], [], []
-    for a, m, n in zip(c.components, seg_counts, n_leaves):
-        nxt = np.roll(a, -1, axis=0)
-        bounds = (np.arange(n + 1) * m) // n
-        leaf = bounds[:-1, None] + np.minimum(np.arange(size), np.diff(bounds)[:, None] - 1)
-        starts.append(a[leaf])
-        dirs.append((nxt - a)[leaf])
-        sub = leaf.reshape(n, -1, _SEGMENT_SUB)
-        lo.append(np.minimum(a, nxt)[sub].min(axis=2))
-        hi.append(np.maximum(a, nxt)[sub].max(axis=2))
+    size = int(min(_SEGMENT_LEAF, -(-m.max() // _SEGMENT_SUB) * _SEGMENT_SUB))
+    n_leaves = -(-m // size)
+    leaf_start = np.cumsum(n_leaves) - n_leaves
+    comp = np.repeat(np.arange(len(m)), n_leaves)  # each leaf's component
+    pos = np.arange(len(comp)) - leaf_start[comp]  # and its index there
+    # leaf j of n in a component of m segments holds segments j*m//n up to (j+1)*m//n
+    first_seg = c.offsets[comp] + pos * m[comp] // n_leaves[comp]
+    end_seg = c.offsets[comp] + (pos + 1) * m[comp] // n_leaves[comp]
+    leaf = first_seg[:, None] + np.minimum(np.arange(size), (end_seg - first_seg)[:, None] - 1)
+    pts, nxt = c.all_points(), c.all_points()[c._next]
     # segments by sub-leaf, and sub-leaf boxes by leaf
-    starts = np.concatenate(starts).reshape(-1, _SEGMENT_SUB, 3)
-    dirs = np.concatenate(dirs).reshape(-1, _SEGMENT_SUB, 3)
-    lo, hi = np.concatenate(lo), np.concatenate(hi)
+    starts = pts[leaf].reshape(-1, _SEGMENT_SUB, 3)
+    dirs = (nxt - pts)[leaf].reshape(-1, _SEGMENT_SUB, 3)
+    sub = leaf.reshape(len(leaf), -1, _SEGMENT_SUB)
+    lo, hi = np.minimum(pts, nxt)[sub].min(axis=2), np.maximum(pts, nxt)[sub].max(axis=2)
     lmax = float(np.linalg.norm(dirs, axis=-1).max())
     n_sub = lo.shape[1]
 
@@ -146,7 +158,6 @@ def component_pair_distances(c: Contour, first, second) -> np.ndarray:
     per_pair = n_leaves[first] * n_leaves[second]
     owner = np.repeat(np.arange(len(first)), per_pair)
     r = np.arange(per_pair.sum()) - np.repeat(np.cumsum(per_pair) - per_pair, per_pair)
-    leaf_start = np.cumsum(n_leaves) - n_leaves
     la = leaf_start[first][owner] + r // n_leaves[second][owner]
     lb = leaf_start[second][owner] + r % n_leaves[second][owner]
     leaf_lo, leaf_hi = lo.min(axis=1), hi.max(axis=1)
@@ -157,6 +168,8 @@ def component_pair_distances(c: Contour, first, second) -> np.ndarray:
     seed = order[np.unique(owner[order], return_index=True)[1]]
     near = sub_bounds(la[seed], lb[seed]).reshape(len(seed), n_sub * n_sub).argmin(axis=1)
     best = sub_minima(la[seed] * n_sub + near // n_sub, lb[seed] * n_sub + near % n_sub)
+    seeded = np.full(len(la), -1)
+    seeded[seed] = near
     batch = max(1, _SEGMENT_BATCH // (size * size))
     for i in range(0, len(order), batch):
         take = order[i:i + batch]
@@ -165,6 +178,8 @@ def component_pair_distances(c: Contour, first, second) -> np.ndarray:
             break  # bounds ascend: nothing left can lower any minimum
         take = take[bound[take] <= limit[owner[take]]]
         k, sa, sb = np.nonzero(sub_bounds(la[take], lb[take]) <= limit[owner[take]][:, None, None])
+        fresh = sa * n_sub + sb != seeded[take[k]]  # a seed is in best already
+        k, sa, sb = k[fresh], sa[fresh], sb[fresh]
         np.minimum.at(best, owner[take][k],
                       sub_minima(la[take][k] * n_sub + sa, lb[take][k] * n_sub + sb))
     return best
@@ -208,12 +223,9 @@ def segment_segment_distance(p1, d1, p2, d2):
 
 
 def save_contour(c: Contour, path):
-    doc = {
-        "dimension": 3,
-        "components": [{"vertices": a.tolist()} for a in c.components],
-    }
+    doc = {"dimension": 3, "components": [{"vertices": a.tolist()} for a in c.components]}
     with open(path, "w") as fh:
-        json.dump(doc, fh)
+        fh.write(json.dumps(doc))
 
 
 def load_contour(path) -> Contour:

@@ -20,10 +20,11 @@ Components are atomic units of every decomposition (splitting single Jordan
 curves is not attempted); margins are normalized by the contour diameter.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 from scipy.sparse import csgraph, csr_matrix
+from scipy.spatial import cKDTree
 
 from .contour import (Contour, ContourError, component_pair_distances, contour_diameter,
                       contour_length)
@@ -134,17 +135,7 @@ class CriterionReport:
             "diameter": self.diameter,
             "length": self.length,
             "certified_any": self.certified_any,
-            "criteria": [
-                {
-                    "name": e.name,
-                    "verdict": e.verdict,
-                    "measured": e.measured,
-                    "margin": e.margin,
-                    "certificate": e.certificate,
-                    "notes": e.notes,
-                }
-                for e in self.entries
-            ],
+            "criteria": [asdict(e) for e in self.entries],
         }
 
     def table(self):
@@ -198,26 +189,19 @@ def bottleneck_split(dist_graph) -> tuple:
 
     Equivalent to single linkage: the optimum is the longest edge of the
     minimum spanning tree of the distance graph, and removing that edge
-    yields an optimal bipartition. Accepts a dense matrix or a sparse graph
-    whose edge set provably contains the minimum spanning tree.
+    yields an optimal bipartition. Takes a sparse graph whose edge set
+    provably contains the minimum spanning tree.
     """
-    if isinstance(dist_graph, np.ndarray) or not hasattr(dist_graph, "tocoo"):
-        d = csr_matrix(np.asarray(dist_graph, dtype=float))
-    else:
-        d = dist_graph.tocsr()
+    d = dist_graph.tocsr()
     n = d.shape[0]
     if n < 2:
         raise ValueError("need at least 2 components")
-    mst = csgraph.minimum_spanning_tree(d).tocoo()
+    mst = csgraph.minimum_spanning_tree(d)
     order = np.argmax(mst.data)
     value = float(mst.data[order])
-    # drop the longest edge, split by connectivity
-    keep = np.ones(len(mst.data), dtype=bool)
-    keep[order] = False
-    pruned = csr_matrix(
-        (mst.data[keep], (mst.row[keep], mst.col[keep])), shape=(n, n)
-    )
-    _, labels = csgraph.connected_components(pruned, directed=False)
+    mst.data[order] = 0.0  # drop the longest edge, split by connectivity
+    mst.eliminate_zeros()
+    _, labels = csgraph.connected_components(mst, directed=False)
     side0 = tuple(int(i) for i in np.nonzero(labels == labels[0])[0])
     side1 = tuple(int(i) for i in np.nonzero(labels != labels[0])[0])
     return value, (side0, side1)
@@ -227,16 +211,17 @@ def white_check(c: Contour) -> CriterionEntry:
     """Certify when the best decomposition satisfies dist > length / pi.
 
     The bottleneck split is found without any dense matrix. Centroid-ball
-    bounds LB <= d(i,j) <= UB bracket every pairwise distance. The
-    bottleneck of the UB graph (its longest MST edge, by Prim one row at a
-    time) is an upper bound t* for the exact bottleneck, and every exact-MST
-    edge has LB <= d <= t*; exact segment distances are therefore computed
-    only for candidate pairs with LB <= t*, whose graph provably contains
-    the exact minimum spanning tree and is connected. LB is compared with t*
-    up to a slack of 1e-12 * (t* + r_i + r_j), far above the rounding in the
-    bounds and distances, so that rounding cannot drop a tree edge.
-    Touching components (d <= 1e-12 * (r_i + r_j), always candidates as
-    LB <= d = 0 <= t*) raise ContourError.
+    bounds LB <= d(i,j) <= UB bracket every pairwise distance. A connected
+    spanning subgraph of the UB graph crosses every bipartition, so the
+    longest edge t* of its minimum spanning tree is >= the exact bottleneck;
+    here it joins each centroid to its k nearest, k = 8 doubled until
+    connected. Every exact-MST edge has LB <= d <= t*, so exact segment
+    distances are computed only for the pairs with LB <= t*, found by
+    kd-tree among centroids within t* + 2 r_max; their graph provably holds
+    the exact minimum spanning tree. LB is compared with t* up to a slack of
+    1e-12 * (t* + r_i + r_j), far above the rounding in the bounds and
+    distances, so that rounding cannot drop a tree edge. Touching components
+    (d <= 1e-12 * (r_i + r_j), always candidates) raise ContourError.
     """
     ell = contour_length(c)
     n = c.n_components
@@ -247,19 +232,22 @@ def white_check(c: Contour) -> CriterionEntry:
             measured={"length": ell},
             notes="single Jordan curve: no decomposition into components exists",
         )
-    cents = np.array([comp.mean(axis=0) for comp in c.components])
-    radii = np.array([np.linalg.norm(comp - m, axis=1).max()
-                      for comp, m in zip(c.components, cents)])
-    ub, done, t_star = np.where(np.arange(n) == 0, 0.0, np.inf), np.zeros(n, dtype=bool), 0.0
-    for _ in range(n):
-        j = int(np.argmin(np.where(done, np.inf, ub)))
-        done[j], t_star = True, max(t_star, float(ub[j]))
-        ub = np.minimum(ub, np.linalg.norm(cents[j] - cents, axis=1) + (radii[j] + radii))
-    near = []
-    for i in range(n - 1):
-        cd, rr = np.linalg.norm(cents[i] - cents[i + 1:], axis=1), radii[i] + radii[i + 1:]
-        near.append(np.nonzero(cd - rr <= t_star + 1e-12 * (t_star + rr))[0] + i + 1)
-    ii, jj = np.repeat(np.arange(n - 1), [len(k) for k in near]), np.concatenate(near)
+    cents = np.add.reduceat(c.all_points(), c.offsets) / c.counts[:, None]
+    radii = np.maximum.reduceat(np.linalg.norm(
+        c.all_points() - np.repeat(cents, c.counts, axis=0), axis=1), c.offsets)
+    tree, k, parts = cKDTree(cents), min(8, n - 1), 2
+    while parts > 1:  # k = n - 1 joins every pair
+        cd, jj = tree.query(cents, k=k + 1)  # each centroid itself, then its k nearest
+        ii, jj = np.repeat(np.arange(n), k + 1), jj.ravel()
+        ub = csr_matrix((cd.ravel() + (radii[ii] + radii[jj]), (ii, jj)), shape=(n, n))
+        ub, k = ub.maximum(ub.T), min(2 * k, n - 1)
+        parts = csgraph.connected_components(ub, directed=False)[0]
+    t_star = float(csgraph.minimum_spanning_tree(ub).data.max())
+    pairs = tree.query_pairs((t_star + 2.0 * radii.max()) * (1.0 + 1e-9), output_type="ndarray")
+    ii, jj = pairs[np.lexsort(pairs.T[::-1])].T  # by i, then j, as i < j
+    cd, rr = np.linalg.norm(cents[ii] - cents[jj], axis=1), radii[ii] + radii[jj]
+    near = cd - rr <= t_star + 1e-12 * (t_star + rr)
+    ii, jj = ii[near], jj[near]
     dist = component_pair_distances(c, ii, jj)
     touch = np.nonzero(dist <= 1e-12 * (radii[ii] + radii[jj]))[0]
     if len(touch):
@@ -314,13 +302,14 @@ class _ConeSearch:
         return val, np.minimum.reduceat(hit, self.offsets)
 
     def splits(self, u):
-        """Threshold splits along u as (q, upper components, end points), by descending q.
+        """Bounds q of the threshold splits along u, descending, and ``split``.
 
         With x the lowest point above the gap and y the highest below it, an
         apex of margin m gives d = x - y slack >= 2m in the upper nappe (the
         slack s*u.v - |P_u v| is concave and homogeneous), so q = (s*u.d -
-        |P_u d|)/2 bounds the margin. End points: each upper component's
-        lowest point and each lower one's highest.
+        |P_u d|)/2 bounds the margin. split(k) builds the upper components and
+        end points (each upper component's lowest point and each lower one's
+        highest) of the k-th split in a stable order by descending q.
         """
         z = self.pts @ u
         (lo, lo_at), (hi, hi_at) = self._extremes(z, np.minimum), self._extremes(z, np.maximum)
@@ -330,8 +319,13 @@ class _ConeSearch:
         gaps = np.nonzero(lo[order[1:]] > top[:-1])[0]
         d = self.pts[lo_at[order[gaps + 1]]] - self.pts[hi_at[top_at[gaps]]]
         q = 0.5 * (self.s * (d @ u) - np.linalg.norm(d - np.outer(d @ u, u), axis=1))
-        return [(q[k], order[j + 1:], np.concatenate([lo_at[order[j + 1:]], hi_at[order[:j + 1]]]))
-                for k, j in sorted(enumerate(gaps), key=lambda kj: -q[kj[0]])]
+        rank = np.argsort(-q, kind="stable")
+
+        def split(k):
+            j = gaps[rank[k]]
+            return order[j + 1:], np.concatenate([lo_at[order[j + 1:]], hi_at[order[:j + 1]]])
+
+        return q[rank], split
 
     def apex(self, u, upper, seed):
         """Exact slack, apex and binding points of the LP apex for axis u, or None.
@@ -379,15 +373,16 @@ class _ConeSearch:
 
     def try_axis(self, u):
         """LP each split along u while its q beats 0 and the best slack; True if u improved."""
-        improved, splits = False, self.splits(u)
-        for q, upper, ends in splits:
-            if q <= max(self.best[0], 0.0) or self.budget <= 0:
+        improved, (q, split) = False, self.splits(u)
+        for k, qk in enumerate(q):
+            if qk <= max(self.best[0], 0.0) or self.budget <= 0:
                 break
+            upper, ends = split(k)
             found = self.apex(u, upper, np.concatenate([ends, self.best[4]]).astype(np.int64))
             if found is not None and found[0] > self.best[0]:
                 self.best, improved = (found[0], u, found[1], upper, found[2]), True
-        if self.best[1] is None and splits and splits[0][0] > self.best_q:
-            self.best_q, improved = splits[0][0], True
+        if self.best[1] is None and len(q) and q[0] > self.best_q:
+            self.best_q, improved = q[0], True
         self.axis = u if improved else self.axis
         return improved
 
@@ -444,8 +439,8 @@ def cone_check(c: Contour, search_budget=20000) -> CriterionEntry:
     pts = c.all_points()
     center = pts.mean(axis=0)
     radius = float(np.linalg.norm(pts - center, axis=1).max())
-    search = _ConeSearch((pts - center) / radius, np.array([len(comp) for comp in c.components]),
-                         np.sqrt(root.sinh_sq), search_budget)
+    search = _ConeSearch((pts - center) / radius, c.counts, np.sqrt(root.sinh_sq),
+                         search_budget)
     ico = icosphere(1).vertices
     for u in np.vstack([ico[ico @ np.array([1.0, 2.0, 4.0]) > 0],
                         np.linalg.svd(pts - center, full_matrices=False)[2]]):

@@ -8,7 +8,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial import SphericalVoronoi, cKDTree
+from scipy.spatial import ConvexHull, cKDTree
 
 from .contour import Contour
 from .mesh import SurfaceMesh
@@ -182,16 +182,9 @@ def square_grid(n=32, size=1.0) -> SurfaceMesh:
     xs = np.linspace(0.0, size, n + 1)
     gx, gy = np.meshgrid(xs, xs, indexing="ij")
     vertices = np.column_stack([gx.ravel(), gy.ravel(), np.zeros((n + 1) ** 2)])
-    tris = []
-    for i in range(n):
-        for j in range(n):
-            a = i * (n + 1) + j
-            b = a + 1
-            c = a + (n + 1)
-            d = c + 1
-            tris.append([a, c, b])
-            tris.append([b, c, d])
-    return SurfaceMesh(vertices, np.array(tris, dtype=np.int64))
+    a = (np.arange(n)[:, None] * (n + 1) + np.arange(n)).ravel()  # each cell's low corner
+    return SurfaceMesh(vertices, np.column_stack(
+        [a, a + n + 1, a + 1, a + 1, a + n + 1, a + n + 2]).reshape(-1, 3).astype(np.int64))
 
 
 def embed_in_r4(mesh: SurfaceMesh) -> SurfaceMesh:
@@ -204,19 +197,26 @@ def embed_in_r4(mesh: SurfaceMesh) -> SurfaceMesh:
 
 
 def circle_contour(radius=1.0, segments=360, center=(0, 0, 0), normal=(0, 0, 1)) -> Contour:
-    pts = _circle_points(np.asarray(center, float), np.asarray(normal, float),
-                         radius, segments)
-    return Contour([pts])
+    return Contour(_circles(np.array([center], float), np.array([normal], float), radius,
+                            segments))
 
 
-def _circle_points(center, normal, radius, segments):
-    n = normal / np.linalg.norm(normal)
-    seed = np.array([1.0, 0.0, 0.0]) if abs(n[0]) < 0.9 else np.array([0.0, 1.0, 0.0])
-    u = seed - np.dot(seed, n) * n
-    u /= np.linalg.norm(u)
+def _circles(centers, normals, radius, segments):
+    """(N, segments, 3): circles of ``radius`` about rows of centers, normal to rows of normals.
+
+    Bit-identical to one circle at a time: ``np.linalg.norm`` of one vector is a BLAS dot,
+    which stacked (1 x 3) @ (3 x 1) products call per row; all else is elementwise.
+    """
+    def unit(v):
+        return v / np.sqrt(v[:, None, :] @ v[:, :, None])[:, 0]
+
+    n = unit(normals)
+    seed = np.where(np.abs(n[:, :1]) < 0.9, [1.0, 0.0, 0.0], [0.0, 1.0, 0.0])
+    u = unit(seed - (seed * n).sum(axis=1, keepdims=True) * n)  # the sum is n_x or n_y exactly
     w = np.cross(n, u)
     t = 2.0 * np.pi * np.arange(_count("segments", segments, 3)) / segments
-    return center + radius * (np.outer(np.cos(t), u) + np.outer(np.sin(t), w))
+    return centers[:, None] + radius * (np.cos(t)[:, None] * u[:, None]
+                                        + np.sin(t)[:, None] * w[:, None])
 
 
 def stadium_contour(a=10.0, r=1.0, cap_segments=64, side_segments=64) -> Contour:
@@ -242,11 +242,8 @@ def coaxial_circles_contour(radius=1.0, half_gap=2.0, segments=360) -> Contour:
     """Two circles of the same radius in the planes z = +-half_gap (catenoid wires)."""
     if not half_gap > 0:
         raise ValueError(f"half_gap must be positive, got {half_gap!r}")
-    top = _circle_points(np.array([0.0, 0.0, half_gap]), np.array([0.0, 0.0, 1.0]),
-                         radius, segments)
-    bot = _circle_points(np.array([0.0, 0.0, -half_gap]), np.array([0.0, 0.0, 1.0]),
-                         radius, segments)
-    return Contour([top, bot])
+    return Contour(_circles(np.array([[0.0, 0.0, half_gap], [0.0, 0.0, -half_gap]]),
+                            np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 1.0]]), radius, segments))
 
 
 # -- spherical point sets -----------------------------------------------------
@@ -298,16 +295,21 @@ def fibonacci_sphere(n) -> np.ndarray:
 def covering_radius_exact(X: SphericalPointSet) -> float:
     """Max geodesic distance from any point of S^2 to its nearest set point; exact.
 
-    Unless the set lies in an open hemisphere, the farthest point from it is a
-    vertex of its spherical Voronoi diagram, so the supremum is the max over
-    those vertices. The set lies in an open hemisphere exactly when that max
-    exceeds pi/2; then the farthest point can sit inside a Voronoi edge, and
-    this raises ValueError, as it does for repeated points or points that all
-    lie in one plane.
+    The farthest point is a spherical Voronoi vertex. Unless the set lies in a
+    closed hemisphere, each is a hull facet's outward normal, whose nearest set
+    points are that facet's vertices at its offset h as dot product (K. Q.
+    Brown, "Voronoi diagrams from convex hulls", IPL 9(5), 1979); so the
+    supremum is arccos of the smallest offset. It exceeds pi/2 exactly for an
+    open hemisphere, where the farthest point can sit inside a Voronoi edge:
+    ValueError, as for points in one plane or repeated to 1e-6.
     """
-    vertices = SphericalVoronoi(X.points).vertices
-    chord, _ = cKDTree(X.points).query(vertices, k=1)
-    radius = float(2.0 * np.arcsin(min(1.0, chord.max() / 2.0)))
+    p = X.points
+    if len(p) < 4 or np.linalg.matrix_rank(p - p[0], tol=1e-6) < 3:
+        raise ValueError("points lie in one plane; the covering radius needs a 3-d hull")
+    if X.packing_radius < 5e-7:
+        raise ValueError("repeated points; the covering radius needs distinct points")
+    h = -ConvexHull(p).equations[:, 3].max()
+    radius = float(np.arccos(min(1.0, h)))
     if radius > math.pi / 2.0:
         raise ValueError("points lie in an open hemisphere; covering radius exceeds pi/2")
     return radius
@@ -316,36 +318,28 @@ def covering_radius_exact(X: SphericalPointSet) -> float:
 def fibonacci_net(target_epsilon, max_points=10**6) -> SphericalPointSet:
     """Spiral net whose exact covering radius is <= target.
 
-    Doubling then bisection on the spiral size n ends at an n whose net
-    covers within target while n - 1 points do not; the returned set carries
-    that exact covering radius. The packing floor is relaxed to target/4
-    (deterministic spirals can miss the ideal target/2); the measured packing
-    radius is reported on the returned set rather than silently assumed.
+    On spirals covering radius * sqrt(n) is about 2.73, so the search starts
+    at n = (2.73 / target)^2 and steps by one point to an n that covers within
+    target while n - 1 points do not; the set carries that exact radius.
+    ValueError before a set above ``max_points`` is built. The packing floor
+    is relaxed to target/4 (spirals can miss the ideal target/2); the
+    measured packing radius is reported on the set, not assumed.
     """
     if not 0.0 < target_epsilon <= 0.5:
         raise ValueError("target_epsilon must be in (0, 0.5]")
 
-    def covers(n):
+    def net(n):
+        if n > max_points:
+            raise ValueError(f"no feasible net below {max_points} points")
         X = SphericalPointSet(fibonacci_sphere(n))
         X.covering_radius = covering_radius_exact(X)
-        return X if X.covering_radius <= target_epsilon else None
+        return X
 
-    lo, hi = 2, 16
-    while True:
-        if hi > max_points:
-            raise ValueError(f"no feasible net below {max_points} points")
-        X = covers(hi)
-        if X is not None:
-            break
-        lo = hi
-        hi *= 2
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        found = covers(mid)
-        if found is None:
-            lo = mid
-        else:
-            hi, X = mid, found
+    X = net(round((2.73 / target_epsilon) ** 2))
+    while X.covering_radius > target_epsilon:
+        X = net(len(X) + 1)
+    while (fewer := net(len(X) - 1)).covering_radius <= target_epsilon:
+        X = fewer
     X.meets_packing_floor = X.packing_radius >= target_epsilon / 4.0
     return X
 
@@ -362,11 +356,8 @@ def sphere_circles(X: SphericalPointSet, radius, segments=64) -> Contour:
             f"radius {radius} >= packing radius {X.packing_radius}; circles would meet"
         )
     _count("segments", segments, 16)
-    comps = [
-        _circle_points(math.cos(radius) * c, c, math.sin(radius), segments)
-        for c in X.points
-    ]
-    return Contour(comps)
+    return Contour(_circles(math.cos(radius) * X.points, X.points, math.sin(radius),
+                            segments))
 
 
 def antipodal_point_set() -> SphericalPointSet:

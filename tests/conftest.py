@@ -6,6 +6,7 @@ import sys
 import numpy as np
 import pytest
 from scipy.sparse import csgraph
+from scipy.spatial import SphericalVoronoi, cKDTree
 
 try:
     import curvebound  # noqa: F401
@@ -124,6 +125,69 @@ def white_bruteforce_oracle(c_or_matrix) -> float:
             cross = d[np.ix_(side, other)].min()
             best = max(best, cross)
     return float(best)
+
+
+def covering_radius_voronoi(X) -> float:
+    """Covering radius as the max over the spherical Voronoi vertices' nearest-site distances.
+
+    Raises ValueError for points in one plane or repeated to 1e-6 (from
+    SphericalVoronoi) and for a radius above pi/2 (an open hemisphere).
+    """
+    vertices = SphericalVoronoi(X.points).vertices
+    chord, _ = cKDTree(X.points).query(vertices, k=1)
+    radius = float(2.0 * np.arcsin(min(1.0, chord.max() / 2.0)))
+    if radius > np.pi / 2.0:
+        raise ValueError("points lie in an open hemisphere; covering radius exceeds pi/2")
+    return radius
+
+
+def circle_points(center, normal, radius, segments):
+    """One circle of ``segments`` points about ``center``, normal to ``normal``, alone."""
+    n = normal / np.linalg.norm(normal)
+    seed = np.array([1.0, 0.0, 0.0]) if abs(n[0]) < 0.9 else np.array([0.0, 1.0, 0.0])
+    u = seed - np.dot(seed, n) * n
+    u /= np.linalg.norm(u)
+    w = np.cross(n, u)
+    t = 2.0 * np.pi * np.arange(segments) / segments
+    return center + radius * (np.outer(np.cos(t), u) + np.outer(np.sin(t), w))
+
+
+def white_candidates_prim(c: Contour):
+    """White's candidate pairs (i < j, by i then j) from a dense Prim pass over the UB graph.
+
+    t* is the longest edge of the UB graph's minimum spanning tree, grown one
+    row at a time; a pair is a candidate when LB = |c_i - c_j| - r_i - r_j
+    <= t* + 1e-12 * (t* + r_i + r_j), tested one row of pairs at a time.
+    """
+    n = c.n_components
+    cents = np.array([comp.mean(axis=0) for comp in c.components])
+    radii = np.array([np.linalg.norm(comp - m, axis=1).max()
+                      for comp, m in zip(c.components, cents)])
+    ub, done, t_star = np.where(np.arange(n) == 0, 0.0, np.inf), np.zeros(n, dtype=bool), 0.0
+    for _ in range(n):
+        j = int(np.argmin(np.where(done, np.inf, ub)))
+        done[j], t_star = True, max(t_star, float(ub[j]))
+        ub = np.minimum(ub, np.linalg.norm(cents[j] - cents, axis=1) + (radii[j] + radii))
+    near = []
+    for i in range(n - 1):
+        cd, rr = np.linalg.norm(cents[i] - cents[i + 1:], axis=1), radii[i] + radii[i + 1:]
+        near.append(np.nonzero(cd - rr <= t_star + 1e-12 * (t_star + rr))[0] + i + 1)
+    return np.repeat(np.arange(n - 1), [len(k) for k in near]), np.concatenate(near)
+
+
+def eager_cone_splits(search, u):
+    """Every threshold split along u as (q, upper components, end points), by descending q."""
+    z = search.pts @ u
+    (lo, lo_at), (hi, hi_at) = (search._extremes(z, np.minimum),
+                                search._extremes(z, np.maximum))
+    order = np.argsort(lo, kind="stable")
+    top = np.maximum.accumulate(hi[order])
+    top_at = order[np.maximum.accumulate(np.where(hi[order] == top, np.arange(len(lo)), 0))]
+    gaps = np.nonzero(lo[order[1:]] > top[:-1])[0]
+    d = search.pts[lo_at[order[gaps + 1]]] - search.pts[hi_at[top_at[gaps]]]
+    q = 0.5 * (search.s * (d @ u) - np.linalg.norm(d - np.outer(d @ u, u), axis=1))
+    return [(q[k], order[j + 1:], np.concatenate([lo_at[order[j + 1:]], hi_at[order[:j + 1]]]))
+            for k, j in sorted(enumerate(gaps), key=lambda kj: -q[kj[0]])]
 
 
 def touching_contours():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import component_distance_matrix, random_rotation
+from conftest import component_distance_matrix, random_rotation, white_candidates_prim
 from curvebound import generators as gen
 from curvebound.contour import (Contour, ContourError,
                                 component_pair_distances, contour_diameter,
@@ -34,6 +34,26 @@ class TestContourValidation:
     def test_non_finite_rejected(self, bad):
         with pytest.raises(ContourError):
             Contour([[[0, 0, 0], [1, 0, 0], [bad, 1, 0]]])
+
+    @pytest.mark.parametrize("first,second,message", [
+        ("repeated", "non-finite", "component 1 has consecutive duplicate points"),
+        ("non-finite", "repeated", "component 1 has non-finite coordinates"),
+        ("non-finite", "flat", "component 1 has non-finite coordinates"),
+        ("two points", "non-finite", "component 1 has fewer than 3 points"),
+        ("flat", "repeated", r"component 1 must be \(m, 3\), got \(3, 2\)"),
+        ("fine", "repeated", "component 2 has consecutive duplicate points"),
+        ("fine", "two points", "component 2 has fewer than 3 points"),
+    ])
+    def test_first_bad_component_named(self, first, second, message):
+        comps = {
+            "fine": [[0, 0, 5], [1, 0, 5], [0, 1, 5]],
+            "repeated": [[0, 0, 1], [1, 0, 1], [1, 0, 1], [0, 1, 1]],
+            "non-finite": [[0, 0, 2], [np.nan, 0, 2], [0, 1, 2]],
+            "two points": [[0, 0, 3], [1, 0, 3]],
+            "flat": [[0, 0], [1, 0], [0, 1]],
+        }
+        with pytest.raises(ContourError, match=f"^{message}$"):
+            Contour([comps["fine"], comps[first], comps[second]])
 
     def test_disjointness_check(self):
         def disjoint(c):
@@ -107,6 +127,25 @@ class TestComponentDistances:
         assert np.allclose(d, d.T)
         off = d[np.triu_indices(5, 1)]
         assert np.all(off > 0)
+
+    @pytest.mark.parametrize("name", ["antipodal", "net"])
+    def test_no_segment_pair_evaluated_twice(self, monkeypatch, antipodal_microcircles,
+                                             net_family, name):
+        import curvebound.contour
+
+        gam = antipodal_microcircles if name == "antipodal" else net_family[0.1][1]
+        rows, real = [], curvebound.contour.segment_segment_distance
+
+        def recording(p1, d1, p2, d2):
+            rows.append(np.concatenate(np.broadcast_arrays(p1, d1, p2, d2), axis=-1)
+                        .reshape(-1, 12))
+            return real(p1, d1, p2, d2)
+
+        monkeypatch.setattr(curvebound.contour, "segment_segment_distance", recording)
+        ii, jj = white_candidates_prim(gam)  # the pairs White's criterion asks for
+        component_pair_distances(gam, ii, jj)
+        rows = np.concatenate(rows)
+        assert len(np.unique(rows, axis=0)) == len(rows)
 
     def test_single_component_rejected(self):
         with pytest.raises(ContourError):

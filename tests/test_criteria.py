@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from scipy.sparse import csr_matrix
 
-from conftest import (component_distance_matrix, random_rotation, tau_root_bisection,
-                      touching_contours, white_bruteforce_oracle)
+from conftest import (component_distance_matrix, eager_cone_splits, random_rotation,
+                      tau_root_bisection, touching_contours, white_bruteforce_oracle,
+                      white_candidates_prim)
 from curvebound import generators as gen
 from curvebound.contour import Contour, ContourError, contour_diameter
 from curvebound.criteria import (VERDICT_CERTIFIED, VERDICT_NO_CERTIFICATE,
@@ -68,7 +70,7 @@ class TestDiameterLength:
 class TestWhite:
     def test_three_component_matrix(self):
         d = np.array([[0.0, 1, 2], [1, 0, 3], [2, 3, 0]])
-        value, split = bottleneck_split(d)
+        value, split = bottleneck_split(csr_matrix(d))
         assert value == 2.0
         assert sorted(map(sorted, split)) == [[0, 1], [2]]
         assert white_bruteforce_oracle(d) == 2.0
@@ -92,7 +94,7 @@ class TestWhite:
             n = int(rng.integers(2, 11))
             pts = rng.normal(size=(n, 3))
             d = np.linalg.norm(pts[:, None] - pts[None, :], axis=-1)
-            v_mst, split = bottleneck_split(d)
+            v_mst, split = bottleneck_split(csr_matrix(d))
             assert v_mst == white_bruteforce_oracle(d)
             # the returned split realizes the optimum
             assert d[np.ix_(split[0], split[1])].min() == v_mst
@@ -100,10 +102,41 @@ class TestWhite:
     def test_large_contour_fast_path_equivalent(self):
         net = gen.fibonacci_net(0.18)
         gam = gen.sphere_circles(net, 0.18**2.5, segments=16)
-        v_full, s_full = bottleneck_split(component_distance_matrix(gam))
+        v_full, s_full = bottleneck_split(csr_matrix(component_distance_matrix(gam)))
         entry = white_check(gam)
         assert entry.measured["best_cross_distance"] == v_full
         assert sorted(map(sorted, s_full)) == sorted(entry.certificate["partition"])
+
+    @pytest.mark.parametrize("name", ["net-0.2", "net-0.1", "net-0.05", "coaxial",
+                                      "two-clusters"])
+    def test_candidates_equal_prim_oracle(self, monkeypatch, net_family, name):
+        from scipy.spatial import cKDTree
+
+        from curvebound import criteria
+
+        if name.startswith("net"):
+            gam = net_family[float(name[4:])][1]
+        elif name == "coaxial":
+            gam = gen.coaxial_circles_contour(1.0, 0.4, 360)
+        else:
+            # ten circles in each of two far clusters: the 8 nearest centroids
+            # of every circle lie in its own cluster, so k must grow
+            rng = np.random.default_rng(5)
+            centers = np.vstack([rng.uniform(0, 3, (10, 3)), rng.uniform(20, 23, (10, 3))])
+            gam = Contour([gen.circle_contour(0.05, 32, c, rng.normal(size=3)).components[0]
+                           for c in centers])
+            cents = np.array([comp.mean(axis=0) for comp in gam.components])
+            nearest = cKDTree(cents).query(cents, k=9)[1]
+            assert not np.any((nearest < 10) != (np.arange(20) < 10)[:, None])
+        calls = []
+        real = criteria.component_pair_distances
+        monkeypatch.setattr(criteria, "component_pair_distances",
+                            lambda c, first, second: calls.append((first, second))
+                            or real(c, first, second))
+        criteria.white_check(gam)
+        ii, jj = white_candidates_prim(gam)
+        assert len(calls) == 1
+        assert np.array_equal(calls[0][0], ii) and np.array_equal(calls[0][1], jj)
 
     @pytest.mark.parametrize("name", list(touching_contours()))
     def test_touching_components_rejected(self, name):
@@ -244,6 +277,37 @@ class TestConeNearThreshold:
         ok, worst = verify_cone_separator(c, ConeSeparator.from_dict(entry.certificate))
         assert ok and worst > 0
         assert entry.margin == worst / contour_diameter(c)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    @pytest.mark.parametrize("name", ["coaxial-0.7", "tilted-0.72", "three-0.62"])
+    def test_lazy_splits_are_a_prefix_of_the_eager_list(self, monkeypatch, name, seed):
+        from curvebound import criteria
+
+        c = _near_threshold_contours()[name]
+        if seed:
+            rot = random_rotation(seed)
+            c = Contour([comp @ rot.T + 3.0 for comp in c.components])
+        built, real = [], criteria._ConeSearch.splits
+
+        def recording_splits(search, u):
+            q, split = real(search, u)
+            eager = eager_cone_splits(search, u)
+            assert np.array_equal(q, [e[0] for e in eager])
+            taken = []
+
+            def checked_split(k):
+                assert k == len(taken)  # consumed in order: a prefix
+                upper, ends = split(k)
+                taken.append(k)
+                built.append(k)
+                assert np.array_equal(upper, eager[k][1]) and np.array_equal(ends, eager[k][2])
+                return upper, ends
+
+            return q, checked_split
+
+        monkeypatch.setattr(criteria._ConeSearch, "splits", recording_splits)
+        assert cone_check(c).verdict == VERDICT_CERTIFIED
+        assert built
 
     def test_below_threshold_no_certificate(self):
         # coaxial unit circles certify only for half gaps above 1/sinh(tau) ~ 0.663

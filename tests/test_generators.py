@@ -1,10 +1,11 @@
 import hashlib
+import time
 
 import numpy as np
 import pytest
 from scipy.spatial import cKDTree
 
-from conftest import component_distance_matrix
+from conftest import circle_points, component_distance_matrix, covering_radius_voronoi
 from curvebound import generators as gen
 from curvebound.contour import contour_diameter, contour_length
 from curvebound.curvature import total_mean_curvature
@@ -119,6 +120,47 @@ class TestCoveringRadius:
         with pytest.raises(ValueError):
             gen.covering_radius_exact(gen.SphericalPointSet(pts[pts[:, 2] > 0.1]))
 
+    @pytest.mark.parametrize("n", [187, 745, 2978, 4652, 20000])
+    def test_hull_matches_voronoi_on_spirals(self, n):
+        X = gen.SphericalPointSet(gen.fibonacci_sphere(n))
+        assert abs(gen.covering_radius_exact(X) - covering_radius_voronoi(X)) <= 1e-14
+
+    @pytest.mark.parametrize("n", [12, 50, 400, 3000])
+    def test_hull_matches_voronoi_on_random_sets(self, n):
+        rng = np.random.default_rng(n)
+        for _ in range(5):
+            pts = rng.normal(size=(n, 3))
+            X = gen.SphericalPointSet(pts / np.linalg.norm(pts, axis=1)[:, None])
+            try:
+                expected = covering_radius_voronoi(X)
+            except ValueError:  # a few points can lie in an open hemisphere
+                with pytest.raises(ValueError):
+                    gen.covering_radius_exact(X)
+            else:
+                assert abs(gen.covering_radius_exact(X) - expected) <= 1e-14
+
+    @pytest.mark.parametrize("name", ["one point", "antipodal pair", "three points",
+                                      "great circle", "small circle", "repeated point",
+                                      "open hemisphere"])
+    def test_degenerate_sets_raise(self, name):
+        pts = gen.fibonacci_sphere(60)
+        ring = np.linspace(0.0, 2.0 * np.pi, 24, endpoint=False)
+        rows = {
+            "one point": pts[:1],
+            "antipodal pair": gen.antipodal_point_set().points,
+            "three points": pts[:3],
+            "great circle": np.column_stack([np.cos(ring), np.sin(ring), np.zeros(24)]),
+            "small circle": np.column_stack([0.6 * np.cos(ring), 0.6 * np.sin(ring),
+                                             np.full(24, 0.8)]),
+            "repeated point": np.vstack([pts, pts[7:8]]),
+            "open hemisphere": pts[pts[:, 2] > 0.1],
+        }[name]
+        X = gen.SphericalPointSet(rows)
+        with pytest.raises(ValueError):
+            covering_radius_voronoi(X)
+        with pytest.raises(ValueError):
+            gen.covering_radius_exact(X)
+
 
 class TestFibonacciNet:
     def test_covering_is_met(self, net_family):
@@ -160,6 +202,17 @@ class TestFibonacciNet:
         with pytest.raises(ValueError):
             gen.fibonacci_net(0.002, max_points=500)
 
+    def test_infeasible_target_fails_fast(self):
+        # no set above max_points is built on the way to the error
+        t0 = time.perf_counter()
+        with pytest.raises(ValueError, match="500"):
+            gen.fibonacci_net(0.002, max_points=500)
+        assert time.perf_counter() - t0 < 1.0
+
+    def test_sizes(self, net_family):
+        assert {eps: len(net) for eps, (net, _) in net_family.items()} == {
+            0.2: 187, 0.1: 745, 0.05: 2978}
+
     def test_bad_epsilon(self):
         with pytest.raises(ValueError):
             gen.fibonacci_net(0.7)
@@ -193,6 +246,22 @@ class TestSphereCircles:
             ls.append(contour_length(gam))
         assert ls[0] > ls[1] > ls[2]           # length -> 0
         assert all(abs(d - 2.0) < 1e-9 for d in ds)  # d -> d(X) = 2
+
+    def test_bit_identical_to_one_circle_at_a_time(self, net_family):
+        for eps, (net, gam) in net_family.items():
+            r = eps**2.5
+            for c, comp in zip(net.points, gam.components):
+                assert np.array_equal(comp, circle_points(np.cos(r) * c, c, np.sin(r), 16))
+
+    def test_circle_and_coaxial_bit_identical_to_one_circle(self):
+        center, normal = np.array([0.3, -1.0, 2.0]), np.array([1.0, 2.0, -0.5])
+        assert np.array_equal(gen.circle_contour(1.5, 90, center, normal).components[0],
+                              circle_points(center, normal, 1.5, 90))
+        top, bot = gen.coaxial_circles_contour(1.0, 0.7, 128).components
+        assert np.array_equal(top, circle_points(np.array([0.0, 0, 0.7]),
+                                                 np.array([0.0, 0, 1]), 1.0, 128))
+        assert np.array_equal(bot, circle_points(np.array([0.0, 0, -0.7]),
+                                                 np.array([0.0, 0, 1]), 1.0, 128))
 
     def test_disjointness_enforced(self):
         with pytest.raises(ValueError):
