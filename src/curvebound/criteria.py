@@ -23,8 +23,6 @@ curves is not attempted); margins are normalized by the contour diameter.
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
-from scipy.sparse import csgraph, csr_matrix
-from scipy.spatial import cKDTree
 
 from .contour import (Contour, ContourError, component_pair_distances, contour_diameter,
                       contour_length)
@@ -192,6 +190,7 @@ def bottleneck_split(dist_graph) -> tuple:
     yields an optimal bipartition. Takes a sparse graph whose edge set
     provably contains the minimum spanning tree.
     """
+    from scipy.sparse import csgraph
     d = dist_graph.tocsr()
     n = d.shape[0]
     if n < 2:
@@ -223,6 +222,8 @@ def white_check(c: Contour) -> CriterionEntry:
     distances, so that rounding cannot drop a tree edge. Touching components
     (d <= 1e-12 * (r_i + r_j), always candidates) raise ContourError.
     """
+    from scipy.sparse import csgraph, csr_matrix
+    from scipy.spatial import cKDTree
     ell = contour_length(c)
     n = c.n_components
     if n < 2:

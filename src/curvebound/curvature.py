@@ -63,24 +63,17 @@ def mixed_voronoi_areas(mesh: SurfaceMesh, cots) -> np.ndarray:
     # Squared edge lengths opposite each corner: l2[:, k] = |p_{k+1} - p_{k+2}|^2
     l2 = mesh.corner_gram()[0][:, [1, 2, 0]]
 
-    any_obtuse = cots.min(axis=1) < 0.0
-
-    vertex_area = np.zeros(mesh.n_vertices)
+    obtuse = cots.min(axis=1) < 0.0
     # Voronoi part (non-obtuse triangles): corner k gets
     # (|edge to k+1|^2 cot(at k+2) + |edge to k+2|^2 cot(at k+1)) / 8.
-    good = ~any_obtuse
-    for k in range(3):
-        contrib = (l2[good, (k + 2) % 3] * cots[good, (k + 2) % 3]
-                   + l2[good, (k + 1) % 3] * cots[good, (k + 1) % 3]) / 8.0
-        np.add.at(vertex_area, tri[good, k], contrib)
+    lc = l2[~obtuse] * cots[~obtuse]
+    voronoi = (lc[:, [2, 0, 1]] + lc[:, [1, 2, 0]]) / 8.0
     # Obtuse triangles: 1/2 at the obtuse corner, 1/4 elsewhere.
-    bad = any_obtuse
-    if bad.any():
-        is_obt = cots[bad] < 0.0
-        share = np.where(is_obt, 0.5, 0.25) * areas[bad, None]
-        for k in range(3):
-            np.add.at(vertex_area, tri[bad, k], share[:, k])
-    return vertex_area
+    share = np.where(cots[obtuse] < 0.0, 0.5, 0.25) * areas[obtuse, None]
+    # one scatter, corner by corner, in the order of a sequential sum
+    return np.bincount(np.concatenate([tri[~obtuse].T.ravel(), tri[obtuse].T.ravel()]),
+                       weights=np.concatenate([voronoi.T.ravel(), share.T.ravel()]),
+                       minlength=mesh.n_vertices)
 
 
 def mean_curvature_field(mesh: SurfaceMesh) -> MeanCurvatureField:
@@ -98,13 +91,15 @@ def mean_curvature_field(mesh: SurfaceMesh) -> MeanCurvatureField:
     x = mesh.vertices
     cots, clamped = _corner_cotangents(mesh)
 
-    lap = np.zeros_like(x)
-    for k in range(3):
-        a = tri[:, (k + 1) % 3]
-        b = tri[:, (k + 2) % 3]
-        w = cots[:, k][:, None]
-        np.add.at(lap, a, w * (x[a] - x[b]))
-        np.add.at(lap, b, w * (x[b] - x[a]))
+    # corner k weights edge (a, b) = (k+1, k+2) by its cotangent; bincount adds the
+    # terms to a then b, corner by corner, from +0.0 as sequential np.add.at would;
+    # -term is w * (x[b] - x[a]) up to a zero's sign, which such a sum ignores
+    a, b = tri[:, [1, 2, 0]].T, tri[:, [2, 0, 1]].T
+    term = cots.T[:, :, None] * (x[a] - x[b])
+    idx = np.stack([a, b], axis=1).ravel()
+    terms = np.stack([term, -term], axis=1).reshape(len(idx), x.shape[1])
+    lap = np.column_stack([np.bincount(idx, weights=col, minlength=len(x))
+                           for col in terms.T])
 
     areas = mixed_voronoi_areas(mesh, cots)
     safe = np.maximum(areas, 1e-300)

@@ -8,7 +8,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial import ConvexHull, cKDTree
 
 from .contour import Contour
 from .mesh import SurfaceMesh
@@ -276,6 +275,7 @@ class SphericalPointSet:
 def _packing_radius(points):
     """Half the minimum pairwise geodesic distance, arcsin(chord / 2) of the
     shortest nearest-neighbour chord; exact."""
+    from scipy.spatial import cKDTree
     if len(points) < 2:
         return float("inf")
     dist, _ = cKDTree(points).query(points, k=2)
@@ -303,6 +303,7 @@ def covering_radius_exact(X: SphericalPointSet) -> float:
     open hemisphere, where the farthest point can sit inside a Voronoi edge:
     ValueError, as for points in one plane or repeated to 1e-6.
     """
+    from scipy.spatial import ConvexHull
     p = X.points
     if len(p) < 4 or np.linalg.matrix_rank(p - p[0], tol=1e-6) < 3:
         raise ValueError("points lie in one plane; the covering radius needs a 3-d hull")

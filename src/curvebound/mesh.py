@@ -9,8 +9,6 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse import csgraph
 
 DEGENERATE_AREA_TOL = 1e-12
 _DIAMETER_LEAF = 16  # points per kd leaf in extrinsic_diameter
@@ -174,8 +172,9 @@ class SurfaceMesh:
         return self.n_vertices - len(self.edges) + self.n_triangles
 
     def vertex_adjacency(self):
-        """Symmetric sparse matrix of edge lengths (the Dijkstra graph)."""
+        """Symmetric sparse matrix of edge lengths; Dijkstra is its only user."""
         if "adjacency" not in self._cache:
+            from scipy import sparse
             e = self.edges
             w = self.edge_lengths()
             n = self.n_vertices
@@ -187,10 +186,27 @@ class SurfaceMesh:
         return self._cache["adjacency"]
 
     def is_connected(self):
+        """True iff the edge graph is one component (False without vertices); union-find.
+
+        Each round hooks the larger root of every edge joining two roots onto
+        the smaller, then pointer jumps to the roots. Parents only decrease, so
+        a root is its tree's least index: connected iff every root is 0, and a
+        vertex no triangle uses is a root of its own. Every component with such
+        an edge merges, so the number of components at least halves per round.
+        """
         if self.n_vertices == 0:
             return False
-        n, _ = csgraph.connected_components(self.vertex_adjacency(), directed=False)
-        return n == 1
+        e, parent = self.edges, np.arange(self.n_vertices)
+        while True:
+            a, b = parent[e[:, 0]], parent[e[:, 1]]
+            live = a != b
+            if not live.any():
+                return not parent.any()
+            a, b = a[live], b[live]
+            np.minimum.at(parent, np.maximum(a, b), np.minimum(a, b))
+            jumped = parent[parent]
+            while not np.array_equal(jumped, parent):
+                parent, jumped = jumped, jumped[jumped]
 
     def boundary_vertex_mask(self):
         mask = np.zeros(self.n_vertices, dtype=bool)
@@ -398,6 +414,7 @@ def geodesic_distances(mesh: SurfaceMesh, source: int) -> np.ndarray:
     """
     if not 0 <= source < mesh.n_vertices:
         raise ValueError(f"source {source} out of range")
+    from scipy.sparse import csgraph
     # the adjacency is symmetric, so the directed search gives the same bits
     # as directed=False in about half the time
     return csgraph.dijkstra(mesh.vertex_adjacency(), directed=True, indices=source)
@@ -433,6 +450,7 @@ def intrinsic_diameter(mesh: SurfaceMesh) -> float:
     Raises ValueError for a mesh without vertices or with more than one
     connected component (its eccentricities are infinite).
     """
+    from scipy.sparse import csgraph
     n = mesh.n_vertices
     if not mesh.is_connected():
         raise ValueError("intrinsic diameter needs a connected mesh")
@@ -513,14 +531,17 @@ def load_obj(path) -> SurfaceMesh:
 
 
 def save_mesh_json(mesh: SurfaceMesh, path):
-    """Dimension-agnostic interchange: {dimension, vertices, triangles}, 0-based."""
-    doc = {
-        "dimension": int(mesh.dimension),
-        "vertices": mesh.vertices.tolist(),
-        "triangles": mesh.triangles.tolist(),
-    }
+    """Dimension-agnostic interchange: {dimension, vertices, triangles}, 0-based.
+
+    The text of ``json.dumps``, from one format string per array: ``%r`` is
+    the JSON repr of the finite floats a mesh holds."""
+    v, t = mesh.vertices, mesh.triangles
+    row = "[" + ", ".join(["%r"] * v.shape[1]) + "]"
+    vertices = ("[" + ", ".join([row] * len(v)) + "]") % tuple(v.ravel().tolist())
+    triangles = ("[" + ", ".join(["[%d, %d, %d]"] * len(t)) + "]") % tuple(t.ravel().tolist())
     with open(path, "w") as fh:
-        fh.write(json.dumps(doc))  # the C encoder; json.dump streams in Python
+        fh.write(f'{{"dimension": {v.shape[1]}, "vertices": {vertices}, '
+                 f'"triangles": {triangles}}}')
 
 
 def load_mesh_json(path) -> SurfaceMesh:

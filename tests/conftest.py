@@ -5,7 +5,7 @@ import sys
 
 import numpy as np
 import pytest
-from scipy.sparse import csgraph
+from scipy.sparse import csgraph, csr_matrix
 from scipy.spatial import SphericalVoronoi, cKDTree
 
 try:
@@ -49,6 +49,14 @@ def brute_force_intrinsic_diameter(mesh, rows=512):
                              indices=np.arange(i0, min(i0 + rows, mesh.n_vertices)))
         best = max(best, float(d.max()))
     return best
+
+
+def connected_oracle(mesh):
+    """One csgraph component over the triangles' edges; False without vertices."""
+    n, t = mesh.n_vertices, mesh.triangles
+    graph = csr_matrix((np.ones(t.size), (t.ravel(), t[:, [1, 2, 0]].ravel())),
+                       shape=(n, n))
+    return n > 0 and csgraph.connected_components(graph, directed=False)[0] == 1
 
 
 def intrinsic_ball_volume(mesh, p, r, distances=None):

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import textwrap
 
 import pytest
 
@@ -399,6 +400,35 @@ def test_cli_import_leaves_scipy_optimize_unloaded():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=env, check=True).stdout
     assert out.strip() == "False"
+
+
+def test_doubling_commands_leave_scipy_unloaded(tmp_path):
+    # verify-bound, double, teardrop and gen for meshes never import scipy;
+    # gen for contours, check-contour and audit import it when they run
+    code = textwrap.dedent("""
+        import sys
+        from curvebound.cli import main
+
+        def scipy_modules():
+            return [m for m in sys.modules if m == "scipy" or m.startswith("scipy.")]
+
+        for argv in (["gen", "disk", "--out", "disk.mesh.json"],
+                     ["verify-bound", "disk.mesh.json"],
+                     ["double", "disk.mesh.json", "--k-list", "10", "--out-dir", "doubles"],
+                     ["teardrop", "--k", "10"]):
+            assert main(argv) == 0, argv
+        loaded = scipy_modules()
+        for argv in (["gen", "stadium", "--out", "stadium.contour.json"],
+                     ["check-contour", "stadium.contour.json"],
+                     ["audit", "--quick", "--probes", "1"]):
+            assert main(argv) == 0, argv
+        print(loaded, "scipy.sparse.csgraph" in scipy_modules())
+    """)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, cwd=tmp_path, check=True).stdout
+    assert out.splitlines()[-1] == "[] True"
+    assert os.listdir(tmp_path / "doubles")
 
 
 class TestAuditCommand:

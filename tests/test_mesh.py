@@ -444,6 +444,20 @@ class TestIO:
                    "triangles": mesh.triangles.tolist()}, ref)
         assert path.read_text() == ref.getvalue()
 
+    @pytest.mark.parametrize("mesh", [
+        gen.flat_disk(1.0, 4, 16),
+        gen.embed_in_r4(gen.flat_disk(1.0, 4, 16)),
+        SurfaceMesh([[-0.0, 1e300, -1e-300], [1e-300, -0.0, 5e-324], [0.1, -1e300, 1.0]],
+                    [[0, 1, 2]]),
+        SurfaceMesh([[0.0, 0.5, 1.0], [2.0, 3.0, 4.0]], np.empty((0, 3), dtype=np.int64)),
+    ], ids=["disk", "disk_r4", "signed_zero_and_extremes", "no_triangles"])
+    def test_mesh_json_bytes_match_json_dumps(self, tmp_path, mesh):
+        path = tmp_path / "m.mesh.json"
+        save_mesh(mesh, path)
+        doc = {"dimension": mesh.dimension, "vertices": mesh.vertices.tolist(),
+               "triangles": mesh.triangles.tolist()}
+        assert path.read_bytes() == json.dumps(doc).encode()
+
 
 class TestConstruction:
     def test_bad_vertex_shape(self):
