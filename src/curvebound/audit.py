@@ -122,52 +122,43 @@ class DichotomyRecord:
         return max(self.m, self.kappa) > DELTA_SHARP
 
 
-def _ball_integrals(dv, r, *weights):
-    """Integral of each per-triangle weight array over the ball {d <= r}.
-
-    ``dv`` (T, 3) holds the corner distances. Each triangle keeps the part
-    where the linear interpolant of its corner values is <= r: with one
-    corner out, all but the corner triangle cut off at the two crossings;
-    with one corner in, that corner triangle.
-    """
-    inside = dv <= r
-    n_in = inside.sum(axis=1)
-
-    cut = np.nonzero(n_in == 2)[0]
-    out_corner = np.argmin(inside[cut], axis=1)
-    da = dv[cut, out_corner]
-    db = dv[cut, (out_corner + 1) % 3]
-    dc = dv[cut, (out_corner + 2) % 3]
-    kept = 1.0 - ((da - r) / (da - db)) * ((da - r) / (da - dc))
-
-    corner = np.nonzero(n_in == 1)[0]
-    in_corner = np.argmax(inside[corner], axis=1)
-    da = dv[corner, in_corner]
-    tb = (r - da) / (dv[corner, (in_corner + 1) % 3] - da)
-    tc = (r - da) / (dv[corner, (in_corner + 2) % 3] - da)
-
-    # w[corner] * tb * tc runs left to right; w * (tb * tc) would round differently
-    return [float(w[n_in == 3].sum()) + float((w[cut] * kept).sum())
-            + float((w[corner] * tb * tc).sum()) for w in weights]
-
-
 def m_kappa(mesh: SurfaceMesh, p: int, R: float) -> DichotomyRecord:
     """Curvature concentration m(p,R) and area collapsedness kappa(p,R).
 
     m = sup over sampled r of (1/r) * integral of |H| over B(p, r);
     kappa = inf over sampled r of V(p, r)/r^2. The sup/inf run over the grid
     r = R*j/R_SAMPLES. R beyond the intrinsic radius just saturates the ball.
+
+    Each triangle keeps the part of the ball {d <= r} where the linear
+    interpolant of its corner distances is <= r: with one corner out (its
+    largest), all but the corner triangle cut off at the two crossings; with
+    one corner in (its smallest), that corner triangle. A corner alone out
+    (in) is strictly the largest (smallest), so the corners are rotated once
+    per probe to put that one first, and each radius only compares the
+    largest, middle and smallest corner distance with r.
     """
     if R <= 0:
         raise ValueError("R must be positive")
     weights = (_curvature_weights(mesh, mean_curvature_field(mesh)),
                mesh.triangle_areas())
     dv = geodesic_distances(mesh, p)[mesh.triangles]
+    # hi[k] (lo[k]): per triangle, the distance at the corner k after its largest (smallest)
+    flat, turn = 3 * np.arange(len(dv)), np.arange(3)[:, None]
+    hi, lo = (dv.ravel()[flat + (arg(dv, axis=1) + turn) % 3] for arg in (np.argmax, np.argmin))
+    mid = np.maximum(hi[1], hi[2])
     m_best = -np.inf
     k_best = np.inf
     for j in range(1, R_SAMPLES + 1):
         r = R * j / R_SAMPLES
-        curvature, area = _ball_integrals(dv, r, *weights)
+        full, two = hi[0] <= r, mid <= r
+        cut, one = two & ~full, (lo[0] <= r) & ~two
+        da, db, dc = hi.compress(cut, axis=1)
+        kept = 1.0 - ((da - r) / (da - db)) * ((da - r) / (da - dc))
+        da, db, dc = lo.compress(one, axis=1)
+        tb, tc = (r - da) / (db - da), (r - da) / (dc - da)
+        # w[one] * tb * tc runs left to right; w * (tb * tc) would round differently
+        curvature, area = (float(w[full].sum()) + float((w[cut] * kept).sum())
+                           + float((w[one] * tb * tc).sum()) for w in weights)
         m_best = max(m_best, curvature / r)
         k_best = min(k_best, area / (r * r))
     return DichotomyRecord(probe=int(p), radius=float(R), m=float(m_best),

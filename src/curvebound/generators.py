@@ -112,24 +112,24 @@ def icosphere(subdivisions=3, radius=1.0) -> SurfaceMesh:
 
 
 def _subdivide_midpoint(verts, faces):
-    verts = list(map(tuple, verts))
-    cache = {}
+    """Split each face in four; the midpoints of edges ab, bc, ca are numbered by first use.
 
-    def midpoint(a, b):
-        key = (a, b) if a < b else (b, a)
-        if key not in cache:
-            pa, pb = np.array(verts[a]), np.array(verts[b])
-            m = (pa + pb) / 2.0
-            m /= np.linalg.norm(m)
-            cache[key] = len(verts)
-            verts.append(tuple(m))
-        return cache[key]
-
-    new_faces = []
-    for a, b, c in faces:
-        ab, bc, ca = midpoint(a, b), midpoint(b, c), midpoint(c, a)
-        new_faces += [(a, ab, ca), (b, bc, ab), (c, ca, bc), (ab, bc, ca)]
-    return np.array(verts), np.array(new_faces, dtype=np.int64)
+    ``np.linalg.norm`` of one vector is a BLAS dot, which stacked (1 x 3) @ (3 x 1)
+    products call per row, so each midpoint is normalized as if alone.
+    """
+    n = len(verts)
+    edges = np.stack([faces, np.roll(faces, -1, axis=1)], axis=-1).reshape(-1, 2)
+    edges.sort(axis=1)
+    _, first, inverse = np.unique(edges[:, 0] * n + edges[:, 1], return_index=True,
+                                  return_inverse=True)
+    rank = np.argsort(np.argsort(first))  # unique edges in order of first use
+    a, b = edges[np.sort(first)].T
+    mid = (verts[a] + verts[b]) / 2.0
+    mid = mid / np.sqrt(mid[:, None, :] @ mid[:, :, None])[:, 0]
+    ab, bc, ca = (n + rank[inverse.reshape(-1, 3)]).T
+    fa, fb, fc = faces.T
+    new_faces = np.column_stack([fa, ab, ca, fb, bc, ab, fc, ca, bc, ab, bc, ca])
+    return np.vstack([verts, mid]), new_faces.reshape(-1, 3)
 
 
 def hemisphere(rings=24, segments=96, radius=1.0) -> SurfaceMesh:

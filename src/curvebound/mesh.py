@@ -423,14 +423,19 @@ def geodesic_distances(mesh: SurfaceMesh, source: int) -> np.ndarray:
 def intrinsic_diameter(mesh: SurfaceMesh) -> float:
     """Exact max vertex eccentricity of the edge graph (Dijkstra distances).
 
-    Eccentricity bounds, after BoundingDiameters (Takes & Kosters, CIKM
-    2011): each computed source v, with eccentricity e and distance d to a
-    vertex w, gives w the lower bound max(e - d, d) and the upper bound
-    e + d. Dijkstra runs from batches of candidates, half with the largest
-    upper bounds (they may reach the diameter) and half with the smallest
-    lower bounds (central vertices, whose rows tighten the upper bounds). A
-    candidate is dropped once its upper bound, widened by a relative slack,
-    is at most the best eccentricity computed so far. The result is the max
+    Eccentricity bounds after BoundingDiameters (Takes & Kosters, CIKM 2011)
+    with the iFUB bound (Crescenzi et al., TCS 2013). Dijkstra runs from
+    batches of candidates: half in descending distance from u, the computed
+    source of least eccentricity (iFUB's order), and half with the smallest
+    lower bounds max(d, e - d) from sources of eccentricity e (central
+    vertices). A candidate w is dropped once max(colmax[w], reach[w]),
+    widened by a relative slack, is at most the best eccentricity computed
+    so far. colmax[w] is the largest computed distance to w. reach[w] bounds
+    the distance from w to every vertex still a candidate: it is the least
+    of d(v, w) + m_v over computed sources v, with m_v the largest distance
+    from v to a candidate left after v's batch (candidates only leave), and
+    of the iFUB bound d(u, w) + the largest distance from u to a candidate
+    now. Every other vertex was computed or dropped. The result is the max
     of the eccentricities actually computed.
 
     Why this equals ``max`` over the all-pairs matrix, bit for bit: the
@@ -438,14 +443,19 @@ def intrinsic_diameter(mesh: SurfaceMesh) -> float:
     symmetric adjacency the directed search returns the bits of the
     undirected one), so every computed row is the all-pairs row and the
     result is <= the all-pairs max; it is >= unless a dropped row holds
-    more. A computed distance is the rounded sum, in path order, of at most
-    V - 1 edge lengths, so with unit roundoff u it lies within a factor
-    1 +- Vu of the exact length of its path, and hence of the exact graph
-    distance. Exactly, ecc(w) <= ecc(v) + d(v, w)
-    for every computed v, so the computed row max of a dropped w is at most
-    its rounded upper bound times about 1 + 2Vu. The slack,
-    max(1e-12, 4V eps) = max(1e-12, 8Vu), covers that, so no dropped row
-    exceeds the best entry as computed.
+    more. A computed distance d(x, y) is the rounded sum, in path order, of
+    at most V - 1 edge lengths, so with unit roundoff r it lies within a
+    factor 1 +- Vr of the exact graph distance D(x, y) = D(y, x), while
+    d(x, y) and d(y, x) may round apart. So the argument runs on D. For a
+    dropped w and any y: D(w, y) <= colmax[w] / (1 - Vr) if y was computed;
+    D(w, y) <= D(w, v) + D(v, y), at most reach[w] times about 1 + Vr, if y
+    was a candidate; and D(w, y) <= ecc(y) <= best / (1 + Vr) if y was
+    dropped before (by induction). So ecc(w) is at most the test value times
+    about 1 + 2Vr, and every entry of w's computed row is at most 1 + Vr
+    times ecc(w). The slack, max(1e-12, 4V eps) = max(1e-12, 8Vr), exceeds
+    the 3Vr this needs plus the rounding of the test itself, so ecc(w) <=
+    best / (1 + Vr) carries the induction, and no dropped row exceeds the
+    best entry as computed.
 
     Raises ValueError for a mesh without vertices or with more than one
     connected component (its eccentricities are infinite).
@@ -456,23 +466,33 @@ def intrinsic_diameter(mesh: SurfaceMesh) -> float:
         raise ValueError("intrinsic diameter needs a connected mesh")
     graph = mesh.vertex_adjacency()
     slack = max(1e-12, 4 * n * np.finfo(float).eps)
-    lower = np.zeros(n)
-    upper = np.full(n, np.inf)
+    lower, colmax = np.zeros(n), np.zeros(n)
+    reach, from_u = np.full(n, np.inf), np.full(n, np.inf)
     candidate = np.ones(n, dtype=bool)
     best = 0.0
     while candidate.any():
         live = np.nonzero(candidate)[0]
-        far = live[np.argsort(-upper[live], kind="stable")[:_ECC_BATCH // 2]]
+        far = live[np.argsort(-from_u[live], kind="stable")[:_ECC_BATCH // 2]]
         central = live[np.argsort(lower[live], kind="stable")]
         central = central[~np.isin(central, far)][:_ECC_BATCH - len(far)]
         sources = np.concatenate([far, central])
         d = csgraph.dijkstra(graph, directed=True, indices=sources)
         ecc = d.max(axis=1)
         best = max(best, float(ecc.max()))
-        lower = np.maximum(lower, np.maximum(d, ecc[:, None] - d).max(axis=0))
-        upper = np.minimum(upper, (ecc[:, None] + d).min(axis=0))
+        if ecc.min() < from_u.max():
+            from_u = d[np.argmin(ecc)]
         candidate[sources] = False
-        candidate &= upper * (1.0 + slack) > best
+        # bounds only matter on the vertices still candidates
+        live = np.nonzero(candidate)[0]
+        d = d[:, live]
+        colmax[live] = np.maximum(colmax[live], d.max(axis=0))
+        lower[live] = np.maximum(lower[live],
+                                 np.maximum(colmax[live], (ecc[:, None] - d).max(axis=0)))
+        reach[live] = np.minimum(reach[live],
+                                 (d + d.max(axis=1, initial=0.0)[:, None]).min(axis=0))
+        ifub = from_u[live] + from_u[live].max(initial=0.0)
+        candidate[live] = (np.maximum(colmax[live], np.minimum(reach[live], ifub))
+                           * (1.0 + slack) > best)
     return best
 
 

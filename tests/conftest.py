@@ -14,7 +14,6 @@ except ImportError:  # running from a checkout without an installed package
     sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
 from curvebound import generators as gen
-from curvebound.audit import _ball_integrals
 from curvebound.contour import (Contour, ContourError, component_pair_distances,
                                 segment_segment_distance)
 from curvebound.curvature import _curvature_weights
@@ -57,6 +56,35 @@ def connected_oracle(mesh):
     graph = csr_matrix((np.ones(t.size), (t.ravel(), t[:, [1, 2, 0]].ravel())),
                        shape=(n, n))
     return n > 0 and csgraph.connected_components(graph, directed=False)[0] == 1
+
+
+def _ball_integrals(dv, r, *weights):
+    """Integral of each per-triangle weight array over the ball {d <= r}, one radius per call.
+
+    ``dv`` (T, 3) holds the corner distances. Each triangle keeps the part
+    where the linear interpolant of its corner values is <= r: with one
+    corner out, all but the corner triangle cut off at the two crossings;
+    with one corner in, that corner triangle.
+    """
+    inside = dv <= r
+    n_in = inside.sum(axis=1)
+
+    cut = np.nonzero(n_in == 2)[0]
+    out_corner = np.argmin(inside[cut], axis=1)
+    da = dv[cut, out_corner]
+    db = dv[cut, (out_corner + 1) % 3]
+    dc = dv[cut, (out_corner + 2) % 3]
+    kept = 1.0 - ((da - r) / (da - db)) * ((da - r) / (da - dc))
+
+    corner = np.nonzero(n_in == 1)[0]
+    in_corner = np.argmax(inside[corner], axis=1)
+    da = dv[corner, in_corner]
+    tb = (r - da) / (dv[corner, (in_corner + 1) % 3] - da)
+    tc = (r - da) / (dv[corner, (in_corner + 2) % 3] - da)
+
+    # w[corner] * tb * tc runs left to right; w * (tb * tc) would round differently
+    return [float(w[n_in == 3].sum()) + float((w[cut] * kept).sum())
+            + float((w[corner] * tb * tc).sum()) for w in weights]
 
 
 def intrinsic_ball_volume(mesh, p, r, distances=None):
@@ -216,6 +244,31 @@ def touching_contours():
         "crossing": Contour([[(-1, -1, 0), (1, -1, 0), (1, 1, 0), (-1, 1, 0)],
                              [(1, 0, -0.5), (2, 0, -0.5), (2, 0, 0.5), (1, 0, 0.5)]]),
     }
+
+
+def icosphere_loop(subdivisions, radius=1.0):
+    """(vertices, faces) of ``gen.icosphere`` built one edge midpoint at a time through a dict."""
+    verts = list(map(tuple, gen._ICO_VERTS / np.linalg.norm(gen._ICO_VERTS[0])))
+    faces = gen._ICO_FACES
+    for _ in range(subdivisions):
+        cache = {}
+
+        def midpoint(a, b):
+            key = (a, b) if a < b else (b, a)
+            if key not in cache:
+                m = (np.array(verts[a]) + np.array(verts[b])) / 2.0
+                m /= np.linalg.norm(m)
+                cache[key] = len(verts)
+                verts.append(tuple(m))
+            return cache[key]
+
+        new_faces = []
+        for a, b, c in faces:
+            ab, bc, ca = midpoint(a, b), midpoint(b, c), midpoint(c, a)
+            new_faces += [(a, ab, ca), (b, bc, ab), (c, ca, bc), (ab, bc, ca)]
+        faces = np.array(new_faces, dtype=np.int64)
+    verts = np.array(verts)
+    return verts / np.linalg.norm(verts, axis=1)[:, None] * radius, faces
 
 
 def boundary_library_meshes():

@@ -3,12 +3,12 @@ import pytest
 
 from conftest import brute_force_intrinsic_diameter, curvature_in_ball, intrinsic_ball_volume
 from curvebound import generators as gen
-from curvebound.audit import (DELTA_SHARP, SIGMA_SHARP, comparison_identity_check,
+from curvebound.audit import (DELTA_SHARP, R_SAMPLES, SIGMA_SHARP, comparison_identity_check,
                               covering_bound_check, ct_constants, m_kappa,
                               michael_simon_check, run_audit,
                               probe_function_library)
 from curvebound.curvature import mean_curvature_field
-from curvebound.mesh import geodesic_distances
+from curvebound.mesh import SurfaceMesh, geodesic_distances
 
 
 def reference_m_kappa(mesh, p, R, r_samples=50):
@@ -96,12 +96,41 @@ class TestDichotomy:
 
     @pytest.mark.parametrize("shape,p,R,r_samples", [
         ("icosphere4", 0, 1.0, 50), ("icosphere4", 1234, 50.0, 50),
-        ("capped", 17, 2.0, 50), ("disk", 0, 0.5, 50)])
+        ("capped", 17, 2.0, 50), ("disk", 0, 0.5, 50),
+        # original icosahedron vertices: equidistant neighbour rings, tied corners
+        ("icosphere3", 0, 1.0, 50), ("icosphere3", 11, 0.7, 50), ("icosphere4", 5, 2.0, 50),
+        # far beyond the intrinsic radius
+        ("icosphere3", 7, 1e3, 50), ("capped", 17, 1e6, 50),
+        # the probe's component only; the other sphere is at infinite distance
+        ("two_spheres", 0, 1.0, 50), ("two_spheres", 200, 10.0, 50)])
     def test_matches_reference_loop(self, shape, p, R, r_samples, icosphere4, unit_disk):
-        mesh = {"icosphere4": icosphere4, "disk": unit_disk,
-                "capped": gen.capped_cylinder(0.5, 4.0, segments=48, rings_cap=10)}[shape]
+        mesh = self._mesh(shape, icosphere4, unit_disk)
         rec = m_kappa(mesh, p, R)
         assert (rec.m, rec.kappa) == reference_m_kappa(mesh, p, R, r_samples)
+
+    @pytest.mark.parametrize("shape,p", [("icosphere3", 0), ("icosphere4", 0),
+                                         ("capped", 17), ("two_spheres", 3)])
+    def test_radius_equal_to_a_corner_distance(self, shape, p, icosphere4, unit_disk):
+        mesh = self._mesh(shape, icosphere4, unit_disk)
+        corners = geodesic_distances(mesh, p)[mesh.triangles]
+        # R whose grid radius R * 50 / 50 is exactly a corner distance, ring by ring
+        hits = [x for x in np.unique(corners[np.isfinite(corners)])[1:6]
+                if x * R_SAMPLES / R_SAMPLES == x]
+        assert hits
+        for R in hits:
+            rec = m_kappa(mesh, p, float(R))
+            assert (rec.m, rec.kappa) == reference_m_kappa(mesh, p, float(R), R_SAMPLES)
+
+    @staticmethod
+    def _mesh(shape, icosphere4, unit_disk):
+        if shape == "two_spheres":
+            ico = gen.icosphere(2)
+            return SurfaceMesh(np.vstack([ico.vertices, ico.vertices + 3.0]),
+                               np.vstack([ico.triangles, ico.triangles + ico.n_vertices]))
+        return {"icosphere3": lambda: gen.icosphere(3), "icosphere4": lambda: icosphere4,
+                "disk": lambda: unit_disk,
+                "capped": lambda: gen.capped_cylinder(0.5, 4.0, segments=48,
+                                                      rings_cap=10)}[shape]()
 
     def test_argument_floors(self, icosphere4):
         with pytest.raises(ValueError):

@@ -1,18 +1,21 @@
-"""Pinned digests of the triangle-geometry outputs.
+"""Pinned digests of the triangle-geometry outputs and of one audit report.
 
 The digests were taken with numpy 2.4.6 and scipy 1.17.1 (the versions the
 CI workflow pins). A change to how areas, cotangents, Voronoi weights,
-gradients or ball integrals are computed that moves any bit of these outputs
-fails here, even when every tolerance-based test still passes.
+gradients, ball integrals or the intrinsic diameter are computed that moves
+any bit of these outputs fails here, even when every tolerance-based test
+still passes.
 """
 
 import hashlib
+import json
 
 import numpy as np
 import pytest
 
 from curvebound import generators as gen
-from curvebound.audit import _triangle_gradients_l1, m_kappa, probe_function_library
+from curvebound.audit import (_triangle_gradients_l1, m_kappa, probe_function_library,
+                              run_audit)
 from curvebound.curvature import mean_curvature_field
 from curvebound.mesh import SurfaceMesh
 
@@ -81,3 +84,13 @@ def _outputs(mesh):
 def test_outputs_match_pinned_digests(name):
     got = {key: _digest(values) for key, values in _outputs(MESHES[name]()).items()}
     assert got == DIGESTS[name]
+
+
+# sha256 of the report that ``audit --seed 1 --probes 5 --json`` writes, on the closed library
+AUDIT_SEED1_PROBES5 = "fc9473e9095238ef43993175a6e34fb957dc93fedb451809be01fd296b8c3611"
+
+
+def test_audit_report_matches_pinned_digest():
+    doc = run_audit(probes_per_shape=5, seed=1).to_dict()
+    text = json.dumps(doc, indent=1, sort_keys=True)  # as cmd_audit writes it
+    assert hashlib.sha256(text.encode()).hexdigest() == AUDIT_SEED1_PROBES5

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 from scipy.spatial import cKDTree
 
-from conftest import circle_points, component_distance_matrix, covering_radius_voronoi
+from conftest import (circle_points, component_distance_matrix, covering_radius_voronoi,
+                      icosphere_loop)
 from curvebound import generators as gen
 from curvebound.contour import contour_diameter, contour_length
 from curvebound.curvature import total_mean_curvature
@@ -327,6 +328,13 @@ class TestMeshGenerators:
         digest = lambda a: hashlib.blake2b(a.tobytes(), digest_size=16).hexdigest()
         assert digest(mesh.vertices) == vertices
         assert digest(mesh.triangles) == triangles
+
+    @pytest.mark.parametrize("subdivisions", range(6))
+    def test_icosphere_bit_identical_to_edge_dict_loop(self, subdivisions):
+        mesh = gen.icosphere(subdivisions, radius=1.5)
+        vertices, faces = icosphere_loop(subdivisions, radius=1.5)
+        assert mesh.vertices.tobytes() == vertices.tobytes()
+        assert mesh.triangles.dtype == np.int64 and np.array_equal(mesh.triangles, faces)
 
     @pytest.mark.parametrize("build,name", [
         (lambda: gen.open_cylinder(rings=0), "rings"),

@@ -295,6 +295,28 @@ class TestIntrinsicDiameter:
         }[shape]
         assert intrinsic_diameter(mesh) == brute_force_intrinsic_diameter(mesh)
 
+    # Dijkstra sources per library mesh (at most), and the all-pairs max it must equal
+    LIBRARY_WORK = {
+        "icosphere3": (288, 3.3187961651320244),
+        "icosphere4": (629, 3.3359202930449485),
+        "capped_cylinder_1_20": (723, 23.139350203046863),
+        "capped_cylinder_0.5_4": (464, 5.5691819145569),
+    }
+
+    def test_library_dijkstra_sources(self, monkeypatch):
+        dijkstra, sources = csgraph.dijkstra, []
+
+        def counting(graph, *args, **kwargs):
+            sources.append(np.size(kwargs["indices"]))
+            return dijkstra(graph, *args, **kwargs)
+
+        monkeypatch.setattr(csgraph, "dijkstra", counting)
+        for name, mesh in gen.closed_library_meshes().items():
+            sources.clear()
+            runs, value = self.LIBRARY_WORK[name]
+            assert intrinsic_diameter(mesh) == value, name
+            assert 0 < sum(sources) <= runs, name
+
     def test_small_meshes(self):
         assert intrinsic_diameter(single_triangle()) == 5.0
         point = SurfaceMesh([[0.0, 0, 0]], np.zeros((0, 3), dtype=np.int64))
