@@ -10,6 +10,7 @@ Checks, on the library of closed shapes:
 - the covering-argument bound d_int <= (16/pi) * int|H|.
 """
 
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -289,7 +290,13 @@ class AuditReport:
 
 
 def run_audit(shapes=None, probes_per_shape=20, seed=0) -> AuditReport:
-    """Full verification pass over the closed shape library."""
+    """Full verification pass over the closed shape library.
+
+    The covering checks run in worker processes, one per CPU at most, beside
+    the other checks, and are joined before this returns or raises; each
+    record is taken in shape order, so no output depends on how many workers.
+    """
+    from concurrent.futures import ProcessPoolExecutor
     from .generators import closed_library_meshes
 
     if probes_per_shape < 1:
@@ -299,18 +306,26 @@ def run_audit(shapes=None, probes_per_shape=20, seed=0) -> AuditReport:
     report = AuditReport()
     report.identity = comparison_identity_check()
     rng = np.random.default_rng(seed)
-    for name, mesh in shapes.items():
-        rep = validate(mesh)
-        if not (rep.is_valid and rep.closed):
-            raise ValueError(f"shape {name} is not a valid closed mesh")
-        report.michael_simon[name] = [
-            michael_simon_check(mesh, f, fname)
-            for fname, f in probe_function_library(mesh, seed=seed)
-        ]
-        diam_hint = float(np.linalg.norm(
-            mesh.vertices.max(axis=0) - mesh.vertices.min(axis=0)))
-        probes = rng.integers(0, mesh.n_vertices, size=probes_per_shape)
-        report.dichotomy[name] = [m_kappa(mesh, int(p), R=0.5 * diam_hint)
-                                  for p in probes]
-        report.covering[name] = covering_bound_check(mesh)
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    pool = ProcessPoolExecutor(max(1, min(len(shapes), cpus or 1)))
+    try:
+        # fresh meshes: a feeder thread pickles them while this one fills their caches
+        covering = {name: pool.submit(covering_bound_check, SurfaceMesh(m.vertices, m.triangles))
+                    for name, m in shapes.items()}
+        for name, mesh in shapes.items():
+            rep = validate(mesh)
+            if not (rep.is_valid and rep.closed):
+                raise ValueError(f"shape {name} is not a valid closed mesh")
+            report.michael_simon[name] = [
+                michael_simon_check(mesh, f, fname)
+                for fname, f in probe_function_library(mesh, seed=seed)
+            ]
+            diam_hint = float(np.linalg.norm(
+                mesh.vertices.max(axis=0) - mesh.vertices.min(axis=0)))
+            probes = rng.integers(0, mesh.n_vertices, size=probes_per_shape)
+            report.dichotomy[name] = [m_kappa(mesh, int(p), R=0.5 * diam_hint)
+                                      for p in probes]
+            report.covering[name] = covering[name].result()
+    finally:
+        pool.shutdown(cancel_futures=True)
     return report

@@ -195,6 +195,7 @@ def cmd_gen(args):
 
 
 def cmd_audit(args):
+    from concurrent.futures import BrokenExecutor  # run_audit's worker pool loads it anyway
     shapes = None
     if args.quick:
         shapes = {
@@ -202,8 +203,12 @@ def cmd_audit(args):
             "capped_cylinder_0.5_4": gen_mod.capped_cylinder(0.5, 4.0, segments=48,
                                                              rings_cap=10),
         }
-    report = audit_mod.run_audit(shapes=shapes, probes_per_shape=args.probes,
-                                 seed=args.seed)
+    try:
+        report = audit_mod.run_audit(shapes=shapes, probes_per_shape=args.probes,
+                                     seed=args.seed)
+    except BrokenExecutor as exc:  # a worker process died
+        sys.stderr.write(f"error: {exc}\n")
+        return 1
     doc = report.to_dict()
     _print("identity: coefficient = " + _fmt(doc["identity"]["coefficient"])
            + ", perturbed(pi/3) = " + _fmt(doc["identity"]["perturbed_coefficient"])

@@ -12,6 +12,7 @@ import numpy as np
 _SEGMENT_LEAF = 32  # segments per leaf in component_pair_distances
 _SEGMENT_SUB = 4  # segments per sub-leaf there; divides _SEGMENT_LEAF
 _SEGMENT_BATCH = 65536  # segment pairs per numpy call there
+_PAIR_CHUNK = 8192  # leaf pairs per chunk of component pairs there
 
 
 class ContourError(Exception):
@@ -140,6 +141,7 @@ def component_pair_distances(c: Contour, first, second) -> np.ndarray:
     lo, hi = np.minimum(pts, nxt)[sub].min(axis=2), np.maximum(pts, nxt)[sub].max(axis=2)
     lmax = float(np.linalg.norm(dirs, axis=-1).max())
     n_sub = lo.shape[1]
+    leaf_lo, leaf_hi = lo.min(axis=1), hi.max(axis=1)
 
     def box_bound(alo, ahi, blo, bhi):
         gap = np.maximum(np.maximum(blo - ahi, alo - bhi), 0.0)
@@ -154,35 +156,42 @@ def component_pair_distances(c: Contour, first, second) -> np.ndarray:
             starts[sa][:, :, None], dirs[sa][:, :, None],
             starts[sb][:, None], dirs[sb][:, None]).min(axis=(1, 2))
 
-    # leaf pairs (la, lb) of every component pair; owner[i] is the pair's k
-    per_pair = n_leaves[first] * n_leaves[second]
-    owner = np.repeat(np.arange(len(first)), per_pair)
-    r = np.arange(per_pair.sum()) - np.repeat(np.cumsum(per_pair) - per_pair, per_pair)
-    la = leaf_start[first][owner] + r // n_leaves[second][owner]
-    lb = leaf_start[second][owner] + r % n_leaves[second][owner]
-    leaf_lo, leaf_hi = lo.min(axis=1), hi.max(axis=1)
-    bound = box_bound(leaf_lo[la], leaf_hi[la], leaf_lo[lb], leaf_hi[lb])
-    order = np.argsort(bound, kind="stable")
+    def chunk(first, second):
+        # leaf pairs (la, lb) of every component pair; owner[i] is the pair's k
+        per_pair = n_leaves[first] * n_leaves[second]
+        owner = np.repeat(np.arange(len(first)), per_pair)
+        r = np.arange(per_pair.sum()) - np.repeat(np.cumsum(per_pair) - per_pair, per_pair)
+        la = leaf_start[first][owner] + r // n_leaves[second][owner]
+        lb = leaf_start[second][owner] + r % n_leaves[second][owner]
+        bound = box_bound(leaf_lo[la], leaf_hi[la], leaf_lo[lb], leaf_hi[lb])
+        order = np.argsort(bound, kind="stable")
 
-    # seed: every pair's nearest sub-leaf pair within its nearest leaf pair
-    seed = order[np.unique(owner[order], return_index=True)[1]]
-    near = sub_bounds(la[seed], lb[seed]).reshape(len(seed), n_sub * n_sub).argmin(axis=1)
-    best = sub_minima(la[seed] * n_sub + near // n_sub, lb[seed] * n_sub + near % n_sub)
-    seeded = np.full(len(la), -1)
-    seeded[seed] = near
-    batch = max(1, _SEGMENT_BATCH // (size * size))
-    for i in range(0, len(order), batch):
-        take = order[i:i + batch]
-        limit = best * (1 + 1e-12) + 1e-12 * lmax
-        if bound[take[0]] > limit.max():
-            break  # bounds ascend: nothing left can lower any minimum
-        take = take[bound[take] <= limit[owner[take]]]
-        k, sa, sb = np.nonzero(sub_bounds(la[take], lb[take]) <= limit[owner[take]][:, None, None])
-        fresh = sa * n_sub + sb != seeded[take[k]]  # a seed is in best already
-        k, sa, sb = k[fresh], sa[fresh], sb[fresh]
-        np.minimum.at(best, owner[take][k],
-                      sub_minima(la[take][k] * n_sub + sa, lb[take][k] * n_sub + sb))
-    return best
+        # seed: every pair's nearest sub-leaf pair within its nearest leaf pair
+        seed = order[np.unique(owner[order], return_index=True)[1]]
+        near = sub_bounds(la[seed], lb[seed]).reshape(len(seed), n_sub * n_sub).argmin(axis=1)
+        best = sub_minima(la[seed] * n_sub + near // n_sub, lb[seed] * n_sub + near % n_sub)
+        seeded = np.full(len(la), -1)
+        seeded[seed] = near
+        batch = max(1, _SEGMENT_BATCH // (size * size))
+        for i in range(0, len(order), batch):
+            take = order[i:i + batch]
+            limit = best * (1 + 1e-12) + 1e-12 * lmax
+            if bound[take[0]] > limit.max():
+                break  # bounds ascend: nothing left can lower any minimum
+            take = take[bound[take] <= limit[owner[take]]]
+            k, sa, sb = np.nonzero(sub_bounds(la[take], lb[take])
+                                   <= limit[owner[take]][:, None, None])
+            fresh = sa * n_sub + sb != seeded[take[k]]  # a seed is in best already
+            k, sa, sb = k[fresh], sa[fresh], sb[fresh]
+            np.minimum.at(best, owner[take][k],
+                          sub_minima(la[take][k] * n_sub + sa, lb[take][k] * n_sub + sb))
+        return best
+
+    # chunks of about _PAIR_CHUNK leaf pairs bound the temporaries; entries do not interact
+    per_pair = n_leaves[first] * n_leaves[second]
+    cuts = np.flatnonzero(np.diff((np.cumsum(per_pair) - per_pair) // _PAIR_CHUNK)) + 1
+    return np.concatenate([chunk(f, s) for f, s in zip(np.split(first, cuts),
+                                                        np.split(second, cuts))])
 
 
 def segment_segment_distance(p1, d1, p2, d2):

@@ -1,7 +1,12 @@
+import multiprocessing
+from concurrent.futures.process import BrokenProcessPool
+
 import numpy as np
 import pytest
 
-from conftest import brute_force_intrinsic_diameter, curvature_in_ball, intrinsic_ball_volume
+from conftest import (brute_force_intrinsic_diameter, curvature_in_ball, exit_abruptly,
+                      intrinsic_ball_volume)
+from curvebound import audit
 from curvebound import generators as gen
 from curvebound.audit import (DELTA_SHARP, R_SAMPLES, SIGMA_SHARP, comparison_identity_check,
                               covering_bound_check, ct_constants, m_kappa,
@@ -212,3 +217,26 @@ class TestRunAudit:
     def test_probes_below_one_rejected(self, probes):
         with pytest.raises(ValueError, match="probes_per_shape"):
             run_audit(shapes={"icosphere1": gen.icosphere(1)}, probes_per_shape=probes)
+
+    def test_no_worker_outlives_a_run(self):
+        report = run_audit(shapes={"icosphere2": gen.icosphere(2)}, probes_per_shape=1)
+        assert report.covering["icosphere2"].holds
+        assert multiprocessing.active_children() == []
+
+    def test_invalid_shape_raises_its_own_error(self, unit_disk):
+        shapes = {"icosphere2": gen.icosphere(2), "disk": unit_disk}
+        with pytest.raises(ValueError, match="^shape disk is not a valid closed mesh$"):
+            run_audit(shapes=shapes, probes_per_shape=1)
+        assert multiprocessing.active_children() == []
+
+    def test_dead_worker_breaks_the_pool(self, monkeypatch):
+        monkeypatch.setattr(audit, "covering_bound_check", exit_abruptly)
+        with pytest.raises(BrokenProcessPool):
+            run_audit(shapes={"icosphere1": gen.icosphere(1)}, probes_per_shape=1)
+        assert multiprocessing.active_children() == []
+
+    def test_no_shapes_empty_report(self):
+        report = run_audit(shapes={})
+        assert report.covering == report.dichotomy == report.michael_simon == {}
+        assert report.all_hold
+        assert multiprocessing.active_children() == []

@@ -6,7 +6,7 @@ import textwrap
 
 import pytest
 
-from conftest import touching_contours
+from conftest import exit_abruptly, touching_contours
 from curvebound import generators as gen
 from curvebound.cli import main
 from curvebound.contour import load_contour, save_contour
@@ -418,16 +418,18 @@ def test_doubling_commands_leave_scipy_unloaded(tmp_path):
                      ["teardrop", "--k", "10"]):
             assert main(argv) == 0, argv
         loaded = scipy_modules()
+        pools = [m for m in ("multiprocessing", "concurrent.futures.process")
+                 if m in sys.modules]
         for argv in (["gen", "stadium", "--out", "stadium.contour.json"],
                      ["check-contour", "stadium.contour.json"],
                      ["audit", "--quick", "--probes", "1"]):
             assert main(argv) == 0, argv
-        print(loaded, "scipy.sparse.csgraph" in scipy_modules())
+        print(loaded, pools, "scipy.sparse.csgraph" in scipy_modules())
     """)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=env, cwd=tmp_path, check=True).stdout
-    assert out.splitlines()[-1] == "[] True"
+    assert out.splitlines()[-1] == "[] [] True"
     assert os.listdir(tmp_path / "doubles")
 
 
@@ -454,6 +456,35 @@ class TestAuditCommand:
         _, out1 = run(capsys, ["--seed", "7", "audit", "--quick", "--probes", "2"])
         _, out2 = run(capsys, ["--seed", "7", "audit", "--quick", "--probes", "2"])
         assert out1 == out2
+
+    def test_dead_worker_is_an_error(self, capsys, monkeypatch):
+        import curvebound.audit
+
+        monkeypatch.setattr(curvebound.audit, "covering_bound_check", exit_abruptly)
+        code = main(["audit", "--quick", "--probes", "1"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity")
+                        or len(os.sched_getaffinity(0)) < 2,
+                        reason="needs sched_setaffinity and two CPUs")
+    def test_one_cpu_output_identical(self, tmp_path):
+        # one worker on one CPU, against one worker per CPU in this process's set
+        def pin_to_one_cpu():
+            os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        runs = []
+        for name, preexec in (("one", pin_to_one_cpu), ("all", None)):
+            out = subprocess.run(
+                [sys.executable, "-m", "curvebound.cli", "--seed", "1", "audit", "--quick",
+                 "--probes", "3", "--json", f"{name}.json"],
+                capture_output=True, env=env, cwd=tmp_path, preexec_fn=preexec, check=True)
+            runs.append((out.stdout, (tmp_path / f"{name}.json").read_bytes()))
+        assert runs[0] == runs[1]
+        assert runs[0][0].splitlines()[-1] == b"audit all hold: True"
 
 
 class TestFormatting:

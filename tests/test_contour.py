@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,17 @@ from curvebound.contour import (Contour, ContourError,
 
 def unit_circle(n=360, center=(0, 0, 0), normal=(0, 0, 1), radius=1.0):
     return gen.circle_contour(radius, n, center, normal)
+
+
+def ring_of_microcircles(n_small, seed=0):
+    """A radius-30 256-gon around n_small radius-0.01 16-gons scattered inside it."""
+    rng = np.random.default_rng(seed)
+    angle = rng.uniform(0.0, 2.0 * np.pi, n_small)
+    radius = 20.0 * np.sqrt(rng.uniform(0.0, 1.0, n_small))
+    centers = np.column_stack([radius * np.cos(angle), radius * np.sin(angle),
+                               rng.uniform(-1.0, 1.0, n_small)])
+    small = [unit_circle(16, center, radius=0.01).components[0] for center in centers]
+    return Contour([unit_circle(256, radius=30.0).components[0]] + small)
 
 
 class TestContourValidation:
@@ -183,6 +196,27 @@ class TestComponentDistances:
                          for comp in c.components])
         d1 = component_distance_matrix(moved)
         assert np.max(np.abs(d0 - d1)) < 1e-9
+
+    def test_many_components_bounded_memory(self):
+        # all 80,200 pairs in one call peaked at 418 MB before the chunks
+        c = ring_of_microcircles(400)
+        ii, jj = np.triu_indices(c.n_components, k=1)
+        tracemalloc.start()
+        try:
+            component_pair_distances(c, ii, jj)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100 * 2**20
+
+    def test_chunks_match_one_call(self, monkeypatch):
+        import curvebound.contour
+
+        c = ring_of_microcircles(40, seed=1)
+        d = component_distance_matrix(c)  # 820 pairs, 1,100 leaf pairs: one chunk
+        ii, jj = np.triu_indices(c.n_components, k=1)
+        monkeypatch.setattr(curvebound.contour, "_PAIR_CHUNK", 7)
+        assert np.array_equal(component_pair_distances(c, ii, jj), d[ii, jj])
 
 
 class TestSegmentDistance:
