@@ -16,7 +16,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .curvature import _curvature_weights, mean_curvature_field, total_mean_curvature
-from .mesh import SurfaceMesh, geodesic_distances, intrinsic_diameter, validate
+from .mesh import (_ECC_BATCH, SurfaceMesh, _eccentricity_reductions, _eccentricity_search,
+                   geodesic_distances, intrinsic_diameter, validate)
 
 SIGMA_SHARP = 2.0 * np.sqrt(np.pi)
 DELTA_SHARP = np.pi / 4.0
@@ -218,10 +219,20 @@ def covering_bound_check(mesh: SurfaceMesh) -> CoveringRecord:
 
     d_int is the exact max vertex eccentricity of the edge graph
     (``intrinsic_diameter``, which raises ValueError for a disconnected mesh).
+    ``run_audit`` makes the same record from the same search: its bounds live
+    in one process, and worker processes return each batch's Dijkstra rows
+    as order-free max/min reductions, which give the same bits.
     """
+    _require_closed(mesh)
+    return _covering_record(mesh, intrinsic_diameter(mesh))
+
+
+def _require_closed(mesh):
     if not mesh.is_closed():
         raise ValueError("covering bound applies to closed surfaces")
-    d_int = intrinsic_diameter(mesh)
+
+
+def _covering_record(mesh, d_int):
     curv = total_mean_curvature(mesh)
     return CoveringRecord(d_int=d_int, curvature=curv,
                           bound=float((16.0 / np.pi) * curv))
@@ -292,11 +303,16 @@ class AuditReport:
 def run_audit(shapes=None, probes_per_shape=20, seed=0) -> AuditReport:
     """Full verification pass over the closed shape library.
 
-    The covering checks run in worker processes, one per CPU at most, beside
-    the other checks, and are joined before this returns or raises; each
-    record is taken in shape order, so no output depends on how many workers.
+    The exact intrinsic diameters of all shapes are searched at once, beside
+    the other checks: the bounds of each search live in this process, and
+    every batch of Dijkstra sources is split into one chunk per worker
+    process (min(CPUs, _ECC_BATCH) of them), whose rows come back only as
+    their order-free max/min reductions. So d_int has the bits of
+    ``intrinsic_diameter`` for any number of workers. Each shape's error is
+    raised where its record is taken, in shape order, and the workers are
+    joined before this returns or raises.
     """
-    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
     from .generators import closed_library_meshes
 
     if probes_per_shape < 1:
@@ -307,25 +323,96 @@ def run_audit(shapes=None, probes_per_shape=20, seed=0) -> AuditReport:
     report.identity = comparison_identity_check()
     rng = np.random.default_rng(seed)
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    pool = ProcessPoolExecutor(max(1, min(len(shapes), cpus or 1)))
+    workers = max(1, min(cpus or 1, _ECC_BATCH))
+    graphs = {name: mesh.vertex_adjacency() for name, mesh in shapes.items()}
+    pool = ProcessPoolExecutor(workers, initializer=_set_worker_graphs, initargs=(graphs,))
     try:
-        # fresh meshes: a feeder thread pickles them while this one fills their caches
-        covering = {name: pool.submit(covering_bound_check, SurfaceMesh(m.vertices, m.triangles))
-                    for name, m in shapes.items()}
+        searches = {name: _PooledSearch(pool, workers, name, mesh)
+                    for name, mesh in shapes.items()}
+
+        def service():
+            for search in searches.values():
+                search.service()
+
         for name, mesh in shapes.items():
             rep = validate(mesh)
             if not (rep.is_valid and rep.closed):
                 raise ValueError(f"shape {name} is not a valid closed mesh")
-            report.michael_simon[name] = [
-                michael_simon_check(mesh, f, fname)
-                for fname, f in probe_function_library(mesh, seed=seed)
-            ]
+            report.michael_simon[name] = []
+            for fname, f in probe_function_library(mesh, seed=seed):
+                report.michael_simon[name].append(michael_simon_check(mesh, f, fname))
+                service()
             diam_hint = float(np.linalg.norm(
                 mesh.vertices.max(axis=0) - mesh.vertices.min(axis=0)))
             probes = rng.integers(0, mesh.n_vertices, size=probes_per_shape)
-            report.dichotomy[name] = [m_kappa(mesh, int(p), R=0.5 * diam_hint)
-                                      for p in probes]
-            report.covering[name] = covering[name].result()
+            report.dichotomy[name] = []
+            for p in probes:
+                report.dichotomy[name].append(m_kappa(mesh, int(p), R=0.5 * diam_hint))
+                service()
+            search = searches[name]
+            while not search.finished:
+                # block only on futures not yet done (a done one returns at once);
+                # if this search has one left, it is among them
+                pending = [f for s in searches.values() for f in s.futures if not f.done()]
+                if not all(f.done() for f in search.futures):
+                    wait(pending, return_when=FIRST_COMPLETED)
+                service()
+            if search.error is not None:
+                raise search.error
+            report.covering[name] = _covering_record(mesh, search.value)
     finally:
         pool.shutdown(cancel_futures=True)
     return report
+
+
+_WORKER_GRAPHS = {}  # shape name -> vertex adjacency, in each audit worker
+
+
+def _set_worker_graphs(graphs):
+    _WORKER_GRAPHS.update(graphs)
+
+
+def _eccentricity_chunk(name, sources, live):
+    """Audit worker task: the reductions of one chunk of a batch's Dijkstra rows."""
+    from scipy.sparse import csgraph
+    d = csgraph.dijkstra(_WORKER_GRAPHS[name], directed=True, indices=sources)
+    return _eccentricity_reductions(d, live)
+
+
+class _PooledSearch:
+    """One shape's ``_eccentricity_search``, its batches computed by a pool.
+
+    The first error (a mesh that is not closed or not connected, a failed
+    chunk) ends the search and is kept, for ``run_audit`` to raise in order.
+    """
+
+    def __init__(self, pool, chunks, name, mesh):
+        self.pool, self.chunks, self.name = pool, chunks, name
+        self.futures = []
+        self.finished, self.value, self.error = False, None, None
+        try:
+            _require_closed(mesh)
+            self.search = _eccentricity_search(mesh)
+            self._submit(next(self.search))
+        except Exception as exc:
+            self._finish(None, exc)
+
+    def _submit(self, batch):
+        sources, live = batch
+        self.futures = [self.pool.submit(_eccentricity_chunk, self.name, part, live)
+                        for part in np.array_split(sources, min(self.chunks, len(sources)))]
+
+    def _finish(self, value, error):
+        self.futures = []
+        self.finished, self.value, self.error = True, value, error
+
+    def service(self):
+        """Merge a finished batch into the bounds and submit the next one."""
+        if self.finished or not all(f.done() for f in self.futures):
+            return
+        try:
+            self._submit(self.search.send([f.result() for f in self.futures]))
+        except StopIteration as stop:
+            self._finish(stop.value, None)
+        except Exception as exc:
+            self._finish(None, exc)

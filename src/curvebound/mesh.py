@@ -457,14 +457,39 @@ def intrinsic_diameter(mesh: SurfaceMesh) -> float:
     best / (1 + Vr) carries the induction, and no dropped row exceeds the
     best entry as computed.
 
+    The bounds live in ``_eccentricity_search``, which takes each batch's
+    rows back only as ``_eccentricity_reductions``: per-row and per-column
+    max/min, which are exact and independent of order. So any split of a
+    batch into chunks of sources, reduced per chunk and merged, gives these
+    bits; ``run_audit`` computes the chunks in worker processes, this
+    function in one ``csgraph.dijkstra`` call per batch.
+
     Raises ValueError for a mesh without vertices or with more than one
     connected component (its eccentricities are infinite).
     """
     from scipy.sparse import csgraph
+    search = _eccentricity_search(mesh)
+    try:
+        sources, live = next(search)
+        graph = mesh.vertex_adjacency()
+        while True:
+            d = csgraph.dijkstra(graph, directed=True, indices=sources)
+            sources, live = search.send([_eccentricity_reductions(d, live)])
+    except StopIteration as stop:
+        return stop.value
+
+
+def _eccentricity_search(mesh: SurfaceMesh):
+    """The bounds of ``intrinsic_diameter``, one batch of sources at a time.
+
+    Yields ``(sources, live)``: a batch of at most _ECC_BATCH sources and the
+    vertices still candidates after it. Takes back the list of
+    ``_eccentricity_reductions`` of the batch's Dijkstra rows, one per chunk
+    of consecutive sources, in source order. Returns the diameter.
+    """
     n = mesh.n_vertices
     if not mesh.is_connected():
         raise ValueError("intrinsic diameter needs a connected mesh")
-    graph = mesh.vertex_adjacency()
     slack = max(1e-12, 4 * n * np.finfo(float).eps)
     lower, colmax = np.zeros(n), np.zeros(n)
     reach, from_u = np.full(n, np.inf), np.full(n, np.inf)
@@ -476,24 +501,41 @@ def intrinsic_diameter(mesh: SurfaceMesh) -> float:
         central = live[np.argsort(lower[live], kind="stable")]
         central = central[~np.isin(central, far)][:_ECC_BATCH - len(far)]
         sources = np.concatenate([far, central])
-        d = csgraph.dijkstra(graph, directed=True, indices=sources)
-        ecc = d.max(axis=1)
-        best = max(best, float(ecc.max()))
-        if ecc.min() < from_u.max():
-            from_u = d[np.argmin(ecc)]
         candidate[sources] = False
         # bounds only matter on the vertices still candidates
         live = np.nonzero(candidate)[0]
-        d = d[:, live]
-        colmax[live] = np.maximum(colmax[live], d.max(axis=0))
+        parts = yield sources, live
+        eccs, cols, lows, reaches, rows = zip(*parts)
+        ecc = np.concatenate(eccs)
+        best = max(best, float(ecc.max()))
+        if ecc.min() < from_u.max():
+            # np.argmin's row is in the first chunk that holds the least eccentricity
+            from_u = rows[int(np.argmin([e.min() for e in eccs]))]
+        colmax[live] = np.maximum(colmax[live], np.maximum.reduce(cols))
         lower[live] = np.maximum(lower[live],
-                                 np.maximum(colmax[live], (ecc[:, None] - d).max(axis=0)))
-        reach[live] = np.minimum(reach[live],
-                                 (d + d.max(axis=1, initial=0.0)[:, None]).min(axis=0))
+                                 np.maximum(colmax[live], np.maximum.reduce(lows)))
+        reach[live] = np.minimum(reach[live], np.minimum.reduce(reaches))
         ifub = from_u[live] + from_u[live].max(initial=0.0)
         candidate[live] = (np.maximum(colmax[live], np.minimum(reach[live], ifub))
                            * (1.0 + slack) > best)
     return best
+
+
+def _eccentricity_reductions(d, live):
+    """What ``_eccentricity_search`` needs of Dijkstra rows ``d`` (one per source).
+
+    Each row's max (its eccentricity ecc); per ``live`` column, over the rows,
+    the max of d, the max of ecc - d and the min of d + m, where m is the
+    row's max over the live columns; and the row of least ecc, the first on
+    ties as np.argmin takes it. Every entry is an exact max or min of
+    exactly computed values, so reductions of chunks of rows merge, by max,
+    min and the first least ecc, to the bits of one call on all the rows.
+    """
+    ecc = d.max(axis=1)
+    row = d[np.argmin(ecc)]
+    d = d[:, live]
+    return (ecc, d.max(axis=0), (ecc[:, None] - d).max(axis=0),
+            (d + d.max(axis=1, initial=0.0)[:, None]).min(axis=0), row)
 
 
 # -- file formats -------------------------------------------------------------

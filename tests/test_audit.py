@@ -230,10 +230,44 @@ class TestRunAudit:
         assert multiprocessing.active_children() == []
 
     def test_dead_worker_breaks_the_pool(self, monkeypatch):
-        monkeypatch.setattr(audit, "covering_bound_check", exit_abruptly)
+        monkeypatch.setattr(audit, "_eccentricity_chunk", exit_abruptly)
         with pytest.raises(BrokenProcessPool):
             run_audit(shapes={"icosphere1": gen.icosphere(1)}, probes_per_shape=1)
         assert multiprocessing.active_children() == []
+
+    def test_first_error_in_shape_order(self, unit_disk):
+        # a closed disconnected shape passes validate; its search fails at its
+        # start, but the error comes where its record is taken, in shape order
+        sphere = gen.icosphere(1)
+        two = SurfaceMesh(np.vstack([sphere.vertices, sphere.vertices + [5.0, 0.0, 0.0]]),
+                          np.vstack([sphere.triangles, sphere.triangles + sphere.n_vertices]))
+        for shapes, message in (
+                ({"two": two, "disk": unit_disk}, "^intrinsic diameter needs a connected mesh$"),
+                ({"disk": unit_disk, "two": two}, "^shape disk is not a valid closed mesh$"),
+                ({"icosphere2": gen.icosphere(2), "two": two},
+                 "^intrinsic diameter needs a connected mesh$")):
+            with pytest.raises(ValueError, match=message):
+                run_audit(shapes=shapes, probes_per_shape=1)
+            assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("cpus, workers", [(1, 1), (3, 3), (64, 16)])
+    def test_worker_count(self, cpus, workers, monkeypatch):
+        import concurrent.futures
+
+        started = []
+
+        class RecordingExecutor:
+            def __init__(self, max_workers, **kwargs):
+                started.append(max_workers)
+
+            def shutdown(self, **kwargs):
+                pass
+
+        monkeypatch.setattr(audit.os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                            raising=False)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingExecutor)
+        run_audit(shapes={})
+        assert started == [workers]
 
     def test_no_shapes_empty_report(self):
         report = run_audit(shapes={})

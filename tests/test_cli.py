@@ -460,7 +460,7 @@ class TestAuditCommand:
     def test_dead_worker_is_an_error(self, capsys, monkeypatch):
         import curvebound.audit
 
-        monkeypatch.setattr(curvebound.audit, "covering_bound_check", exit_abruptly)
+        monkeypatch.setattr(curvebound.audit, "_eccentricity_chunk", exit_abruptly)
         code = main(["audit", "--quick", "--probes", "1"])
         captured = capsys.readouterr()
         assert code == 1
@@ -472,18 +472,24 @@ class TestAuditCommand:
                         reason="needs sched_setaffinity and two CPUs")
     def test_one_cpu_output_identical(self, tmp_path):
         # one worker on one CPU, against one worker per CPU in this process's set
-        def pin_to_one_cpu():
-            os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+        # and, given three CPUs, three workers (batches of 16 in chunks of 6, 5, 5)
+        cpus = sorted(os.sched_getaffinity(0))
+
+        def pin_to(n):
+            return lambda: os.sched_setaffinity(0, set(cpus[:n]))
 
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
         runs = []
-        for name, preexec in (("one", pin_to_one_cpu), ("all", None)):
+        pins = [("one", pin_to(1)), ("all", None)]
+        if len(cpus) >= 3:
+            pins.append(("three", pin_to(3)))
+        for name, preexec in pins:
             out = subprocess.run(
                 [sys.executable, "-m", "curvebound.cli", "--seed", "1", "audit", "--quick",
                  "--probes", "3", "--json", f"{name}.json"],
                 capture_output=True, env=env, cwd=tmp_path, preexec_fn=preexec, check=True)
             runs.append((out.stdout, (tmp_path / f"{name}.json").read_bytes()))
-        assert runs[0] == runs[1]
+        assert all(run == runs[0] for run in runs[1:])
         assert runs[0][0].splitlines()[-1] == b"audit all hold: True"
 
 

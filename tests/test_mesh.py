@@ -1,5 +1,7 @@
 import io
 import json
+from collections import Counter
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -8,7 +10,9 @@ from scipy.sparse import csgraph
 from conftest import (boundary_library_meshes, brute_force_intrinsic_diameter,
                       intrinsic_ball_volume, random_rotation)
 from curvebound import generators as gen
-from curvebound.mesh import (MeshError, SurfaceMesh, boundary_length,
+from curvebound.audit import run_audit
+from curvebound.mesh import (MeshError, SurfaceMesh, _eccentricity_reductions,
+                             _eccentricity_search, boundary_length,
                              extrinsic_diameter, geodesic_distances,
                              intrinsic_diameter, load_mesh, save_mesh, validate)
 
@@ -28,6 +32,28 @@ def brute_force_diameter(points, rows=256):
 
 def single_triangle():
     return SurfaceMesh([[0, 0, 0], [3, 0, 0], [3, 4, 0]], [[0, 1, 2]])
+
+
+def chunked_search(mesh, chunks):
+    """intrinsic_diameter's search, each batch's rows reduced in ``chunks`` chunks.
+
+    Returns the diameter, the batches of sources, and the number of batches
+    whose least eccentricity is reached in more than one chunk.
+    """
+    graph = mesh.vertex_adjacency()
+    search, batches, ties = _eccentricity_search(mesh), [], 0
+    try:
+        sources, live = next(search)
+        while True:
+            batches.append(sources)
+            parts = [_eccentricity_reductions(
+                         csgraph.dijkstra(graph, directed=True, indices=part), live)
+                     for part in np.array_split(sources, min(chunks, len(sources)))]
+            least = [part[0].min() for part in parts]
+            ties += least.count(min(least)) > 1
+            sources, live = search.send(parts)
+    except StopIteration as stop:
+        return stop.value, batches, ties
 
 
 class TestValidate:
@@ -316,6 +342,51 @@ class TestIntrinsicDiameter:
             runs, value = self.LIBRARY_WORK[name]
             assert intrinsic_diameter(mesh) == value, name
             assert 0 < sum(sources) <= runs, name
+
+        # run_audit's pooled searches, counted in this process as they are submitted
+        submit, dispatched = ProcessPoolExecutor.submit, Counter()
+
+        def counting_submit(pool, fn, name, part, live):
+            dispatched[name] += len(part)
+            return submit(pool, fn, name, part, live)
+
+        monkeypatch.setattr(ProcessPoolExecutor, "submit", counting_submit)
+        report = run_audit(probes_per_shape=1)
+        assert report.covering.keys() == self.LIBRARY_WORK.keys()
+        for name, (runs, value) in self.LIBRARY_WORK.items():
+            assert report.covering[name].d_int == value, name
+            assert 0 < dispatched[name] <= runs, name
+
+    @pytest.mark.parametrize("name", ["icosphere1", "icosphere2", "icosphere3", "disk",
+                                      "capped", "single_triangle"])
+    def test_any_chunking_gives_the_same_search(self, name, monkeypatch):
+        mesh = {
+            "icosphere1": gen.icosphere(1),
+            "icosphere2": gen.icosphere(2),
+            "icosphere3": gen.icosphere(3),
+            "disk": gen.flat_disk(1.0, 4, 16),
+            "capped": gen.capped_cylinder(0.5, 3.0, segments=16, rings_cap=4),
+            "single_triangle": single_triangle(),
+        }[name]
+        dijkstra, sources = csgraph.dijkstra, []
+
+        def recording(graph, *args, **kwargs):
+            sources.append(np.array(kwargs["indices"]))
+            return dijkstra(graph, *args, **kwargs)
+
+        monkeypatch.setattr(csgraph, "dijkstra", recording)
+        value = intrinsic_diameter(mesh)
+        monkeypatch.setattr(csgraph, "dijkstra", dijkstra)
+        assert value == brute_force_intrinsic_diameter(mesh)
+        ties = 0
+        for chunks in (1, 2, 3, 5, 16):
+            chunked, batches, tied = chunked_search(mesh, chunks)
+            assert chunked == value, chunks
+            assert len(batches) == len(sources), chunks
+            assert all(np.array_equal(a, b) for a, b in zip(batches, sources)), chunks
+            ties += tied
+        # icosphere vertices tie in eccentricity; the first chunk's row must win
+        assert ties > 0 or not name.startswith("icosphere")
 
     def test_small_meshes(self):
         assert intrinsic_diameter(single_triangle()) == 5.0
