@@ -195,7 +195,7 @@ def cmd_gen(args):
 
 
 def cmd_audit(args):
-    from concurrent.futures import BrokenExecutor  # run_audit's worker pool loads it anyway
+    from concurrent.futures import BrokenExecutor  # what run_audit raises when a worker dies
     shapes = None
     if args.quick:
         shapes = {

@@ -55,6 +55,11 @@ def exit_abruptly(*args):
     os._exit(3)
 
 
+def fail_in_worker(*args):
+    """Stands in for the audit's worker task: the task raises, the worker lives."""
+    raise RuntimeError("chunk failed in its worker")
+
+
 def connected_oracle(mesh):
     """One csgraph component over the triangles' edges; False without vertices."""
     n, t = mesh.n_vertices, mesh.triangles

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import (brute_force_intrinsic_diameter, curvature_in_ball, exit_abruptly,
-                      intrinsic_ball_volume)
+                      fail_in_worker, intrinsic_ball_volume)
 from curvebound import audit
 from curvebound import generators as gen
 from curvebound.audit import (DELTA_SHARP, R_SAMPLES, SIGMA_SHARP, comparison_identity_check,
@@ -235,6 +235,13 @@ class TestRunAudit:
             run_audit(shapes={"icosphere1": gen.icosphere(1)}, probes_per_shape=1)
         assert multiprocessing.active_children() == []
 
+    def test_failed_chunk_is_raised(self, monkeypatch):
+        monkeypatch.setattr(audit, "_eccentricity_chunk", fail_in_worker)
+        with pytest.raises(RuntimeError, match="^chunk failed in its worker$"):
+            run_audit(shapes={"icosphere1": gen.icosphere(1), "icosphere2": gen.icosphere(2)},
+                      probes_per_shape=1)
+        assert multiprocessing.active_children() == []
+
     def test_first_error_in_shape_order(self, unit_disk):
         # a closed disconnected shape passes validate; its search fails at its
         # start, but the error comes where its record is taken, in shape order
@@ -252,20 +259,18 @@ class TestRunAudit:
 
     @pytest.mark.parametrize("cpus, workers", [(1, 1), (3, 3), (64, 16)])
     def test_worker_count(self, cpus, workers, monkeypatch):
-        import concurrent.futures
-
         started = []
 
-        class RecordingExecutor:
-            def __init__(self, max_workers, **kwargs):
-                started.append(max_workers)
+        class RecordingPool:
+            def __init__(self, workers, graphs):
+                started.append(workers)
 
-            def shutdown(self, **kwargs):
+            def close(self):
                 pass
 
         monkeypatch.setattr(audit.os, "sched_getaffinity", lambda pid: set(range(cpus)),
                             raising=False)
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingExecutor)
+        monkeypatch.setattr(audit, "_EccentricityPool", RecordingPool)
         run_audit(shapes={})
         assert started == [workers]
 

@@ -472,7 +472,8 @@ class TestAuditCommand:
                         reason="needs sched_setaffinity and two CPUs")
     def test_one_cpu_output_identical(self, tmp_path):
         # one worker on one CPU, against one worker per CPU in this process's set
-        # and, given three CPUs, three workers (batches of 16 in chunks of 6, 5, 5)
+        # and, given three CPUs, three workers (a lone search's batches of 16 in
+        # chunks of 6, 5 and 5)
         cpus = sorted(os.sched_getaffinity(0))
 
         def pin_to(n):

@@ -1,7 +1,6 @@
 import io
 import json
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -10,7 +9,7 @@ from scipy.sparse import csgraph
 from conftest import (boundary_library_meshes, brute_force_intrinsic_diameter,
                       intrinsic_ball_volume, random_rotation)
 from curvebound import generators as gen
-from curvebound.audit import run_audit
+from curvebound.audit import _EccentricityPool, run_audit
 from curvebound.mesh import (MeshError, SurfaceMesh, _eccentricity_reductions,
                              _eccentricity_search, boundary_length,
                              extrinsic_diameter, geodesic_distances,
@@ -343,14 +342,14 @@ class TestIntrinsicDiameter:
             assert intrinsic_diameter(mesh) == value, name
             assert 0 < sum(sources) <= runs, name
 
-        # run_audit's pooled searches, counted in this process as they are submitted
-        submit, dispatched = ProcessPoolExecutor.submit, Counter()
+        # run_audit's pooled searches, counted in this process as their batches are issued
+        issue, dispatched = _EccentricityPool._issue, Counter()
 
-        def counting_submit(pool, fn, name, part, live):
-            dispatched[name] += len(part)
-            return submit(pool, fn, name, part, live)
+        def counting_issue(pool, name, batch):
+            dispatched[name] += len(batch[0])
+            return issue(pool, name, batch)
 
-        monkeypatch.setattr(ProcessPoolExecutor, "submit", counting_submit)
+        monkeypatch.setattr(_EccentricityPool, "_issue", counting_issue)
         report = run_audit(probes_per_shape=1)
         assert report.covering.keys() == self.LIBRARY_WORK.keys()
         for name, (runs, value) in self.LIBRARY_WORK.items():
@@ -387,6 +386,36 @@ class TestIntrinsicDiameter:
             ties += tied
         # icosphere vertices tie in eccentricity; the first chunk's row must win
         assert ties > 0 or not name.startswith("icosphere")
+
+    @pytest.mark.parametrize("cpus", [3, 5])
+    def test_pooled_searches_issue_the_same_batches(self, cpus, monkeypatch):
+        # run_audit splits batches across its workers, where icosphere
+        # eccentricities tie across chunks: the first chunk's row must win there too
+        shapes = {f"icosphere{k}": gen.icosphere(k) for k in (1, 2, 3)}
+        dijkstra, issue = csgraph.dijkstra, _EccentricityPool._issue
+        expected, issued = {}, {name: [] for name in shapes}
+
+        def recording(graph, *args, **kwargs):
+            batches.append(np.array(kwargs["indices"]))
+            return dijkstra(graph, *args, **kwargs)
+
+        def recording_issue(pool, name, batch):
+            issued[name].append(batch[0])
+            return issue(pool, name, batch)
+
+        monkeypatch.setattr(csgraph, "dijkstra", recording)
+        for name, mesh in shapes.items():
+            batches = expected[name] = []
+            intrinsic_diameter(mesh)
+        monkeypatch.setattr(csgraph, "dijkstra", dijkstra)
+        monkeypatch.setattr(_EccentricityPool, "_issue", recording_issue)
+        monkeypatch.setattr("curvebound.audit.os.sched_getaffinity",
+                            lambda pid: set(range(cpus)), raising=False)
+        report = run_audit(shapes=shapes, probes_per_shape=1)
+        for name, mesh in shapes.items():
+            assert report.covering[name].d_int == brute_force_intrinsic_diameter(mesh), name
+            assert len(issued[name]) == len(expected[name]), name
+            assert all(np.array_equal(a, b) for a, b in zip(issued[name], expected[name])), name
 
     def test_small_meshes(self):
         assert intrinsic_diameter(single_triangle()) == 5.0
