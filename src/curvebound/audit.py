@@ -18,7 +18,7 @@ import numpy as np
 
 from .curvature import _curvature_weights, mean_curvature_field, total_mean_curvature
 from .mesh import (_ECC_BATCH, SurfaceMesh, _eccentricity_reductions, _eccentricity_search,
-                   geodesic_distances, intrinsic_diameter, validate)
+                   geodesic_distances, validate)
 
 SIGMA_SHARP = 2.0 * np.sqrt(np.pi)
 DELTA_SHARP = np.pi / 4.0
@@ -204,7 +204,10 @@ def comparison_identity_check() -> IdentityRecord:
 class CoveringRecord:
     d_int: float
     curvature: float
-    bound: float
+
+    @property
+    def bound(self):
+        return float((16.0 / np.pi) * self.curvature)
 
     @property
     def holds(self):
@@ -213,30 +216,6 @@ class CoveringRecord:
     @property
     def ratio(self):
         return self.curvature / self.d_int if self.d_int > 0 else np.inf
-
-
-def covering_bound_check(mesh: SurfaceMesh) -> CoveringRecord:
-    """Check d_int <= (16/pi) * int|H| on a closed connected mesh.
-
-    d_int is the exact max vertex eccentricity of the edge graph
-    (``intrinsic_diameter``, which raises ValueError for a disconnected mesh).
-    ``run_audit`` makes the same record from the same search: its bounds live
-    in one process, and worker processes return each batch's Dijkstra rows
-    as order-free max/min reductions, which give the same bits.
-    """
-    _require_closed(mesh)
-    return _covering_record(mesh, intrinsic_diameter(mesh))
-
-
-def _require_closed(mesh):
-    if not mesh.is_closed():
-        raise ValueError("covering bound applies to closed surfaces")
-
-
-def _covering_record(mesh, d_int):
-    curv = total_mean_curvature(mesh)
-    return CoveringRecord(d_int=d_int, curvature=curv,
-                          bound=float((16.0 / np.pi) * curv))
 
 
 def ct_constants(n: int, conjectural=False) -> float:
@@ -304,14 +283,17 @@ class AuditReport:
 def run_audit(shapes=None, probes_per_shape=20, seed=0) -> AuditReport:
     """Full verification pass over the closed shape library.
 
-    The exact intrinsic diameters of all shapes are searched at once, beside
-    the other checks, by an ``_EccentricityPool`` of min(CPUs, _ECC_BATCH)
-    worker processes: the bounds of each search live in this process, and
-    the workers compute chunks of its Dijkstra batches and return only
-    their order-free max/min reductions. So d_int has the bits of
-    ``intrinsic_diameter`` for any number of workers. Each shape's error is
-    raised where its record is taken, in shape order, and the workers are
-    joined before this returns or raises.
+    Every shape is checked first, in shape order: the first that is not a
+    valid closed mesh, or not connected, raises ValueError before any check
+    runs and before any worker starts. Then the exact intrinsic diameters of
+    all shapes are searched at once, beside the other checks, by an
+    ``_EccentricityPool`` of min(CPUs, _ECC_BATCH) worker processes: the
+    bounds of each search live in this process, and the workers compute
+    chunks of its Dijkstra batches and return only their order-free max/min
+    reductions. So d_int has the bits of ``intrinsic_diameter`` for any
+    number of workers. A failed chunk is raised where its shape's record is
+    taken, in shape order; a dead worker raises ChildProcessError. The
+    workers are joined before this returns or raises.
     """
     from .generators import closed_library_meshes
 
@@ -319,6 +301,12 @@ def run_audit(shapes=None, probes_per_shape=20, seed=0) -> AuditReport:
         raise ValueError(f"probes_per_shape must be at least 1, got {probes_per_shape}")
     if shapes is None:
         shapes = closed_library_meshes()
+    for name, mesh in shapes.items():
+        rep = validate(mesh)
+        if not (rep.is_valid and rep.closed):
+            raise ValueError(f"shape {name} is not a valid closed mesh")
+        if not rep.connected:
+            raise ValueError(f"shape {name} is not connected")
     report = AuditReport()
     report.identity = comparison_identity_check()
     rng = np.random.default_rng(seed)
@@ -329,9 +317,6 @@ def run_audit(shapes=None, probes_per_shape=20, seed=0) -> AuditReport:
         for name, mesh in shapes.items():
             pool.start(name, mesh)
         for name, mesh in shapes.items():
-            rep = validate(mesh)
-            if not (rep.is_valid and rep.closed):
-                raise ValueError(f"shape {name} is not a valid closed mesh")
             report.michael_simon[name] = []
             for fname, f in probe_function_library(mesh, seed=seed):
                 report.michael_simon[name].append(michael_simon_check(mesh, f, fname))
@@ -343,7 +328,8 @@ def run_audit(shapes=None, probes_per_shape=20, seed=0) -> AuditReport:
             for p in probes:
                 report.dichotomy[name].append(m_kappa(mesh, int(p), R=0.5 * diam_hint))
                 pool.service()
-            report.covering[name] = _covering_record(mesh, pool.result(name))
+            report.covering[name] = CoveringRecord(d_int=pool.result(name),
+                                                   curvature=total_mean_curvature(mesh))
     finally:
         pool.close()
     return report
@@ -370,34 +356,27 @@ def _eccentricity_worker(conn, graphs):
         conn.send(out)
 
 
-class _PooledSearch:
-    """One shape's ``_eccentricity_search`` and the chunks of its current batch."""
-
-    def __init__(self):
-        self.steps, self.parts, self.left = None, [], 0
-        self.done, self.value, self.error = False, None, None
-
-    def finish(self, value=None, error=None):
-        self.done, self.value, self.error = True, value, error
-
-
 class _EccentricityPool:
     """Worker processes, each on its own pipe, that run the audit's searches.
 
-    Every search lives in this process; its batches are split into chunks,
-    about as many in flight, over all running searches, as there are
-    workers, and handed to idle workers in order. Nothing runs in a thread
-    (an executor's manager and feeder threads cost about 1 ms of this
-    process's CPU per task, against about 0.2 ms here): results are read
-    when ``service`` or ``result`` is called. A search's
-    first error (not closed, not connected, a failed chunk, a dead worker)
-    ends it and is raised by ``result``.
+    Every search (``steps``, one ``_eccentricity_search`` per shape, which
+    ``run_audit`` has checked to be closed and connected) lives in this
+    process; its batches are split into chunks, about as many in flight,
+    over all running searches, as there are workers, and handed to idle
+    workers in order. A batch's reductions gather in ``parts`` until no
+    chunk is missing. Nothing runs in a thread (an executor's manager and
+    feeder threads cost about 1 ms of this process's CPU per task, against
+    about 0.2 ms here): results are read when ``service`` or ``result`` is
+    called. ``results`` holds each finished search's diameter or its first
+    error (a failed chunk, or ChildProcessError for a dead worker), which
+    ``result`` raises.
     """
 
     def __init__(self, workers, graphs):
         import multiprocessing
         self.workers, self.procs, self.conns = workers, [], []
-        self.idle, self.busy, self.queue, self.searches = [], {}, deque(), {}
+        self.idle, self.busy, self.queue = [], {}, deque()
+        self.steps, self.parts, self.results = {}, {}, {}
         try:
             for _ in range(workers):
                 here, there = multiprocessing.Pipe()
@@ -413,20 +392,14 @@ class _EccentricityPool:
         self.idle = list(self.conns)
 
     def start(self, name, mesh):
-        search = self.searches[name] = _PooledSearch()
-        try:
-            _require_closed(mesh)
-            search.steps = _eccentricity_search(mesh)
-            self._issue(name, next(search.steps))
-        except Exception as exc:
-            search.finish(error=exc)
+        self.steps[name] = _eccentricity_search(mesh)
+        self._issue(name, next(self.steps[name]))
 
     def _issue(self, name, batch):
         sources, live = batch
-        running = sum(not s.done for s in self.searches.values())
+        running = sum(other not in self.results for other in self.steps)
         chunks = np.array_split(sources, min(len(sources), -(-self.workers // running)))
-        search = self.searches[name]
-        search.parts, search.left = [None] * len(chunks), len(chunks)
+        self.parts[name] = [None] * len(chunks)
         self.queue.extend((name, i, chunk, live) for i, chunk in enumerate(chunks))
         self._dispatch()
 
@@ -451,38 +424,31 @@ class _EccentricityPool:
                 self._break()
                 return
             self.idle.append(conn)
-            search = self.searches[name]
-            if search.done:
+            if name in self.results:
                 continue
             if isinstance(out, Exception):
-                search.finish(error=out)
+                self.results[name] = out
                 continue
-            search.parts[i] = out
-            search.left -= 1
-            if search.left == 0:
+            self.parts[name][i] = out
+            if None not in self.parts[name]:
                 try:
-                    self._issue(name, search.steps.send(search.parts))
+                    self._issue(name, self.steps[name].send(self.parts[name]))
                 except StopIteration as stop:
-                    search.finish(value=stop.value)
-                except Exception as exc:
-                    search.finish(error=exc)
+                    self.results[name] = stop.value
         self._dispatch()
 
     def _break(self):
-        from concurrent.futures.process import BrokenProcessPool
-        error = BrokenProcessPool("an audit worker process died")
-        for search in self.searches.values():
-            if not search.done:
-                search.finish(error=error)
+        error = ChildProcessError("an audit worker process died")
+        for name in self.steps:
+            self.results.setdefault(name, error)
         self.queue.clear()
 
     def result(self, name):
-        search = self.searches[name]
-        while not search.done:
+        while name not in self.results:
             self.service(timeout=None)
-        if search.error is not None:
-            raise search.error
-        return search.value
+        if isinstance(self.results[name], Exception):
+            raise self.results[name]
+        return self.results[name]
 
     def close(self):
         """Stop every worker, busy or not, and join it."""

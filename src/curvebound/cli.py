@@ -195,20 +195,11 @@ def cmd_gen(args):
 
 
 def cmd_audit(args):
-    from concurrent.futures import BrokenExecutor  # what run_audit raises when a worker dies
     shapes = None
     if args.quick:
-        shapes = {
-            "icosphere3": gen_mod.icosphere(3),
-            "capped_cylinder_0.5_4": gen_mod.capped_cylinder(0.5, 4.0, segments=48,
-                                                             rings_cap=10),
-        }
-    try:
-        report = audit_mod.run_audit(shapes=shapes, probes_per_shape=args.probes,
-                                     seed=args.seed)
-    except BrokenExecutor as exc:  # a worker process died
-        sys.stderr.write(f"error: {exc}\n")
-        return 1
+        library = gen_mod.closed_library_meshes()
+        shapes = {name: library[name] for name in ("icosphere3", "capped_cylinder_0.5_4")}
+    report = audit_mod.run_audit(shapes=shapes, probes_per_shape=args.probes, seed=args.seed)
     doc = report.to_dict()
     _print("identity: coefficient = " + _fmt(doc["identity"]["coefficient"])
            + ", perturbed(pi/3) = " + _fmt(doc["identity"]["perturbed_coefficient"])

@@ -13,8 +13,11 @@ quantities and an explicit margin:
 - cone: the components fit inside the two nappes of the cone
   x^2 + y^2 < z^2 sinh^2(tau), cosh(tau) = tau*sinh(tau), for some apex and
   axis: threshold splits along fixed and searched axes, each apex from a
-  linear program. Certificates are re-verified by an independent
-  membership check; a failed search is NOT a proof of inseparability.
+  linear program. A certificate is the dict of apex, axis, tau, sinh_sq,
+  partition and margin that the report and its JSON carry;
+  ``verify_cone_separator`` re-checks it, from the search or from a saved
+  report, by an independent membership check. A failed search is NOT a
+  proof of inseparability.
 
 Components are atomic units of every decomposition (splitting single Jordan
 curves is not attempted); margins are normalized by the contour diameter.
@@ -61,39 +64,6 @@ def tau_root() -> TauRoot:
                            residual=float(abs(g)), iterations=it)
         tau = tau + g / (tau * np.cosh(tau))
     raise RuntimeError(f"tau Newton iteration failed to reach {TAU_TOL}")
-
-
-@dataclass
-class ConeSeparator:
-    """Certificate that a cone separates the contour into two nappes."""
-
-    apex: np.ndarray
-    axis: np.ndarray
-    tau: float
-    sinh_sq: float
-    partition: tuple
-    margin: float  # normalized by contour diameter
-
-    def to_dict(self):
-        return {
-            "apex": [float(v) for v in self.apex],
-            "axis": [float(v) for v in self.axis],
-            "tau": self.tau,
-            "sinh_sq": self.sinh_sq,
-            "partition": [sorted(map(int, g)) for g in self.partition],
-            "margin": self.margin,
-        }
-
-    @classmethod
-    def from_dict(cls, doc):
-        return cls(
-            apex=np.array(doc["apex"], dtype=float),
-            axis=np.array(doc["axis"], dtype=float),
-            tau=float(doc["tau"]),
-            sinh_sq=float(doc["sinh_sq"]),
-            partition=tuple(tuple(g) for g in doc["partition"]),
-            margin=float(doc["margin"]),
-        )
 
 
 @dataclass
@@ -388,29 +358,34 @@ class _ConeSearch:
         return improved
 
 
-def verify_cone_separator(c: Contour, sep: ConeSeparator) -> tuple:
+def verify_cone_separator(c: Contour, certificate: dict) -> tuple:
     """Independent strict membership check of a cone certificate.
 
-    Recomputes z and rho per point from the original coordinates and requires
-    every component of each group strictly inside its nappe (z of the correct
+    ``certificate`` is the dict that a certified cone entry carries, in the
+    report and its JSON: apex, axis, tau, sinh_sq = sinh^2(tau), the
+    partition into upper and lower components, and the margin. Recomputes z
+    and rho per point from the original coordinates and requires every
+    component of each group strictly inside its nappe (z of the correct
     sign and rho^2 < z^2 sinh^2 tau), both groups nonempty. Returns
     (ok, worst_margin_raw).
     """
-    up, down = sep.partition
+    up, down = certificate["partition"]
     if len(up) == 0 or len(down) == 0:
         return False, -np.inf
     if sorted(list(up) + list(down)) != list(range(c.n_components)):
         return False, -np.inf
-    axis = sep.axis / np.linalg.norm(sep.axis)
+    apex = np.asarray(certificate["apex"], dtype=float)
+    axis = np.asarray(certificate["axis"], dtype=float)
+    axis = axis / np.linalg.norm(axis)
     worst = np.inf
     for group, sign in ((up, 1.0), (down, -1.0)):
         for i in group:
-            rel = c.components[i] - sep.apex
+            rel = c.components[i] - apex
             z = rel @ axis
             rho_sq = np.maximum(np.einsum("ij,ij->i", rel, rel) - z * z, 0.0)
             if np.any(sign * z <= 0.0):
                 return False, -np.inf
-            slack = sign * z * np.sqrt(sep.sinh_sq) - np.sqrt(rho_sq)
+            slack = sign * z * np.sqrt(certificate["sinh_sq"]) - np.sqrt(rho_sq)
             worst = min(worst, float(slack.min()))
             if worst <= 0.0:
                 return False, worst
@@ -458,14 +433,15 @@ def cone_check(c: Contour, search_budget=20000) -> CriterionEntry:
         scale = contour_diameter(c)
         measured["best_margin_normalized"] = slack * radius / scale
         lower = np.setdiff1d(np.arange(c.n_components), upper)
-        sep = ConeSeparator(apex=apex * radius + center, axis=axis, tau=root.tau,
-                            sinh_sq=root.sinh_sq, margin=slack * radius / scale,
-                            partition=(tuple(sorted(map(int, upper))), tuple(map(int, lower))))
-        ok, worst = verify_cone_separator(c, sep)
+        certificate = {"apex": [float(v) for v in apex * radius + center],
+                       "axis": [float(v) for v in axis], "tau": root.tau,
+                       "sinh_sq": root.sinh_sq,
+                       "partition": [sorted(map(int, upper)), sorted(map(int, lower))]}
+        ok, worst = verify_cone_separator(c, certificate)
         if ok and worst / scale > STRICT_MARGIN:
-            sep.margin = float(worst / scale)
+            certificate["margin"] = float(worst / scale)  # normalized by the diameter
             return CriterionEntry(name="cone", verdict=VERDICT_CERTIFIED, measured=measured,
-                                  margin=sep.margin, certificate=sep.to_dict(),
+                                  margin=certificate["margin"], certificate=certificate,
                                   notes="certificate re-verified by independent membership check")
     return CriterionEntry(
         name="cone", verdict=VERDICT_NO_CERTIFICATE, measured=measured,

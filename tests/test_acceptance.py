@@ -29,7 +29,7 @@ from curvebound.audit import run_audit
 from curvebound.cli import main as cli_main
 from curvebound.contour import Contour, contour_length, save_contour
 from curvebound.criteria import (VERDICT_CERTIFIED, VERDICT_NO_CERTIFICATE,
-                                 ConeSeparator, bottleneck_split, cone_check,
+                                 bottleneck_split, cone_check,
                                  diameter_length_check, tau_root,
                                  verify_cone_separator, white_check)
 from curvebound.curvature import total_abs_curvature, total_mean_curvature
@@ -205,15 +205,13 @@ def test_criterion_08b_antipodal_cone(antipodal_microcircles):
     # so the sound search must certify and re-verify.
     report("criterion 8 antipodal cone certified", entry.verdict == VERDICT_CERTIFIED,
            f"verdict {entry.verdict}, margin {entry.margin}")
-    ok, worst = verify_cone_separator(antipodal_microcircles,
-                                      ConeSeparator.from_dict(entry.certificate))
+    ok, worst = verify_cone_separator(antipodal_microcircles, entry.certificate)
     report("criterion 8 antipodal cone re-verified", ok and worst > 0,
            f"returned certificate: worst slack {worst:.6f}")
     root = tau_root()
     slack = np.cos(0.01) * np.sqrt(root.sinh_sq) - np.sin(0.01)
-    apex_cone = ConeSeparator(apex=np.zeros(3), axis=np.array([0.0, 0.0, 1.0]),
-                              tau=root.tau, sinh_sq=root.sinh_sq,
-                              partition=((0,), (1,)), margin=0.0)
+    apex_cone = {"apex": [0.0, 0.0, 0.0], "axis": [0.0, 0.0, 1.0], "tau": root.tau,
+                 "sinh_sq": root.sinh_sq, "partition": [[0], [1]], "margin": 0.0}
     ok, worst = verify_cone_separator(antipodal_microcircles, apex_cone)
     report("criterion 8 antipodal cone closed form", ok and abs(worst - slack) <= 1e-12,
            f"apex 0, axis e_z: worst slack {worst:.15f} vs {slack:.15f}")
@@ -290,8 +288,7 @@ def test_criterion_09_cone_separation():
     elapsed = time.perf_counter() - t0
     ok_far = entry_far.verdict == VERDICT_CERTIFIED
     if ok_far:
-        sep = ConeSeparator.from_dict(entry_far.certificate)
-        ok_far, worst = verify_cone_separator(far, sep)
+        ok_far, worst = verify_cone_separator(far, entry_far.certificate)
         ok_far = ok_far and worst > 0
     report("criterion 9 certificate", ok_far,
            "circles at z=+-2 certified and independently re-verified")

@@ -1,5 +1,4 @@
 import multiprocessing
-from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
@@ -9,11 +8,17 @@ from conftest import (brute_force_intrinsic_diameter, curvature_in_ball, exit_ab
 from curvebound import audit
 from curvebound import generators as gen
 from curvebound.audit import (DELTA_SHARP, R_SAMPLES, SIGMA_SHARP, comparison_identity_check,
-                              covering_bound_check, ct_constants, m_kappa,
-                              michael_simon_check, run_audit,
+                              ct_constants, m_kappa, michael_simon_check, run_audit,
                               probe_function_library)
-from curvebound.curvature import mean_curvature_field
+from curvebound.curvature import mean_curvature_field, total_mean_curvature
 from curvebound.mesh import SurfaceMesh, geodesic_distances
+
+
+def _disjoint_icospheres():
+    """A closed shape that validate accepts but that is not connected."""
+    sphere = gen.icosphere(1)
+    return SurfaceMesh(np.vstack([sphere.vertices, sphere.vertices + [5.0, 0.0, 0.0]]),
+                       np.vstack([sphere.triangles, sphere.triangles + sphere.n_vertices]))
 
 
 def reference_m_kappa(mesh, p, R, r_samples=50):
@@ -158,17 +163,25 @@ class TestComparisonIdentity:
         assert abs(rec.perturbed_coefficient - 0.5612) < 1e-3
 
 
+@pytest.fixture(scope="session")
+def library_audit():
+    """The closed library and one audit of it, whose covering records the tests read."""
+    library = gen.closed_library_meshes()
+    return library, run_audit(shapes=library, probes_per_shape=1)
+
+
 class TestCoveringBound:
-    def test_icosphere(self, icosphere4):
-        rec = covering_bound_check(icosphere4)
+    def test_icosphere(self, library_audit):
+        library, report = library_audit
+        rec = report.covering["icosphere4"]
         assert rec.holds
-        assert rec.d_int == brute_force_intrinsic_diameter(icosphere4)
+        assert rec.d_int == brute_force_intrinsic_diameter(library["icosphere4"])
         # worst-pair edge-graph bias measured at 6.2% on this lattice
         assert np.pi <= rec.d_int <= 1.07 * np.pi
         assert rec.bound > 60  # (16/pi) * 4 pi = 64 with huge slack
 
-    def test_capped_cylinder(self, capped_cyl_1_20):
-        rec = covering_bound_check(capped_cyl_1_20)
+    def test_capped_cylinder(self, library_audit):
+        rec = library_audit[1].covering["capped_cylinder_1_20"]
         assert rec.holds
         # exact over all 14,530 vertices (the value a 64-source sample found)
         assert rec.d_int == 23.139350203046863
@@ -176,14 +189,21 @@ class TestCoveringBound:
         # (the inscribed-polygon defect can dip slightly below 20 + pi)
         assert 0.999 * (20 + np.pi) <= rec.d_int <= 1.1 * (20 + np.pi)
 
-    def test_ratio_floor_across_shapes(self):
-        for name, mesh in gen.closed_library_meshes().items():
-            rec = covering_bound_check(mesh)
+    def test_ratio_floor_across_shapes(self, library_audit):
+        library, report = library_audit
+        assert report.covering.keys() == library.keys()
+        for name, rec in report.covering.items():
             assert rec.ratio >= np.pi / 16, name
 
+    def test_bound_is_sixteen_over_pi_of_the_curvature(self, library_audit):
+        library, report = library_audit
+        for name, rec in report.covering.items():
+            assert rec.bound == float((16 / np.pi) * total_mean_curvature(library[name])), name
+
     def test_open_mesh_rejected(self, unit_disk):
-        with pytest.raises(ValueError):
-            covering_bound_check(unit_disk)
+        with pytest.raises(ValueError, match="^shape disk is not a valid closed mesh$"):
+            run_audit(shapes={"disk": unit_disk})
+        assert multiprocessing.active_children() == []
 
 
 class TestConstants:
@@ -231,7 +251,7 @@ class TestRunAudit:
 
     def test_dead_worker_breaks_the_pool(self, monkeypatch):
         monkeypatch.setattr(audit, "_eccentricity_chunk", exit_abruptly)
-        with pytest.raises(BrokenProcessPool):
+        with pytest.raises(ChildProcessError, match="^an audit worker process died$"):
             run_audit(shapes={"icosphere1": gen.icosphere(1)}, probes_per_shape=1)
         assert multiprocessing.active_children() == []
 
@@ -243,19 +263,33 @@ class TestRunAudit:
         assert multiprocessing.active_children() == []
 
     def test_first_error_in_shape_order(self, unit_disk):
-        # a closed disconnected shape passes validate; its search fails at its
-        # start, but the error comes where its record is taken, in shape order
-        sphere = gen.icosphere(1)
-        two = SurfaceMesh(np.vstack([sphere.vertices, sphere.vertices + [5.0, 0.0, 0.0]]),
-                          np.vstack([sphere.triangles, sphere.triangles + sphere.n_vertices]))
+        # every shape is checked before any check runs; the first bad one in
+        # shape order is the error
+        two = _disjoint_icospheres()
         for shapes, message in (
-                ({"two": two, "disk": unit_disk}, "^intrinsic diameter needs a connected mesh$"),
+                ({"two": two, "disk": unit_disk}, "^shape two is not connected$"),
                 ({"disk": unit_disk, "two": two}, "^shape disk is not a valid closed mesh$"),
                 ({"icosphere2": gen.icosphere(2), "two": two},
-                 "^intrinsic diameter needs a connected mesh$")):
+                 "^shape two is not connected$")):
             with pytest.raises(ValueError, match=message):
                 run_audit(shapes=shapes, probes_per_shape=1)
             assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("bad", ["disk", "two"])
+    def test_bad_shape_runs_no_check_and_starts_no_worker(self, bad, unit_disk, monkeypatch):
+        calls = []
+
+        def spy(name):
+            return lambda *args, **kwargs: calls.append(name)
+
+        for name in ("michael_simon_check", "m_kappa", "_EccentricityPool"):
+            monkeypatch.setattr(audit, name, spy(name))
+        shapes = {"icosphere2": gen.icosphere(2),
+                  bad: unit_disk if bad == "disk" else _disjoint_icospheres()}
+        with pytest.raises(ValueError, match=f"^shape {bad} is not "):
+            run_audit(shapes=shapes, probes_per_shape=1)
+        assert calls == []
+        assert multiprocessing.active_children() == []
 
     @pytest.mark.parametrize("cpus, workers", [(1, 1), (3, 3), (64, 16)])
     def test_worker_count(self, cpus, workers, monkeypatch):

@@ -1,10 +1,12 @@
-"""Pinned digests of the triangle-geometry outputs and of one audit report.
+"""Pinned digests of the triangle-geometry outputs, one audit report and two
+contour reports.
 
 The digests were taken with numpy 2.4.6 and scipy 1.17.1 (the versions the
 CI workflow pins). A change to how areas, cotangents, Voronoi weights,
 gradients, ball integrals or the intrinsic diameter are computed that moves
 any bit of these outputs fails here, even when every tolerance-based test
-still passes.
+still passes; so does a change to the cone search or to how its certificate
+is written.
 """
 
 import hashlib
@@ -16,6 +18,8 @@ import pytest
 from curvebound import generators as gen
 from curvebound.audit import (_triangle_gradients_l1, m_kappa, probe_function_library,
                               run_audit)
+from curvebound.cli import main
+from curvebound.contour import save_contour
 from curvebound.curvature import mean_curvature_field
 from curvebound.mesh import SurfaceMesh
 
@@ -94,3 +98,23 @@ def test_audit_report_matches_pinned_digest():
     doc = run_audit(probes_per_shape=5, seed=1).to_dict()
     text = json.dumps(doc, indent=1, sort_keys=True)  # as cmd_audit writes it
     assert hashlib.sha256(text.encode()).hexdigest() == AUDIT_SEED1_PROBES5
+
+
+# sha256 of the report that ``check-contour --json`` writes (default budget), on two
+# contours whose cone search certifies
+CONTOUR_REPORTS = {
+    "coaxial_gap2": "525de86eba77cf089bc01b8ead1a2b71f73310daf257656c9a77d1ee6898d559",
+    "antipodal": "368d7fea174a8dbf5b15e0a37ae8674062564ab6abee05407e155ac655b55a59",
+}
+CONTOURS = {
+    "coaxial_gap2": lambda: gen.coaxial_circles_contour(1.0, 2.0, segments=180),
+    "antipodal": lambda: gen.sphere_circles(gen.antipodal_point_set(), 0.01, segments=64),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CONTOURS))
+def test_contour_report_matches_pinned_digest(name, tmp_path, capsys):
+    save_contour(CONTOURS[name](), tmp_path / "in.contour.json")
+    report = tmp_path / "report.json"
+    assert main(["check-contour", str(tmp_path / "in.contour.json"), "--json", str(report)]) == 2
+    assert hashlib.sha256(report.read_bytes()).hexdigest() == CONTOUR_REPORTS[name]

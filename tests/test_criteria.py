@@ -9,8 +9,7 @@ from curvebound import generators as gen
 from curvebound.contour import Contour, ContourError, contour_diameter
 from curvebound.criteria import (VERDICT_CERTIFIED, VERDICT_NO_CERTIFICATE,
                                  VERDICT_NOT_APPLICABLE, VERDICT_NOT_TRIGGERED,
-                                 ConeSeparator, analyze,
-                                 bottleneck_split, cone_check,
+                                 analyze, bottleneck_split, cone_check,
                                  diameter_length_check, tau_root,
                                  verify_cone_separator, white_check)
 
@@ -163,8 +162,7 @@ class TestCone:
         c = gen.coaxial_circles_contour(1.0, 2.0, segments=180)
         entry = cone_check(c)
         assert entry.verdict == VERDICT_CERTIFIED
-        sep = ConeSeparator.from_dict(entry.certificate)
-        ok, worst = verify_cone_separator(c, sep)
+        ok, worst = verify_cone_separator(c, entry.certificate)
         assert ok and worst > 0
         # closed form at the symmetric apex: rho = 1 < 2 sinh(tau)
         assert entry.margin > 0.1
@@ -190,22 +188,20 @@ class TestCone:
         c = Contour([top, bot])
         entry = cone_check(c, search_budget=100)
         assert entry.verdict == VERDICT_CERTIFIED
-        ok, worst = verify_cone_separator(c, ConeSeparator.from_dict(entry.certificate))
+        ok, worst = verify_cone_separator(c, entry.certificate)
         assert ok
         assert entry.margin == worst / contour_diameter(c)
 
     def test_separator_scale_covariance(self):
         c = gen.coaxial_circles_contour(1.0, 2.0, segments=90)
         entry = cone_check(c)
-        sep = ConeSeparator.from_dict(entry.certificate)
+        sep = entry.certificate
         lam = 3.0
         rot = random_rotation(4)
         shift = np.array([0.5, -1.0, 2.0])
         moved = Contour([lam * comp @ rot.T + shift for comp in c.components])
-        moved_sep = ConeSeparator(
-            apex=lam * rot @ sep.apex + shift, axis=rot @ sep.axis,
-            tau=sep.tau, sinh_sq=sep.sinh_sq, partition=sep.partition,
-            margin=sep.margin)
+        moved_sep = dict(sep, apex=list(lam * rot @ np.array(sep["apex"]) + shift),
+                         axis=list(rot @ np.array(sep["axis"])))
         ok0, worst0 = verify_cone_separator(c, sep)
         ok1, worst1 = verify_cone_separator(moved, moved_sep)
         assert ok0 and ok1
@@ -219,13 +215,10 @@ class TestCone:
 
     def test_rejects_bad_partition(self):
         c = gen.coaxial_circles_contour(1.0, 2.0, segments=64)
-        sep = ConeSeparator(apex=np.zeros(3), axis=np.array([0.0, 0, 1]),
-                            tau=tau_root().tau, sinh_sq=tau_root().sinh_sq,
-                            partition=((0, 1), ()), margin=0.0)
+        sep = {"apex": [0.0, 0.0, 0.0], "axis": [0.0, 0.0, 1.0], "tau": tau_root().tau,
+               "sinh_sq": tau_root().sinh_sq, "partition": [[0, 1], []], "margin": 0.0}
         assert verify_cone_separator(c, sep)[0] is False
-        sep_wrong_side = ConeSeparator(apex=np.zeros(3), axis=np.array([0.0, 0, 1]),
-                                       tau=tau_root().tau, sinh_sq=tau_root().sinh_sq,
-                                       partition=((1,), (0,)), margin=0.0)
+        sep_wrong_side = dict(sep, partition=[[1], [0]])
         assert verify_cone_separator(c, sep_wrong_side)[0] is False
 
     def test_single_component_not_applicable(self):
@@ -274,7 +267,7 @@ class TestConeNearThreshold:
             c = Contour([comp @ rot.T + 3.0 for comp in c.components])
         entry = cone_check(c)
         assert entry.verdict == VERDICT_CERTIFIED
-        ok, worst = verify_cone_separator(c, ConeSeparator.from_dict(entry.certificate))
+        ok, worst = verify_cone_separator(c, entry.certificate)
         assert ok and worst > 0
         assert entry.margin == worst / contour_diameter(c)
 
