@@ -12,7 +12,6 @@ Checks, on the library of closed shapes:
 
 import os
 from collections import deque
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -26,24 +25,6 @@ MS_DISCRETIZATION_SLACK = 0.05
 R_SAMPLES = 50  # radius grid of m_kappa
 N_BUMPS = 3  # extrinsic bumps in probe_function_library
 PERTURBED_DELTA = np.pi / 3.0  # comparison_identity_check's off-sharp delta
-
-
-@dataclass
-class MichaelSimonRecord:
-    f_name: str
-    lhs: float
-    rhs: float
-    grad_l1: float
-    hf_l1: float
-    holds: bool
-
-    @property
-    def margin(self):
-        return self.rhs - self.lhs
-
-    @property
-    def ratio(self):
-        return self.lhs / self.rhs if self.rhs > 0 else np.inf
 
 
 def _triangle_gradients_l1(mesh, f):
@@ -66,11 +47,13 @@ def _triangle_gradients_l1(mesh, f):
     return float((np.sqrt(np.maximum(grad_sq, 0.0)) * mesh.triangle_areas()).sum())
 
 
-def michael_simon_check(mesh: SurfaceMesh, f, name="f") -> MichaelSimonRecord:
+def michael_simon_check(mesh: SurfaceMesh, f, name="f") -> dict:
     """Discrete sharp Michael-Simon inequality for one nonnegative function.
 
     Vertex-lumped L2 norm, per-triangle linear-gradient L1 norm, vertex-lumped
     |H| f L1 norm; the inequality is granted a 5% slack for discretization.
+    Returns the report entry ``{"f", "lhs", "rhs", "margin", "holds"}``, with
+    ``f`` the function's name and ``margin = rhs - lhs``.
     """
     f = np.asarray(f, dtype=float)
     if np.any(f < 0):
@@ -84,10 +67,8 @@ def michael_simon_check(mesh: SurfaceMesh, f, name="f") -> MichaelSimonRecord:
     grad_l1 = _triangle_gradients_l1(mesh, f)
     hf_l1 = float(np.sum(field_.magnitudes() * f * field_.areas))
     rhs = grad_l1 + 2.0 * hf_l1
-    return MichaelSimonRecord(
-        f_name=name, lhs=lhs, rhs=rhs, grad_l1=grad_l1, hf_l1=hf_l1,
-        holds=bool(lhs <= rhs * (1.0 + MS_DISCRETIZATION_SLACK)),
-    )
+    return {"f": name, "lhs": lhs, "rhs": rhs, "margin": rhs - lhs,
+            "holds": bool(lhs <= rhs * (1.0 + MS_DISCRETIZATION_SLACK))}
 
 
 def probe_function_library(mesh: SurfaceMesh, seed=0):
@@ -113,24 +94,14 @@ def probe_function_library(mesh: SurfaceMesh, seed=0):
     return out
 
 
-@dataclass
-class DichotomyRecord:
-    probe: int
-    radius: float
-    m: float
-    kappa: float
-
-    @property
-    def holds(self):
-        return max(self.m, self.kappa) > DELTA_SHARP
-
-
-def m_kappa(mesh: SurfaceMesh, p: int, R: float) -> DichotomyRecord:
+def m_kappa(mesh: SurfaceMesh, p: int, R: float) -> dict:
     """Curvature concentration m(p,R) and area collapsedness kappa(p,R).
 
     m = sup over sampled r of (1/r) * integral of |H| over B(p, r);
     kappa = inf over sampled r of V(p, r)/r^2. The sup/inf run over the grid
     r = R*j/R_SAMPLES. R beyond the intrinsic radius just saturates the ball.
+    Returns the report entry ``{"probe", "R", "m", "kappa", "holds"}``, where
+    ``holds`` is the dichotomy max(m, kappa) > pi/4.
 
     Each triangle keeps the part of the ball {d <= r} where the linear
     interpolant of its corner distances is <= r: with one corner out (its
@@ -164,58 +135,29 @@ def m_kappa(mesh: SurfaceMesh, p: int, R: float) -> DichotomyRecord:
                            + float((w[one] * tb * tc).sum()) for w in weights)
         m_best = max(m_best, curvature / r)
         k_best = min(k_best, area / (r * r))
-    return DichotomyRecord(probe=int(p), radius=float(R), m=float(m_best),
-                           kappa=float(k_best))
+    m, kappa = float(m_best), float(k_best)
+    return {"probe": int(p), "R": float(R), "m": m, "kappa": kappa,
+            "holds": max(m, kappa) > DELTA_SHARP}
 
 
-@dataclass
-class IdentityRecord:
-    coefficient: float
-    max_grid_residual: float
-    perturbed_delta: float
-    perturbed_coefficient: float
-
-    @property
-    def holds(self):
-        return abs(self.coefficient) <= 1e-12 and self.max_grid_residual <= 1e-11
-
-
-def comparison_identity_check() -> IdentityRecord:
+def comparison_identity_check() -> dict:
     """Residual of v' + 2*delta*r - sigma*sqrt(v) for v = delta*r^2.
 
     The coefficient 4*delta - sigma*sqrt(delta) vanishes exactly at the sharp
     constants; the coefficient at PERTURBED_DELTA = pi/3 (about 0.561) is
-    reported as well to show the check can fail.
+    reported as well to show the check can fail. Returns the report entry
+    ``{"coefficient", "max_grid_residual", "perturbed_delta",
+    "perturbed_coefficient", "holds"}``.
     """
     coeff = 4.0 * DELTA_SHARP - SIGMA_SHARP * np.sqrt(DELTA_SHARP)
     r = np.linspace(1e-6, 10.0, 1001)
     v = DELTA_SHARP * r * r
     residual = 2.0 * DELTA_SHARP * r + 2.0 * DELTA_SHARP * r - SIGMA_SHARP * np.sqrt(v)
     pert = 4.0 * PERTURBED_DELTA - SIGMA_SHARP * np.sqrt(PERTURBED_DELTA)
-    return IdentityRecord(
-        coefficient=float(coeff),
-        max_grid_residual=float(np.abs(residual).max()),
-        perturbed_delta=float(PERTURBED_DELTA),
-        perturbed_coefficient=float(pert),
-    )
-
-
-@dataclass
-class CoveringRecord:
-    d_int: float
-    curvature: float
-
-    @property
-    def bound(self):
-        return float((16.0 / np.pi) * self.curvature)
-
-    @property
-    def holds(self):
-        return self.d_int <= self.bound
-
-    @property
-    def ratio(self):
-        return self.curvature / self.d_int if self.d_int > 0 else np.inf
+    coeff, max_residual = float(coeff), float(np.abs(residual).max())
+    return {"coefficient": coeff, "max_grid_residual": max_residual,
+            "perturbed_delta": float(PERTURBED_DELTA), "perturbed_coefficient": float(pert),
+            "holds": abs(coeff) <= 1e-12 and max_residual <= 1e-11}
 
 
 def ct_constants(n: int, conjectural=False) -> float:
@@ -232,56 +174,14 @@ def ct_constants(n: int, conjectural=False) -> float:
     return float(np.pi / 16.0) if n <= 4 else float(np.pi / 32.0)
 
 
-@dataclass
-class AuditReport:
-    michael_simon: dict = field(default_factory=dict)  # shape -> [records]
-    dichotomy: dict = field(default_factory=dict)      # shape -> [records]
-    identity: IdentityRecord | None = None
-    covering: dict = field(default_factory=dict)       # shape -> record
-
-    @property
-    def all_hold(self):
-        ms = all(r.holds for rs in self.michael_simon.values() for r in rs)
-        di = all(r.holds for rs in self.dichotomy.values() for r in rs)
-        co = all(r.holds for r in self.covering.values())
-        return ms and di and co and (self.identity is None or self.identity.holds)
-
-    def to_dict(self):
-        return {
-            "michael_simon": {
-                shape: [
-                    {"f": r.f_name, "lhs": r.lhs, "rhs": r.rhs, "margin": r.margin,
-                     "holds": r.holds}
-                    for r in rs
-                ]
-                for shape, rs in self.michael_simon.items()
-            },
-            "dichotomy": {
-                shape: [
-                    {"probe": r.probe, "R": r.radius, "m": r.m, "kappa": r.kappa,
-                     "holds": r.holds}
-                    for r in rs
-                ]
-                for shape, rs in self.dichotomy.items()
-            },
-            "identity": None if self.identity is None else {
-                "coefficient": self.identity.coefficient,
-                "max_grid_residual": self.identity.max_grid_residual,
-                "perturbed_delta": self.identity.perturbed_delta,
-                "perturbed_coefficient": self.identity.perturbed_coefficient,
-                "holds": self.identity.holds,
-            },
-            "covering": {
-                shape: {"d_int": r.d_int, "curvature": r.curvature, "bound": r.bound,
-                        "holds": r.holds, "ratio": r.ratio}
-                for shape, r in self.covering.items()
-            },
-            "all_hold": self.all_hold,
-        }
-
-
-def run_audit(shapes=None, probes_per_shape=20, seed=0) -> AuditReport:
+def run_audit(shapes=None, probes_per_shape=20, seed=0) -> dict:
     """Full verification pass over the closed shape library.
+
+    Returns the report that ``audit --json`` writes: ``michael_simon`` and
+    ``dichotomy`` map each shape to its list of check entries, ``identity``
+    is the comparison identity's entry, ``covering`` maps each shape to
+    ``{"d_int", "curvature", "bound", "holds", "ratio"}`` for Topping's
+    d_int <= (16/pi) int|H|, and ``all_hold`` is true when every entry holds.
 
     Every shape is checked first, in shape order: the first that is not a
     valid closed mesh, or not connected, raises ValueError before any check
@@ -291,8 +191,8 @@ def run_audit(shapes=None, probes_per_shape=20, seed=0) -> AuditReport:
     bounds of each search live in this process, and the workers compute
     chunks of its Dijkstra batches and return only their order-free max/min
     reductions. So d_int has the bits of ``intrinsic_diameter`` for any
-    number of workers. A failed chunk is raised where its shape's record is
-    taken, in shape order; a dead worker raises ChildProcessError. The
+    number of workers. A failed chunk is raised where its shape's covering
+    entry is built, in shape order; a dead worker raises ChildProcessError. The
     workers are joined before this returns or raises.
     """
     from .generators import closed_library_meshes
@@ -307,8 +207,8 @@ def run_audit(shapes=None, probes_per_shape=20, seed=0) -> AuditReport:
             raise ValueError(f"shape {name} is not a valid closed mesh")
         if not rep.connected:
             raise ValueError(f"shape {name} is not connected")
-    report = AuditReport()
-    report.identity = comparison_identity_check()
+    report = {"michael_simon": {}, "dichotomy": {}, "identity": comparison_identity_check(),
+              "covering": {}}
     rng = np.random.default_rng(seed)
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     pool = _EccentricityPool(max(1, min(cpus or 1, _ECC_BATCH)),
@@ -317,21 +217,29 @@ def run_audit(shapes=None, probes_per_shape=20, seed=0) -> AuditReport:
         for name, mesh in shapes.items():
             pool.start(name, mesh)
         for name, mesh in shapes.items():
-            report.michael_simon[name] = []
+            report["michael_simon"][name] = []
             for fname, f in probe_function_library(mesh, seed=seed):
-                report.michael_simon[name].append(michael_simon_check(mesh, f, fname))
+                report["michael_simon"][name].append(michael_simon_check(mesh, f, fname))
                 pool.service()
             diam_hint = float(np.linalg.norm(
                 mesh.vertices.max(axis=0) - mesh.vertices.min(axis=0)))
             probes = rng.integers(0, mesh.n_vertices, size=probes_per_shape)
-            report.dichotomy[name] = []
+            report["dichotomy"][name] = []
             for p in probes:
-                report.dichotomy[name].append(m_kappa(mesh, int(p), R=0.5 * diam_hint))
+                report["dichotomy"][name].append(m_kappa(mesh, int(p), R=0.5 * diam_hint))
                 pool.service()
-            report.covering[name] = CoveringRecord(d_int=pool.result(name),
-                                                   curvature=total_mean_curvature(mesh))
+            d_int, curvature = pool.result(name), total_mean_curvature(mesh)
+            bound = float((16.0 / np.pi) * curvature)
+            report["covering"][name] = {
+                "d_int": d_int, "curvature": curvature, "bound": bound, "holds": d_int <= bound,
+                "ratio": curvature / d_int if d_int > 0 else np.inf}
     finally:
         pool.close()
+    report["all_hold"] = (
+        all(r["holds"] for key in ("michael_simon", "dichotomy")
+            for entries in report[key].values() for r in entries)
+        and all(r["holds"] for r in report["covering"].values())
+        and report["identity"]["holds"])
     return report
 
 

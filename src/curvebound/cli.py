@@ -5,7 +5,9 @@ All floating output is printed at 12 significant digits; identical
 configuration and seed produce byte-identical reports.
 Exit codes: 0 analysis ran (and ``--help``), 2 at least one criterion
 certified nonexistence (check-contour only), 1 bad input or usage, with
-nothing on stdout. A contour whose components touch or cross is bad input.
+nothing on stdout. A contour whose components touch or cross is bad input,
+and so is an invalid mesh, or a disconnected one given to verify-bound or
+double.
 """
 
 import argparse
@@ -42,8 +44,10 @@ def cmd_verify_bound(args):
     mesh = load_mesh(args.mesh)
     report = validate(mesh)
     if not report.is_valid:
-        _print(str(report))
-        return 1
+        raise MeshError(str(report))
+    if not report.connected:
+        raise MeshError("mesh is not connected; the diameter bound applies to connected "
+                        "surfaces")
     d = extrinsic_diameter(mesh.vertices)
     curv = total_mean_curvature(mesh)
     blen = boundary_length(mesh)
@@ -187,8 +191,7 @@ def cmd_gen(args):
     else:
         rep = validate(obj)
         if not rep.is_valid:
-            _print(str(rep))
-            return 1
+            raise MeshError(str(rep))
         save_mesh(obj, args.out)
         _print(f"mesh with {obj.n_vertices} vertices -> {args.out}")
     return 0
@@ -199,8 +202,7 @@ def cmd_audit(args):
     if args.quick:
         library = gen_mod.closed_library_meshes()
         shapes = {name: library[name] for name in ("icosphere3", "capped_cylinder_0.5_4")}
-    report = audit_mod.run_audit(shapes=shapes, probes_per_shape=args.probes, seed=args.seed)
-    doc = report.to_dict()
+    doc = audit_mod.run_audit(shapes=shapes, probes_per_shape=args.probes, seed=args.seed)
     _print("identity: coefficient = " + _fmt(doc["identity"]["coefficient"])
            + ", perturbed(pi/3) = " + _fmt(doc["identity"]["perturbed_coefficient"])
            + ", holds = " + str(doc["identity"]["holds"]))

@@ -270,11 +270,14 @@ def build_double(mesh: SurfaceMesh, k: int, epsilon="auto") -> DoubledSurface:
     the double is "pressed" flat against the input); each boundary loop gets a
     tube whose end rows are welded to the loop's vertices on the two copies.
     ``epsilon="auto"`` picks min(eps_bar/2, 1/(2k)), keeping the sweep regular
-    and the diameter perturbation below 4*eps_k < 2/k.
+    and the diameter perturbation below 4*eps_k < 2/k. An invalid,
+    disconnected or closed mesh raises MeshError before any frame is built.
     """
     report = validate(mesh)
     if not report.is_valid:
         raise MeshError(f"cannot double an invalid mesh:\n{report}")
+    if not report.connected:
+        raise MeshError("mesh is not connected; doubling applies to connected surfaces")
     if report.closed:
         raise MeshError("mesh is closed; doubling applies to surfaces with boundary")
     frames = build_boundary_frames(mesh)

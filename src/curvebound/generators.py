@@ -341,7 +341,6 @@ def fibonacci_net(target_epsilon, max_points=10**6) -> SphericalPointSet:
         X = net(len(X) + 1)
     while (fewer := net(len(X) - 1)).covering_radius <= target_epsilon:
         X = fewer
-    X.meets_packing_floor = X.packing_radius >= target_epsilon / 4.0
     return X
 
 

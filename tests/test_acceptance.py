@@ -301,16 +301,16 @@ def test_criterion_10_audit_suite():
     t0 = time.perf_counter()
     audit = run_audit(probes_per_shape=20, seed=0)
     elapsed = time.perf_counter() - t0
-    ms_ok = all(r.holds for rs in audit.michael_simon.values() for r in rs)
+    ms_ok = all(r["holds"] for rs in audit["michael_simon"].values() for r in rs)
     report("criterion 10 michael-simon", ms_ok,
            "inequality holds with 5% slack for every test function and shape")
-    di_ok = all(r.holds for rs in audit.dichotomy.values() for r in rs)
-    n_probes = sum(len(rs) for rs in audit.dichotomy.values())
+    di_ok = all(r["holds"] for rs in audit["dichotomy"].values() for r in rs)
+    n_probes = sum(len(rs) for rs in audit["dichotomy"].values())
     report("criterion 10 dichotomy", di_ok,
            f"max(m, kappa) > pi/4 at all {n_probes} probes")
-    report("criterion 10 identity", audit.identity.holds,
-           f"coefficient residual {audit.identity.coefficient:.2e} <= 1e-12")
-    co_ok = all(r.holds for r in audit.covering.values())
+    report("criterion 10 identity", audit["identity"]["holds"],
+           f"coefficient residual {audit['identity']['coefficient']:.2e} <= 1e-12")
+    co_ok = all(r["holds"] for r in audit["covering"].values())
     report("criterion 10 covering", co_ok, "d_int <= (16/pi) int|H| on all shapes")
     report("criterion 10 runtime", elapsed < 60.0, f"{elapsed:.1f}s < 60s")
 

@@ -1,5 +1,5 @@
-"""Pinned digests of the triangle-geometry outputs, one audit report and two
-contour reports.
+"""Pinned digests of the triangle-geometry outputs, one audit run's report,
+stdout and CSV, and two contour reports.
 
 The digests were taken with numpy 2.4.6 and scipy 1.17.1 (the versions the
 CI workflow pins). A change to how areas, cotangents, Voronoi weights,
@@ -10,14 +10,12 @@ is written.
 """
 
 import hashlib
-import json
 
 import numpy as np
 import pytest
 
 from curvebound import generators as gen
-from curvebound.audit import (_triangle_gradients_l1, m_kappa, probe_function_library,
-                              run_audit)
+from curvebound.audit import _triangle_gradients_l1, m_kappa, probe_function_library
 from curvebound.cli import main
 from curvebound.contour import save_contour
 from curvebound.curvature import mean_curvature_field
@@ -80,7 +78,7 @@ def _outputs(mesh):
         "voronoi": field.areas,
         "gradients": [_triangle_gradients_l1(mesh, f)
                       for _, f in probe_function_library(mesh, seed=0)],
-        "m_kappa": [[r.m, r.kappa] for r in dichotomy],
+        "m_kappa": [[r["m"], r["kappa"]] for r in dichotomy],
     }
 
 
@@ -90,14 +88,21 @@ def test_outputs_match_pinned_digests(name):
     assert got == DIGESTS[name]
 
 
-# sha256 of the report that ``audit --seed 1 --probes 5 --json`` writes, on the closed library
+# sha256 of what ``audit --seed 1 --probes 5 --json J --csv C`` writes, on the closed
+# library: the JSON report, stdout and the CSV
 AUDIT_SEED1_PROBES5 = "fc9473e9095238ef43993175a6e34fb957dc93fedb451809be01fd296b8c3611"
+AUDIT_SEED1_PROBES5_STDOUT = "89da12e864e79141ea0f7c66b8cecf94d2e2e8195b546049cb8b28d1fe0e2b33"
+AUDIT_SEED1_PROBES5_CSV = "c608897ca73b62bfb6655814dd8fb609eec714c6444b817e4db2c6a3663b0f8c"
 
 
-def test_audit_report_matches_pinned_digest():
-    doc = run_audit(probes_per_shape=5, seed=1).to_dict()
-    text = json.dumps(doc, indent=1, sort_keys=True)  # as cmd_audit writes it
-    assert hashlib.sha256(text.encode()).hexdigest() == AUDIT_SEED1_PROBES5
+def test_audit_report_matches_pinned_digest(tmp_path, capsys):
+    report, table = tmp_path / "audit.json", tmp_path / "audit.csv"
+    assert main(["--seed", "1", "audit", "--probes", "5", "--json", str(report),
+                 "--csv", str(table)]) == 0
+    stdout = capsys.readouterr().out
+    assert hashlib.sha256(report.read_bytes()).hexdigest() == AUDIT_SEED1_PROBES5
+    assert hashlib.sha256(stdout.encode()).hexdigest() == AUDIT_SEED1_PROBES5_STDOUT
+    assert hashlib.sha256(table.read_bytes()).hexdigest() == AUDIT_SEED1_PROBES5_CSV
 
 
 # sha256 of the report that ``check-contour --json`` writes (default budget), on two

@@ -4,6 +4,7 @@ import subprocess
 import sys
 import textwrap
 
+import numpy as np
 import pytest
 
 from conftest import exit_abruptly, touching_contours
@@ -12,7 +13,7 @@ from curvebound.cli import main
 from curvebound.contour import load_contour, save_contour
 from curvebound.criteria import verify_cone_separator
 from curvebound.doubling import build_double
-from curvebound.mesh import load_mesh, save_mesh
+from curvebound.mesh import SurfaceMesh, load_mesh, save_mesh
 
 
 @pytest.fixture
@@ -55,6 +56,9 @@ class TestVerifyBound:
         '"triangles": [[0, 1, 2]]}',
         '{"dimension": 3, "vertices": [[0, 0, 0], [1, 0, 0], [0, NaN, 0]], '
         '"triangles": [[0, 1, 2]]}',
+        # valid JSON, but three triangles on the edge (0, 1): validate rejects it
+        '{"dimension": 3, "vertices": [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, -1, 0], '
+        '[0, 0, 1]], "triangles": [[0, 1, 2], [1, 0, 3], [0, 1, 4]]}',
     ])
     def test_malformed_mesh_exit_code(self, capsys, tmp_path, command, doc):
         path = tmp_path / "bad.mesh.json"
@@ -64,6 +68,22 @@ class TestVerifyBound:
         assert code == 1
         assert captured.out == ""
         assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("command, message", [
+        ("verify-bound", "the diameter bound applies to connected surfaces"),
+        ("double", "doubling applies to connected surfaces")])
+    def test_disconnected_mesh_is_an_error(self, capsys, tmp_path, command, message):
+        # two disks 100 apart: no number is printed for a surface the bound does not cover
+        disk = gen.flat_disk(1.0, 8, 32)
+        path = tmp_path / "two_disks.mesh.json"
+        save_mesh(SurfaceMesh(np.vstack([disk.vertices, disk.vertices + [100.0, 0.0, 0.0]]),
+                              np.vstack([disk.triangles, disk.triangles + disk.n_vertices])),
+                  path)
+        code = main([command, str(path)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == f"error: mesh is not connected; {message}\n"
 
     def test_obj_relative_indices(self, capsys, tmp_path, disk_obj):
         # the same disk with every face index written relative to the end
@@ -321,6 +341,16 @@ class TestGenCommand:
         code = main(["gen", name, "--param", "foo=1", "--out", str(out)])
         assert code == 1
         assert "foo" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_invalid_mesh_is_an_error(self, capsys, tmp_path):
+        out = tmp_path / "disk.mesh.json"
+        code = main(["gen", "disk", "--param", "radius=0", "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith("error: mesh INVALID: ")
+        assert "  error: degenerate triangle 0 (area 0.000e+00)\n" in captured.err
         assert not out.exists()
 
     def test_net_failure_leaves_stdout_empty(self, capsys, tmp_path):

@@ -2,12 +2,13 @@ import numpy as np
 import pytest
 from scipy.spatial import cKDTree
 
+from curvebound import doubling
 from curvebound import generators as gen
 from curvebound.curvature import total_mean_curvature
 from curvebound.doubling import (BoundaryFrame, build_boundary_frames,
                                  build_double, build_tube, convergence_rows,
                                  regularity_threshold)
-from curvebound.mesh import MeshError, extrinsic_diameter, validate
+from curvebound.mesh import MeshError, SurfaceMesh, extrinsic_diameter, validate
 from curvebound.teardrop import build_sweep_profile
 
 
@@ -193,6 +194,15 @@ class TestDouble:
     def test_closed_input_rejected(self, icosphere4):
         with pytest.raises(MeshError):
             build_double(icosphere4, 10)
+
+    def test_disconnected_input_rejected_before_any_frame(self, unit_disk, monkeypatch):
+        calls = []
+        monkeypatch.setattr(doubling, "build_boundary_frames", calls.append)
+        v, t = unit_disk.vertices, unit_disk.triangles
+        two = SurfaceMesh(np.vstack([v, v + [100.0, 0.0, 0.0]]), np.vstack([t, t + len(v)]))
+        with pytest.raises(MeshError, match="^mesh is not connected; "):
+            build_double(two, 10)
+        assert calls == []
 
     def test_invalid_epsilon_rejected(self, unit_disk):
         with pytest.raises(MeshError):

@@ -351,9 +351,9 @@ class TestIntrinsicDiameter:
 
         monkeypatch.setattr(_EccentricityPool, "_issue", counting_issue)
         report = run_audit(probes_per_shape=1)
-        assert report.covering.keys() == self.LIBRARY_WORK.keys()
+        assert report["covering"].keys() == self.LIBRARY_WORK.keys()
         for name, (runs, value) in self.LIBRARY_WORK.items():
-            assert report.covering[name].d_int == value, name
+            assert report["covering"][name]["d_int"] == value, name
             assert 0 < dispatched[name] <= runs, name
 
     @pytest.mark.parametrize("name", ["icosphere1", "icosphere2", "icosphere3", "disk",
@@ -413,7 +413,7 @@ class TestIntrinsicDiameter:
                             lambda pid: set(range(cpus)), raising=False)
         report = run_audit(shapes=shapes, probes_per_shape=1)
         for name, mesh in shapes.items():
-            assert report.covering[name].d_int == brute_force_intrinsic_diameter(mesh), name
+            assert report["covering"][name]["d_int"] == brute_force_intrinsic_diameter(mesh), name
             assert len(issued[name]) == len(expected[name]), name
             assert all(np.array_equal(a, b) for a, b in zip(issued[name], expected[name])), name
 
