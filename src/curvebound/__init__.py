@@ -8,8 +8,7 @@ competitors into an automated nonexistence analyzer.
 """
 
 from .contour import Contour, contour_diameter, contour_length
-from .criteria import (CriterionReport, analyze, cone_check, diameter_length_check,
-                       tau_root, white_check)
+from .criteria import analyze, cone_check, diameter_length_check, tau_root, white_check
 from .curvature import (MeanCurvatureField, mean_curvature_field, total_abs_curvature,
                         total_mean_curvature)
 from .doubling import (BoundaryFrame, DoubledSurface, build_boundary_frames,
@@ -26,7 +25,6 @@ __all__ = [
     "BoundaryFrame",
     "BoundaryLoop",
     "Contour",
-    "CriterionReport",
     "DoubledSurface",
     "MeanCurvatureField",
     "SurfaceMesh",

@@ -123,17 +123,21 @@ def cmd_teardrop(args):
 
 def cmd_check_contour(args):
     contour = load_contour(args.contour)
-    report = criteria_mod.analyze(
-        contour,
-        mode=args.mode,
-        search_budget=args.budget,
-        run_cone=not args.no_cone,
-    )
-    _print(report.table())
+    doc = criteria_mod.analyze(contour, mode=args.mode, search_budget=args.budget,
+                               run_cone=not args.no_cone)
+    _print(f"contour: {doc['n_components']} component(s), "
+           f"d = {doc['diameter']:.12g}, length = {doc['length']:.12g}")
+    _print(f"{'criterion':<18} {'verdict':<26} {'margin':<22} notes")
+    for e in doc["criteria"]:
+        margin = "-" if e["margin"] is None else f"{e['margin']:.12g}"
+        _print(f"{e['name']:<18} {e['verdict']:<26} {margin:<22} {e['notes']}")
+    if len({e["verdict"] for e in doc["criteria"]} - {criteria_mod.VERDICT_NOT_APPLICABLE}) > 1:
+        _print("note: criteria disagree on this contour; they are "
+               "qualitatively independent and this is expected for some families.")
     if args.json:
         with open(args.json, "w") as fh:
-            json.dump(report.to_dict(), fh, indent=1, sort_keys=True)
-    return 2 if report.certified_any else 0
+            json.dump(doc, fh, indent=1, sort_keys=True)
+    return 2 if doc["certified_any"] else 0
 
 
 def _parse_params(tokens):

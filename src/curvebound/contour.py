@@ -246,4 +246,6 @@ def load_contour(path) -> Contour:
         comps = [np.array(entry["vertices"], dtype=float) for entry in doc["components"]]
     except (KeyError, TypeError) as exc:
         raise ContourError(f"malformed contour document: {exc!r}") from exc
+    if not comps:
+        raise ContourError("contour document has no components")
     return Contour(comps)

@@ -14,13 +14,15 @@ quantities and an explicit margin:
   x^2 + y^2 < z^2 sinh^2(tau), cosh(tau) = tau*sinh(tau), for some apex and
   axis: threshold splits along fixed and searched axes, each apex from a
   linear program. A certificate is the dict of apex, axis, tau, sinh_sq,
-  partition and margin that the report and its JSON carry;
+  partition and margin that the merged report carries;
   ``verify_cone_separator`` re-checks it, from the search or from a saved
   report, by an independent membership check. A failed search is NOT a
   proof of inseparability.
 
-Components are atomic units of every decomposition (splitting single Jordan
-curves is not attempted); margins are normalized by the contour diameter.
+``analyze`` merges the entries into one report, the dict that
+``check-contour --json`` writes. Components are atomic units of every
+decomposition (splitting single Jordan curves is not attempted); margins are
+normalized by the contour diameter.
 """
 
 from dataclasses import asdict, dataclass, field
@@ -68,6 +70,10 @@ def tau_root() -> TauRoot:
 
 @dataclass
 class CriterionEntry:
+    """One criterion's verdict, measurements, margin and certificate. The checks
+    return this record, not the dict it becomes in the report, because callers
+    (the benchmark's span tracer among them) read ``.certified`` off a result."""
+
     name: str
     verdict: str
     measured: dict = field(default_factory=dict)
@@ -78,48 +84,6 @@ class CriterionEntry:
     @property
     def certified(self):
         return self.verdict == VERDICT_CERTIFIED
-
-
-@dataclass
-class CriterionReport:
-    n_components: int
-    diameter: float
-    length: float
-    entries: list = field(default_factory=list)
-
-    @property
-    def certified_any(self):
-        return any(e.certified for e in self.entries)
-
-    def entry(self, name):
-        for e in self.entries:
-            if e.name == name:
-                return e
-        raise KeyError(name)
-
-    def to_dict(self):
-        return {
-            "n_components": self.n_components,
-            "diameter": self.diameter,
-            "length": self.length,
-            "certified_any": self.certified_any,
-            "criteria": [asdict(e) for e in self.entries],
-        }
-
-    def table(self):
-        lines = [
-            f"contour: {self.n_components} component(s), "
-            f"d = {self.diameter:.12g}, length = {self.length:.12g}",
-            f"{'criterion':<18} {'verdict':<26} {'margin':<22} notes",
-        ]
-        for e in self.entries:
-            margin = "-" if e.margin is None else f"{e.margin:.12g}"
-            lines.append(f"{e.name:<18} {e.verdict:<26} {margin:<22} {e.notes}")
-        verdicts = {e.verdict for e in self.entries if e.verdict != VERDICT_NOT_APPLICABLE}
-        if len(verdicts) > 1:
-            lines.append("note: criteria disagree on this contour; they are "
-                         "qualitatively independent and this is expected for some families.")
-        return "\n".join(lines)
 
 
 # -- diameter vs length --------------------------------------------------------
@@ -453,18 +417,15 @@ def cone_check(c: Contour, search_budget=20000) -> CriterionEntry:
 # -- aggregate -------------------------------------------------------------------
 
 
-def analyze(c: Contour, mode="proven", search_budget=20000,
-            run_cone=True) -> CriterionReport:
-    """Run every applicable criterion and merge the entries into one report."""
-    report = CriterionReport(
-        n_components=c.n_components,
-        diameter=contour_diameter(c),
-        length=contour_length(c),
-    )
-    report.entries.append(diameter_length_check(c, mode="proven"))
+def analyze(c: Contour, mode="proven", search_budget=20000, run_cone=True) -> dict:
+    """Run every applicable criterion and merge the entries into one report: the
+    dict that ``check-contour --json`` writes, with each entry as a dict."""
+    entries = [diameter_length_check(c, mode="proven")]
     if mode == "conjectural":
-        report.entries.append(diameter_length_check(c, mode="conjectural"))
-    report.entries.append(white_check(c))
+        entries.append(diameter_length_check(c, mode="conjectural"))
+    entries.append(white_check(c))
     if run_cone:
-        report.entries.append(cone_check(c, search_budget=search_budget))
-    return report
+        entries.append(cone_check(c, search_budget=search_budget))
+    return {"n_components": c.n_components, "diameter": contour_diameter(c),
+            "length": contour_length(c), "certified_any": any(e.certified for e in entries),
+            "criteria": [asdict(e) for e in entries]}

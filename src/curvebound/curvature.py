@@ -1,4 +1,4 @@
-"""Discrete mean curvature on meshes and total absolute curvature of polylines.
+"""Discrete mean curvature on meshes and total absolute curvature of planar polylines.
 
 The mean curvature convention is the averaged one: |H| == 1 on a unit sphere,
 |H| == 1/(2r) on a cylinder of radius r. The cotangent discretization of the
@@ -136,41 +136,25 @@ def _curvature_weights(mesh, field):
     return mesh.triangle_areas() * mags[mesh.triangles].mean(axis=1)
 
 
-def total_abs_curvature(points, closed=False) -> float:
-    """Total variation of the tangent direction of a sampled polyline.
+def total_abs_curvature(points) -> float:
+    """Total variation of the tangent direction of an open planar polyline.
 
-    Sum of unsigned exterior (turning) angles at interior sample points; a
-    closed polyline turns at every vertex including the closing one. The
-    estimator on an open smooth arc of total sweep S has value S*(N-2)/(N-1)
-    at N samples (it misses half a step at each end).
+    Sum of unsigned exterior (turning) angles at the interior sample points.
+    The estimator on a smooth arc of total sweep S has value S*(N-2)/(N-1) at
+    N samples (it misses half a step at each end).
     """
     p = np.asarray(points, dtype=float)
-    if p.ndim != 2 or len(p) < 3:
-        raise ValueError("need at least 3 samples")
+    if p.ndim != 2 or len(p) < 3 or p.shape[1] != 2:
+        raise ValueError(f"need an (n >= 3, 2) array of planar samples, got {p.shape}")
     seg = np.diff(p, axis=0)
-    if closed:
-        seg = np.vstack([seg, p[0] - p[-1]])
-    repeated = seg[:, 0] == 0.0  # per column: a reduction along axis 1 is 4x slower
-    for col in seg.T[1:]:
-        repeated &= col == 0.0
-    if repeated.any():
+    if ((seg[:, 0] == 0.0) & (seg[:, 1] == 0.0)).any():
         raise ValueError("consecutive samples must be distinct")
     u = seg[:-1]
     w = seg[1:]
-    if closed:
-        u = seg
-        w = np.vstack([seg[1:], seg[:1]])
-    if p.shape[1] == 2:
-        # Planar: atan2(cross, dot) is exact-per-vertex; no noise rectification.
-        cross = u[:, 0] * w[:, 1]
-        cross -= u[:, 1] * w[:, 0]
-        dot = u[:, 0] * w[:, 0]
-        dot += u[:, 1] * w[:, 1]
-        turn = np.arctan2(cross, dot, out=cross)
-        return float(np.abs(turn, out=turn).sum())
-    # Angle via rejection of w from u: stable for near-straight samples, where
-    # the Gram-determinant sine would rectify roundoff into spurious turning.
-    u_hat = u / np.linalg.norm(u, axis=1)[:, None]
-    along = np.einsum("ij,ij->i", w, u_hat)
-    rej = w - along[:, None] * u_hat
-    return float(np.arctan2(np.linalg.norm(rej, axis=1), along).sum())
+    # atan2(cross, dot) is exact-per-vertex; no noise rectification
+    cross = u[:, 0] * w[:, 1]
+    cross -= u[:, 1] * w[:, 0]
+    dot = u[:, 0] * w[:, 0]
+    dot += u[:, 1] * w[:, 1]
+    turn = np.arctan2(cross, dot, out=cross)
+    return float(np.abs(turn, out=turn).sum())

@@ -104,7 +104,7 @@ class TeardropCurve:
 
     def turning(self):
         """Total absolute curvature (the cusp angle at the origin not included)."""
-        return total_abs_curvature(self.points, closed=False)
+        return total_abs_curvature(self.points)
 
     def to_rows(self):
         """Rows of 's x y' for the two-column text export."""

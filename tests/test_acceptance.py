@@ -272,7 +272,7 @@ def test_criterion_08f_stadium_silent():
     rep = analyze(gen.stadium_contour(10.0, 1.0), mode="conjectural",
                   search_budget=500)
     _narrative_time(t0)
-    report("criterion 8 stadium silent", not rep.certified_any,
+    report("criterion 8 stadium silent", not rep["certified_any"],
            "no criterion fires on the stadium contour")
     total = sum(_narrative_elapsed)
     report("criterion 8 runtime", total < NARRATIVE_BUDGET,

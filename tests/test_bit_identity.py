@@ -111,6 +111,12 @@ CONTOUR_REPORTS = {
     "coaxial_gap2": "525de86eba77cf089bc01b8ead1a2b71f73310daf257656c9a77d1ee6898d559",
     "antipodal": "368d7fea174a8dbf5b15e0a37ae8674062564ab6abee05407e155ac655b55a59",
 }
+# sha256 of the table that the same run prints; coaxial_gap2's ends with the
+# "criteria disagree" note
+CONTOUR_STDOUT = {
+    "coaxial_gap2": "6a462663ac0ee5faecc46656e729433c52ef79f6a8f524322c824a23c5b05540",
+    "antipodal": "ddc0dc1683a6190a798db73df63c4f5ca73e6a02516899559b8ead8dd32afac8",
+}
 CONTOURS = {
     "coaxial_gap2": lambda: gen.coaxial_circles_contour(1.0, 2.0, segments=180),
     "antipodal": lambda: gen.sphere_circles(gen.antipodal_point_set(), 0.01, segments=64),
@@ -122,4 +128,6 @@ def test_contour_report_matches_pinned_digest(name, tmp_path, capsys):
     save_contour(CONTOURS[name](), tmp_path / "in.contour.json")
     report = tmp_path / "report.json"
     assert main(["check-contour", str(tmp_path / "in.contour.json"), "--json", str(report)]) == 2
+    stdout = capsys.readouterr().out
     assert hashlib.sha256(report.read_bytes()).hexdigest() == CONTOUR_REPORTS[name]
+    assert hashlib.sha256(stdout.encode()).hexdigest() == CONTOUR_STDOUT[name]

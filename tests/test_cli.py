@@ -194,6 +194,15 @@ class TestCheckContour:
         assert code == 1
         assert capsys.readouterr().err.startswith("error: ")
 
+    def test_empty_contour_document(self, capsys, tmp_path):
+        path = tmp_path / "empty.contour.json"
+        path.write_text('{"dimension": 3, "components": []}')
+        code = main(["check-contour", str(path)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == "error: contour document has no components\n"
+
     def test_certificate_read_back_from_json(self, capsys, tmp_path):
         # a saved report's certificate is what verify_cone_separator reads
         path = tmp_path / "coaxial.contour.json"

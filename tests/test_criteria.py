@@ -6,7 +6,8 @@ from conftest import (component_distance_matrix, eager_cone_splits, random_rotat
                       tau_root_bisection, touching_contours, white_bruteforce_oracle,
                       white_candidates_prim)
 from curvebound import generators as gen
-from curvebound.contour import Contour, ContourError, contour_diameter
+from curvebound.cli import main
+from curvebound.contour import Contour, ContourError, contour_diameter, save_contour
 from curvebound.criteria import (VERDICT_CERTIFIED, VERDICT_NO_CERTIFICATE,
                                  VERDICT_NOT_APPLICABLE, VERDICT_NOT_TRIGGERED,
                                  analyze, bottleneck_split, cone_check,
@@ -432,23 +433,25 @@ class TestAnalyze:
         c = Contour(antipodal_microcircles.components)
         report = analyze(c, search_budget=500)
         assert calls == [len(c.all_points())]
-        assert report.diameter == real(c.all_points())
+        assert report["diameter"] == real(c.all_points())
 
-    def test_stadium_everything_silent(self):
-        report = analyze(gen.stadium_contour(10.0, 1.0), mode="conjectural",
-                         search_budget=500)
-        assert not report.certified_any
-        table = report.table()
+    def test_stadium_everything_silent(self, capsys, tmp_path):
+        path = tmp_path / "stadium.contour.json"
+        save_contour(gen.stadium_contour(10.0, 1.0), path)
+        code = main(["check-contour", str(path), "--mode", "conjectural", "--budget", "500"])
+        assert code == 0  # no criterion certified
+        table = capsys.readouterr().out
         assert "not-triggered" in table
 
     def test_antipodal_all_three_fire(self, antipodal_microcircles):
         # two far-apart micro-circles: the catenoid-pinching configuration is
         # caught by every criterion, cone included
         report = analyze(antipodal_microcircles)
-        assert report.entry("diameter-length[proven]").certified
-        assert report.entry("white").certified
-        assert report.entry("cone").certified
-        assert report.certified_any
+        verdicts = {e["name"]: e["verdict"] for e in report["criteria"]}
+        assert verdicts["diameter-length[proven]"] == VERDICT_CERTIFIED
+        assert verdicts["white"] == VERDICT_CERTIFIED
+        assert verdicts["cone"] == VERDICT_CERTIFIED
+        assert report["certified_any"]
 
     def test_dense_net_defeats_the_cone(self):
         # many circles spread over the whole sphere cannot sit inside the two
@@ -459,9 +462,10 @@ class TestAnalyze:
         entry = cone_check(gam, search_budget=3000)
         assert entry.verdict == VERDICT_NO_CERTIFICATE
 
-    def test_disagreement_is_flagged(self, antipodal_microcircles):
+    def test_disagreement_is_flagged(self, capsys, tmp_path):
         # white certified but cone not applicable scenarios produce a note
         net = gen.fibonacci_net(0.2)
-        gam = gen.sphere_circles(net, 0.2**2.5, segments=16)
-        report = analyze(gam, search_budget=500)
-        assert "criteria disagree" in report.table() or report.certified_any is False
+        path = tmp_path / "net.contour.json"
+        save_contour(gen.sphere_circles(net, 0.2**2.5, segments=16), path)
+        code = main(["check-contour", str(path), "--budget", "500"])
+        assert "criteria disagree" in capsys.readouterr().out or code == 0

@@ -110,12 +110,13 @@ class TestTotalMeanCurvature:
 class TestTotalAbsCurvature:
     @pytest.mark.parametrize("n", [3, 4, 5, 17, 360])
     def test_regular_polygon_turns_once(self, n):
-        t = 2 * np.pi * np.arange(n) / n
+        # n + 1 samples around the n-gon, back to the first: n - 1 interior turns
+        t = 2 * np.pi * np.arange(n + 1) / n
         poly = np.column_stack([np.cos(t), np.sin(t)])
-        assert abs(total_abs_curvature(poly, closed=True) - 2 * np.pi) < 1e-9
+        assert abs(total_abs_curvature(poly) - (n - 1) * 2 * np.pi / n) < 1e-9
 
     def test_straight_polyline_is_flat(self):
-        line = np.column_stack([np.linspace(0, 1, 50), np.zeros(50), np.zeros(50)])
+        line = np.column_stack([np.linspace(0, 1, 50), np.zeros(50)])
         assert total_abs_curvature(line) <= 1e-12
 
     def test_half_circle_estimator_bias(self):
@@ -127,18 +128,19 @@ class TestTotalAbsCurvature:
             assert abs(v - np.pi) < tol
             assert abs(v - (n - 2) / (n - 1) * np.pi) < 1e-9
 
-    def test_3d_matches_2d(self):
+    def test_3d_rejected(self):
         t = np.linspace(0, np.pi, 100)
-        arc2 = np.column_stack([np.cos(t), np.sin(t)])
         arc3 = np.column_stack([np.cos(t), np.sin(t), np.zeros(100)])
-        assert abs(total_abs_curvature(arc2) - total_abs_curvature(arc3)) < 1e-10
+        with pytest.raises(ValueError):
+            total_abs_curvature(arc3)
 
-    def test_rigid_invariance_3d(self):
+    def test_rigid_invariance(self):
         rng = np.random.default_rng(3)
-        pts = rng.normal(size=(40, 3))
-        v0 = total_abs_curvature(pts, closed=True)
-        rot = random_rotation(11)
-        v1 = total_abs_curvature(pts @ rot.T + 2.0, closed=True)
+        pts = rng.normal(size=(40, 2))
+        v0 = total_abs_curvature(pts)
+        a = rng.uniform(0.0, 2 * np.pi)
+        rot = np.array([[np.cos(a), -np.sin(a)], [np.sin(a), np.cos(a)]])
+        v1 = total_abs_curvature(pts @ rot.T + np.array([2.0, -1.0]))
         assert abs(v0 - v1) < 1e-9
 
     def test_duplicate_samples_rejected(self):
