@@ -10,14 +10,10 @@ Checks, on the library of closed shapes:
 - the covering-argument bound d_int <= (16/pi) * int|H|.
 """
 
-import os
-from collections import deque
-
 import numpy as np
 
 from .curvature import _curvature_weights, mean_curvature_field, total_mean_curvature
-from .mesh import (_ECC_BATCH, SurfaceMesh, _eccentricity_reductions, _eccentricity_search,
-                   geodesic_distances, validate)
+from .mesh import SurfaceMesh, geodesic_distances, intrinsic_diameter, validate
 
 SIGMA_SHARP = 2.0 * np.sqrt(np.pi)
 DELTA_SHARP = np.pi / 4.0
@@ -63,7 +59,7 @@ def michael_simon_check(mesh: SurfaceMesh, f, name="f") -> dict:
     if not mesh.is_closed():
         raise ValueError("the inequality is checked on closed surfaces")
     field_ = mean_curvature_field(mesh)
-    lhs = SIGMA_SHARP * float(np.sqrt(np.sum(f * f * field_.areas)))
+    lhs = float(SIGMA_SHARP * np.sqrt(np.sum(f * f * field_.areas)))
     grad_l1 = _triangle_gradients_l1(mesh, f)
     hf_l1 = float(np.sum(field_.magnitudes() * f * field_.areas))
     rhs = grad_l1 + 2.0 * hf_l1
@@ -180,20 +176,16 @@ def run_audit(shapes=None, probes_per_shape=20, seed=0) -> dict:
     Returns the report that ``audit --json`` writes: ``michael_simon`` and
     ``dichotomy`` map each shape to its list of check entries, ``identity``
     is the comparison identity's entry, ``covering`` maps each shape to
-    ``{"d_int", "curvature", "bound", "holds", "ratio"}`` for Topping's
-    d_int <= (16/pi) int|H|, and ``all_hold`` is true when every entry holds.
+    ``{"d_int", "d_int_upper", "curvature", "bound", "holds", "ratio_lower",
+    "ratio_upper"}`` for Topping's d_int <= (16/pi) int|H|, and ``all_hold``
+    is true when every entry holds. ``d_int`` and ``d_int_upper`` are the
+    certified bracket of ``intrinsic_diameter`` on the edge-graph diameter,
+    ``holds`` compares ``d_int_upper`` with the bound, and the ratios are
+    curvature / d_int_upper and curvature / d_int.
 
     Every shape is checked first, in shape order: the first that is not a
     valid closed mesh, or not connected, raises ValueError before any check
-    runs and before any worker starts. Then the exact intrinsic diameters of
-    all shapes are searched at once, beside the other checks, by an
-    ``_EccentricityPool`` of min(CPUs, _ECC_BATCH) worker processes: the
-    bounds of each search live in this process, and the workers compute
-    chunks of its Dijkstra batches and return only their order-free max/min
-    reductions. So d_int has the bits of ``intrinsic_diameter`` for any
-    number of workers. A failed chunk is raised where its shape's covering
-    entry is built, in shape order; a dead worker raises ChildProcessError. The
-    workers are joined before this returns or raises.
+    runs. Then the checks run shape by shape, in this process.
     """
     from .generators import closed_library_meshes
 
@@ -210,159 +202,22 @@ def run_audit(shapes=None, probes_per_shape=20, seed=0) -> dict:
     report = {"michael_simon": {}, "dichotomy": {}, "identity": comparison_identity_check(),
               "covering": {}}
     rng = np.random.default_rng(seed)
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    pool = _EccentricityPool(max(1, min(cpus or 1, _ECC_BATCH)),
-                             {name: mesh.vertex_adjacency() for name, mesh in shapes.items()})
-    try:
-        for name, mesh in shapes.items():
-            pool.start(name, mesh)
-        for name, mesh in shapes.items():
-            report["michael_simon"][name] = []
-            for fname, f in probe_function_library(mesh, seed=seed):
-                report["michael_simon"][name].append(michael_simon_check(mesh, f, fname))
-                pool.service()
-            diam_hint = float(np.linalg.norm(
-                mesh.vertices.max(axis=0) - mesh.vertices.min(axis=0)))
-            probes = rng.integers(0, mesh.n_vertices, size=probes_per_shape)
-            report["dichotomy"][name] = []
-            for p in probes:
-                report["dichotomy"][name].append(m_kappa(mesh, int(p), R=0.5 * diam_hint))
-                pool.service()
-            d_int, curvature = pool.result(name), total_mean_curvature(mesh)
-            bound = float((16.0 / np.pi) * curvature)
-            report["covering"][name] = {
-                "d_int": d_int, "curvature": curvature, "bound": bound, "holds": d_int <= bound,
-                "ratio": curvature / d_int if d_int > 0 else np.inf}
-    finally:
-        pool.close()
+    for name, mesh in shapes.items():
+        report["michael_simon"][name] = [michael_simon_check(mesh, f, fname)
+                                         for fname, f in probe_function_library(mesh, seed=seed)]
+        diam_hint = float(np.linalg.norm(mesh.vertices.max(axis=0) - mesh.vertices.min(axis=0)))
+        probes = rng.integers(0, mesh.n_vertices, size=probes_per_shape)
+        report["dichotomy"][name] = [m_kappa(mesh, int(p), R=0.5 * diam_hint) for p in probes]
+        (d_int, d_int_upper), curvature = intrinsic_diameter(mesh), total_mean_curvature(mesh)
+        bound = float((16.0 / np.pi) * curvature)
+        report["covering"][name] = {
+            "d_int": d_int, "d_int_upper": d_int_upper, "curvature": curvature, "bound": bound,
+            "holds": d_int_upper <= bound,
+            "ratio_lower": curvature / d_int_upper if d_int_upper > 0 else np.inf,
+            "ratio_upper": curvature / d_int if d_int > 0 else np.inf}
     report["all_hold"] = (
         all(r["holds"] for key in ("michael_simon", "dichotomy")
             for entries in report[key].values() for r in entries)
         and all(r["holds"] for r in report["covering"].values())
         and report["identity"]["holds"])
     return report
-
-
-def _eccentricity_chunk(graph, sources, live):
-    """Audit worker task: the reductions of one chunk of a batch's Dijkstra rows."""
-    from scipy.sparse import csgraph
-    d = csgraph.dijkstra(graph, directed=True, indices=sources)
-    return _eccentricity_reductions(d, live)
-
-
-def _eccentricity_worker(conn, graphs):
-    """Audit worker process: answers each (shape, sources, live) with reductions."""
-    while True:
-        try:
-            name, sources, live = conn.recv()
-        except EOFError:
-            return
-        try:
-            out = _eccentricity_chunk(graphs[name], sources, live)
-        except Exception as exc:
-            out = exc
-        conn.send(out)
-
-
-class _EccentricityPool:
-    """Worker processes, each on its own pipe, that run the audit's searches.
-
-    Every search (``steps``, one ``_eccentricity_search`` per shape, which
-    ``run_audit`` has checked to be closed and connected) lives in this
-    process; its batches are split into chunks, about as many in flight,
-    over all running searches, as there are workers, and handed to idle
-    workers in order. A batch's reductions gather in ``parts`` until no
-    chunk is missing. Nothing runs in a thread (an executor's manager and
-    feeder threads cost about 1 ms of this process's CPU per task, against
-    about 0.2 ms here): results are read when ``service`` or ``result`` is
-    called. ``results`` holds each finished search's diameter or its first
-    error (a failed chunk, or ChildProcessError for a dead worker), which
-    ``result`` raises.
-    """
-
-    def __init__(self, workers, graphs):
-        import multiprocessing
-        self.workers, self.procs, self.conns = workers, [], []
-        self.idle, self.busy, self.queue = [], {}, deque()
-        self.steps, self.parts, self.results = {}, {}, {}
-        try:
-            for _ in range(workers):
-                here, there = multiprocessing.Pipe()
-                proc = multiprocessing.Process(target=_eccentricity_worker,
-                                               args=(there, graphs), daemon=True)
-                proc.start()
-                there.close()
-                self.procs.append(proc)
-                self.conns.append(here)
-        except BaseException:
-            self.close()
-            raise
-        self.idle = list(self.conns)
-
-    def start(self, name, mesh):
-        self.steps[name] = _eccentricity_search(mesh)
-        self._issue(name, next(self.steps[name]))
-
-    def _issue(self, name, batch):
-        sources, live = batch
-        running = sum(other not in self.results for other in self.steps)
-        chunks = np.array_split(sources, min(len(sources), -(-self.workers // running)))
-        self.parts[name] = [None] * len(chunks)
-        self.queue.extend((name, i, chunk, live) for i, chunk in enumerate(chunks))
-        self._dispatch()
-
-    def _dispatch(self):
-        while self.idle and self.queue:
-            name, i, chunk, live = self.queue.popleft()
-            conn = self.idle.pop()
-            self.busy[conn] = (name, i)
-            try:
-                conn.send((name, chunk, live))
-            except OSError:  # the worker is gone
-                self._break()
-
-    def service(self, timeout=0):
-        """Merge every chunk that is back; a finished batch issues the next."""
-        from multiprocessing.connection import wait
-        for conn in wait(list(self.busy), timeout):
-            name, i = self.busy.pop(conn)
-            try:
-                out = conn.recv()
-            except EOFError:
-                self._break()
-                return
-            self.idle.append(conn)
-            if name in self.results:
-                continue
-            if isinstance(out, Exception):
-                self.results[name] = out
-                continue
-            self.parts[name][i] = out
-            if None not in self.parts[name]:
-                try:
-                    self._issue(name, self.steps[name].send(self.parts[name]))
-                except StopIteration as stop:
-                    self.results[name] = stop.value
-        self._dispatch()
-
-    def _break(self):
-        error = ChildProcessError("an audit worker process died")
-        for name in self.steps:
-            self.results.setdefault(name, error)
-        self.queue.clear()
-
-    def result(self, name):
-        while name not in self.results:
-            self.service(timeout=None)
-        if isinstance(self.results[name], Exception):
-            raise self.results[name]
-        return self.results[name]
-
-    def close(self):
-        """Stop every worker, busy or not, and join it."""
-        for proc in self.procs:
-            proc.terminate()
-        for proc in self.procs:
-            proc.join()
-        for conn in self.conns:
-            conn.close()

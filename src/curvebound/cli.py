@@ -60,13 +60,15 @@ def cmd_verify_bound(args):
     doc = {"mesh": str(args.mesh), "dimension": n, "closed": report.closed,
            "diameter": d, "total_mean_curvature": curv, "boundary_length": blen,
            "modes": {}}
+    # Topping's closed bound int|H|/ct on a closed mesh; the bound with boundary doubles int|H|
+    factor, formula = (1.0, "int|H|") if report.closed else (2.0, "(2*int|H| + (pi/2)*l)")
     for mode in ("proven", "conjectural"):
         ct = audit_mod.ct_constants(n, conjectural=(mode == "conjectural"))
-        rhs = (2.0 * curv + (np.pi / 2.0) * blen) / ct
+        rhs = (factor * curv + (np.pi / 2.0) * blen) / ct
         margin = rhs - d
         ok = d <= rhs
         tag = "" if mode == "proven" else " (conjectural constant, NOT a proof)"
-        _print(f"[{mode}] bound = (2*int|H| + (pi/2)*l)/{_fmt(ct)} = {_fmt(rhs)}; "
+        _print(f"[{mode}] bound = {formula}/{_fmt(ct)} = {_fmt(rhs)}; "
                f"d <= bound: {ok}, margin = {_fmt(margin)}{tag}")
         doc["modes"][mode] = {"constant": ct, "bound": rhs, "holds": ok,
                               "margin": margin}
@@ -221,9 +223,9 @@ def cmd_audit(args):
                f"all hold = {all(r['holds'] for r in recs)}, "
                f"min max(m,kappa) = {_fmt(worst)} > pi/4 = {_fmt(np.pi / 4)}")
     for shape, rec in doc["covering"].items():
-        _print(f"covering {shape}: d_int = {_fmt(rec['d_int'])} <= "
-               f"bound = {_fmt(rec['bound'])}: {rec['holds']}, "
-               f"curvature/d_int = {_fmt(rec['ratio'])}")
+        _print(f"covering {shape}: d_int in [{_fmt(rec['d_int'])}, {_fmt(rec['d_int_upper'])}], "
+               f"upper <= bound = {_fmt(rec['bound'])}: {rec['holds']}, "
+               f"curvature/d_int in [{_fmt(rec['ratio_lower'])}, {_fmt(rec['ratio_upper'])}]")
     _print(f"audit all hold: {doc['all_hold']}")
     if args.json:
         with open(args.json, "w") as fh:
@@ -242,7 +244,7 @@ def cmd_audit(args):
                                 _fmt(max(r["m"], r["kappa"])),
                                 _fmt(np.pi / 4), r["holds"]])
             for shape, rec in doc["covering"].items():
-                w.writerow(["covering", shape, "d_int", _fmt(rec["d_int"]),
+                w.writerow(["covering", shape, "d_int_upper", _fmt(rec["d_int_upper"]),
                             _fmt(rec["bound"]), rec["holds"]])
     return 0
 

@@ -14,6 +14,7 @@ DEGENERATE_AREA_TOL = 1e-12
 _DIAMETER_LEAF = 16  # points per kd leaf in extrinsic_diameter
 _DIAMETER_BATCH = 128  # leaf pairs per numpy call in extrinsic_diameter
 _ECC_BATCH = 16  # Dijkstra sources per call in intrinsic_diameter
+DIAMETER_TOL = 1e-2  # relative width of the bracket intrinsic_diameter returns
 
 
 class MeshError(Exception):
@@ -420,76 +421,56 @@ def geodesic_distances(mesh: SurfaceMesh, source: int) -> np.ndarray:
     return csgraph.dijkstra(mesh.vertex_adjacency(), directed=True, indices=source)
 
 
-def intrinsic_diameter(mesh: SurfaceMesh) -> float:
-    """Exact max vertex eccentricity of the edge graph (Dijkstra distances).
+def intrinsic_diameter(mesh: SurfaceMesh) -> tuple[float, float]:
+    """Certified bracket ``(lower, upper)`` on the max vertex eccentricity of the edge graph.
 
     Eccentricity bounds after BoundingDiameters (Takes & Kosters, CIKM 2011)
     with the iFUB bound (Crescenzi et al., TCS 2013). Dijkstra runs from
-    batches of candidates: half in descending distance from u, the computed
-    source of least eccentricity (iFUB's order), and half with the smallest
-    lower bounds max(d, e - d) from sources of eccentricity e (central
-    vertices). A candidate w is dropped once max(colmax[w], reach[w]),
-    widened by a relative slack, is at most the best eccentricity computed
-    so far. colmax[w] is the largest computed distance to w. reach[w] bounds
-    the distance from w to every vertex still a candidate: it is the least
-    of d(v, w) + m_v over computed sources v, with m_v the largest distance
-    from v to a candidate left after v's batch (candidates only leave), and
-    of the iFUB bound d(u, w) + the largest distance from u to a candidate
-    now. Every other vertex was computed or dropped. The result is the max
-    of the eccentricities actually computed.
+    batches of _ECC_BATCH candidates, one ``csgraph.dijkstra`` call each:
+    half in descending distance from u, the computed source of least
+    eccentricity (iFUB's order), and half with the smallest lower bounds
+    max(d, e - d) from sources of eccentricity e (central vertices). A
+    candidate w is dropped once max(colmax[w], reach[w]), widened by a
+    relative slack, is at most best * (1 + DIAMETER_TOL), with best the
+    largest eccentricity computed so far. colmax[w] is the largest computed
+    distance to w. reach[w] bounds the distance from w to every vertex still
+    a candidate: it is the least of d(v, w) + m_v over computed sources v,
+    with m_v the largest distance from v to a candidate left after v's batch
+    (candidates only leave), and of the iFUB bound d(u, w) + the largest
+    distance from u to a candidate now. Every other vertex was computed or
+    dropped. ``lower`` is the best eccentricity computed, and ``upper`` is
+    lower * (1 + DIAMETER_TOL) * (1 + slack).
 
-    Why this equals ``max`` over the all-pairs matrix, bit for bit: the
-    search from one source does not depend on the others (and on the
-    symmetric adjacency the directed search returns the bits of the
-    undirected one), so every computed row is the all-pairs row and the
-    result is <= the all-pairs max; it is >= unless a dropped row holds
-    more. A computed distance d(x, y) is the rounded sum, in path order, of
-    at most V - 1 edge lengths, so with unit roundoff r it lies within a
+    Why the all-pairs max lies in [lower, upper]: the search from one source
+    does not depend on the others (and on the symmetric adjacency the
+    directed search returns the bits of the undirected one), so every
+    computed row is the all-pairs row, and ``lower`` is one of its row
+    maxima. A computed distance d(x, y) is the rounded sum, in path order,
+    of at most V - 1 edge lengths, so with unit roundoff r it lies within a
     factor 1 +- Vr of the exact graph distance D(x, y) = D(y, x), while
-    d(x, y) and d(y, x) may round apart. So the argument runs on D. For a
-    dropped w and any y: D(w, y) <= colmax[w] / (1 - Vr) if y was computed;
-    D(w, y) <= D(w, v) + D(v, y), at most reach[w] times about 1 + Vr, if y
-    was a candidate; and D(w, y) <= ecc(y) <= best / (1 + Vr) if y was
-    dropped before (by induction). So ecc(w) is at most the test value times
-    about 1 + 2Vr, and every entry of w's computed row is at most 1 + Vr
-    times ecc(w). The slack, max(1e-12, 4V eps) = max(1e-12, 8Vr), exceeds
-    the 3Vr this needs plus the rounding of the test itself, so ecc(w) <=
-    best / (1 + Vr) carries the induction, and no dropped row exceeds the
-    best entry as computed.
-
-    The bounds live in ``_eccentricity_search``, which takes each batch's
-    rows back only as ``_eccentricity_reductions``: per-row and per-column
-    max/min, which are exact and independent of order. So any split of a
-    batch into chunks of sources, reduced per chunk and merged, gives these
-    bits; ``run_audit`` computes the chunks in worker processes, this
-    function in one ``csgraph.dijkstra`` call per batch.
+    d(x, y) and d(y, x) may round apart. So the argument runs on D. Let T
+    be the threshold best * (1 + DIAMETER_TOL) as computed when w is
+    dropped; it only grows. For a dropped w and any y: D(w, y) <= colmax[w]
+    / (1 - Vr) if y was computed; D(w, y) <= D(w, v) + D(v, y), at most
+    reach[w] times about 1 + Vr, if y was a candidate; and D(w, y) <= ecc(y)
+    <= T / (1 + Vr) if y was dropped before (by induction: y's threshold was
+    at most T). The dropped y enters through this max, not through a sum, so
+    the tolerance does not compound along drops. So ecc(w) is at most the
+    max of the test value times about 1 + 2Vr and T / (1 + Vr). The slack,
+    max(1e-12, 4V eps) = max(1e-12, 8Vr), exceeds the 3Vr this needs plus
+    the rounding of the test itself, so ecc(w) <= T / (1 + Vr) carries the
+    induction, and every entry of w's computed row is at most the final T.
+    ``upper`` is that T times 1 + slack, rounded up past T, so it bounds
+    every computed row, and ``upper >= lower``.
 
     Raises ValueError for a mesh without vertices or with more than one
     connected component (its eccentricities are infinite).
     """
     from scipy.sparse import csgraph
-    search = _eccentricity_search(mesh)
-    try:
-        sources, live = next(search)
-        graph = mesh.vertex_adjacency()
-        while True:
-            d = csgraph.dijkstra(graph, directed=True, indices=sources)
-            sources, live = search.send([_eccentricity_reductions(d, live)])
-    except StopIteration as stop:
-        return stop.value
-
-
-def _eccentricity_search(mesh: SurfaceMesh):
-    """The bounds of ``intrinsic_diameter``, one batch of sources at a time.
-
-    Yields ``(sources, live)``: a batch of at most _ECC_BATCH sources and the
-    vertices still candidates after it. Takes back the list of
-    ``_eccentricity_reductions`` of the batch's Dijkstra rows, one per chunk
-    of consecutive sources, in source order. Returns the diameter.
-    """
     n = mesh.n_vertices
     if not mesh.is_connected():
         raise ValueError("intrinsic diameter needs a connected mesh")
+    graph = mesh.vertex_adjacency()
     slack = max(1e-12, 4 * n * np.finfo(float).eps)
     lower, colmax = np.zeros(n), np.zeros(n)
     reach, from_u = np.full(n, np.inf), np.full(n, np.inf)
@@ -504,38 +485,21 @@ def _eccentricity_search(mesh: SurfaceMesh):
         candidate[sources] = False
         # bounds only matter on the vertices still candidates
         live = np.nonzero(candidate)[0]
-        parts = yield sources, live
-        eccs, cols, lows, reaches, rows = zip(*parts)
-        ecc = np.concatenate(eccs)
+        d = csgraph.dijkstra(graph, directed=True, indices=sources)
+        ecc = d.max(axis=1)
         best = max(best, float(ecc.max()))
         if ecc.min() < from_u.max():
-            # np.argmin's row is in the first chunk that holds the least eccentricity
-            from_u = rows[int(np.argmin([e.min() for e in eccs]))]
-        colmax[live] = np.maximum(colmax[live], np.maximum.reduce(cols))
+            from_u = d[np.argmin(ecc)]
+        d = d[:, live]
+        colmax[live] = np.maximum(colmax[live], d.max(axis=0))
         lower[live] = np.maximum(lower[live],
-                                 np.maximum(colmax[live], np.maximum.reduce(lows)))
-        reach[live] = np.minimum(reach[live], np.minimum.reduce(reaches))
+                                 np.maximum(colmax[live], (ecc[:, None] - d).max(axis=0)))
+        reach[live] = np.minimum(reach[live],
+                                 (d + d.max(axis=1, initial=0.0)[:, None]).min(axis=0))
         ifub = from_u[live] + from_u[live].max(initial=0.0)
         candidate[live] = (np.maximum(colmax[live], np.minimum(reach[live], ifub))
-                           * (1.0 + slack) > best)
-    return best
-
-
-def _eccentricity_reductions(d, live):
-    """What ``_eccentricity_search`` needs of Dijkstra rows ``d`` (one per source).
-
-    Each row's max (its eccentricity ecc); per ``live`` column, over the rows,
-    the max of d, the max of ecc - d and the min of d + m, where m is the
-    row's max over the live columns; and the row of least ecc, the first on
-    ties as np.argmin takes it. Every entry is an exact max or min of
-    exactly computed values, so reductions of chunks of rows merge, by max,
-    min and the first least ecc, to the bits of one call on all the rows.
-    """
-    ecc = d.max(axis=1)
-    row = d[np.argmin(ecc)]
-    d = d[:, live]
-    return (ecc, d.max(axis=0), (ecc[:, None] - d).max(axis=0),
-            (d + d.max(axis=1, initial=0.0)[:, None]).min(axis=0), row)
+                           * (1.0 + slack) > best * (1.0 + DIAMETER_TOL))
+    return best, float(best * (1.0 + DIAMETER_TOL) * (1.0 + slack))
 
 
 # -- file formats -------------------------------------------------------------

@@ -17,7 +17,7 @@ from curvebound import generators as gen
 from curvebound.contour import (Contour, ContourError, component_pair_distances,
                                 segment_segment_distance)
 from curvebound.curvature import _curvature_weights
-from curvebound.mesh import geodesic_distances
+from curvebound.mesh import DIAMETER_TOL, geodesic_distances
 
 try:
     from hypothesis import settings
@@ -39,25 +39,23 @@ def random_rotation(seed, dim=3):
     return q
 
 
-def brute_force_intrinsic_diameter(mesh, rows=512):
-    """Max over the all-pairs undirected Dijkstra matrix, in row blocks."""
+def all_pairs_eccentricities(mesh, sources=None, rows=512):
+    """Row maxima of the undirected Dijkstra matrix, in row blocks: all rows, or ``sources``'."""
     graph = mesh.vertex_adjacency()
-    best = 0.0
-    for i0 in range(0, mesh.n_vertices, rows):
-        d = csgraph.dijkstra(graph, directed=False,
-                             indices=np.arange(i0, min(i0 + rows, mesh.n_vertices)))
-        best = max(best, float(d.max()))
-    return best
+    sources = np.arange(mesh.n_vertices) if sources is None else np.asarray(sources)
+    return np.concatenate([csgraph.dijkstra(graph, directed=False, indices=sources[i0:i0 + rows])
+                           .max(axis=1) for i0 in range(0, len(sources), rows)])
 
 
-def exit_abruptly(*args):
-    """Stands in for the audit's worker task: the worker running it dies."""
-    os._exit(3)
-
-
-def fail_in_worker(*args):
-    """Stands in for the audit's worker task: the task raises, the worker lives."""
-    raise RuntimeError("chunk failed in its worker")
+def assert_brackets_all_pairs(mesh, bracket):
+    """``bracket`` holds the all-pairs max, its lower end is one of the row maxima,
+    and it is no wider than DIAMETER_TOL and a rounding slack. Returns the row maxima."""
+    lower, upper = bracket
+    ecc = all_pairs_eccentricities(mesh)
+    assert lower <= ecc.max() <= upper
+    assert lower in ecc
+    assert upper <= lower * (1.0 + DIAMETER_TOL) * (1.0 + 1e-9)
+    return ecc
 
 
 def connected_oracle(mesh):

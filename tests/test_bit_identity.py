@@ -90,9 +90,9 @@ def test_outputs_match_pinned_digests(name):
 
 # sha256 of what ``audit --seed 1 --probes 5 --json J --csv C`` writes, on the closed
 # library: the JSON report, stdout and the CSV
-AUDIT_SEED1_PROBES5 = "fc9473e9095238ef43993175a6e34fb957dc93fedb451809be01fd296b8c3611"
-AUDIT_SEED1_PROBES5_STDOUT = "89da12e864e79141ea0f7c66b8cecf94d2e2e8195b546049cb8b28d1fe0e2b33"
-AUDIT_SEED1_PROBES5_CSV = "c608897ca73b62bfb6655814dd8fb609eec714c6444b817e4db2c6a3663b0f8c"
+AUDIT_SEED1_PROBES5 = "c342f149684eba5bc4e9703becb620bc55cd9e7113d65975126e4d423236bc33"
+AUDIT_SEED1_PROBES5_STDOUT = "6ecaae9c131e464d61ddbc28674f61b9d82b329d348bbafce004033f2fdf1d75"
+AUDIT_SEED1_PROBES5_CSV = "e7b79e1b691a47e722d61835e5986fe76e9ee4385fcc46dc62ee450430076d20"
 
 
 def test_audit_report_matches_pinned_digest(tmp_path, capsys):

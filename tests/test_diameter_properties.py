@@ -1,9 +1,11 @@
-"""Property tests: the bounded intrinsic diameter equals the all-pairs Dijkstra max, bit for bit.
+"""Property tests: the intrinsic diameter's bracket holds the all-pairs Dijkstra max.
 
-The drop rules are exact only if their slack covers rounding in both
-directions: on meshes with many tied eccentricities (the unjittered sphere
-and cylinder), d(x, y) and d(y, x) can round apart, and a rule that trusted
-either one would drop a vertex whose row holds the diameter.
+The lower end is an eccentricity the search computed, so it is one of the
+all-pairs row maxima, bit for bit. The upper end is certified only if the
+drop rule's slack covers rounding in both directions: on meshes with many
+tied eccentricities (the unjittered sphere and cylinder), d(x, y) and
+d(y, x) can round apart, and a rule that trusted either one could drop a
+vertex whose row holds more than the upper end.
 """
 
 import numpy as np
@@ -14,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.sparse import csgraph
 
-from conftest import brute_force_intrinsic_diameter
+from conftest import assert_brackets_all_pairs
 from curvebound import generators as gen
 from curvebound.mesh import SurfaceMesh, intrinsic_diameter
 
@@ -45,14 +47,14 @@ def relabel(mesh, seed, jitter=0.0):
        jitter=st.sampled_from([0.0, 1e-9, 1e-3, 1e-2]))
 def test_matches_all_pairs_on_relabelled_jittered_meshes(name, seed, jitter):
     mesh = relabel(SMALL[name], seed, jitter)
-    assert intrinsic_diameter(mesh) == brute_force_intrinsic_diameter(mesh)
+    assert_brackets_all_pairs(mesh, intrinsic_diameter(mesh))
 
 
 @settings(max_examples=20)
 @given(name=st.sampled_from(sorted(TIED)), seed=st.integers(0, 2**16))
 def test_matches_all_pairs_with_tied_eccentricities(name, seed):
     mesh = relabel(TIED[name], seed)
-    assert intrinsic_diameter(mesh) == brute_force_intrinsic_diameter(mesh)
+    assert_brackets_all_pairs(mesh, intrinsic_diameter(mesh))
 
 
 @pytest.mark.parametrize("name", sorted(TIED))
