@@ -284,6 +284,21 @@ class TestRunAudit:
             run_audit(shapes=shapes, probes_per_shape=1)
         assert multiprocessing.active_children() == []
 
+    def test_failed_chunk_is_raised(self, monkeypatch):
+        # a Dijkstra batch of the d_int search fails: run_audit raises its error
+        dijkstra = csgraph.dijkstra
+
+        def failing(graph, *args, indices, **kwargs):
+            if np.ndim(indices):
+                raise RuntimeError("batch failed in its search")
+            return dijkstra(graph, *args, indices=indices, **kwargs)
+
+        monkeypatch.setattr(csgraph, "dijkstra", failing)
+        with pytest.raises(RuntimeError, match="^batch failed in its search$"):
+            run_audit(shapes={"icosphere1": gen.icosphere(1), "icosphere2": gen.icosphere(2)},
+                      probes_per_shape=1)
+        assert multiprocessing.active_children() == []
+
     def test_first_error_in_shape_order(self, unit_disk):
         # every shape is checked before any check runs; the first bad one in
         # shape order is the error

@@ -529,6 +529,31 @@ class TestAuditCommand:
         _, out2 = run(capsys, ["--seed", "7", "audit", "--quick", "--probes", "2"])
         assert out1 == out2
 
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity")
+                        or len(os.sched_getaffinity(0)) < 2,
+                        reason="needs sched_setaffinity and two CPUs")
+    def test_one_cpu_output_identical(self, tmp_path):
+        # the audit pinned to one CPU, against this process's CPU set and,
+        # given three CPUs, three of them: one process, the same bytes
+        cpus = sorted(os.sched_getaffinity(0))
+
+        def pin_to(n):
+            return lambda: os.sched_setaffinity(0, set(cpus[:n]))
+
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        runs = []
+        pins = [("one", pin_to(1)), ("all", None)]
+        if len(cpus) >= 3:
+            pins.append(("three", pin_to(3)))
+        for name, preexec in pins:
+            out = subprocess.run(
+                [sys.executable, "-m", "curvebound.cli", "--seed", "1", "audit", "--quick",
+                 "--probes", "3", "--json", f"{name}.json"],
+                capture_output=True, env=env, cwd=tmp_path, preexec_fn=preexec, check=True)
+            runs.append((out.stdout, (tmp_path / f"{name}.json").read_bytes()))
+        assert all(run == runs[0] for run in runs[1:])
+        assert runs[0][0].splitlines()[-1] == b"audit all hold: True"
+
 
 class TestFormatting:
     def test_twelve_significant_digits(self, capsys, disk_obj):

@@ -338,6 +338,92 @@ class TestIntrinsicDiameter:
             assert rec["d_int"] <= value <= rec["d_int_upper"], name
             assert 0 < count <= runs, name
 
+    @pytest.mark.parametrize("name", ["icosphere1", "icosphere2", "icosphere3", "disk",
+                                      "capped", "single_triangle"])
+    def test_any_chunking_gives_the_same_search(self, name, monkeypatch):
+        # each batch's sources split over several csgraph.dijkstra calls: rows
+        # do not depend on the other sources, so the batches and the bracket stay
+        mesh = {
+            "icosphere1": gen.icosphere(1),
+            "icosphere2": gen.icosphere(2),
+            "icosphere3": gen.icosphere(3),
+            "disk": gen.flat_disk(1.0, 4, 16),
+            "capped": gen.capped_cylinder(0.5, 3.0, segments=16, rings_cap=4),
+            "single_triangle": single_triangle(),
+        }[name]
+        dijkstra, batches, ties = csgraph.dijkstra, [], [0]
+
+        def recording(graph, *args, **kwargs):
+            batches.append(np.array(kwargs["indices"]))
+            return dijkstra(graph, *args, **kwargs)
+
+        def chunked(chunks):
+            def search(graph, *args, indices, **kwargs):
+                batches.append(np.array(indices))
+                parts = [dijkstra(graph, *args, indices=part, **kwargs)
+                         for part in np.array_split(indices, min(chunks, len(indices)))]
+                least = [part.max(axis=1).min() for part in parts]
+                ties[0] += least.count(min(least)) > 1
+                return np.vstack(parts)
+            return search
+
+        monkeypatch.setattr(csgraph, "dijkstra", recording)
+        bracket, expected = intrinsic_diameter(mesh), batches[:]
+        monkeypatch.setattr(csgraph, "dijkstra", dijkstra)
+        assert_brackets_all_pairs(mesh, bracket)
+        for chunks in (1, 2, 3, 5, 16):
+            batches.clear()
+            monkeypatch.setattr(csgraph, "dijkstra", chunked(chunks))
+            assert intrinsic_diameter(mesh) == bracket, chunks
+            assert len(batches) == len(expected), chunks
+            assert all(np.array_equal(a, b) for a, b in zip(batches, expected)), chunks
+        # icosphere vertices tie in eccentricity; the first chunk's row must win
+        assert ties[0] > 0 or not name.startswith("icosphere")
+
+    @pytest.mark.parametrize("cpus", [3, 5])
+    def test_pooled_searches_issue_the_same_batches(self, cpus, monkeypatch):
+        # run_audit's searches, all in its own process whatever the CPU count,
+        # issue the batches of a lone search, shape by shape
+        shapes = {f"icosphere{k}": gen.icosphere(k) for k in (1, 2, 3)}
+        dijkstra, batches = csgraph.dijkstra, []
+        expected, issued = {}, {}
+
+        def recording(graph, *args, **kwargs):
+            batches.append(np.array(kwargs["indices"]))
+            return dijkstra(graph, *args, **kwargs)
+
+        def recording_diameter(mesh):
+            batches.clear()
+            bracket = intrinsic_diameter(mesh)
+            issued[len(issued)] = batches[:]
+            return bracket
+
+        monkeypatch.setattr(csgraph, "dijkstra", recording)
+        for name, mesh in shapes.items():
+            batches.clear()
+            expected[name] = (intrinsic_diameter(mesh), batches[:])
+        monkeypatch.setattr(audit, "intrinsic_diameter", recording_diameter)
+        monkeypatch.setattr("os.sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+        monkeypatch.setattr("os.cpu_count", lambda: cpus)
+        report = run_audit(shapes=shapes, probes_per_shape=1)
+        monkeypatch.setattr(csgraph, "dijkstra", dijkstra)
+        assert len(issued) == len(shapes)
+        for (name, mesh), batches_in_audit in zip(shapes.items(), issued.values()):
+            bracket, lone = expected[name]
+            rec = report["covering"][name]
+            assert (rec["d_int"], rec["d_int_upper"]) == bracket, name
+            assert_brackets_all_pairs(mesh, bracket)
+            assert len(batches_in_audit) == len(lone), name
+            assert all(np.array_equal(a, b) for a, b in zip(batches_in_audit, lone)), name
+
+    @pytest.mark.parametrize("batch", [1, 2, 5, 64])
+    def test_any_batch_size_brackets_all_pairs(self, batch, monkeypatch):
+        # the certificate holds whatever the sources per Dijkstra call
+        monkeypatch.setattr("curvebound.mesh._ECC_BATCH", batch)
+        for mesh in (gen.icosphere(2), gen.flat_disk(1.0, 4, 16),
+                     gen.capped_cylinder(0.5, 3.0, segments=16, rings_cap=4), single_triangle()):
+            assert_brackets_all_pairs(mesh, intrinsic_diameter(mesh))
+
     def test_small_meshes(self):
         point = SurfaceMesh([[0.0, 0, 0]], np.zeros((0, 3), dtype=np.int64))
         for mesh, value in ((single_triangle(), 5.0), (point, 0.0)):
