@@ -9,7 +9,7 @@ within 2*eps of the original and whose curvature integral approaches
 2*integral(|H|) + (pi/2)*boundary length as the profile index k grows.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,7 +18,6 @@ from .mesh import MeshError, SurfaceMesh, extrinsic_diameter, validate
 from .teardrop import TeardropCurve, build_sweep_profile
 
 EPS_BAR_CAP = 0.5  # threshold cap when the frame has no measurable bending
-TRANSPORT_COLLAPSE_TOL = 1e-6
 
 
 @dataclass
@@ -26,10 +25,12 @@ class BoundaryFrame:
     """Orthonormal triple sampled along one boundary loop.
 
     e1 is the discrete unit tangent, e2 the outward unit conormal (projected
-    orthogonal to e1), e3 a unit section of the remaining complement: the
-    cross product in R^3, a holonomy-corrected parallel transport in R^4.
-    ``arclengths`` are cumulative along the loop; ``holonomy`` is the closure
-    rotation angle that was distributed away (always 0.0 in R^3).
+    orthogonal to e1), e3 a periodic unit section of the remaining
+    complement, carried around the loop by a sign-fixed QR transport (in R^3
+    it is e1 x e2). ``arclengths`` are cumulative along the loop;
+    ``holonomy`` is the angle in [0, pi] by which the section's coefficients
+    turn to close up: the great-circle distance between a section carried
+    once around the loop and its start (always 0.0 in R^3).
     """
 
     loop_indices: np.ndarray
@@ -40,15 +41,6 @@ class BoundaryFrame:
     arclengths: np.ndarray
     length: float
     holonomy: float = 0.0
-    reseeded: int = 0
-
-    def max_orthogonality_defect(self):
-        d12 = np.abs(np.einsum("ij,ij->i", self.e1, self.e2)).max()
-        d13 = np.abs(np.einsum("ij,ij->i", self.e1, self.e3)).max()
-        d23 = np.abs(np.einsum("ij,ij->i", self.e2, self.e3)).max()
-        norms = [np.abs(np.linalg.norm(e, axis=1) - 1.0).max()
-                 for e in (self.e1, self.e2, self.e3)]
-        return max(d12, d13, d23, *norms)
 
     def derivative_bound(self):
         """Max |de2/ds|, |de3/ds| by cyclic central differences."""
@@ -60,22 +52,6 @@ class BoundaryFrame:
             de = (np.roll(e, -1, axis=0) - np.roll(e, 1, axis=0)) / ds[:, None]
             out = max(out, float(np.linalg.norm(de, axis=1).max()))
         return out
-
-    def periodicity_defect(self):
-        """Mismatch of the frame transported once around vs. the start frame.
-
-        The fields are single-valued arrays, so for e1/e2 this is zero by
-        construction; for e3 the constructor measures the pre-correction
-        closure and distributes it, leaving the residual reported here.
-        """
-        return float(np.linalg.norm(self.e3[0] - self._closure_e3))
-
-    _closure_e3: np.ndarray = field(default=None, repr=False)
-
-
-def _unit(v, axis=-1):
-    n = np.linalg.norm(v, axis=axis, keepdims=True)
-    return v / n
 
 
 def build_boundary_frames(mesh: SurfaceMesh) -> list:
@@ -98,101 +74,71 @@ def build_boundary_frames(mesh: SurfaceMesh) -> list:
     for loop in loops:
         idx = loop.vertex_indices
         c = mesh.vertices[idx]
-        if np.any(np.linalg.norm(np.roll(c, -1, axis=0) - c, axis=1) < 1e-14):
-            raise MeshError("degenerate tangent: duplicate consecutive boundary points")
         seg = np.linalg.norm(np.roll(c, -1, axis=0) - c, axis=1)
+        if np.any(seg < 1e-14):
+            raise MeshError("degenerate tangent: duplicate consecutive boundary points")
+        chord = np.roll(c, -1, axis=0) - np.roll(c, 1, axis=0)
+        span = np.linalg.norm(chord, axis=1)
+        if np.any(span < 1e-14):
+            raise MeshError(f"degenerate tangent: the boundary loop doubles back at "
+                            f"vertex {idx[np.argmax(span < 1e-14)]}")
         s = np.concatenate([[0.0], np.cumsum(seg[:-1])])
 
-        e1 = _unit(np.roll(c, -1, axis=0) - np.roll(c, 1, axis=0))
+        e1 = chord / span[:, None]
         out = c - inward_point[idx]
         out = out - np.einsum("ij,ij->i", out, e1)[:, None] * e1
         norms = np.linalg.norm(out, axis=1)
         if np.any(norms < 1e-12):
             raise MeshError("outward conormal degenerates on the boundary loop")
         e2 = out / norms[:, None]
-
-        if mesh.dimension == 3:
-            e3 = np.cross(e1, e2)
-            e3 = _unit(e3)
-            closure = e3[0]
-            holonomy = 0.0
-            reseeded = 0
-        else:
-            e3, holonomy, closure, reseeded = _transported_complement(e1, e2, s, loop.length)
-
-        fr = BoundaryFrame(
-            loop_indices=idx, positions=c, e1=e1, e2=e2, e3=e3,
-            arclengths=s, length=loop.length, holonomy=holonomy,
-            reseeded=reseeded, _closure_e3=closure,
-        )
-        frames.append(fr)
+        e3, holonomy = _transported_section(e1, e2, s, loop.length)
+        frames.append(BoundaryFrame(loop_indices=idx, positions=c, e1=e1, e2=e2, e3=e3,
+                                    arclengths=s, length=loop.length, holonomy=holonomy))
     return frames
 
 
-def _complement_seed(e1, e2):
-    """Two orthonormal vectors spanning the complement of {e1, e2} in R^4."""
-    basis = np.eye(4)
-    # most orthogonal ambient direction first
-    scores = np.abs(basis @ e1) + np.abs(basis @ e2)
-    order = np.argsort(scores)
-    u = basis[order[0]] - (basis[order[0]] @ e1) * e1 - (basis[order[0]] @ e2) * e2
-    u /= np.linalg.norm(u)
-    for cand in order[1:]:
-        w = basis[cand] - (basis[cand] @ e1) * e1 - (basis[cand] @ e2) * e2
-        w -= (w @ u) * u
-        n = np.linalg.norm(w)
-        if n > 1e-8:
-            return u, w / n
-    raise MeshError("failed to seed a complement frame")
+def _carry(e1, e2, u):
+    """Orthonormal frame of the complement of (e1, e2) nearest to the columns of u.
 
-
-def _transported_complement(e1, e2, s, length):
-    """Discrete parallel transport of a complement 2-frame around the loop.
-
-    Projects the previous pair onto the current complement plane and
-    re-orthonormalizes; the closure rotation (holonomy) is then distributed
-    linearly in arclength so the returned e3 field is periodic.
+    The complete QR of [e1, e2, u] with diag(R) made nonnegative: its last
+    columns are u's Gram-Schmidt projection onto the complement. Householder
+    QR keeps them orthonormal even when that projection degenerates.
     """
-    m = len(e1)
-    u0, w0 = _complement_seed(e1[0], e2[0])
-    us = np.empty_like(e1)
-    ws = np.empty_like(e1)
-    us[0], ws[0] = u0, w0
-    reseeded = 0
-    for j in range(1, m):
-        u, w = us[j - 1], ws[j - 1]
-        pu = u - (u @ e1[j]) * e1[j] - (u @ e2[j]) * e2[j]
-        pw = w - (w @ e1[j]) * e1[j] - (w @ e2[j]) * e2[j]
-        nu = np.linalg.norm(pu)
-        if nu < TRANSPORT_COLLAPSE_TOL:
-            pu, pw = _complement_seed(e1[j], e2[j])
-            nu = 1.0
-            reseeded += 1
-        pu = pu / nu
-        pw = pw - (pw @ pu) * pu
-        nw = np.linalg.norm(pw)
-        if nw < TRANSPORT_COLLAPSE_TOL:
-            _, pw = _complement_seed(e1[j], e2[j])
-            nw = 1.0
-            reseeded += 1
-            pw = pw - (pw @ pu) * pu
-            pw /= np.linalg.norm(pw)
-        else:
-            pw = pw / nw
-        us[j], ws[j] = pu, pw
+    q, r = np.linalg.qr(np.column_stack([e1, e2, u]))
+    return (q * np.where(np.diagonal(r) < 0.0, -1.0, 1.0))[:, 2:]
 
-    # closure: transport the last pair onto the starting complement plane
-    pu = us[-1] - (us[-1] @ e1[0]) * e1[0] - (us[-1] @ e2[0]) * e2[0]
-    pu /= np.linalg.norm(pu)
-    theta = float(np.arctan2(pu @ ws[0], pu @ us[0]))
-    # rotate each sample by -theta * s/L inside its own complement plane
-    phi = -theta * s / length
-    e3 = np.cos(phi)[:, None] * us + np.sin(phi)[:, None] * ws
-    closure = np.cos(-theta) * pu + np.sin(-theta) * (
-        ws[-1] - (ws[-1] @ e1[0]) * e1[0] - (ws[-1] @ e2[0]) * e2[0]
-    )
-    closure /= np.linalg.norm(closure)
-    return e3, theta, closure, reseeded
+
+def _transported_section(e1, e2, s, length):
+    """A periodic unit section of the complement of (e1, e2), any ambient n >= 3.
+
+    The seed frame U_0 carries the ambient axes least aligned with (e1, e2),
+    the first such axis on ties leading. ``_carry`` takes the frame from
+    sample to sample and, once more, back onto sample 0. Every frame then
+    has its last column flipped where det[e1, e2, U] < 0 (``_carry`` commutes
+    with column signs), so in R^3 the section is e1 x e2. The frame returns
+    to sample 0 as U_0 R with R in SO(n - 2), and the section's coefficients
+    move along the great circle from a_0 = (1, 0, ...) to R^T a_0, linearly
+    in the arclength ``s``. Returns the section and that angle.
+    """
+    m, n = e1.shape
+    order = np.argsort(np.abs(e1[0]) + np.abs(e2[0]), kind="stable")
+    frames = np.empty((m + 1, n, n - 2))
+    frames[0] = _carry(e1[0], e2[0], np.eye(n)[:, order[:n - 2]])
+    for j in range(1, m + 1):
+        frames[j] = _carry(e1[j % m], e2[j % m], frames[j - 1])
+    at = np.arange(m + 1) % m
+    det = np.linalg.det(np.concatenate([e1[at, :, None], e2[at, :, None], frames], axis=2))
+    frames[:, :, -1] *= np.where(det < 0.0, -1.0, 1.0)[:, None]
+    a0 = np.eye(n - 2)[0]
+    end = frames[0][:, 0] @ frames[m]  # R^T a_0
+    turn = end - end[0] * a0
+    sin_w = np.linalg.norm(turn)
+    angle = float(np.arctan2(sin_w, end[0]))
+    # sin_w = 0: the angle is 0, or pi (n >= 4 only) and any axis orthogonal to a_0 will do
+    toward = turn / sin_w if sin_w else np.roll(a0, 1)
+    phi = angle * s / length
+    coeff = np.cos(phi)[:, None] * a0 + np.sin(phi)[:, None] * toward
+    return np.einsum("jik,jk->ji", frames[:m], coeff), angle
 
 
 def regularity_threshold(frame: BoundaryFrame) -> float:

@@ -1,4 +1,4 @@
-"""Triangle meshes in R^3 / R^4: validation, measures, intrinsic distances.
+"""Triangle meshes in R^n, n >= 3: validation, measures, intrinsic distances.
 
 Meshes are immutable snapshots: vertex and triangle arrays are frozen after
 construction and every operation is a pure function of them, so concurrent
@@ -55,12 +55,12 @@ class ValidationReport:
 
 
 class SurfaceMesh:
-    """Oriented triangle mesh immersed in R^n, n in {3, 4}.
+    """Oriented triangle mesh immersed in R^n, n >= 3.
 
     Parameters
     ----------
     vertices : array_like, shape (V, n)
-        Vertex positions, n = 3 or 4.
+        Vertex positions, any n >= 3 (codimension n - 2).
     triangles : array_like, shape (T, 3)
         Ordered vertex index triples. All triangles must wind consistently;
         shared edges are then traversed in opposite directions.
@@ -74,8 +74,8 @@ class SurfaceMesh:
     def __init__(self, vertices, triangles):
         v = np.asarray(vertices, dtype=float)
         t = np.asarray(triangles, dtype=np.int64)
-        if v.ndim != 2 or v.shape[1] not in (3, 4):
-            raise MeshError(f"vertices must be (V, 3) or (V, 4), got {v.shape}")
+        if v.ndim != 2 or v.shape[1] < 3:
+            raise MeshError(f"vertices must be (V, n) with n >= 3, got {v.shape}")
         if t.ndim != 2 or t.shape[1] != 3:
             raise MeshError(f"triangles must be (T, 3), got {t.shape}")
         if t.size and (t.min() < 0 or t.max() >= len(v)):
@@ -508,7 +508,8 @@ def intrinsic_diameter(mesh: SurfaceMesh) -> tuple[float, float]:
 def save_obj(mesh: SurfaceMesh, path):
     """Wavefront OBJ, 3D only: `v x y z` and 1-based `f i j k` lines."""
     if mesh.dimension != 3:
-        raise MeshError("OBJ supports 3D meshes only; use .mesh.json for 4D")
+        raise MeshError(f"OBJ holds meshes in R^3 only; save this R^{mesh.dimension} mesh "
+                        "as .mesh.json")
     with open(path, "w") as fh:
         for v in mesh.vertices:
             fh.write("v %.17g %.17g %.17g\n" % tuple(v))

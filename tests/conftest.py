@@ -17,7 +17,7 @@ from curvebound import generators as gen
 from curvebound.contour import (Contour, ContourError, component_pair_distances,
                                 segment_segment_distance)
 from curvebound.curvature import _curvature_weights
-from curvebound.mesh import DIAMETER_TOL, geodesic_distances
+from curvebound.mesh import DIAMETER_TOL, SurfaceMesh, geodesic_distances
 
 try:
     from hypothesis import settings
@@ -56,6 +56,30 @@ def assert_brackets_all_pairs(mesh, bracket):
     assert lower in ecc
     assert upper <= lower * (1.0 + DIAMETER_TOL) * (1.0 + 1e-9)
     return ecc
+
+
+def holomorphic_graph(disk, powers):
+    """The graph (z, z^p / 2 for p in powers) over a planar disk mesh, in R^(2 + 2 len(powers)).
+
+    A holomorphic graph is a minimal surface in C^k = R^2k (Lawson, Lectures
+    on Minimal Submanifolds), so H = 0 exactly, and for p >= 2 its normal
+    bundle along the boundary circle is curved.
+    """
+    z = disk.vertices[:, 0] + 1j * disk.vertices[:, 1]
+    cols = [z.real, z.imag] + [part for p in powers for part in ((z**p / 2).real,
+                                                                 (z**p / 2).imag)]
+    return SurfaceMesh(np.column_stack(cols), disk.triangles)
+
+
+def max_orthogonality_defect(frame):
+    """Largest deviation of the Gram matrix of (e1, e2, e3) from I over the samples."""
+    e = np.stack([frame.e1, frame.e2, frame.e3], axis=1)
+    return float(np.abs(e @ e.transpose(0, 2, 1) - np.eye(3)).max())
+
+
+def section_steps(frame):
+    """|e3[j+1] - e3[j]| around the loop; the last entry is the step across the seam."""
+    return np.linalg.norm(np.roll(frame.e3, -1, axis=0) - frame.e3, axis=1)
 
 
 def connected_oracle(mesh):

@@ -3,18 +3,19 @@ import os
 import subprocess
 import sys
 import textwrap
+import warnings
 
 import numpy as np
 import pytest
 
-from conftest import touching_contours
+from conftest import holomorphic_graph, touching_contours
 from curvebound import generators as gen
 from curvebound.cli import main
 from curvebound.contour import load_contour, save_contour
 from curvebound.curvature import total_mean_curvature
 from curvebound.criteria import verify_cone_separator
 from curvebound.doubling import build_double
-from curvebound.mesh import SurfaceMesh, load_mesh, save_mesh
+from curvebound.mesh import MeshError, SurfaceMesh, load_mesh, save_mesh, validate
 
 
 @pytest.fixture
@@ -314,6 +315,59 @@ class TestDoubleCommand:
         save_mesh(gen.icosphere(2), path)
         code, _ = run(capsys, ["double", str(path)])
         assert code == 1
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_loop_that_doubles_back_is_an_error(self, capsys, tmp_path, n):
+        # a valid immersed fan whose boundary loop runs 1 -> 2 -> 3 = 1 -> 4: no tangent at 2
+        v = [(0.3, 0.3, 1), (0, 0, 0), (1, 0, 0), (0, 0, 0), (0, 1, 0)]
+        mesh = SurfaceMesh(np.column_stack([v, np.zeros((5, n - 3))]),
+                           [[0, 1, 2], [0, 2, 3], [0, 3, 4], [0, 4, 1]])
+        assert validate(mesh).is_valid
+        path = tmp_path / "fan.mesh.json"
+        save_mesh(mesh, path)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["double", str(path)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == ("error: degenerate tangent: the boundary loop doubles back "
+                                "at vertex 2\n")
+
+    def test_embedding_in_r4_commutes(self, capsys, tmp_path):
+        disk = gen.flat_disk(1.0, 8, 32)
+        save_mesh(disk, tmp_path / "disk.mesh.json")
+        save_mesh(gen.embed_in_r4(disk), tmp_path / "disk4.mesh.json")
+        tables = [run(capsys, ["double", str(tmp_path / name), "--k-list", "10,50,200"])
+                  for name in ("disk.mesh.json", "disk4.mesh.json")]
+        assert tables[0] == tables[1]
+        assert tables[0][0] == 0
+
+
+class TestHigherCodimension:
+    """The graph (z, z^2/2, z^3/2) over the disk 8x32: a minimal surface in R^6."""
+
+    @pytest.fixture
+    def graph_r6(self, tmp_path):
+        path = tmp_path / "graph6.mesh.json"
+        save_mesh(holomorphic_graph(gen.flat_disk(1.0, 8, 32), (2, 3)), path)
+        return str(path)
+
+    def test_verify_bound_takes_the_pi_over_32_constant(self, capsys, graph_r6):
+        code, out = run(capsys, ["verify-bound", graph_r6])
+        assert code == 0
+        assert "dimension = 6, closed = False" in out
+        assert "[proven] bound = (2*int|H| + (pi/2)*l)/0.0981747704247 = " in out
+
+    def test_double(self, capsys, graph_r6, tmp_path):
+        code, out = run(capsys, ["double", graph_r6, "--out-dir", str(tmp_path / "doubles")])
+        assert code == 0
+        assert len(out.splitlines()) == 5
+        assert load_mesh(tmp_path / "doubles" / "double_k50.mesh.json").dimension == 6
+
+    def test_obj_export_rejected(self, graph_r6, tmp_path):
+        with pytest.raises(MeshError, match="save this R\\^6 mesh as .mesh.json$"):
+            save_mesh(load_mesh(graph_r6), tmp_path / "graph6.obj")
 
 
 class TestGenCommand:

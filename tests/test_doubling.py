@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.spatial import cKDTree
 
+from conftest import holomorphic_graph, max_orthogonality_defect, section_steps
 from curvebound import doubling
 from curvebound import generators as gen
 from curvebound.curvature import total_mean_curvature
@@ -21,7 +22,7 @@ class TestBoundaryFrames:
     def test_orthonormality(self, unit_disk, hemisphere_mesh):
         for mesh in (unit_disk, hemisphere_mesh):
             for fr in build_boundary_frames(mesh):
-                assert fr.max_orthogonality_defect() <= 1e-8
+                assert max_orthogonality_defect(fr) <= 1e-12
 
     def test_planar_disk_constant_normal(self, disk_frame):
         sign = np.sign(disk_frame.e3[0, 2])
@@ -44,18 +45,30 @@ class TestBoundaryFrames:
                 b = mesh.vertices[inner].mean(axis=0)
                 assert np.dot(fr.e2[j], fr.positions[j] - b) >= 0.0
 
+    def test_r3_section_is_the_cross_product(self, unit_disk, hemisphere_mesh):
+        # around this fan's loop e1 x e2 turns by more than 90 degrees once, so the
+        # carried frame comes back reversed unless every frame is oriented
+        fan = SurfaceMesh([(-0.66, -0.44, -1.17), (1.74, -0.5, 0.33), (-0.26, 1.58, 1.32),
+                           (0.63, -2.2, 0.05), (0.68, 1.0, -0.62), (1.82, -1.32, -0.66)],
+                          [[0, 1 + i, 1 + (i + 1) % 5] for i in range(5)])
+        for mesh in (unit_disk, hemisphere_mesh, fan):
+            fr = build_boundary_frames(mesh)[0]
+            assert fr.holonomy == 0.0
+            assert np.max(np.abs(fr.e3 - np.cross(fr.e1, fr.e2))) <= 1e-12
+
     def test_r4_flat_disk_trivial_holonomy(self, unit_disk):
         disk4 = gen.embed_in_r4(unit_disk)
         fr = build_boundary_frames(disk4)[0]
-        assert fr.max_orthogonality_defect() <= 1e-8
-        assert abs(fr.holonomy) <= 1e-6
-        assert fr.periodicity_defect() <= 1e-6
+        assert max_orthogonality_defect(fr) <= 1e-12
+        assert fr.holonomy == 0.0
+        assert np.array_equal(fr.e3, np.tile([0.0, 0.0, 1.0, 0.0], (len(fr.e3), 1)))
 
     def test_r4_nonplanar_loop_stays_periodic(self):
         hemi4 = gen.embed_in_r4(gen.hemisphere(12, 48))
         fr = build_boundary_frames(hemi4)[0]
-        assert fr.max_orthogonality_defect() <= 1e-8
-        assert fr.periodicity_defect() <= 1e-6
+        assert max_orthogonality_defect(fr) <= 1e-12
+        steps = section_steps(fr)
+        assert steps[-1] <= 2.0 * steps[:-1].max()
 
     def test_no_boundary_is_an_error(self, icosphere4):
         with pytest.raises(MeshError):
@@ -76,8 +89,7 @@ class TestRegularityThreshold:
         e2 = np.tile([0.0, 1, 0], (m, 1))
         e3 = np.tile([0.0, 0, 1], (m, 1))
         fr = BoundaryFrame(loop_indices=np.arange(m), positions=pos, e1=e1,
-                           e2=e2, e3=e3, arclengths=t, length=1.0,
-                           _closure_e3=e3[0])
+                           e2=e2, e3=e3, arclengths=t, length=1.0)
         assert regularity_threshold(fr) == 0.5
 
     def test_half_threshold_builds_clean_tube(self, disk_frame):
@@ -207,6 +219,42 @@ class TestDouble:
     def test_invalid_epsilon_rejected(self, unit_disk):
         with pytest.raises(MeshError):
             build_double(unit_disk, 10, epsilon=0.9)
+
+
+GRAPH_POWERS = {"r4": (2,), "r6": (2, 3)}
+
+
+@pytest.fixture(scope="module", params=sorted(GRAPH_POWERS))
+def graph_family(request):
+    """A holomorphic graph over the disks 8x32, 16x64 and 32x128: H = 0, curved normal bundle."""
+    return [holomorphic_graph(gen.flat_disk(1.0, rings, 4 * rings), GRAPH_POWERS[request.param])
+            for rings in (8, 16, 32)]
+
+
+class TestHolomorphicGraphs:
+    def test_mean_curvature_falls_at_second_order(self, graph_family):
+        h = [total_mean_curvature(mesh) for mesh in graph_family]
+        for coarse, fine in zip(h, h[1:]):
+            assert 3.5 <= coarse / fine <= 4.5
+
+    def test_section_closes_up_around_the_holonomy(self, graph_family):
+        for mesh in graph_family:
+            fr, = build_boundary_frames(mesh)
+            assert fr.holonomy > 1.0
+            assert max_orthogonality_defect(fr) <= 1e-12
+            steps = section_steps(fr)
+            assert steps[-1] <= 2.0 * steps[:-1].max()
+
+    def test_doubles_are_closed_and_approach_the_target(self, graph_family):
+        mesh = graph_family[0]
+        for k, excess in ((10, 0.3), (50, 0.1)):
+            row, dbl = next(convergence_rows(mesh, [k]))
+            rep = validate(dbl.sigma)
+            assert rep.is_valid and rep.closed and rep.connected
+            assert rep.euler_characteristic == 2 * mesh.euler_characteristic()
+            assert dbl.sigma.dimension == mesh.dimension
+            assert dbl.epsilon == 1.0 / (2 * k)
+            assert 0.0 < row["sigma_curvature"] / row["target_curvature"] - 1.0 <= excess
 
 
 class TestConvergenceTable:
