@@ -219,6 +219,11 @@ def build_double(mesh: SurfaceMesh, k: int, epsilon="auto") -> DoubledSurface:
     and the diameter perturbation below 4*eps_k < 2/k. An invalid,
     disconnected or closed mesh raises MeshError before any frame is built.
     """
+    return _double(mesh, *_framed(mesh), k, epsilon)
+
+
+def _framed(mesh: SurfaceMesh):
+    """The boundary frames of a mesh fit for doubling, and their least regularity threshold."""
     report = validate(mesh)
     if not report.is_valid:
         raise MeshError(f"cannot double an invalid mesh:\n{report}")
@@ -227,8 +232,12 @@ def build_double(mesh: SurfaceMesh, k: int, epsilon="auto") -> DoubledSurface:
     if report.closed:
         raise MeshError("mesh is closed; doubling applies to surfaces with boundary")
     frames = build_boundary_frames(mesh)
+    return frames, min(regularity_threshold(fr) for fr in frames)
+
+
+def _double(mesh: SurfaceMesh, frames, eps_bar, k, epsilon) -> DoubledSurface:
+    """``build_double`` from the frames and threshold ``_framed`` returned for ``mesh``."""
     profile = build_sweep_profile(k)
-    eps_bar = min(regularity_threshold(fr) for fr in frames)
     if epsilon == "auto":
         epsilon = min(eps_bar / 2.0, 1.0 / (2.0 * k))
     if not 0.0 < epsilon < eps_bar:
@@ -277,13 +286,15 @@ def convergence_rows(mesh: SurfaceMesh, k_list, epsilon="auto"):
     """
     from .mesh import boundary_length
 
+    # validated and framed once for every k
+    frames, eps_bar = _framed(mesh)
     base_curv = total_mean_curvature(mesh)
     base_len = boundary_length(mesh)
     base_diam = extrinsic_diameter(mesh.vertices)
     target_curv = 2.0 * base_curv + (np.pi / 2.0) * base_len
 
     for k in k_list:
-        double = build_double(mesh, k, epsilon=epsilon)
+        double = _double(mesh, frames, eps_bar, k, epsilon)
         curv = total_mean_curvature(double.sigma)
         diam = extrinsic_diameter(double.sigma.vertices)
         row = {

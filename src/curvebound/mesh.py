@@ -13,7 +13,7 @@ import numpy as np
 DEGENERATE_AREA_TOL = 1e-12
 _DIAMETER_LEAF = 16  # points per kd leaf in extrinsic_diameter
 _DIAMETER_BATCH = 128  # leaf pairs per numpy call in extrinsic_diameter
-_ECC_BATCH = 16  # Dijkstra sources per call in intrinsic_diameter
+_ECC_BATCH = 2  # Dijkstra sources per call in intrinsic_diameter
 DIAMETER_TOL = 1e-2  # relative width of the bracket intrinsic_diameter returns
 
 
@@ -435,11 +435,12 @@ def intrinsic_diameter(mesh: SurfaceMesh) -> tuple[float, float]:
     largest eccentricity computed so far. colmax[w] is the largest computed
     distance to w. reach[w] bounds the distance from w to every vertex still
     a candidate: it is the least of d(v, w) + m_v over computed sources v,
-    with m_v the largest distance from v to a candidate left after v's batch
-    (candidates only leave), and of the iFUB bound d(u, w) + the largest
-    distance from u to a candidate now. Every other vertex was computed or
-    dropped. ``lower`` is the best eccentricity computed, and ``upper`` is
-    lower * (1 + DIAMETER_TOL) * (1 + slack).
+    with m_v the largest distance from v to a candidate now. Every computed
+    row is kept on the candidates' columns, so m_v and reach are read again
+    after each batch; u is a computed source, so this includes the iFUB
+    bound. Every other vertex was computed or dropped. ``lower`` is the best
+    eccentricity computed, and ``upper`` is lower * (1 + DIAMETER_TOL) *
+    (1 + slack).
 
     Why the all-pairs max lies in [lower, upper]: the search from one source
     does not depend on the others (and on the symmetric adjacency the
@@ -472,33 +473,29 @@ def intrinsic_diameter(mesh: SurfaceMesh) -> tuple[float, float]:
         raise ValueError("intrinsic diameter needs a connected mesh")
     graph = mesh.vertex_adjacency()
     slack = max(1e-12, 4 * n * np.finfo(float).eps)
-    lower, colmax = np.zeros(n), np.zeros(n)
-    reach, from_u = np.full(n, np.inf), np.full(n, np.inf)
-    candidate = np.ones(n, dtype=bool)
-    best = 0.0
-    while candidate.any():
-        live = np.nonzero(candidate)[0]
+    # the candidates, their lower bounds, and every computed row on their columns
+    live, lower = np.arange(n), np.zeros(n)
+    rows, eccs = np.zeros((0, n)), np.zeros(0)
+    from_u, best = np.full(n, np.inf), 0.0
+    while len(live):
         far = live[np.argsort(-from_u[live], kind="stable")[:_ECC_BATCH // 2]]
-        central = live[np.argsort(lower[live], kind="stable")]
+        central = live[np.argsort(lower, kind="stable")]
         central = central[~np.isin(central, far)][:_ECC_BATCH - len(far)]
         sources = np.concatenate([far, central])
-        candidate[sources] = False
-        # bounds only matter on the vertices still candidates
-        live = np.nonzero(candidate)[0]
         d = csgraph.dijkstra(graph, directed=True, indices=sources)
         ecc = d.max(axis=1)
         best = max(best, float(ecc.max()))
         if ecc.min() < from_u.max():
             from_u = d[np.argmin(ecc)]
-        d = d[:, live]
-        colmax[live] = np.maximum(colmax[live], d.max(axis=0))
-        lower[live] = np.maximum(lower[live],
-                                 np.maximum(colmax[live], (ecc[:, None] - d).max(axis=0)))
-        reach[live] = np.minimum(reach[live],
-                                 (d + d.max(axis=1, initial=0.0)[:, None]).min(axis=0))
-        ifub = from_u[live] + from_u[live].max(initial=0.0)
-        candidate[live] = (np.maximum(colmax[live], np.minimum(reach[live], ifub))
-                           * (1.0 + slack) > best * (1.0 + DIAMETER_TOL))
+        # bounds only matter on the vertices still candidates
+        keep = ~np.isin(live, sources)
+        live = live[keep]
+        rows, eccs = np.vstack([rows[:, keep], d[:, live]]), np.append(eccs, ecc)
+        colmax = rows.max(axis=0)
+        lower = np.maximum(colmax, (eccs[:, None] - rows).max(axis=0))
+        reach = (rows + rows.max(axis=1, initial=0.0)[:, None]).min(axis=0)
+        keep = np.maximum(colmax, reach) * (1.0 + slack) > best * (1.0 + DIAMETER_TOL)
+        live, lower, rows = live[keep], lower[keep], rows[:, keep]
     return best, float(best * (1.0 + DIAMETER_TOL) * (1.0 + slack))
 
 

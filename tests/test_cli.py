@@ -273,18 +273,25 @@ class TestDoubleCommand:
 
         path = tmp_path / "disk.mesh.json"
         save_mesh(gen.flat_disk(1.0, 8, 32), path)
-        built = []
+        built, framed = [], []
+        double, frames = doubling._double, doubling.build_boundary_frames
 
-        def counting_build_double(*args, **kwargs):
-            built.append(args[1])
-            return build_double(*args, **kwargs)
+        def counting_double(mesh, frames, eps_bar, k, epsilon):
+            built.append(k)
+            return double(mesh, frames, eps_bar, k, epsilon)
 
-        monkeypatch.setattr(doubling, "build_double", counting_build_double)
+        def counting_frames(mesh):
+            framed.append(mesh)
+            return frames(mesh)
+
+        monkeypatch.setattr(doubling, "_double", counting_double)
+        monkeypatch.setattr(doubling, "build_boundary_frames", counting_frames)
         out_dir = tmp_path / "doubles"
         code, _ = run(capsys, ["double", str(path), "--k-list", "10,25",
                                "--out-dir", str(out_dir)])
         assert code == 0
-        assert built == [10, 25]
+        # the input is validated and framed once, and each double built once
+        assert built == [10, 25] and len(framed) == 1
         monkeypatch.undo()
         for k in (10, 25):
             fresh = tmp_path / f"fresh_k{k}.mesh.json"

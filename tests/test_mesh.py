@@ -10,9 +10,10 @@ from conftest import (assert_brackets_all_pairs, boundary_library_meshes,
 from curvebound import audit
 from curvebound import generators as gen
 from curvebound.audit import run_audit
-from curvebound.mesh import (MeshError, SurfaceMesh, boundary_length,
-                             extrinsic_diameter, geodesic_distances,
-                             intrinsic_diameter, load_mesh, save_mesh, validate)
+from curvebound.mesh import (DIAMETER_TOL, MeshError, SurfaceMesh,
+                             boundary_length, extrinsic_diameter,
+                             geodesic_distances, intrinsic_diameter, load_mesh,
+                             save_mesh, validate)
 
 
 def brute_force_diameter(points, rows=256):
@@ -283,8 +284,11 @@ class TestGeodesics:
 
 
 class TestIntrinsicDiameter:
+    # thin_capped and icosphere3_stretched: re-reading every kept row after
+    # each batch drops the most candidates early on these two
     @pytest.mark.parametrize("shape", ["icosphere3", "icosphere4", "capped",
-                                       "capped_rotated", "disk"])
+                                       "capped_rotated", "disk", "thin_capped",
+                                       "icosphere3_stretched"])
     def test_matches_brute_force(self, shape, icosphere4, unit_disk):
         capped = gen.capped_cylinder(0.5, 4.0, segments=48, rings_cap=10)
         mesh = {
@@ -294,15 +298,18 @@ class TestIntrinsicDiameter:
             "capped_rotated": SurfaceMesh(capped.vertices @ random_rotation(7).T,
                                           capped.triangles),
             "disk": unit_disk,
+            "thin_capped": gen.capped_cylinder(0.1, 4.0, segments=12, rings_cap=3),
+            "icosphere3_stretched": SurfaceMesh(gen.icosphere(3).vertices * [4.0, 1.0, 1.0],
+                                                gen.icosphere(3).triangles),
         }[shape]
         assert_brackets_all_pairs(mesh, intrinsic_diameter(mesh))
 
     # Dijkstra sources per library mesh (at most), and the all-pairs max its bracket must hold
     LIBRARY_WORK = {
-        "icosphere3": (202, 3.3187961651320244),
-        "icosphere4": (400, 3.3359202930449485),
-        "capped_cylinder_1_20": (112, 23.139350203046863),
-        "capped_cylinder_0.5_4": (189, 5.5691819145569),
+        "icosphere3": (60, 3.3187961651320244),
+        "icosphere4": (78, 3.3359202930449485),
+        "capped_cylinder_1_20": (16, 23.139350203046863),
+        "capped_cylinder_0.5_4": (50, 5.5691819145569),
     }
 
     def test_library_dijkstra_sources(self, monkeypatch):
@@ -337,6 +344,23 @@ class TestIntrinsicDiameter:
             rec = report["covering"][name]
             assert rec["d_int"] <= value <= rec["d_int_upper"], name
             assert 0 < count <= runs, name
+
+    def test_long_cylinder_few_sources(self, monkeypatch):
+        # 53,634 vertices, too many for the all-pairs oracle: the bracket is
+        # checked against the rows the search itself ran
+        mesh = gen.capped_cylinder(1.0, 80.0)
+        dijkstra, row_maxima = csgraph.dijkstra, []
+
+        def recording(graph, *args, **kwargs):
+            rows = dijkstra(graph, *args, **kwargs)
+            row_maxima.extend(rows.max(axis=1))
+            return rows
+
+        monkeypatch.setattr(csgraph, "dijkstra", recording)
+        lower, upper = intrinsic_diameter(mesh)
+        assert 0 < len(row_maxima) <= 6
+        assert lower == max(row_maxima)
+        assert lower <= upper <= lower * (1.0 + DIAMETER_TOL) * (1.0 + 1e-9)
 
     @pytest.mark.parametrize("name", ["icosphere1", "icosphere2", "icosphere3", "disk",
                                       "capped", "single_triangle"])
@@ -423,6 +447,23 @@ class TestIntrinsicDiameter:
         for mesh in (gen.icosphere(2), gen.flat_disk(1.0, 4, 16),
                      gen.capped_cylinder(0.5, 3.0, segments=16, rings_cap=4), single_triangle()):
             assert_brackets_all_pairs(mesh, intrinsic_diameter(mesh))
+
+    def test_bound_equal_to_best_drops(self, monkeypatch):
+        # a tolerance equal to the rounding slack makes bounds tie the best
+        # eccentricity; a tie is "at most" the threshold, so the vertex drops
+        dijkstra, sources = csgraph.dijkstra, []
+
+        def counting(graph, *args, **kwargs):
+            sources.append(np.size(kwargs["indices"]))
+            return dijkstra(graph, *args, **kwargs)
+
+        monkeypatch.setattr(csgraph, "dijkstra", counting)
+        monkeypatch.setattr("curvebound.mesh.DIAMETER_TOL", 1e-12)
+        for mesh, runs in ((gen.flat_disk(1.0, 4, 16), 4), (gen.icosphere(1), 13)):
+            sources.clear()
+            bracket = intrinsic_diameter(mesh)
+            assert sum(sources) <= runs
+            assert_brackets_all_pairs(mesh, bracket)
 
     def test_small_meshes(self):
         point = SurfaceMesh([[0.0, 0, 0]], np.zeros((0, 3), dtype=np.int64))
