@@ -44,7 +44,7 @@ def _triangle_gradients_l1(mesh, f):
 
 
 def michael_simon_check(mesh: SurfaceMesh, f, name="f") -> dict:
-    """Discrete sharp Michael-Simon inequality for one nonnegative function.
+    """Discrete sharp Michael-Simon inequality for one finite nonnegative function.
 
     Vertex-lumped L2 norm, per-triangle linear-gradient L1 norm, vertex-lumped
     |H| f L1 norm; the inequality is granted a 5% slack for discretization.
@@ -52,6 +52,8 @@ def michael_simon_check(mesh: SurfaceMesh, f, name="f") -> dict:
     ``f`` the function's name and ``margin = rhs - lhs``.
     """
     f = np.asarray(f, dtype=float)
+    if not np.all(np.isfinite(f)):
+        raise ValueError("test functions must be finite")
     if np.any(f < 0):
         raise ValueError("test functions must be nonnegative")
     if len(f) != mesh.n_vertices:
@@ -95,42 +97,65 @@ def m_kappa(mesh: SurfaceMesh, p: int, R: float) -> dict:
 
     m = sup over sampled r of (1/r) * integral of |H| over B(p, r);
     kappa = inf over sampled r of V(p, r)/r^2. The sup/inf run over the grid
-    r = R*j/R_SAMPLES. R beyond the intrinsic radius just saturates the ball.
-    Returns the report entry ``{"probe", "R", "m", "kappa", "holds"}``, where
-    ``holds`` is the dichotomy max(m, kappa) > pi/4.
+    r = R*j/R_SAMPLES, for R positive and finite; R beyond the intrinsic radius
+    saturates the ball. Returns the report entry ``{"probe", "R", "m",
+    "kappa", "holds"}``, where ``holds`` is the dichotomy max(m, kappa) > pi/4.
 
     Each triangle keeps the part of the ball {d <= r} where the linear
     interpolant of its corner distances is <= r: with one corner out (its
     largest), all but the corner triangle cut off at the two crossings; with
     one corner in (its smallest), that corner triangle. A corner alone out
     (in) is strictly the largest (smallest), so the corners are rotated once
-    per probe to put that one first, and each radius only compares the
-    largest, middle and smallest corner distance with r.
+    per probe to put that one first.
+
+    One pass per probe: ``searchsorted`` gives each triangle within reach
+    the first radius index at which it is one-in, two-in and full (x <= r
+    exactly). The clipped weights of all band pairs (radius, triangle) are
+    computed at once, in the per-radius formula's operation order, and stably
+    sorted by radius, so each radius sums its full triangles and two slices,
+    in triangle order. The weights are one C-ordered (2, T) array cached on
+    the mesh; ``compress`` and ``take`` keep rows C-ordered, so each row sum
+    adds as a 1-D sum would (a Fortran-ordered ``w[:, mask]`` would not).
     """
-    if R <= 0:
-        raise ValueError("R must be positive")
-    weights = (_curvature_weights(mesh, mean_curvature_field(mesh)),
-               mesh.triangle_areas())
+    if not 0 < R < np.inf:
+        raise ValueError("R must be positive and finite")
+    if "ball_weights" not in mesh._cache:
+        w = np.stack([_curvature_weights(mesh, mean_curvature_field(mesh)),
+                      mesh.triangle_areas()])
+        w.setflags(write=False)
+        mesh._cache["ball_weights"] = w
+    r = R * np.arange(1, R_SAMPLES + 1) / R_SAMPLES
     dv = geodesic_distances(mesh, p)[mesh.triangles]
+    near = np.minimum(np.minimum(dv[:, 0], dv[:, 1]), dv[:, 2]) <= r[-1]
+    dv, w = dv.compress(near, axis=0), mesh._cache["ball_weights"].compress(near, axis=1)
     # hi[k] (lo[k]): per triangle, the distance at the corner k after its largest (smallest)
     flat, turn = 3 * np.arange(len(dv)), np.arange(3)[:, None]
     hi, lo = (dv.ravel()[flat + (arg(dv, axis=1) + turn) % 3] for arg in (np.argmax, np.argmin))
-    mid = np.maximum(hi[1], hi[2])
-    m_best = -np.inf
-    k_best = np.inf
-    for j in range(1, R_SAMPLES + 1):
-        r = R * j / R_SAMPLES
-        full, two = hi[0] <= r, mid <= r
-        cut, one = two & ~full, (lo[0] <= r) & ~two
-        da, db, dc = hi.compress(cut, axis=1)
-        kept = 1.0 - ((da - r) / (da - db)) * ((da - r) / (da - dc))
-        da, db, dc = lo.compress(one, axis=1)
-        tb, tc = (r - da) / (db - da), (r - da) / (dc - da)
-        # w[one] * tb * tc runs left to right; w * (tb * tc) would round differently
-        curvature, area = (float(w[full].sum()) + float((w[cut] * kept).sum())
-                           + float((w[one] * tb * tc).sum()) for w in weights)
-        m_best = max(m_best, curvature / r)
-        k_best = min(k_best, area / (r * r))
+    j_one, j_two, j_full = (np.searchsorted(r, x)
+                            for x in (lo[0], np.maximum(hi[1], hi[2]), hi[0]))
+
+    def band(first, stop, d):
+        """Radius indices, r and corner distances of the pairs first <= j < stop, by radius."""
+        count = stop - first
+        t = np.repeat(np.arange(len(count)), count)
+        j = np.repeat(first + count - np.cumsum(count), count) + np.arange(len(t))
+        order = np.argsort(j, kind="stable")
+        j, t = j[order], t[order]
+        return np.searchsorted(j, np.arange(R_SAMPLES + 1)), w.take(t, axis=1), r[j], d[:, t]
+
+    at_cut, w_cut, rc, (da, db, dc) = band(j_two, j_full, hi)
+    cut = w_cut * (1.0 - ((da - rc) / (da - db)) * ((da - rc) / (da - dc)))
+    at_one, w_one, rc, (da, db, dc) = band(j_one, j_two, lo)
+    # w * tb * tc runs left to right; w * (tb * tc) would round differently
+    one = w_one * ((rc - da) / (db - da)) * ((rc - da) / (dc - da))
+    m_best, k_best = -np.inf, np.inf
+    for j, rj in enumerate(r.tolist()):
+        curvature, area = (float(a) + float(b) + float(c) for a, b, c in zip(
+            w.compress(j_full <= j, axis=1).sum(axis=1),
+            cut[:, at_cut[j]:at_cut[j + 1]].sum(axis=1),
+            one[:, at_one[j]:at_one[j + 1]].sum(axis=1)))
+        m_best = max(m_best, curvature / rj)
+        k_best = min(k_best, area / (rj * rj))
     m, kappa = float(m_best), float(k_best)
     return {"probe": int(p), "R": float(R), "m": m, "kappa": kappa,
             "holds": max(m, kappa) > DELTA_SHARP}

@@ -194,20 +194,23 @@ class SurfaceMesh:
         a root is its tree's least index: connected iff every root is 0, and a
         vertex no triangle uses is a root of its own. Every component with such
         an edge merges, so the number of components at least halves per round.
+        Computed once per mesh and kept in its cache.
         """
-        if self.n_vertices == 0:
-            return False
+        if "connected" in self._cache:
+            return self._cache["connected"]
         e, parent = self.edges, np.arange(self.n_vertices)
         while True:
             a, b = parent[e[:, 0]], parent[e[:, 1]]
             live = a != b
             if not live.any():
-                return not parent.any()
+                break
             a, b = a[live], b[live]
             np.minimum.at(parent, np.maximum(a, b), np.minimum(a, b))
             jumped = parent[parent]
             while not np.array_equal(jumped, parent):
                 parent, jumped = jumped, jumped[jumped]
+        self._cache["connected"] = self.n_vertices > 0 and not parent.any()
+        return self._cache["connected"]
 
     def boundary_vertex_mask(self):
         mask = np.zeros(self.n_vertices, dtype=bool)
@@ -432,13 +435,16 @@ def intrinsic_diameter(mesh: SurfaceMesh) -> tuple[float, float]:
     max(d, e - d) from sources of eccentricity e (central vertices). A
     candidate w is dropped once max(colmax[w], reach[w]), widened by a
     relative slack, is at most best * (1 + DIAMETER_TOL), with best the
-    largest eccentricity computed so far. colmax[w] is the largest computed
-    distance to w. reach[w] bounds the distance from w to every vertex still
-    a candidate: it is the least of d(v, w) + m_v over computed sources v,
-    with m_v the largest distance from v to a candidate now. Every computed
-    row is kept on the candidates' columns, so m_v and reach are read again
-    after each batch; u is a computed source, so this includes the iFUB
-    bound. Every other vertex was computed or dropped. ``lower`` is the best
+    largest eccentricity computed so far. colmax[w], the largest computed
+    distance to w, is a running maximum over each batch's new rows, as is the
+    lower bound max(e - d). reach[w] bounds the distance from w to every
+    vertex still a candidate: it is the least of d(v, w) + m_v over computed
+    sources v, with m_v the largest distance from v to a candidate that is
+    not a source of this batch. Every computed row is kept on the
+    candidates' columns (sources and dropped vertices leave in one
+    compaction per batch), so m_v and reach are read again after each batch;
+    u is a computed source, so this includes the iFUB bound. Every other
+    vertex was computed or dropped. ``lower`` is the best
     eccentricity computed, and ``upper`` is lower * (1 + DIAMETER_TOL) *
     (1 + slack).
 
@@ -473,14 +479,13 @@ def intrinsic_diameter(mesh: SurfaceMesh) -> tuple[float, float]:
         raise ValueError("intrinsic diameter needs a connected mesh")
     graph = mesh.vertex_adjacency()
     slack = max(1e-12, 4 * n * np.finfo(float).eps)
-    # the candidates, their lower bounds, and every computed row on their columns
-    live, lower = np.arange(n), np.zeros(n)
-    rows, eccs = np.zeros((0, n)), np.zeros(0)
-    from_u, best = np.full(n, np.inf), 0.0
+    # the candidates, their column bounds, and every computed row on their columns
+    live, colmax, spread = np.arange(n), np.zeros(n), np.zeros(n)
+    rows, from_u, best = np.zeros((0, n)), np.full(n, np.inf), 0.0
     while len(live):
         far = live[np.argsort(-from_u[live], kind="stable")[:_ECC_BATCH // 2]]
-        central = live[np.argsort(lower, kind="stable")]
-        central = central[~np.isin(central, far)][:_ECC_BATCH - len(far)]
+        central = live[np.argsort(np.maximum(colmax, spread), kind="stable")]
+        central = central[~np.isin(central, far, kind="sort")][:_ECC_BATCH - len(far)]
         sources = np.concatenate([far, central])
         d = csgraph.dijkstra(graph, directed=True, indices=sources)
         ecc = d.max(axis=1)
@@ -488,14 +493,14 @@ def intrinsic_diameter(mesh: SurfaceMesh) -> tuple[float, float]:
         if ecc.min() < from_u.max():
             from_u = d[np.argmin(ecc)]
         # bounds only matter on the vertices still candidates
-        keep = ~np.isin(live, sources)
-        live = live[keep]
-        rows, eccs = np.vstack([rows[:, keep], d[:, live]]), np.append(eccs, ecc)
-        colmax = rows.max(axis=0)
-        lower = np.maximum(colmax, (eccs[:, None] - rows).max(axis=0))
-        reach = (rows + rows.max(axis=1, initial=0.0)[:, None]).min(axis=0)
-        keep = np.maximum(colmax, reach) * (1.0 + slack) > best * (1.0 + DIAMETER_TOL)
-        live, lower, rows = live[keep], lower[keep], rows[:, keep]
+        new = d[:, live]
+        rows = np.vstack([rows, new])
+        colmax = np.maximum(colmax, new.max(axis=0))
+        spread = np.maximum(spread, (ecc[:, None] - new).max(axis=0))
+        rest = ~np.isin(live, sources, kind="sort")
+        reach = (rows + rows.max(axis=1, where=rest, initial=0.0)[:, None]).min(axis=0)
+        keep = rest & (np.maximum(colmax, reach) * (1.0 + slack) > best * (1.0 + DIAMETER_TOL))
+        live, colmax, spread, rows = live[keep], colmax[keep], spread[keep], rows[:, keep]
     return best, float(best * (1.0 + DIAMETER_TOL) * (1.0 + slack))
 
 

@@ -16,7 +16,7 @@ except ImportError:  # running from a checkout without an installed package
 from curvebound import generators as gen
 from curvebound.contour import (Contour, ContourError, component_pair_distances,
                                 segment_segment_distance)
-from curvebound.curvature import _curvature_weights
+from curvebound.curvature import _curvature_weights, mean_curvature_field
 from curvebound.mesh import DIAMETER_TOL, SurfaceMesh, geodesic_distances
 
 try:
@@ -141,6 +141,19 @@ def curvature_in_ball(mesh, field, distances, r):
     """
     return _ball_integrals(distances[mesh.triangles], r,
                            _curvature_weights(mesh, field))[0]
+
+
+def reference_m_kappa(mesh, p, R, r_samples=50):
+    """m and kappa from one curvature_in_ball and one intrinsic_ball_volume
+    call per radius."""
+    field = mean_curvature_field(mesh)
+    d = geodesic_distances(mesh, p)
+    m, kappa = -np.inf, np.inf
+    for j in range(1, r_samples + 1):
+        r = R * j / r_samples
+        m = max(m, curvature_in_ball(mesh, field, d, r) / r)
+        kappa = min(kappa, intrinsic_ball_volume(mesh, p, r, distances=d) / (r * r))
+    return m, kappa
 
 
 def tau_root_bisection(lo=1.0, hi=1.5, tol=1e-10) -> float:

@@ -5,14 +5,14 @@ import numpy as np
 import pytest
 from scipy.sparse import csgraph
 
-from conftest import (all_pairs_eccentricities, assert_brackets_all_pairs, curvature_in_ball,
-                      intrinsic_ball_volume)
+from conftest import (all_pairs_eccentricities, assert_brackets_all_pairs,
+                      intrinsic_ball_volume, reference_m_kappa)
 from curvebound import audit
 from curvebound import generators as gen
 from curvebound.audit import (DELTA_SHARP, R_SAMPLES, SIGMA_SHARP, _triangle_gradients_l1,
                               comparison_identity_check, ct_constants, m_kappa,
                               michael_simon_check, run_audit, probe_function_library)
-from curvebound.curvature import mean_curvature_field, total_mean_curvature
+from curvebound.curvature import total_mean_curvature
 from curvebound.mesh import DIAMETER_TOL, SurfaceMesh, geodesic_distances, intrinsic_diameter
 
 
@@ -21,19 +21,6 @@ def _disjoint_icospheres():
     sphere = gen.icosphere(1)
     return SurfaceMesh(np.vstack([sphere.vertices, sphere.vertices + [5.0, 0.0, 0.0]]),
                        np.vstack([sphere.triangles, sphere.triangles + sphere.n_vertices]))
-
-
-def reference_m_kappa(mesh, p, R, r_samples=50):
-    """m and kappa from one curvature_in_ball and one intrinsic_ball_volume
-    call per radius."""
-    field = mean_curvature_field(mesh)
-    d = geodesic_distances(mesh, p)
-    m, kappa = -np.inf, np.inf
-    for j in range(1, r_samples + 1):
-        r = R * j / r_samples
-        m = max(m, curvature_in_ball(mesh, field, d, r) / r)
-        kappa = min(kappa, intrinsic_ball_volume(mesh, p, r, distances=d) / (r * r))
-    return m, kappa
 
 
 class TestMichaelSimon:
@@ -72,6 +59,14 @@ class TestMichaelSimon:
     def test_open_mesh_rejected(self, unit_disk):
         with pytest.raises(ValueError):
             michael_simon_check(unit_disk, np.ones(unit_disk.n_vertices))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_function_rejected(self, value, icosphere4):
+        # NaN would report NaN margins that do not hold; inf would warn in the gradients
+        f = np.ones(icosphere4.n_vertices)
+        f[7] = value
+        with pytest.raises(ValueError, match="^test functions must be finite$"):
+            michael_simon_check(icosphere4, f)
 
 
 class TestDichotomy:
@@ -147,6 +142,32 @@ class TestDichotomy:
     def test_argument_floors(self, icosphere4):
         with pytest.raises(ValueError):
             m_kappa(icosphere4, 0, -1.0)
+
+    @pytest.mark.parametrize("R", [np.nan, np.inf])
+    def test_non_finite_radius_rejected(self, R, icosphere4):
+        # NaN would compare false on every radius and report a vacuous "holds"
+        with pytest.raises(ValueError, match="^R must be positive and finite$"):
+            m_kappa(icosphere4, 0, R)
+
+    def test_probes_share_the_ball_weights(self, monkeypatch):
+        # the weights are built once per mesh; each probe runs one Dijkstra search
+        counts = {"weights": 0, "dijkstra": 0}
+        weights, dijkstra = audit._curvature_weights, csgraph.dijkstra
+
+        def counting(name, fn):
+            def wrapped(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            return wrapped
+
+        monkeypatch.setattr(audit, "_curvature_weights", counting("weights", weights))
+        monkeypatch.setattr(csgraph, "dijkstra", counting("dijkstra", dijkstra))
+        mesh = gen.icosphere(2)
+        recs = [m_kappa(mesh, p, 1.0) for p in (0, 5, 17, 80, 161)]
+        assert counts == {"weights": 1, "dijkstra": 5}
+        monkeypatch.setattr(csgraph, "dijkstra", dijkstra)
+        for p, rec in zip((0, 5, 17, 80, 161), recs):
+            assert (rec["m"], rec["kappa"]) == reference_m_kappa(mesh, p, 1.0), p
 
 
 class TestComparisonIdentity:

@@ -1,5 +1,5 @@
-"""Pinned digests of the triangle-geometry outputs, one audit run's report,
-stdout and CSV, and two contour reports.
+"""Pinned digests of the triangle-geometry outputs, the report, stdout and CSV
+of two audit runs (one of them the default audit), and two contour reports.
 
 The digests were taken with numpy 2.4.6 and scipy 1.17.1 (the versions the
 CI workflow pins). A change to how areas, cotangents, Voronoi weights,
@@ -93,16 +93,30 @@ def test_outputs_match_pinned_digests(name):
 AUDIT_SEED1_PROBES5 = "c342f149684eba5bc4e9703becb620bc55cd9e7113d65975126e4d423236bc33"
 AUDIT_SEED1_PROBES5_STDOUT = "6ecaae9c131e464d61ddbc28674f61b9d82b329d348bbafce004033f2fdf1d75"
 AUDIT_SEED1_PROBES5_CSV = "e7b79e1b691a47e722d61835e5986fe76e9ee4385fcc46dc62ee450430076d20"
+# the same three for ``audit --seed 0 --json J --csv C``: the default 20 probes per
+# shape, 80 dichotomy probes in all
+AUDIT_SEED0_DEFAULT = "bb4a7e27e42e5961c88448d92b4cecc524cad5580f3e595e2277ff332889b46d"
+AUDIT_SEED0_DEFAULT_STDOUT = "729f4f345f71c05501437bc587dd62559cf3a9c2a5dca5c090af9594a9022488"
+AUDIT_SEED0_DEFAULT_CSV = "11e3dd1b85a21ef89e74e069516969cc9c186cc200b57db00dc75178a0984b49"
+
+
+def _audit_digests(argv, tmp_path, capsys):
+    """sha256 of the JSON report, stdout and CSV that ``argv + audit --json J --csv C`` writes."""
+    report, table = tmp_path / "audit.json", tmp_path / "audit.csv"
+    assert main(argv + ["--json", str(report), "--csv", str(table)]) == 0
+    stdout = capsys.readouterr().out
+    return tuple(hashlib.sha256(data).hexdigest()
+                 for data in (report.read_bytes(), stdout.encode(), table.read_bytes()))
 
 
 def test_audit_report_matches_pinned_digest(tmp_path, capsys):
-    report, table = tmp_path / "audit.json", tmp_path / "audit.csv"
-    assert main(["--seed", "1", "audit", "--probes", "5", "--json", str(report),
-                 "--csv", str(table)]) == 0
-    stdout = capsys.readouterr().out
-    assert hashlib.sha256(report.read_bytes()).hexdigest() == AUDIT_SEED1_PROBES5
-    assert hashlib.sha256(stdout.encode()).hexdigest() == AUDIT_SEED1_PROBES5_STDOUT
-    assert hashlib.sha256(table.read_bytes()).hexdigest() == AUDIT_SEED1_PROBES5_CSV
+    assert _audit_digests(["--seed", "1", "audit", "--probes", "5"], tmp_path, capsys) == (
+        AUDIT_SEED1_PROBES5, AUDIT_SEED1_PROBES5_STDOUT, AUDIT_SEED1_PROBES5_CSV)
+
+
+def test_default_audit_matches_pinned_digest(tmp_path, capsys):
+    assert _audit_digests(["--seed", "0", "audit"], tmp_path, capsys) == (
+        AUDIT_SEED0_DEFAULT, AUDIT_SEED0_DEFAULT_STDOUT, AUDIT_SEED0_DEFAULT_CSV)
 
 
 # sha256 of the report that ``check-contour --json`` writes (default budget), on two
