@@ -102,23 +102,34 @@ def component_pair_distances(c: Contour, first, second) -> np.ndarray:
     are evaluated. Components are cut into leaves of consecutive segments (a
     polyline is ordered along its curve), and leaves into sub-leaves of
     ``_SEGMENT_SUB`` segments. A box covers the end vertices of its segments,
-    so box distances bound segment distances from below. Each pair's best is
-    seeded with the nearest sub-leaf pair of its nearest leaf pair, which is
-    not evaluated again. Leaf pairs are then visited in ascending bound, many
-    per numpy call, and the sub-leaf pairs of each are evaluated unless their
-    bound exceeds best*(1 + rho) + rho*lmax, with best the pair's minimum so
-    far, lmax the longest segment and rho = 1e-12; a leaf pair whose own
-    bound exceeds it is skipped whole.
+    so box distances bound segment distances from below. The boxes are built
+    in the contour's principal frame: the centred points times the right
+    singular vectors V of the centred point cloud, so that they fit the
+    curves whatever the input's axes; the distances themselves are computed
+    on the input coordinates. Each pair's best is seeded with the nearest
+    sub-leaf pair of its nearest leaf pair, which is not evaluated again.
+    Leaf pairs are then visited in ascending bound, many per numpy call, and
+    the sub-leaf pairs of each are evaluated unless their bound exceeds
+    best*(1 + rho) + rho*(lmax + sqrt(3)*rmax), with best the pair's minimum
+    so far, lmax the longest segment, rmax the largest rotated coordinate in
+    absolute value and rho = 1e-12; a leaf pair whose own bound exceeds it
+    is skipped whole.
 
     The slack keeps the result bit-identical to the full minimum. A computed
     distance is the norm of r + s*d1 - t*d2 for computed s, t in [0, 1], a
     difference of two points of the segments formed by a few rounded
     operations, so it undershoots the exact distance D by at most about
     10u(D + 4*lmax) with u = 2^-53; the segment p + s*d leaves the box of its
-    stored vertices by at most u*lmax. rho is about 4500u, so no skipped
-    entry can fall below the best one. A sub-leaf box lies inside its leaf's
-    box, and every seed is one of the entries, so neither changes the
-    argument.
+    stored vertices by at most u*lmax. The map x -> (x - mean) V is affine,
+    so it takes each segment onto the segment between its mapped ends, and V
+    is orthogonal to a few u, so it stretches distances by a factor within a
+    few u of 1. Each rotated coordinate is a centred difference and a
+    three-term dot product, off the exact map by at most about
+    4u |x - mean| <= 4u sqrt(3) rmax, so a box distance exceeds the mapped
+    segments' distance by at most about 12u rmax. rho is about 4500u, so no
+    skipped entry can fall below the best one. A sub-leaf box lies inside
+    its leaf's box, and every seed is one of the entries, so neither changes
+    the argument.
     """
     first = np.asarray(first, dtype=np.int64)
     second = np.asarray(second, dtype=np.int64)
@@ -134,12 +145,16 @@ def component_pair_distances(c: Contour, first, second) -> np.ndarray:
     end_seg = c.offsets[comp] + (pos + 1) * m[comp] // n_leaves[comp]
     leaf = first_seg[:, None] + np.minimum(np.arange(size), (end_seg - first_seg)[:, None] - 1)
     pts, nxt = c.all_points(), c.all_points()[c._next]
-    # segments by sub-leaf, and sub-leaf boxes by leaf
+    # segments by sub-leaf, and sub-leaf boxes by leaf, in the principal frame
     starts = pts[leaf].reshape(-1, _SEGMENT_SUB, 3)
     dirs = (nxt - pts)[leaf].reshape(-1, _SEGMENT_SUB, 3)
+    centred = pts - pts.mean(axis=0)
+    rot = centred @ np.linalg.svd(centred, full_matrices=False)[2].T
     sub = leaf.reshape(len(leaf), -1, _SEGMENT_SUB)
-    lo, hi = np.minimum(pts, nxt)[sub].min(axis=2), np.maximum(pts, nxt)[sub].max(axis=2)
+    lo = np.minimum(rot, rot[c._next])[sub].min(axis=2)
+    hi = np.maximum(rot, rot[c._next])[sub].max(axis=2)
     lmax = float(np.linalg.norm(dirs, axis=-1).max())
+    slack = 1e-12 * (lmax + np.sqrt(3.0) * float(np.abs(rot).max()))
     n_sub = lo.shape[1]
     leaf_lo, leaf_hi = lo.min(axis=1), hi.max(axis=1)
 
@@ -175,7 +190,7 @@ def component_pair_distances(c: Contour, first, second) -> np.ndarray:
         batch = max(1, _SEGMENT_BATCH // (size * size))
         for i in range(0, len(order), batch):
             take = order[i:i + batch]
-            limit = best * (1 + 1e-12) + 1e-12 * lmax
+            limit = best * (1 + 1e-12) + slack
             if bound[take[0]] > limit.max():
                 break  # bounds ascend: nothing left can lower any minimum
             take = take[bound[take] <= limit[owner[take]]]

@@ -329,14 +329,45 @@ def extrinsic_diameter(points) -> float:
     seeds the best entry, node pairs are refined level by level, and the
     surviving leaf pairs are evaluated in descending bound, many per numpy
     call. Every entry is the squared coordinate differences accumulated in
-    dimension order, as in the plain O(V^2) loop. The bound of two boxes is
-    accumulated the same way from max(hi_a - lo_b, hi_b - lo_a) per
-    dimension. Rounded subtraction is monotone, so for x in box a and y in
-    box b the computed x_k - y_k and y_k - x_k never exceed the computed
-    hi_a - lo_b and hi_b - lo_a; squaring of non-negative numbers and
-    addition are monotone too. The bound is thus >= every entry it covers
-    *as computed*, a pair is dropped only when its bound is <= the best
-    entry, and the result is bit-identical to the plain loop.
+    dimension order, as in the plain O(V^2) loop, and a pair is dropped only
+    when a bound on its entry is at most the best entry, so the result is
+    bit-identical to the plain loop. Three bounds serve:
+
+    - The box bound of two nodes is accumulated like an entry from
+      max(hi_a - lo_b, hi_b - lo_a) per dimension. Rounded subtraction is
+      monotone, so for x in box a and y in box b the computed x_k - y_k and
+      y_k - x_k never exceed the computed hi_a - lo_b and hi_b - lo_a;
+      squaring of non-negative numbers and addition are monotone too. The
+      bound is thus >= every entry it covers *as computed*.
+    - The box bound is loose to first order in the box size, which matters
+      on spheres and rings. With c the midpoint of the seed pair and
+      rho(x) = |x - c|^2, the parallelogram law gives |x - y|^2 =
+      2 rho(x) + 2 rho(y) - |(x - c) + (y - c)|^2 exactly. So a point x with
+      2 rho(x) + 2 max rho + slack <= best has no entry above best, and is
+      dropped before the kd build; this keeps the rims of doubles, caps and
+      disks.
+    - For nodes a and b, with Q the box of x - c over a node (lo - c and
+      hi - c: rounded subtraction is monotone, so these are the extremes of
+      the computed x - c), 2 max_a rho + 2 max_b rho - dist^2(-Q_a, Q_b) +
+      slack bounds every entry of the pair, and is tight to second order
+      on spheres and rings. The bound of a node pair is the smaller of this
+      and the box bound.
+
+    The last two are not formed like the entries, so they carry slack =
+    s (best + 4 max rho) + tiny, with s = max(1e-12, 32 n eps) and tiny the
+    least normal float. With u = eps / 2 and c as stored: a computed rho is
+    within (n + 2) u of the exact |x - c|^2, relative to it; every
+    coordinate of x - c, and so every box end, is at most sqrt(max rho) in
+    size, so a computed reflected gap (two rounded differences and a sum)
+    exceeds the exact one by at most 6u sqrt(max rho), and the sum of their
+    squares exceeds the exact one by at most about (6 sqrt(n) + n) u 4 max
+    rho; an entry exceeds the exact |x - y|^2,
+    itself at most 4 max rho, by at most (n + 2) u of it. In all that is
+    less than 12 (n + 2) u (best + 4 max rho), below the slack for every n.
+    tiny covers the absolute error of squares that underflow into
+    subnormals. inf - inf makes the node term NaN only when max rho
+    overflows; np.fmin then keeps the box bound, so no pair is dropped by a
+    NaN.
 
     Raises ValueError for fewer than 2 points or non-finite coordinates.
     """
@@ -345,11 +376,22 @@ def extrinsic_diameter(points) -> float:
         raise ValueError("need at least 2 points")
     if not np.all(np.isfinite(p)):
         raise ValueError("point coordinates must be finite")
+    n = p.shape[1]
     far = p[np.argmax(((p - p[0]) ** 2).sum(axis=1))]
+    far2 = p[np.argmax(((p - far) ** 2).sum(axis=1))]
     best = 0.0
-    for x in p[np.argmax(((p - far) ** 2).sum(axis=1))] - far:
+    for x in far2 - far:
         best += x * x  # the seed entry, accumulated like every other one
-    leaves = p[_kd_leaves(p)]
+    c = 0.5 * (far + far2)
+    rho = np.einsum("ij,ij->i", p - c, p - c)
+    slack = (max(1e-12, 32 * n * np.finfo(float).eps) * (best + 4.0 * rho.max())
+             + np.finfo(float).tiny)
+    keep = 2.0 * rho + (2.0 * rho.max() + slack) > best
+    p, rho = p[keep], rho[keep]
+    if len(p) < 2:
+        return float(np.sqrt(best))
+    idx = _kd_leaves(p)
+    leaves, rho_leaf = p[idx], rho[idx].max(axis=1)
     lo, hi = leaves.min(axis=1), leaves.max(axis=1)
     # implicit binary tree: node i of a level covers the i-th run of leaves
     a = b = np.zeros(1, dtype=np.int64)
@@ -358,25 +400,40 @@ def extrinsic_diameter(points) -> float:
             a = np.concatenate([2 * a, 2 * a, 2 * a + 1, 2 * a + 1])
             b = np.concatenate([2 * b, 2 * b + 1, 2 * b, 2 * b + 1])
             a, b = a[a <= b], b[a <= b]
-        lo_t = lo.reshape(1 << level, -1, p.shape[1]).min(axis=1)
-        hi_t = hi.reshape(1 << level, -1, p.shape[1]).max(axis=1)
+        lo_t = lo.reshape(1 << level, -1, n).min(axis=1)
+        hi_t = hi.reshape(1 << level, -1, n).max(axis=1)
+        rho_t = rho_leaf.reshape(1 << level, -1).max(axis=1)
         bound = np.zeros(len(a))
-        for k in range(p.shape[1]):
+        for k in range(n):
             gap = np.maximum(hi_t[a, k] - lo_t[b, k], hi_t[b, k] - lo_t[a, k])
             bound += gap * gap
+        q_lo, q_hi = lo_t - c, hi_t - c
+        with np.errstate(over="ignore", invalid="ignore"):  # a NaN leaves the box bound
+            antipodal = 2.0 * rho_t[a] + 2.0 * rho_t[b] + slack
+            for k in range(n):
+                gap = np.maximum(np.maximum(q_lo[a, k] + q_lo[b, k], -(q_hi[a, k] + q_hi[b, k])),
+                                 0.0)
+                antipodal -= gap * gap
+        bound = np.fmin(bound, antipodal)
         a, b, bound = a[bound > best], b[bound > best], bound[bound > best]
     order = np.argsort(-bound, kind="stable")
     a, b, bound = a[order], b[order], bound[order]
     for i in range(0, len(a), _DIAMETER_BATCH):
         if bound[i] <= best:
             break
-        pa, pb = leaves[a[i:i + _DIAMETER_BATCH]], leaves[b[i:i + _DIAMETER_BATCH]]
-        acc = np.zeros((len(pa), pa.shape[1], pb.shape[1]))
-        for k in range(p.shape[1]):
-            diff = pa[:, :, None, k] - pb[:, None, :, k]
-            acc += diff * diff
-        best = max(best, float(acc.max()))
+        best = max(best, _leaf_pairs_max(leaves[a[i:i + _DIAMETER_BATCH]],
+                                         leaves[b[i:i + _DIAMETER_BATCH]]))
     return float(np.sqrt(best))
+
+
+def _leaf_pairs_max(pa, pb):
+    """Largest entry between the points of leaves pa[i] and pb[i], each (L, m, n):
+    squared coordinate differences accumulated in dimension order."""
+    acc = np.zeros((len(pa), pa.shape[1], pb.shape[1]))
+    for k in range(pa.shape[2]):
+        diff = pa[:, :, None, k] - pb[:, None, :, k]
+        acc += diff * diff
+    return float(acc.max())
 
 
 def _kd_leaves(p):
@@ -483,8 +540,8 @@ def intrinsic_diameter(mesh: SurfaceMesh) -> tuple[float, float]:
     live, colmax, spread = np.arange(n), np.zeros(n), np.zeros(n)
     rows, from_u, best = np.zeros((0, n)), np.full(n, np.inf), 0.0
     while len(live):
-        far = live[np.argsort(-from_u[live], kind="stable")[:_ECC_BATCH // 2]]
-        central = live[np.argsort(np.maximum(colmax, spread), kind="stable")]
+        far = live[_least(-from_u[live], _ECC_BATCH // 2)]
+        central = live[_least(np.maximum(colmax, spread), _ECC_BATCH)]
         central = central[~np.isin(central, far, kind="sort")][:_ECC_BATCH - len(far)]
         sources = np.concatenate([far, central])
         d = csgraph.dijkstra(graph, directed=True, indices=sources)
@@ -502,6 +559,18 @@ def intrinsic_diameter(mesh: SurfaceMesh) -> tuple[float, float]:
         keep = rest & (np.maximum(colmax, reach) * (1.0 + slack) > best * (1.0 + DIAMETER_TOL))
         live, colmax, spread, rows = live[keep], colmax[keep], spread[keep], rows[:, keep]
     return best, float(best * (1.0 + DIAMETER_TOL) * (1.0 + slack))
+
+
+def _least(values, k):
+    """The first k indices of a stable argsort of ``values``, found by selection.
+
+    Every index whose value is at most the (k+1)-th least value is sorted,
+    in index order, so ties go to the first index as in the full sort.
+    """
+    if k >= len(values):
+        return np.argsort(values, kind="stable")
+    small = np.flatnonzero(values <= np.partition(values, k)[k])
+    return small[np.argsort(values[small], kind="stable")][:k]
 
 
 # -- file formats -------------------------------------------------------------

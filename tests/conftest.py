@@ -177,6 +177,19 @@ def brute_force_pair_distance(c: Contour, i, j) -> float:
     return float(segment_segment_distance(pi[:, None], di[:, None], pj[None], dj[None]).min())
 
 
+def brute_force_diameter(points, rows=256):
+    """The O(V^2) loop: squared differences accumulated in dimension order."""
+    p = np.asarray(points, dtype=float)
+    best = 0.0
+    for i0 in range(0, len(p), rows):
+        acc = np.zeros((len(p[i0:i0 + rows]), len(p)))
+        for k in range(p.shape[1]):
+            diff = p[i0:i0 + rows, None, k] - p[None, :, k]
+            acc += diff * diff
+        best = max(best, float(acc.max()))
+    return float(np.sqrt(best))
+
+
 def component_distance_matrix(c: Contour) -> np.ndarray:
     """Symmetric matrix of ``component_pair_distances`` over all pairs i < j."""
     n = c.n_components

@@ -1,5 +1,5 @@
 """Pinned digests of the triangle-geometry outputs, the report, stdout and CSV
-of two audit runs (one of them the default audit), and two contour reports.
+of two audit runs (one of them the default audit), and four contour reports.
 
 The digests were taken with numpy 2.4.6 and scipy 1.17.1 (the versions the
 CI workflow pins). A change to how areas, cotangents, Voronoi weights,
@@ -14,10 +14,11 @@ import hashlib
 import numpy as np
 import pytest
 
+from conftest import random_rotation
 from curvebound import generators as gen
 from curvebound.audit import _triangle_gradients_l1, m_kappa, probe_function_library
 from curvebound.cli import main
-from curvebound.contour import save_contour
+from curvebound.contour import Contour, save_contour
 from curvebound.curvature import mean_curvature_field
 from curvebound.mesh import SurfaceMesh
 
@@ -119,29 +120,46 @@ def test_default_audit_matches_pinned_digest(tmp_path, capsys):
         AUDIT_SEED0_DEFAULT, AUDIT_SEED0_DEFAULT_STDOUT, AUDIT_SEED0_DEFAULT_CSV)
 
 
-# sha256 of the report that ``check-contour --json`` writes (default budget), on two
-# contours whose cone search certifies
+# sha256 of the report that ``check-contour --json`` writes (default budget): on two
+# contours whose cone search certifies, on the epsilon = 0.1 net, where only the
+# diameter-length criterion could, and on coaxial 2048-gons under a fixed rotation,
+# whose diameter and White kernels prune by geometry, not by the input's axes
 CONTOUR_REPORTS = {
     "coaxial_gap2": "525de86eba77cf089bc01b8ead1a2b71f73310daf257656c9a77d1ee6898d559",
     "antipodal": "368d7fea174a8dbf5b15e0a37ae8674062564ab6abee05407e155ac655b55a59",
+    "net_eps0.1": "743fe32826354fb87792bbe4411d1a6c87cb56a530bb2f9d6fde462af330accf",
+    "coaxial2048_rotated": "ed96b2717dcf883b0f79e522ad97ba471f7e28fe25ba75508aacbca844007c47",
 }
 # sha256 of the table that the same run prints; coaxial_gap2's ends with the
 # "criteria disagree" note
 CONTOUR_STDOUT = {
     "coaxial_gap2": "6a462663ac0ee5faecc46656e729433c52ef79f6a8f524322c824a23c5b05540",
     "antipodal": "ddc0dc1683a6190a798db73df63c4f5ca73e6a02516899559b8ead8dd32afac8",
+    "net_eps0.1": "132e813caaab5799ec77b73352745b4316026d70e5e3c49afbd80df9ce56e5ce",
+    "coaxial2048_rotated": "026a6dadaeaf4e15997f9daf2d8006b2af2c058f96234a22432c0fa48d34c596",
 }
-CONTOURS = {
-    "coaxial_gap2": lambda: gen.coaxial_circles_contour(1.0, 2.0, segments=180),
-    "antipodal": lambda: gen.sphere_circles(gen.antipodal_point_set(), 0.01, segments=64),
+
+
+def _rotated_coaxial_2048():
+    q = random_rotation(7)
+    return Contour([c @ q.T for c in gen.coaxial_circles_contour(1.0, 2.0, 2048).components])
+
+
+CONTOURS = {  # builder and the exit code of check-contour
+    "coaxial_gap2": (lambda: gen.coaxial_circles_contour(1.0, 2.0, segments=180), 2),
+    "antipodal": (lambda: gen.sphere_circles(gen.antipodal_point_set(), 0.01, segments=64), 2),
+    "net_eps0.1": (lambda: gen.sphere_circles(gen.fibonacci_net(0.1), 0.1**2.5, segments=16), 0),
+    "coaxial2048_rotated": (_rotated_coaxial_2048, 2),
 }
 
 
 @pytest.mark.parametrize("name", sorted(CONTOURS))
 def test_contour_report_matches_pinned_digest(name, tmp_path, capsys):
-    save_contour(CONTOURS[name](), tmp_path / "in.contour.json")
+    build, exit_code = CONTOURS[name]
+    save_contour(build(), tmp_path / "in.contour.json")
     report = tmp_path / "report.json"
-    assert main(["check-contour", str(tmp_path / "in.contour.json"), "--json", str(report)]) == 2
+    assert main(["check-contour", str(tmp_path / "in.contour.json"), "--json",
+                 str(report)]) == exit_code
     stdout = capsys.readouterr().out
     assert hashlib.sha256(report.read_bytes()).hexdigest() == CONTOUR_REPORTS[name]
     assert hashlib.sha256(stdout.encode()).hexdigest() == CONTOUR_STDOUT[name]

@@ -197,6 +197,26 @@ class TestComponentDistances:
         d1 = component_distance_matrix(moved)
         assert np.max(np.abs(d0 - d1)) < 1e-9
 
+    def test_rotated_coaxial_segment_pairs(self, monkeypatch):
+        # a ceiling on the work: boxes in the principal frame fit the circles
+        # whatever the rotation, so White evaluates the 24,576 segment pairs of
+        # the unrotated 2048-gons; boxes on the input's axes took 217,728 here
+        import curvebound.contour
+        from curvebound.criteria import VERDICT_CERTIFIED, white_check
+
+        evaluated, real = [0], curvebound.contour.segment_segment_distance
+
+        def counting(p1, d1, p2, d2):
+            d = real(p1, d1, p2, d2)
+            evaluated[0] += d.size
+            return d
+
+        monkeypatch.setattr(curvebound.contour, "segment_segment_distance", counting)
+        rot = random_rotation(7)
+        gam = Contour([c @ rot.T for c in gen.coaxial_circles_contour(1.0, 2.0, 2048).components])
+        assert white_check(gam).verdict == VERDICT_CERTIFIED
+        assert 0 < evaluated[0] <= 24576
+
     def test_many_components_bounded_memory(self):
         # all 80,200 pairs in one call peaked at 418 MB before the chunks
         c = ring_of_microcircles(400)

@@ -6,27 +6,15 @@ import pytest
 from scipy.sparse import csgraph
 
 from conftest import (assert_brackets_all_pairs, boundary_library_meshes,
-                      intrinsic_ball_volume, random_rotation)
+                      brute_force_diameter, intrinsic_ball_volume, random_rotation)
 from curvebound import audit
 from curvebound import generators as gen
+from curvebound import mesh as mesh_module
 from curvebound.audit import run_audit
 from curvebound.mesh import (DIAMETER_TOL, MeshError, SurfaceMesh,
                              boundary_length, extrinsic_diameter,
                              geodesic_distances, intrinsic_diameter, load_mesh,
                              save_mesh, validate)
-
-
-def brute_force_diameter(points, rows=256):
-    """The O(V^2) loop: squared differences accumulated in dimension order."""
-    p = np.asarray(points, dtype=float)
-    best = 0.0
-    for i0 in range(0, len(p), rows):
-        acc = np.zeros((len(p[i0:i0 + rows]), len(p)))
-        for k in range(p.shape[1]):
-            diff = p[i0:i0 + rows, None, k] - p[None, :, k]
-            acc += diff * diff
-        best = max(best, float(acc.max()))
-    return float(np.sqrt(best))
 
 
 def single_triangle():
@@ -217,6 +205,21 @@ class TestExtrinsicDiameter:
     def test_non_finite_rejected(self, bad):
         with pytest.raises(ValueError):
             extrinsic_diameter([[0, 0, 0], [1, 0, 0], [bad, 0, 0]])
+
+    def test_net_leaf_pairs(self, net_family, monkeypatch):
+        # a ceiling on the work: the ball prefilter and the antipodal node bound
+        # leave 3,328 leaf pairs on the epsilon = 0.1 net, whose points lie on a
+        # sphere; the box bound alone left 32,128
+        evaluated, leaf_pairs_max = [0], mesh_module._leaf_pairs_max
+
+        def counting(pa, pb):
+            evaluated[0] += len(pa)
+            return leaf_pairs_max(pa, pb)
+
+        monkeypatch.setattr(mesh_module, "_leaf_pairs_max", counting)
+        # the all-pairs max, as the pinned net_eps0.1 report in test_bit_identity has it
+        assert extrinsic_diameter(net_family[0.1][1].all_points()) == 1.9999999802628503
+        assert 0 < evaluated[0] <= 3328
 
 
 class TestBoundaryLength:

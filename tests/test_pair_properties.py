@@ -83,3 +83,18 @@ def test_uneven_counts_and_padded_leaves(small, large, seed):
              + rng.uniform(-4.0, 4.0, 3) for m in small + large]
     comps.append(ring(7, 0.3, 9.0))  # keeps two components when the lists are short
     assert_matches_brute_force(Contour(comps))
+
+
+@settings(max_examples=30)
+@given(half_gap=st.sampled_from([0.01, 0.1, 0.3]), log_far=st.floats(5.0, 9.0),
+       seed=st.integers(0, 2**16), rotate=st.booleans())
+def test_near_ties_far_from_the_centroid(half_gap, log_far, seed, rotate):
+    # coaxial 64-gons jittered by 1e-12, so that their facing segment pairs
+    # tie only nearly, and a ring far out on their axis. That axis is the
+    # principal frame's first, and its rotated coordinates round at about
+    # u * 10^log_far, far above the 1e-12 relative slack of the best entry
+    rng = np.random.default_rng(seed)
+    comps = [ring(64, z=half_gap), ring(64, z=-half_gap), ring(16, z=10.0**log_far)]
+    comps = [a + 1e-12 * rng.uniform(-1.0, 1.0, a.shape) for a in comps]
+    assert_matches_brute_force(moved(comps, seed, 1.0, (0.0, 0.0, 0.0)) if rotate
+                               else Contour(comps))
