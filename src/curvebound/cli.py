@@ -282,7 +282,7 @@ def build_parser():
     p.add_argument("contour")
     p.add_argument("--mode", choices=("proven", "conjectural"), default="proven")
     p.add_argument("--budget", type=int, default=20000,
-                   help="cone search budget (LP solves)")
+                   help="cone search budget (LP rounds)")
     p.add_argument("--no-cone", action="store_true", help="skip the cone search")
     p.add_argument("--json", help="write the report as JSON")
     p.set_defaults(func=cmd_check_contour)

@@ -13,16 +13,18 @@ quantities and an explicit margin:
 - cone: the components fit inside the two nappes of the cone
   x^2 + y^2 < z^2 sinh^2(tau), cosh(tau) = tau*sinh(tau), for some apex and
   axis: threshold splits along fixed and searched axes, each apex from a
-  linear program. A certificate is the dict of apex, axis, tau, sinh_sq,
-  partition and margin that the merged report carries;
+  linear program that an in-process dual simplex solves. A certificate is
+  the dict of apex, axis, tau, sinh_sq, partition and margin that the merged
+  report carries;
   ``verify_cone_separator`` re-checks it, from the search or from a saved
   report, by an independent membership check. A failed search is NOT a
   proof of inseparability.
 
 ``analyze`` merges the entries into one report, the dict that
 ``check-contour --json`` writes. Components are atomic units of every
-decomposition (splitting single Jordan curves is not attempted); margins are
-normalized by the contour diameter.
+decomposition (splitting single Jordan curves is not attempted). The
+diameter-length and White margins are lengths, in the contour's units; only the
+cone margin is normalized by the contour diameter.
 """
 
 from dataclasses import asdict, dataclass, field
@@ -33,7 +35,7 @@ from .contour import (Contour, ContourError, component_pair_distances, contour_d
                       contour_length)
 from .generators import icosphere
 
-STRICT_MARGIN = 1e-9  # normalized-units floor for "strictly positive"
+STRICT_MARGIN = 1e-9  # floor for "strictly positive", relative to the contour's size
 TAU_TOL = 1e-12  # |cosh(tau) - tau*sinh(tau)| at which the Newton root is accepted
 TAU_MAX_ITER = 50
 
@@ -192,7 +194,7 @@ def white_check(c: Contour) -> CriterionEntry:
     value, split = bottleneck_split(graph + graph.T)
     threshold = ell / np.pi
     margin = value - threshold
-    verdict = VERDICT_CERTIFIED if margin > STRICT_MARGIN * max(1.0, ell) else VERDICT_NOT_TRIGGERED
+    verdict = VERDICT_CERTIFIED if margin > STRICT_MARGIN * ell else VERDICT_NOT_TRIGGERED
     return CriterionEntry(
         name="white",
         verdict=verdict,
@@ -208,10 +210,51 @@ def white_check(c: Contour) -> CriterionEntry:
 _SIDES = 32  # sides of the polygon inscribed in each cross-section of the cone
 _CUTS = 16  # most violated points whose rows join the LP per constraint-generation round
 _STEPS = (0.25, 1e-3)  # first and last angle (radians) of the axis pattern search
+_FEASIBLE = 1e-12  # row excess at which the dual simplex counts a vertex as feasible
+_PIVOT = 1e-12  # least pivot element of the dual simplex ratio test
+_ITERATIONS = 100  # pivots per constraint-generation round before the round fails
 
 
 def _frame(u):
     return np.linalg.svd(u[None, :])[2][1:]  # orthonormal basis of the plane normal to u
+
+
+def _dual_simplex(a, b, basis):
+    """Maximize t = x[3] subject to a @ x <= b by the dual simplex method
+    (Lemke 1954), from a dual-feasible basis.
+
+    ``basis`` holds the positions of 4 independent rows whose duals y, the
+    solution of a_B^T y = (0, 0, 0, 1), are >= 0; it is updated in place.
+    Each pivot sets x to the vertex a_B x = b_B, takes the most violated row
+    r as entering, solves a_B^T lam = a_r and lets leave the basic row that
+    minimizes y_i/lam_i over lam_i > _PIVOT, the lowest position on ties.
+    The duals stay >= 0, and t = y.b_B, an upper bound on the optimum, falls
+    by (a_r.x - b_r) * min y_i/lam_i at each pivot, so no basis repeats
+    unless that minimum is 0. Returns (x, basis) once no row is violated
+    beyond _FEASIBLE: then x - (0, 0, 0, _FEASIBLE) is feasible, so t is
+    within _FEASIBLE of the optimum. Returns None on a singular basis, on
+    no admissible pivot (the LP is never infeasible, as t is free, so only
+    rounding gets there) or after _ITERATIONS pivots.
+    """
+    for _ in range(_ITERATIONS):
+        try:
+            inv = np.linalg.inv(a[basis])
+        except np.linalg.LinAlgError:
+            return None
+        x = inv @ b[basis]
+        excess = a @ x - b
+        r = int(np.argmax(excess))
+        if excess[r] <= _FEASIBLE:
+            return x, basis
+        lam = a[r] @ inv  # a_r as a combination of the basic rows
+        ratio = np.full(4, np.inf)
+        ok = lam > _PIVOT
+        if not ok.any():
+            return None
+        # inv[3] holds the duals; one that rounding left below 0 counts as 0
+        ratio[ok] = np.maximum(inv[3, ok], 0.0) / lam[ok]
+        basis[int(np.argmin(ratio))] = r
+    return None
 
 
 class _ConeSearch:
@@ -267,12 +310,21 @@ class _ConeSearch:
 
         The LP maximizes t subject to |P_u(x - a)| <= +-s*u.(x - a) - t,
         with the polygon norm in place of |.|: one row per point x and
-        polygon side. The ``seed`` points enter with every side; then each
-        point that the solution violates joins with its most violated side
-        and that side's two neighbours, until no row of any point is.
+        polygon side, over the apex along u, e1, e2 and t. The ``seed``
+        points enter with every side; then each point that the solution
+        violates beyond 1e-9 joins with its most violated side and that
+        side's two neighbours, until no row of any point is. Each such
+        constraint-generation round is one unit of the budget, and
+        ``_dual_simplex`` solves it from the previous round's basis: rows
+        that join get dual 0, so the basis stays dual feasible. The first
+        basis is the lowest upper seed point with sides 0 and 16 and the
+        highest lower one with sides 8 and 24. As n_16 = -n_0 and n_24 =
+        -n_8, their rows are (s, -n_0, 1), (s, n_0, 1), (-s, -n_8, 1) and
+        (-s, n_8, 1): duals of 1/4 each sum to (0, 0, 0, 1), so the basis is
+        dual feasible, and the four rows are independent as s > 0. A round
+        that the simplex cannot finish ends the search at the previous
+        round's solution.
         """
-        from scipy.optimize import linprog
-
         e1, e2 = _frame(u)
         z, w = self.pts @ u, self.pts @ np.column_stack([e1, e2])
         sz = np.repeat(np.where(np.isin(np.arange(len(self.counts)), upper), self.s, -self.s),
@@ -280,20 +332,23 @@ class _ConeSearch:
         w_sides = w @ self.sides
         in_lp = np.zeros((len(z), _SIDES), dtype=bool)  # rows (point, side) of the LP
         in_lp[seed] = True
+        top, bottom = seed[sz[seed] > 0], seed[sz[seed] < 0]
+        top, bottom = top[np.argmin(z[top])], bottom[np.argmax(z[bottom])]
+        basis = np.repeat([top, bottom], 2) * _SIDES + np.array([0, 2, 1, 3]) * (_SIDES // 4)
         x = None  # variables: apex along u, e1, e2, and t
         while self.budget > 0:
-            p, k = np.nonzero(in_lp)
+            rows = np.flatnonzero(in_lp)
+            p, k = np.divmod(rows, _SIDES)
             a = np.column_stack([sz[p], self.rows[k]])
-            b = sz[p] * z[p] - w_sides[p, k]
-            res = linprog([0.0, 0.0, 0.0, -1.0], A_ub=a, b_ub=b,
-                          bounds=(None, None), method="highs")
+            solved = _dual_simplex(a, sz[p] * z[p] - w_sides[p, k],
+                                   np.searchsorted(rows, basis))
             self.budget -= 1
-            if res.status != 0:
+            if solved is None:
                 break
-            x = res.x
+            x, basis = solved[0], rows[solved[1]]
             values = (sz * (z - x[0]))[:, None] - (w - x[1:3]) @ self.sides
             poly = values.min(axis=1)
-            values[in_lp] = np.inf  # rows in the LP hold up to HiGHS's tolerance
+            values[in_lp] = np.inf  # rows in the LP hold to within _FEASIBLE
             worst = values.argmin(axis=1)
             cut = np.nonzero(values[np.arange(len(z)), worst] < x[3] - 1e-9)[0]
             if len(cut) == 0:
@@ -364,9 +419,12 @@ def cone_check(c: Contour, search_budget=20000) -> CriterionEntry:
     the 42 icosahedral and 3 PCA axes, one of each +-pair (negating the axis
     keeps the cones), then a pattern search of halving angle from the best.
     A split gets an LP apex (disks replaced by inscribed polygons, after
-    Ben-Tal & Nemirovski 2001; warm-started from the best apex's binding
-    points) only if its bound q beats 0 and the best slack. The budget caps
-    the LP solves. Sound but incomplete: a missing certificate proves nothing.
+    Ben-Tal & Nemirovski 2001; seeded with the best apex's binding points)
+    only if its bound q beats 0 and the best slack, and each constraint-
+    generation round of that LP is solved by a warm-started dual simplex.
+    The budget caps the LP rounds. The certificate is re-checked by
+    ``verify_cone_separator`` on the exact cone, so soundness does not rest
+    on the LP. Sound but incomplete: a missing certificate proves nothing.
     """
     if search_budget <= 0:
         raise ValueError("search budget must be positive")

@@ -284,6 +284,41 @@ def eager_cone_splits(search, u):
             for k, j in sorted(enumerate(gaps), key=lambda kj: -q[kj[0]])]
 
 
+def polygon_lp(search, u, upper):
+    """The full polygon LP of an apex solve: rows (points x 32 sides), written afresh.
+
+    Variables are the apex along u, e1, e2 and the slack t; the row of point p
+    and side n reads sz*(u.p - a_u) - n.(P_u p - a_e) >= t, with sz = +-s
+    by the nappe of p's component.
+    """
+    from curvebound.criteria import _SIDES, _frame
+
+    angle = 2.0 * np.pi * np.arange(_SIDES) / _SIDES
+    normals = np.column_stack([np.cos(angle), np.sin(angle)]) / np.cos(np.pi / _SIDES)
+    sz = np.repeat(np.where(np.isin(np.arange(len(search.counts)), upper), search.s,
+                            -search.s), search.counts)
+    b = (sz * (search.pts @ u))[:, None] - search.pts @ _frame(u).T @ normals.T
+    a = np.column_stack([np.repeat(sz, _SIDES), np.tile(-normals, (len(sz), 1)),
+                         np.ones(b.size)])
+    return a, b.ravel()
+
+
+def polygon_lp_optimum(search, u, upper):
+    """Optimal t of the full polygon LP, by scipy's HiGHS: the oracle of the dual simplex.
+
+    HiGHS's default feasibility tolerances (1e-7) let its t sit 1e-7 off the
+    optimum, so the oracle tightens them to 1e-10.
+    """
+    from scipy.optimize import linprog
+
+    a, b = polygon_lp(search, u, upper)
+    full = linprog([0.0, 0.0, 0.0, -1.0], A_ub=a, b_ub=b, bounds=(None, None), method="highs",
+                   options={"primal_feasibility_tolerance": 1e-10,
+                            "dual_feasibility_tolerance": 1e-10})
+    assert full.status == 0
+    return full.x[3]
+
+
 def touching_contours():
     """Contours whose components 0 and 1 touch, by name.
 

@@ -123,12 +123,15 @@ def test_default_audit_matches_pinned_digest(tmp_path, capsys):
 # sha256 of the report that ``check-contour --json`` writes (default budget): on two
 # contours whose cone search certifies, on the epsilon = 0.1 net, where only the
 # diameter-length criterion could, and on coaxial 2048-gons under a fixed rotation,
-# whose diameter and White kernels prune by geometry, not by the input's axes
+# whose diameter and White kernels prune by geometry, not by the input's axes.
+# coaxial_gap2, antipodal and coaxial2048_rotated were re-pinned when the apex LP
+# moved from HiGHS to the search's own dual simplex: only the cone's apex and the
+# last digits of its margins moved, and every CONTOUR_STDOUT digest held
 CONTOUR_REPORTS = {
-    "coaxial_gap2": "525de86eba77cf089bc01b8ead1a2b71f73310daf257656c9a77d1ee6898d559",
-    "antipodal": "368d7fea174a8dbf5b15e0a37ae8674062564ab6abee05407e155ac655b55a59",
+    "coaxial_gap2": "539a8d34b88a12e4f83321ae5d3714186d4d5d03945eff5dd058299e2712841d",
+    "antipodal": "712794e673798a7c887719b071cce995f9d76821a1c2f3494664f8ad92886296",
     "net_eps0.1": "743fe32826354fb87792bbe4411d1a6c87cb56a530bb2f9d6fde462af330accf",
-    "coaxial2048_rotated": "ed96b2717dcf883b0f79e522ad97ba471f7e28fe25ba75508aacbca844007c47",
+    "coaxial2048_rotated": "6aef04a02ce4ada83dddd6669ddb546b6d191b0d6f4fe9734fea7403de42a3c1",
 }
 # sha256 of the table that the same run prints; coaxial_gap2's ends with the
 # "criteria disagree" note

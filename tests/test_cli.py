@@ -527,12 +527,30 @@ class TestUsage:
 
 
 def test_cli_import_leaves_scipy_optimize_unloaded():
-    # the cone search imports linprog when it runs, so start-up stays lean
+    # no command needs scipy.optimize, and importing the CLI must not load it
     code = "import sys, curvebound.cli; print('scipy.optimize' in sys.modules)"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=env, check=True).stdout
     assert out.strip() == "False"
+
+
+def test_certified_cone_leaves_scipy_optimize_unloaded(tmp_path, antipodal_microcircles):
+    # the cone certifies on the antipodal micro-circles, so its apex LPs run:
+    # the search solves them itself
+    save_contour(antipodal_microcircles, tmp_path / "in.contour.json")
+    code = textwrap.dedent("""
+        import json, sys
+        from curvebound.cli import main
+
+        assert main(["check-contour", "in.contour.json", "--json", "report.json"]) == 2
+        cone = json.load(open("report.json"))["criteria"][-1]
+        print(cone["name"], cone["verdict"], "scipy.optimize" in sys.modules)
+    """)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, cwd=tmp_path, check=True).stdout
+    assert out.splitlines()[-1] == "cone nonexistence-certified False"
 
 
 def test_doubling_commands_leave_scipy_unloaded(tmp_path):

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 from scipy.sparse import csr_matrix
 
-from conftest import (component_distance_matrix, eager_cone_splits, random_rotation,
-                      tau_root_bisection, touching_contours, white_bruteforce_oracle,
-                      white_candidates_prim)
+from conftest import (component_distance_matrix, eager_cone_splits, polygon_lp,
+                      polygon_lp_optimum, random_rotation, tau_root_bisection,
+                      touching_contours, white_bruteforce_oracle, white_candidates_prim)
 from curvebound import generators as gen
 from curvebound.cli import main
 from curvebound.contour import Contour, ContourError, contour_diameter, save_contour
@@ -83,6 +83,17 @@ class TestWhite:
         # threshold is length/pi of the sampled polygons (4 sin 0.1 smooth)
         assert entry.measured["threshold"] == entry.measured["length"] / np.pi
         assert abs(entry.measured["threshold"] - 4 * np.sin(0.1)) < 1e-3
+
+    def test_verdict_and_margin_scale_with_the_contour(self):
+        # the strictness floor is relative to the length, so shrinking the
+        # contour below length 1 keeps the verdict; scaling by 2^k is exact
+        c = gen.coaxial_circles_contour(1.0, 2.0, 2048)
+        base = white_check(c)
+        for scale in [2.0**k for k in (-20, -10, 0, 10)] + [1e-8]:
+            entry = white_check(Contour([scale * comp for comp in c.components]))
+            assert entry.verdict == VERDICT_CERTIFIED, scale
+            if scale != 1e-8:
+                assert entry.margin == scale * base.margin
 
     def test_single_component_not_applicable(self):
         entry = white_check(gen.circle_contour(1.0, 64))
@@ -310,69 +321,42 @@ class TestConeNearThreshold:
         assert entry.margin < 0
 
 
-def _polygon_lp(search, u, upper):
-    """The full polygon LP of an apex solve: rows (points x 32 sides), written afresh.
-
-    Variables are the apex along u, e1, e2 and the slack t; the row of point p
-    and side n reads sz*(u.p - a_u) - n.(P_u p - a_e) >= t, with sz = +-s
-    by the nappe of p's component.
-    """
-    from curvebound.criteria import _SIDES, _frame
-
-    angle = 2.0 * np.pi * np.arange(_SIDES) / _SIDES
-    normals = np.column_stack([np.cos(angle), np.sin(angle)]) / np.cos(np.pi / _SIDES)
-    sz = np.repeat(np.where(np.isin(np.arange(len(search.counts)), upper), search.s,
-                            -search.s), search.counts)
-    b = (sz * (search.pts @ u))[:, None] - search.pts @ _frame(u).T @ normals.T
-    a = np.column_stack([np.repeat(sz, _SIDES), np.tile(-normals, (len(sz), 1)),
-                         np.ones(b.size)])
-    return a, b.ravel()
-
-
 class TestConeLPConvergence:
     """Constraint generation ends at a solution of the full 32-gon LP."""
 
     @staticmethod
     def _record(monkeypatch):
-        """Wrap linprog and the apex search; returns the list of finished apex solves."""
-        import scipy.optimize
-
+        """Wrap the dual simplex and the apex search; returns the list of finished apex solves."""
         from curvebound import criteria
 
         solves, finished = [], []
-        linprog, apex = scipy.optimize.linprog, criteria._ConeSearch.apex
+        simplex, apex = criteria._dual_simplex, criteria._ConeSearch.apex
 
-        def recording_linprog(*args, **kwargs):
-            solves.append(linprog(*args, **kwargs))
+        def recording_simplex(*args):
+            solves.append(simplex(*args))
             return solves[-1]
 
         def recording_apex(search, u, upper, seed):
             before = len(solves)
             found = apex(search, u, upper, seed)
             last = solves[-1] if len(solves) > before else None
-            if search.budget > 0 and last is not None and last.status == 0:
-                finished.append((search, u, upper, last.x, found))
+            if search.budget > 0 and last is not None:
+                finished.append((search, u, upper, last[0], found))
             return found
 
-        monkeypatch.setattr(scipy.optimize, "linprog", recording_linprog)
+        monkeypatch.setattr(criteria, "_dual_simplex", recording_simplex)
         monkeypatch.setattr(criteria._ConeSearch, "apex", recording_apex)
         return finished
 
     @staticmethod
     def _check(finished):
-        from scipy.optimize import linprog
-
         assert finished
         for search, u, upper, x, _ in finished:
-            a, b = _polygon_lp(search, u, upper)
+            a, b = polygon_lp(search, u, upper)
             assert (b - a @ x).min() >= -1e-9  # no row of any point violated
         # the best apex also solves the LP over every point and side at once
         search, u, upper, x, _ = max(finished, key=lambda f: f[4][0])
-        a, b = _polygon_lp(search, u, upper)
-        full = linprog([0.0, 0.0, 0.0, -1.0], A_ub=a, b_ub=b, bounds=(None, None),
-                       method="highs")
-        assert full.status == 0
-        assert abs(full.x[3] - x[3]) <= 1e-9
+        assert abs(polygon_lp_optimum(search, u, upper) - x[3]) <= 1e-9
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     @pytest.mark.parametrize("name", ["coaxial-0.7", "tilted-0.72", "three-0.62"])
