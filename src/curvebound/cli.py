@@ -81,7 +81,6 @@ def cmd_verify_bound(args):
 def cmd_double(args):
     mesh = load_mesh(args.mesh)
     k_list = [int(tok) for tok in args.k_list.split(",")]
-    eps = "auto" if args.epsilon == "auto" else float(args.epsilon)
     header = ["k", "epsilon", "sigma_curvature", "sigma_diameter",
               "target_curvature", "target_diameter", "curvature_error",
               "diameter_error"]
@@ -89,7 +88,7 @@ def cmd_double(args):
         os.makedirs(args.out_dir, exist_ok=True)
     table = []
     # export each double with its row instead of building it again afterwards
-    for r, dbl in doubling_mod.convergence_rows(mesh, k_list, epsilon=eps):
+    for r, dbl in doubling_mod.convergence_rows(mesh, k_list):
         table.append([str(r["k"])] + [_fmt(r[h]) for h in header[1:]])
         if args.out_dir:
             base = os.path.join(args.out_dir, f"double_k{r['k']}")
@@ -109,8 +108,7 @@ def cmd_double(args):
 
 def cmd_teardrop(args):
     # build every curve before printing, so a bad k leaves stdout empty
-    curves = [teardrop_mod.build_teardrop(int(tok), samples_per_unit=args.samples_per_unit)
-              for tok in args.k.split(",")]
+    curves = [teardrop_mod.build_teardrop(int(tok)) for tok in args.k.split(",")]
     _print("k length total_abs_curvature deviation_from_pi max_radius")
     for curve in curves:
         turn = curve.turning()
@@ -125,8 +123,7 @@ def cmd_teardrop(args):
 
 def cmd_check_contour(args):
     contour = load_contour(args.contour)
-    doc = criteria_mod.analyze(contour, mode=args.mode, search_budget=args.budget,
-                               run_cone=not args.no_cone)
+    doc = criteria_mod.analyze(contour, mode=args.mode, search_budget=args.budget)
     _print(f"contour: {doc['n_components']} component(s), "
            f"d = {doc['diameter']:.12g}, length = {doc['length']:.12g}")
     _print(f"{'criterion':<18} {'verdict':<26} {'margin':<22} notes")
@@ -267,14 +264,12 @@ def build_parser():
     p = sub.add_parser("double", help="close a mesh with boundary and tabulate convergence")
     p.add_argument("mesh")
     p.add_argument("--k-list", default="10,25,50")
-    p.add_argument("--epsilon", default="auto")
     p.add_argument("--csv", help="write the convergence table as CSV")
     p.add_argument("--out-dir", help="export the doubled meshes and provenance here")
     p.set_defaults(func=cmd_double)
 
     p = sub.add_parser("teardrop", help="teardrop curves and their total curvature")
     p.add_argument("--k", default="10,100,1000")
-    p.add_argument("--samples-per-unit", type=int, default=100)
     p.add_argument("--export", help="write 's x y' sample files here")
     p.set_defaults(func=cmd_teardrop)
 
@@ -283,7 +278,6 @@ def build_parser():
     p.add_argument("--mode", choices=("proven", "conjectural"), default="proven")
     p.add_argument("--budget", type=int, default=20000,
                    help="cone search budget (LP rounds)")
-    p.add_argument("--no-cone", action="store_true", help="skip the cone search")
     p.add_argument("--json", help="write the report as JSON")
     p.set_defaults(func=cmd_check_contour)
 

@@ -475,15 +475,14 @@ def cone_check(c: Contour, search_budget=20000) -> CriterionEntry:
 # -- aggregate -------------------------------------------------------------------
 
 
-def analyze(c: Contour, mode="proven", search_budget=20000, run_cone=True) -> dict:
+def analyze(c: Contour, mode="proven", search_budget=20000) -> dict:
     """Run every applicable criterion and merge the entries into one report: the
     dict that ``check-contour --json`` writes, with each entry as a dict."""
     entries = [diameter_length_check(c, mode="proven")]
     if mode == "conjectural":
         entries.append(diameter_length_check(c, mode="conjectural"))
     entries.append(white_check(c))
-    if run_cone:
-        entries.append(cone_check(c, search_budget=search_budget))
+    entries.append(cone_check(c, search_budget=search_budget))
     return {"n_components": c.n_components, "diameter": contour_diameter(c),
             "length": contour_length(c), "certified_any": any(e.certified for e in entries),
             "criteria": [asdict(e) for e in entries]}

@@ -21,13 +21,12 @@ class MeanCurvatureField:
 
     ``vectors[v]`` is meaningless at boundary vertices (flagged in
     ``boundary_mask``); their area still participates in the partition of the
-    total mesh area. ``clamped`` counts cotangent overflows that were clamped.
+    total mesh area.
     """
 
     vectors: np.ndarray
     areas: np.ndarray
     boundary_mask: np.ndarray
-    clamped: int = 0
 
     def magnitudes(self):
         return np.linalg.norm(self.vectors, axis=1)
@@ -37,17 +36,15 @@ def _corner_cotangents(mesh):
     """Cotangents of the three corner angles of every triangle, clamped.
 
     Works in any codimension: sin is recovered from the Gram determinant.
-    Returns (cot (T,3), n_clamped), corner k opposite to edge (k+1, k+2).
+    Returns (T, 3) cotangents, corner k opposite to edge (k+1, k+2).
     """
     _, dot, gram = mesh.corner_gram()
     sin = np.sqrt(np.maximum(gram, 0.0))
     with np.errstate(divide="ignore", invalid="ignore"):
         c = np.where(sin > 0.0, dot / np.where(sin > 0.0, sin, 1.0),
                      np.sign(dot) * np.inf)
-    clamped = int(np.count_nonzero(np.abs(c) > COT_CLAMP))
-    cots = np.clip(np.nan_to_num(c, nan=0.0, posinf=COT_CLAMP, neginf=-COT_CLAMP),
+    return np.clip(np.nan_to_num(c, nan=0.0, posinf=COT_CLAMP, neginf=-COT_CLAMP),
                    -COT_CLAMP, COT_CLAMP)
-    return cots, clamped
 
 
 def mixed_voronoi_areas(mesh: SurfaceMesh, cots) -> np.ndarray:
@@ -89,7 +86,7 @@ def mean_curvature_field(mesh: SurfaceMesh) -> MeanCurvatureField:
         return mesh._cache["curvature"]
     tri = mesh.triangles
     x = mesh.vertices
-    cots, clamped = _corner_cotangents(mesh)
+    cots = _corner_cotangents(mesh)
 
     # corner k weights edge (a, b) = (k+1, k+2) by its cotangent; bincount adds the
     # terms to a then b, corner by corner, from +0.0 as sequential np.add.at would;
@@ -108,7 +105,6 @@ def mean_curvature_field(mesh: SurfaceMesh) -> MeanCurvatureField:
         vectors=vectors,
         areas=areas,
         boundary_mask=mesh.boundary_vertex_mask(),
-        clamped=clamped,
     )
     for a in (field.vectors, field.areas, field.boundary_mask):
         a.setflags(write=False)

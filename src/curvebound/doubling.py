@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curvature import total_mean_curvature
-from .mesh import MeshError, SurfaceMesh, extrinsic_diameter, validate
+from .mesh import MeshError, SurfaceMesh, boundary_length, extrinsic_diameter, validate
 from .teardrop import TeardropCurve, build_sweep_profile
 
 EPS_BAR_CAP = 0.5  # threshold cap when the frame has no measurable bending
@@ -209,39 +209,19 @@ class DoubledSurface:
     provenance: dict
 
 
-def build_double(mesh: SurfaceMesh, k: int, epsilon="auto") -> DoubledSurface:
+def build_double(mesh: SurfaceMesh, k: int) -> DoubledSurface:
     """Glue two copies of ``mesh`` into a closed surface through teardrop tubes.
 
     The copy is coincident with the original (the surfaces are immersions, so
     the double is "pressed" flat against the input); each boundary loop gets a
     tube whose end rows are welded to the loop's vertices on the two copies.
-    ``epsilon="auto"`` picks min(eps_bar/2, 1/(2k)), keeping the sweep regular
+    The sweep amplitude is min(eps_bar/2, 1/(2k)), keeping the sweep regular
     and the diameter perturbation below 4*eps_k < 2/k. An invalid,
     disconnected or closed mesh raises MeshError before any frame is built.
     """
-    return _double(mesh, *_framed(mesh), k, epsilon)
-
-
-def _framed(mesh: SurfaceMesh):
-    """The boundary frames of a mesh fit for doubling, and their least regularity threshold."""
-    report = validate(mesh)
-    if not report.is_valid:
-        raise MeshError(f"cannot double an invalid mesh:\n{report}")
-    if not report.connected:
-        raise MeshError("mesh is not connected; doubling applies to connected surfaces")
-    if report.closed:
-        raise MeshError("mesh is closed; doubling applies to surfaces with boundary")
-    frames = build_boundary_frames(mesh)
-    return frames, min(regularity_threshold(fr) for fr in frames)
-
-
-def _double(mesh: SurfaceMesh, frames, eps_bar, k, epsilon) -> DoubledSurface:
-    """``build_double`` from the frames and threshold ``_framed`` returned for ``mesh``."""
+    frames, eps_bar = _framed(mesh)
     profile = build_sweep_profile(k)
-    if epsilon == "auto":
-        epsilon = min(eps_bar / 2.0, 1.0 / (2.0 * k))
-    if not 0.0 < epsilon < eps_bar:
-        raise MeshError(f"epsilon {epsilon} outside the regular range (0, {eps_bar})")
+    epsilon = min(eps_bar / 2.0, 1.0 / (2.0 * k))
 
     v = mesh.n_vertices
     vertex_blocks = [mesh.vertices, mesh.vertices]  # copy 2 is coincident
@@ -277,24 +257,39 @@ def _double(mesh: SurfaceMesh, frames, eps_bar, k, epsilon) -> DoubledSurface:
                           provenance=provenance)
 
 
-def convergence_rows(mesh: SurfaceMesh, k_list, epsilon="auto"):
+def _framed(mesh: SurfaceMesh):
+    """The boundary frames of a mesh fit for doubling, and their least regularity threshold.
+
+    Checked and built once per mesh and kept in its cache.
+    """
+    if "frames" not in mesh._cache:
+        report = validate(mesh)
+        if not report.is_valid:
+            raise MeshError(f"cannot double an invalid mesh:\n{report}")
+        if not report.connected:
+            raise MeshError("mesh is not connected; doubling applies to connected surfaces")
+        if report.closed:
+            raise MeshError("mesh is closed; doubling applies to surfaces with boundary")
+        frames = build_boundary_frames(mesh)
+        mesh._cache["frames"] = frames, min(regularity_threshold(fr) for fr in frames)
+    return mesh._cache["frames"]
+
+
+def convergence_rows(mesh: SurfaceMesh, k_list):
     """Doubling sweep over k, one double at a time: yields (row, double).
 
     Each row holds the double's measured curvature and diameter and their
     limits, computed from the input mesh with the same discrete operators:
     target curvature 2*int|H| + (pi/2)*l(boundary), target diameter d(M).
     """
-    from .mesh import boundary_length
-
-    # validated and framed once for every k
-    frames, eps_bar = _framed(mesh)
+    _framed(mesh)  # an unfit mesh is rejected before it is measured
     base_curv = total_mean_curvature(mesh)
     base_len = boundary_length(mesh)
     base_diam = extrinsic_diameter(mesh.vertices)
     target_curv = 2.0 * base_curv + (np.pi / 2.0) * base_len
 
     for k in k_list:
-        double = _double(mesh, frames, eps_bar, k, epsilon)
+        double = build_double(mesh, k)
         curv = total_mean_curvature(double.sigma)
         diam = extrinsic_diameter(double.sigma.vertices)
         row = {

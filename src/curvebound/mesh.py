@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-DEGENERATE_AREA_TOL = 1e-12
+DEGENERATE_AREA_TOL = 1e-12  # relative to the triangle's longest squared edge
 _DIAMETER_LEAF = 16  # points per kd leaf in extrinsic_diameter
 _DIAMETER_BATCH = 128  # leaf pairs per numpy call in extrinsic_diameter
 _ECC_BATCH = 2  # Dijkstra sources per call in intrinsic_diameter
@@ -267,7 +267,8 @@ def validate(mesh: SurfaceMesh) -> ValidationReport:
     errors = []
 
     areas = mesh.triangle_areas()
-    degenerate = np.nonzero(areas < DEGENERATE_AREA_TOL)[0]
+    # scale-free; <= keeps a triangle whose corners coincide degenerate
+    degenerate = np.nonzero(areas <= DEGENERATE_AREA_TOL * mesh.corner_gram()[0].max(axis=1))[0]
     for i in degenerate[:10]:
         errors.append(f"degenerate triangle {i} (area {areas[i]:.3e})")
     if len(degenerate) > 10:

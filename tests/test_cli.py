@@ -65,6 +65,29 @@ class TestVerifyBound:
             assert f"[{mode}] bound = int|H|/{ct:.12g} = {rec['bound']:.12g};" in out
         assert abs(doc["modes"]["proven"]["bound"] - 63.70) < 0.01
 
+    @pytest.mark.parametrize("name", ["hemisphere", "flat_disk"])
+    def test_scaling_by_a_power_of_two_scales_every_length(self, capsys, tmp_path, name):
+        # degeneracy is relative to edge length, so small copies validate; 2^k is exact
+        mesh = gen.hemisphere(8, 32) if name == "hemisphere" else gen.flat_disk(1.0, 8, 32)
+        docs = {}
+        for k in (-60, -40, -20, -16, 0, 10, 20):
+            scaled = SurfaceMesh(mesh.vertices * 2.0 ** k, mesh.triangles)
+            assert validate(scaled).is_valid
+            save_mesh(scaled, tmp_path / f"m{k}.mesh.json")
+            out_json = tmp_path / f"r{k}.json"
+            code, _ = run(capsys, ["verify-bound", str(tmp_path / f"m{k}.mesh.json"),
+                                   "--json", str(out_json)])
+            assert code == 0
+            docs[k] = json.loads(out_json.read_text())
+        base = docs[0]
+        for k, doc in docs.items():
+            for key in ("diameter", "total_mean_curvature", "boundary_length"):
+                assert doc[key] == 2.0 ** k * base[key], (k, key)
+            for mode, entry in doc["modes"].items():
+                for key in ("bound", "margin"):
+                    assert entry[key] == 2.0 ** k * base["modes"][mode][key], (k, mode, key)
+                assert entry["holds"] == base["modes"][mode]["holds"]
+
     def test_missing_file(self, capsys):
         code, _ = run(capsys, ["verify-bound", "/nonexistent.obj"])
         assert code == 1
@@ -274,17 +297,17 @@ class TestDoubleCommand:
         path = tmp_path / "disk.mesh.json"
         save_mesh(gen.flat_disk(1.0, 8, 32), path)
         built, framed = [], []
-        double, frames = doubling._double, doubling.build_boundary_frames
+        double, frames = doubling.build_double, doubling.build_boundary_frames
 
-        def counting_double(mesh, frames, eps_bar, k, epsilon):
+        def counting_double(mesh, k):
             built.append(k)
-            return double(mesh, frames, eps_bar, k, epsilon)
+            return double(mesh, k)
 
         def counting_frames(mesh):
             framed.append(mesh)
             return frames(mesh)
 
-        monkeypatch.setattr(doubling, "_double", counting_double)
+        monkeypatch.setattr(doubling, "build_double", counting_double)
         monkeypatch.setattr(doubling, "build_boundary_frames", counting_frames)
         out_dir = tmp_path / "doubles"
         code, _ = run(capsys, ["double", str(path), "--k-list", "10,25",
@@ -509,8 +532,12 @@ class TestUsage:
         ["check-contour", "x.json", "--bogus"],
         ["check-contour", "x.json", "--budget", "abc"],
         ["--threads", "4", "check-contour", "x.json"],
+        ["double", "x.obj", "--epsilon", "0.01"],
+        ["check-contour", "x.json", "--no-cone"],
+        ["teardrop", "--samples-per-unit", "400"],
         [],
-    ], ids=["unknown-option", "bad-budget", "removed-threads", "no-subcommand"])
+    ], ids=["unknown-option", "bad-budget", "removed-threads", "removed-epsilon",
+            "removed-no-cone", "removed-samples-per-unit", "no-subcommand"])
     def test_usage_error_exits_1(self, capsys, argv):
         # 2 is the "certified" exit code of check-contour
         code = main(argv)

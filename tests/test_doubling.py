@@ -9,7 +9,7 @@ from curvebound.curvature import total_mean_curvature
 from curvebound.doubling import (BoundaryFrame, build_boundary_frames,
                                  build_double, build_tube, convergence_rows,
                                  regularity_threshold)
-from curvebound.mesh import MeshError, SurfaceMesh, extrinsic_diameter, validate
+from curvebound.mesh import MeshError, SurfaceMesh, extrinsic_diameter, save_mesh, validate
 from curvebound.teardrop import build_sweep_profile
 
 
@@ -216,9 +216,22 @@ class TestDouble:
             build_double(two, 10)
         assert calls == []
 
-    def test_invalid_epsilon_rejected(self, unit_disk):
-        with pytest.raises(MeshError):
-            build_double(unit_disk, 10, epsilon=0.9)
+    def test_input_framed_once_per_mesh(self, monkeypatch, tmp_path):
+        mesh = gen.flat_disk(1.0, 8, 32)
+        checked, framed = [], []
+        check, frames = doubling.validate, doubling.build_boundary_frames
+        monkeypatch.setattr(doubling, "validate", lambda m: checked.append(m) or check(m))
+        monkeypatch.setattr(doubling, "build_boundary_frames",
+                            lambda m: framed.append(m) or frames(m))
+        doubles = [build_double(mesh, k) for k in (10, 25)]
+        assert sum(m is mesh for m in checked) == 1 and framed == [mesh]
+        monkeypatch.undo()
+        for dbl in doubles:
+            fresh = build_double(SurfaceMesh(mesh.vertices, mesh.triangles), dbl.k)
+            save_mesh(dbl.sigma, tmp_path / "cached.mesh.json")
+            save_mesh(fresh.sigma, tmp_path / "fresh.mesh.json")
+            assert ((tmp_path / "cached.mesh.json").read_bytes()
+                    == (tmp_path / "fresh.mesh.json").read_bytes())
 
 
 GRAPH_POWERS = {"r4": (2,), "r6": (2, 3)}
