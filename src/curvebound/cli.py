@@ -96,6 +96,7 @@ def cmd_double(args):
             with open(base + ".provenance.json", "w") as fh:
                 json.dump({label: [int(a), int(b)] for label, (a, b) in
                            dbl.provenance.items()}, fh, indent=1, sort_keys=True)
+        del dbl  # one double alive: convergence_rows builds the next with this one freed
     for line in [header] + table:
         _print(" ".join(line))
     if args.csv:

@@ -39,12 +39,15 @@ def _corner_cotangents(mesh):
     Returns (T, 3) cotangents, corner k opposite to edge (k+1, k+2).
     """
     _, dot, gram = mesh.corner_gram()
-    sin = np.sqrt(np.maximum(gram, 0.0))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        c = np.where(sin > 0.0, dot / np.where(sin > 0.0, sin, 1.0),
-                     np.sign(dot) * np.inf)
-    return np.clip(np.nan_to_num(c, nan=0.0, posinf=COT_CLAMP, neginf=-COT_CLAMP),
-                   -COT_CLAMP, COT_CLAMP)
+    sin = np.maximum(gram, 0.0)
+    np.sqrt(sin, out=sin)
+    flat = ~(sin > 0.0)
+    sin[flat] = 1.0
+    c = np.divide(dot, sin, out=sin)  # in place: one (T, 3) array alive
+    with np.errstate(invalid="ignore"):
+        c[flat] = np.sign(dot[flat]) * np.inf
+    np.nan_to_num(c, copy=False, nan=0.0, posinf=COT_CLAMP, neginf=-COT_CLAMP)
+    return np.clip(c, -COT_CLAMP, COT_CLAMP, out=c)
 
 
 def mixed_voronoi_areas(mesh: SurfaceMesh, cots) -> np.ndarray:
@@ -63,14 +66,19 @@ def mixed_voronoi_areas(mesh: SurfaceMesh, cots) -> np.ndarray:
     obtuse = cots.min(axis=1) < 0.0
     # Voronoi part (non-obtuse triangles): corner k gets
     # (|edge to k+1|^2 cot(at k+2) + |edge to k+2|^2 cot(at k+1)) / 8.
-    lc = l2[~obtuse] * cots[~obtuse]
-    voronoi = (lc[:, [2, 0, 1]] + lc[:, [1, 2, 0]]) / 8.0
+    lc = l2[~obtuse]
+    del l2
+    lc *= cots[~obtuse]
+    voronoi = lc[:, [2, 0, 1]] + lc[:, [1, 2, 0]]
+    del lc
+    voronoi /= 8.0
     # Obtuse triangles: 1/2 at the obtuse corner, 1/4 elsewhere.
     share = np.where(cots[obtuse] < 0.0, 0.5, 0.25) * areas[obtuse, None]
+    weights = np.concatenate([voronoi.T.ravel(), share.T.ravel()])
+    del voronoi, share
     # one scatter, corner by corner, in the order of a sequential sum
     return np.bincount(np.concatenate([tri[~obtuse].T.ravel(), tri[obtuse].T.ravel()]),
-                       weights=np.concatenate([voronoi.T.ravel(), share.T.ravel()]),
-                       minlength=mesh.n_vertices)
+                       weights=weights, minlength=mesh.n_vertices)
 
 
 def mean_curvature_field(mesh: SurfaceMesh) -> MeanCurvatureField:
@@ -88,15 +96,19 @@ def mean_curvature_field(mesh: SurfaceMesh) -> MeanCurvatureField:
     x = mesh.vertices
     cots = _corner_cotangents(mesh)
 
-    # corner k weights edge (a, b) = (k+1, k+2) by its cotangent; bincount adds the
-    # terms to a then b, corner by corner, from +0.0 as sequential np.add.at would;
-    # -term is w * (x[b] - x[a]) up to a zero's sign, which such a sum ignores
-    a, b = tri[:, [1, 2, 0]].T, tri[:, [2, 0, 1]].T
-    term = cots.T[:, :, None] * (x[a] - x[b])
-    idx = np.stack([a, b], axis=1).ravel()
-    terms = np.stack([term, -term], axis=1).reshape(len(idx), x.shape[1])
-    lap = np.column_stack([np.bincount(idx, weights=col, minlength=len(x))
-                           for col in terms.T])
+    # corner k weights edge (a, b) = (k+1, k+2) by its cotangent; np.add.at adds the
+    # terms to a then b, corner by corner, from +0.0, so only one corner's terms are
+    # alive at a time; -term is w * (x[b] - x[a]) up to a zero's sign, which such a
+    # sum ignores. Column by column: numpy's 1-D np.add.at is the fast one
+    lap = np.zeros_like(x)
+    for k in range(3):
+        a, b = tri[:, (k + 1) % 3], tri[:, (k + 2) % 3]
+        term = x[a]
+        term -= x[b]
+        term *= cots[:, k, None]
+        for c in range(x.shape[1]):
+            np.add.at(lap[:, c], a, term[:, c])
+            np.add.at(lap[:, c], b, -term[:, c])
 
     areas = mixed_voronoi_areas(mesh, cots)
     safe = np.maximum(areas, 1e-300)

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curvature import total_mean_curvature
-from .mesh import MeshError, SurfaceMesh, boundary_length, extrinsic_diameter, validate
+from .mesh import (MeshError, SurfaceMesh, boundary_length, degenerate_triangles,
+                   extrinsic_diameter, validate)
 from .teardrop import TeardropCurve, build_sweep_profile
 
 EPS_BAR_CAP = 0.5  # threshold cap when the frame has no measurable bending
@@ -74,21 +75,24 @@ def build_boundary_frames(mesh: SurfaceMesh) -> list:
     for loop in loops:
         idx = loop.vertex_indices
         c = mesh.vertices[idx]
+        # every threshold is relative to the loop's length, so scaling the mesh
+        # by a power of two scales the frames' inputs and passes the same checks
+        tiny = 1e-14 * loop.length
         seg = np.linalg.norm(np.roll(c, -1, axis=0) - c, axis=1)
-        if np.any(seg < 1e-14):
+        if np.any(seg <= tiny):
             raise MeshError("degenerate tangent: duplicate consecutive boundary points")
         chord = np.roll(c, -1, axis=0) - np.roll(c, 1, axis=0)
         span = np.linalg.norm(chord, axis=1)
-        if np.any(span < 1e-14):
+        if np.any(span <= tiny):
             raise MeshError(f"degenerate tangent: the boundary loop doubles back at "
-                            f"vertex {idx[np.argmax(span < 1e-14)]}")
+                            f"vertex {idx[np.argmax(span <= tiny)]}")
         s = np.concatenate([[0.0], np.cumsum(seg[:-1])])
 
         e1 = chord / span[:, None]
         out = c - inward_point[idx]
         out = out - np.einsum("ij,ij->i", out, e1)[:, None] * e1
         norms = np.linalg.norm(out, axis=1)
-        if np.any(norms < 1e-12):
+        if np.any(norms <= 1e-12 * loop.length):
             raise MeshError("outward conormal degenerates on the boundary loop")
         e2 = out / norms[:, None]
         e3, holonomy = _transported_section(e1, e2, s, loop.length)
@@ -168,9 +172,10 @@ def build_tube(frame: BoundaryFrame, teardrop: TeardropCurve, epsilon: float) ->
     if not 0.0 < epsilon < eps_bar:
         raise MeshError(f"epsilon {epsilon} outside the regular range (0, {eps_bar})")
     tube = SurfaceMesh(*_tube_grid(frame, teardrop, epsilon))
-    areas = tube.triangle_areas()
-    if areas.min() < 1e-14:
-        raise MeshError(f"degenerate tube cell (area {areas.min():.3e})")
+    bad = degenerate_triangles(tube)
+    if len(bad):
+        raise MeshError(f"degenerate tube cell {bad[0]} "
+                        f"(area {tube.triangle_areas()[bad[0]]:.3e})")
     return tube
 
 
@@ -248,8 +253,10 @@ def build_double(mesh: SurfaceMesh, k: int) -> DoubledSurface:
         provenance[f"tube-{i}"] = (next_tri, next_tri + tube.n_triangles)
         next_vertex += n_interior
         next_tri += tube.n_triangles
+        del tube  # and its geometry cache, before the next tube is swept
 
     sigma = SurfaceMesh(np.vstack(vertex_blocks), np.vstack(tri_blocks))
+    del vertex_blocks, tri_blocks  # sigma holds the only copy while it is validated
     sig_report = validate(sigma)
     if not (sig_report.is_valid and sig_report.closed and sig_report.connected):
         raise MeshError(f"doubling produced a bad surface:\n{sig_report}")
@@ -303,3 +310,4 @@ def convergence_rows(mesh: SurfaceMesh, k_list):
             "diameter_error": abs(diam - base_diam),
         }
         yield row, double
+        del double  # the next double is built with this one freed

@@ -112,10 +112,13 @@ class SurfaceMesh:
         if "corner_gram" not in self._cache:
             p0, p1, p2 = (self.vertices[self.triangles[:, k]] for k in range(3))
             e = (p1 - p0, p2 - p1, p0 - p2)
+            del p0, p1, p2
             sq = np.column_stack([np.einsum("ij,ij->i", a, a) for a in e])
             dot = -np.column_stack([np.einsum("ij,ij->i", e[k], e[k - 1])
                                     for k in range(3)])
-            gram = sq * sq[:, [2, 0, 1]] - dot * dot
+            del e
+            gram = sq * sq[:, [2, 0, 1]]
+            gram -= dot * dot
             for a in (sq, dot, gram):
                 a.setflags(write=False)
             self._cache["corner_gram"] = (sq, dot, gram)
@@ -145,13 +148,19 @@ class SurfaceMesh:
         if "edge_tables" not in self._cache:
             n = max(self.n_vertices, 1)
             de = self._directed_edges()
-            ukeys, inverse, ue_counts = np.unique(
-                de.min(axis=1) * n + de.max(axis=1), return_inverse=True,
-                return_counts=True)
-            dkeys, de_counts = np.unique(de[:, 0] * n + de[:, 1], return_counts=True)
+            keys = de.min(axis=1)
+            keys *= n
+            keys += de.max(axis=1)
+            ukeys, inverse, ue_counts = np.unique(keys, return_inverse=True,
+                                                  return_counts=True)
+            boundary = de[ue_counts[inverse] == 1]
+            del inverse
+            keys = de[:, 0] * n
+            keys += de[:, 1]
+            del de
+            dkeys, de_counts = np.unique(keys, return_counts=True)
             edges = np.stack(np.divmod(ukeys, n), axis=1)
-            self._cache["edge_tables"] = (edges, ue_counts, dkeys, de_counts,
-                                          de[ue_counts[inverse] == 1])
+            self._cache["edge_tables"] = (edges, ue_counts, dkeys, de_counts, boundary)
         return self._cache["edge_tables"]
 
     @property
@@ -258,6 +267,14 @@ class SurfaceMesh:
         return loops
 
 
+def degenerate_triangles(mesh: SurfaceMesh) -> np.ndarray:
+    """Indices of the triangles whose area is at most DEGENERATE_AREA_TOL times
+    their longest squared edge: scale-free, and <= keeps a triangle whose
+    corners coincide degenerate."""
+    return np.nonzero(mesh.triangle_areas()
+                      <= DEGENERATE_AREA_TOL * mesh.corner_gram()[0].max(axis=1))[0]
+
+
 def validate(mesh: SurfaceMesh) -> ValidationReport:
     """Check manifoldness, orientation, degeneracy and boundary structure.
 
@@ -267,8 +284,7 @@ def validate(mesh: SurfaceMesh) -> ValidationReport:
     errors = []
 
     areas = mesh.triangle_areas()
-    # scale-free; <= keeps a triangle whose corners coincide degenerate
-    degenerate = np.nonzero(areas <= DEGENERATE_AREA_TOL * mesh.corner_gram()[0].max(axis=1))[0]
+    degenerate = degenerate_triangles(mesh)
     for i in degenerate[:10]:
         errors.append(f"degenerate triangle {i} (area {areas[i]:.3e})")
     if len(degenerate) > 10:
@@ -636,11 +652,13 @@ def save_mesh_json(mesh: SurfaceMesh, path):
     the JSON repr of the finite floats a mesh holds."""
     v, t = mesh.vertices, mesh.triangles
     row = "[" + ", ".join(["%r"] * v.shape[1]) + "]"
-    vertices = ("[" + ", ".join([row] * len(v)) + "]") % tuple(v.ravel().tolist())
-    triangles = ("[" + ", ".join(["[%d, %d, %d]"] * len(t)) + "]") % tuple(t.ravel().tolist())
     with open(path, "w") as fh:
-        fh.write(f'{{"dimension": {v.shape[1]}, "vertices": {vertices}, '
-                 f'"triangles": {triangles}}}')
+        # one array's text alive at a time: each is freed once written
+        fh.write(f'{{"dimension": {v.shape[1]}, "vertices": ')
+        fh.write(("[" + ", ".join([row] * len(v)) + "]") % tuple(v.ravel().tolist()))
+        fh.write(', "triangles": ')
+        fh.write(("[" + ", ".join(["[%d, %d, %d]"] * len(t)) + "]") % tuple(t.ravel().tolist()))
+        fh.write("}")
 
 
 def load_mesh_json(path) -> SurfaceMesh:

@@ -16,7 +16,7 @@ except ImportError:  # running from a checkout without an installed package
 from curvebound import generators as gen
 from curvebound.contour import (Contour, ContourError, component_pair_distances,
                                 segment_segment_distance)
-from curvebound.curvature import _curvature_weights, mean_curvature_field
+from curvebound.curvature import COT_CLAMP, _curvature_weights, mean_curvature_field
 from curvebound.mesh import DIAMETER_TOL, SurfaceMesh, geodesic_distances
 
 try:
@@ -88,6 +88,40 @@ def connected_oracle(mesh):
     graph = csr_matrix((np.ones(t.size), (t.ravel(), t[:, [1, 2, 0]].ravel())),
                        shape=(n, n))
     return n > 0 and csgraph.connected_components(graph, directed=False)[0] == 1
+
+
+def reference_curvature_field(mesh):
+    """Cotangent mean curvature vectors and mixed Voronoi areas, every array whole.
+
+    All 6T signed edge terms (T triangles) are stacked into one array, corner
+    by corner and a-end before b-end, and one np.bincount per coordinate adds
+    them; cotangents and Voronoi pieces are whole-array expressions. Returns
+    (vectors, areas).
+    """
+    tri, x = mesh.triangles, mesh.vertices
+    sq, dot, gram = mesh.corner_gram()
+    sin = np.sqrt(np.maximum(gram, 0.0))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        c = np.where(sin > 0.0, dot / np.where(sin > 0.0, sin, 1.0), np.sign(dot) * np.inf)
+    cots = np.clip(np.nan_to_num(c, nan=0.0, posinf=COT_CLAMP, neginf=-COT_CLAMP),
+                   -COT_CLAMP, COT_CLAMP)
+
+    a, b = tri[:, [1, 2, 0]].T, tri[:, [2, 0, 1]].T
+    term = cots.T[:, :, None] * (x[a] - x[b])
+    idx = np.stack([a, b], axis=1).ravel()
+    terms = np.stack([term, -term], axis=1).reshape(len(idx), x.shape[1])
+    lap = np.column_stack([np.bincount(idx, weights=col, minlength=len(x))
+                           for col in terms.T])
+
+    l2 = sq[:, [1, 2, 0]]
+    obtuse = cots.min(axis=1) < 0.0
+    lc = l2[~obtuse] * cots[~obtuse]
+    voronoi = (lc[:, [2, 0, 1]] + lc[:, [1, 2, 0]]) / 8.0
+    share = np.where(cots[obtuse] < 0.0, 0.5, 0.25) * mesh.triangle_areas()[obtuse, None]
+    areas = np.bincount(np.concatenate([tri[~obtuse].T.ravel(), tri[obtuse].T.ravel()]),
+                        weights=np.concatenate([voronoi.T.ravel(), share.T.ravel()]),
+                        minlength=len(x))
+    return lap / (4.0 * np.maximum(areas, 1e-300)[:, None]), areas
 
 
 def _ball_integrals(dv, r, *weights):

@@ -291,6 +291,18 @@ class TestDoubleCommand:
                                "double_k10.provenance.json").read())
         assert "copy-1" in prov and "tube-0" in prov
 
+    @pytest.mark.parametrize("s", [-60, -40, -30, -20, 0])
+    def test_small_copies_double(self, capsys, tmp_path, s):
+        # the frame and tube-cell thresholds are relative to the loop and the cell
+        path = tmp_path / "hemisphere.mesh.json"
+        save_mesh(SurfaceMesh(gen.hemisphere(8, 32).vertices * 2.0 ** s,
+                              gen.hemisphere(8, 32).triangles), path)
+        code, _ = run(capsys, ["double", str(path), "--k-list", "10",
+                               "--out-dir", str(tmp_path / "doubles")])
+        assert code == 0
+        report = validate(load_mesh(tmp_path / "doubles" / "double_k10.mesh.json"))
+        assert report.is_valid and report.closed and report.connected
+
     def test_each_double_built_once(self, capsys, tmp_path, monkeypatch):
         from curvebound import doubling
 
