@@ -9,6 +9,8 @@ import json
 
 import numpy as np
 
+from .mesh import COORDINATE_LIMIT, _write_json_rows
+
 _SEGMENT_LEAF = 32  # segments per leaf in component_pair_distances
 _SEGMENT_SUB = 4  # segments per sub-leaf there; divides _SEGMENT_LEAF
 _SEGMENT_BATCH = 65536  # segment pairs per numpy call there
@@ -47,13 +49,21 @@ class Contour:
         self.offsets = offsets = np.cumsum(counts) - counts
         self._next = nxt = np.arange(1, len(pts) + 1)  # each vertex's successor
         nxt[offsets + counts - 1] = offsets  # closure: the last vertex meets the first
-        with np.errstate(invalid="ignore"):  # inf - inf in a non-finite component
-            self._seg_lengths = np.linalg.norm(pts[nxt] - pts, axis=1)
+        with np.errstate(invalid="ignore", over="ignore"):  # in an unsound component
+            seg = pts[nxt]
+            seg -= pts
+            seg *= seg
+        self._seg_lengths = np.sqrt(seg.sum(axis=1))  # np.linalg.norm's sum, in place
+        del seg
         repeated = np.logical_or.reduceat(self._seg_lengths == 0.0, offsets)
         nonfinite = np.logical_or.reduceat(~np.isfinite(pts).all(axis=1), offsets)
-        for i in np.flatnonzero(nonfinite | repeated)[:1]:  # the first unsound component
-            raise ContourError(f"component {i} has non-finite coordinates" if nonfinite[i]
-                               else f"component {i} has consecutive duplicate points")
+        large = np.logical_or.reduceat(
+            ((pts > COORDINATE_LIMIT) | (pts < -COORDINATE_LIMIT)).any(axis=1), offsets)
+        for i in np.flatnonzero(nonfinite | large | repeated)[:1]:  # the first unsound one
+            raise ContourError(
+                f"component {i} has non-finite coordinates" if nonfinite[i] else
+                f"component {i} has a coordinate beyond 2^240 in absolute value" if large[i]
+                else f"component {i} has consecutive duplicate points")
         pts.setflags(write=False)
         self.components = [pts[o:o + m] for o, m in zip(offsets.tolist(), counts.tolist())]
         self.dimension = 3
@@ -148,13 +158,16 @@ def component_pair_distances(c: Contour, first, second) -> np.ndarray:
     # segments by sub-leaf, and sub-leaf boxes by leaf, in the principal frame
     starts = pts[leaf].reshape(-1, _SEGMENT_SUB, 3)
     dirs = (nxt - pts)[leaf].reshape(-1, _SEGMENT_SUB, 3)
+    del nxt  # each whole-contour array goes once used: the loop below keeps only the leaves
     centred = pts - pts.mean(axis=0)
     rot = centred @ np.linalg.svd(centred, full_matrices=False)[2].T
+    del centred
     sub = leaf.reshape(len(leaf), -1, _SEGMENT_SUB)
     lo = np.minimum(rot, rot[c._next])[sub].min(axis=2)
     hi = np.maximum(rot, rot[c._next])[sub].max(axis=2)
     lmax = float(np.linalg.norm(dirs, axis=-1).max())
     slack = 1e-12 * (lmax + np.sqrt(3.0) * float(np.abs(rot).max()))
+    del rot
     n_sub = lo.shape[1]
     leaf_lo, leaf_hi = lo.min(axis=1), hi.max(axis=1)
 
@@ -183,11 +196,14 @@ def component_pair_distances(c: Contour, first, second) -> np.ndarray:
 
         # seed: every pair's nearest sub-leaf pair within its nearest leaf pair
         seed = order[np.unique(owner[order], return_index=True)[1]]
-        near = sub_bounds(la[seed], lb[seed]).reshape(len(seed), n_sub * n_sub).argmin(axis=1)
-        best = sub_minima(la[seed] * n_sub + near // n_sub, lb[seed] * n_sub + near % n_sub)
-        seeded = np.full(len(la), -1)
-        seeded[seed] = near
+        best, seeded = np.empty(len(seed)), np.full(len(la), -1)
         batch = max(1, _SEGMENT_BATCH // (size * size))
+        for i in range(0, len(seed), batch):
+            part = seed[i:i + batch]
+            near = sub_bounds(la[part], lb[part]).reshape(len(part), n_sub * n_sub).argmin(axis=1)
+            best[i:i + batch] = sub_minima(la[part] * n_sub + near // n_sub,
+                                           lb[part] * n_sub + near % n_sub)
+            seeded[part] = near
         for i in range(0, len(order), batch):
             take = order[i:i + batch]
             limit = best * (1 + 1e-12) + slack
@@ -215,51 +231,98 @@ def segment_segment_distance(p1, d1, p2, d2):
     Clamped closest-point parameterization (Ericson): minimize
     |p1 + s*d1 - p2 - t*d2| over s, t in [0, 1], handling the degenerate and
     parallel cases by clamping one parameter and re-solving for the other.
-    """
-    p1 = np.asarray(p1, dtype=float)
-    p2 = np.asarray(p2, dtype=float)
-    d1 = np.asarray(d1, dtype=float)
-    d2 = np.asarray(d2, dtype=float)
-    r = p1 - p2
-    a = np.sum(d1 * d1, axis=-1)
-    e = np.sum(d2 * d2, axis=-1)
-    b = np.sum(d1 * d2, axis=-1)
-    cc = np.sum(d1 * r, axis=-1)
-    f = np.sum(d2 * r, axis=-1)
 
-    denom = a * e - b * b
+    The coordinates are read as three planes, and each dot product is
+    accumulated left to right, in place, on a few arrays of the broadcast
+    shape. That is np.sum's order, up to the sign of a zero sum, which no
+    later step can see: zeros are never divided by, and the result is a
+    root of a sum of squares.
+    """
+    p1, d1, p2, d2 = (np.asarray(x, dtype=float) for x in (p1, d1, p2, d2))
+    shape = np.broadcast_shapes(p1.shape, d1.shape, p2.shape, d2.shape)[:-1]
+    p1, d1, p2, d2 = ([x[..., k] for k in range(3)] for x in (p1, d1, p2, d2))
+    tmp = np.empty(shape)
+
+    def dot(u, v):
+        out = np.multiply(u[0], v[0], out=np.empty(shape))
+        for k in (1, 2):
+            out += np.multiply(u[k], v[k], out=tmp)
+        return out
+
+    a = d1[0] * d1[0] + d1[1] * d1[1] + d1[2] * d1[2]  # the shapes of d1 and d2 only
+    e = d2[0] * d2[0] + d2[1] * d2[1] + d2[2] * d2[2]
+    r = [np.subtract(x, y, out=np.empty(shape)) for x, y in zip(p1, p2)]
+    b, cc, f = dot(d1, d2), dot(d1, r), dot(d2, r)
+
+    ae = np.multiply(a, e, out=np.empty(shape))
+    denom = np.multiply(b, b, out=np.empty(shape))
+    np.subtract(ae, denom, out=denom)
     # Parallel (or degenerate) pairs: any s works, pick s = 0 and clamp below.
-    safe = denom > 1e-14 * np.maximum(a * e, 1e-300)
-    s = np.where(safe, (b * f - cc * e) / np.where(safe, denom, 1.0), 0.0)
-    s = np.clip(s, 0.0, 1.0)
-    t = np.where(e > 0.0, (b * s + f) / np.where(e > 0.0, e, 1.0), 0.0)
+    np.maximum(ae, 1e-300, out=ae)
+    ae *= 1e-14
+    unsafe = ~(denom > ae)
+    np.copyto(denom, 1.0, where=unsafe)
+    s = np.multiply(b, f, out=ae)
+    s -= np.multiply(cc, e, out=tmp)
+    s /= denom
+    np.copyto(s, 0.0, where=unsafe)
+    np.clip(s, 0.0, 1.0, out=s)
+    t = np.multiply(b, s, out=denom)
+    t += f
+    t /= np.where(e > 0.0, e, 1.0)
+    np.copyto(t, 0.0, where=~(e > 0.0))
     # If t left [0, 1], clamp it and recompute the best s for that t.
-    t_cl = np.clip(t, 0.0, 1.0)
-    s = np.where(t != t_cl,
-                 np.clip(np.where(a > 0.0, (t_cl * b - cc) / np.where(a > 0.0, a, 1.0), 0.0),
-                         0.0, 1.0),
-                 s)
-    diff = r + s[..., None] * d1 - t_cl[..., None] * d2
-    return np.sqrt(np.sum(diff * diff, axis=-1))
+    t_cl = np.clip(t, 0.0, 1.0, out=f)
+    moved = t != t_cl
+    s_cl = np.multiply(t_cl, b, out=t)
+    s_cl -= cc
+    s_cl /= np.where(a > 0.0, a, 1.0)
+    np.copyto(s_cl, 0.0, where=~(a > 0.0))
+    np.copyto(s, np.clip(s_cl, 0.0, 1.0, out=s_cl), where=moved)
+    for k in range(3):  # r + s*d1 - t_cl*d2, plane by plane
+        r[k] += np.multiply(s, d1[k], out=tmp)
+        r[k] -= np.multiply(t_cl, d2[k], out=tmp)
+    dist = np.multiply(r[0], r[0], out=b)
+    for k in (1, 2):
+        dist += np.multiply(r[k], r[k], out=tmp)
+    return np.sqrt(dist, out=dist)[()]
 
 
 # -- file format ---------------------------------------------------------------
 
 
 def save_contour(c: Contour, path):
-    doc = {"dimension": 3, "components": [{"vertices": a.tolist()} for a in c.components]}
+    """Write {dimension, components: [{vertices}, ...]}: the text of ``json.dumps``
+    of the nested lists, one component's rows formatted and written at a time."""
     with open(path, "w") as fh:
-        fh.write(json.dumps(doc))
+        fh.write('{"dimension": 3, "components": [')
+        for i, a in enumerate(c.components):
+            fh.write(', {"vertices": ' if i else '{"vertices": ')
+            _write_json_rows(fh, a, "[%r, %r, %r]")
+            fh.write("}")
+        fh.write("]}")
+
+
+def _vertex_array(obj):
+    """json object_hook: a component's vertex list becomes an array as its object
+    closes, so one component's Python floats are alive at a time. A list that
+    is no array of numbers stays a list, for the checks in load_contour."""
+    if isinstance(obj.get("vertices"), list):
+        try:
+            obj["vertices"] = np.array(obj["vertices"], dtype=float)
+        except (TypeError, ValueError):
+            pass
+    return obj
 
 
 def load_contour(path) -> Contour:
     with open(path) as fh:
-        doc = json.load(fh)
+        doc = json.load(fh, object_hook=_vertex_array)
     if not isinstance(doc, dict) or doc.get("dimension") != 3:
         raise ContourError("contour documents are 3-dimensional")
     try:
-        comps = [np.array(entry["vertices"], dtype=float) for entry in doc["components"]]
-    except (KeyError, TypeError) as exc:
+        comps = [np.asarray(entry["vertices"], dtype=float) for entry in doc["components"]]
+    except (KeyError, TypeError, ValueError) as exc:
         raise ContourError(f"malformed contour document: {exc!r}") from exc
     if not comps:
         raise ContourError("contour document has no components")

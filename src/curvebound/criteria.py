@@ -170,8 +170,11 @@ def white_check(c: Contour) -> CriterionEntry:
             notes="single Jordan curve: no decomposition into components exists",
         )
     cents = np.add.reduceat(c.all_points(), c.offsets) / c.counts[:, None]
-    radii = np.maximum.reduceat(np.linalg.norm(
-        c.all_points() - np.repeat(cents, c.counts, axis=0), axis=1), c.offsets)
+    rel = np.repeat(cents, c.counts, axis=0)
+    np.subtract(c.all_points(), rel, out=rel)
+    rel *= rel  # np.linalg.norm's squares and sum, in place
+    radii = np.maximum.reduceat(np.sqrt(rel.sum(axis=1)), c.offsets)
+    del rel
     tree, k, parts = cKDTree(cents), min(8, n - 1), 2
     while parts > 1:  # k = n - 1 joins every pair
         cd, jj = tree.query(cents, k=k + 1)  # each centroid itself, then its k nearest
@@ -336,6 +339,7 @@ class _ConeSearch:
         top, bottom = top[np.argmin(z[top])], bottom[np.argmax(z[bottom])]
         basis = np.repeat([top, bottom], 2) * _SIDES + np.array([0, 2, 1, 3]) * (_SIDES // 4)
         x = None  # variables: apex along u, e1, e2, and t
+        values = np.empty((len(z), _SIDES))  # each round's slack of every row
         while self.budget > 0:
             rows = np.flatnonzero(in_lp)
             p, k = np.divmod(rows, _SIDES)
@@ -346,7 +350,8 @@ class _ConeSearch:
             if solved is None:
                 break
             x, basis = solved[0], rows[solved[1]]
-            values = (sz * (z - x[0]))[:, None] - (w - x[1:3]) @ self.sides
+            np.matmul(w - x[1:3], self.sides, out=values)
+            np.subtract((sz * (z - x[0]))[:, None], values, out=values)
             poly = values.min(axis=1)
             values[in_lp] = np.inf  # rows in the LP hold to within _FEASIBLE
             worst = values.argmin(axis=1)

@@ -11,9 +11,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 DEGENERATE_AREA_TOL = 1e-12  # relative to the triangle's longest squared edge
+# Largest |coordinate| a mesh or contour accepts. Differences are then at
+# most 2^241, and their degree-4 products (the corner Gram determinants, the
+# segment distances' denominators) at most 2^964 times small factors: finite.
+COORDINATE_LIMIT = 2.0**240
 _DIAMETER_LEAF = 16  # points per kd leaf in extrinsic_diameter
 _DIAMETER_BATCH = 128  # leaf pairs per numpy call in extrinsic_diameter
 _ECC_BATCH = 2  # Dijkstra sources per call in intrinsic_diameter
+_JSON_ROWS = 4096  # array rows formatted per write in _write_json_rows
 DIAMETER_TOL = 1e-2  # relative width of the bracket intrinsic_diameter returns
 
 
@@ -82,6 +87,8 @@ class SurfaceMesh:
             raise MeshError("triangle index out of range")
         if not np.all(np.isfinite(v)):
             raise MeshError("vertex coordinates must be finite")
+        if v.size and max(v.max(), -v.min()) > COORDINATE_LIMIT:
+            raise MeshError("vertex coordinates must be at most 2^240 in absolute value")
         v.setflags(write=False)
         t.setflags(write=False)
         self.vertices = v
@@ -400,7 +407,8 @@ def extrinsic_diameter(points) -> float:
     for x in far2 - far:
         best += x * x  # the seed entry, accumulated like every other one
     c = 0.5 * (far + far2)
-    rho = np.einsum("ij,ij->i", p - c, p - c)
+    rho = p - c  # one copy of the differences, then their squared norms
+    rho = np.einsum("ij,ij->i", rho, rho)
     slack = (max(1e-12, 32 * n * np.finfo(float).eps) * (best + 4.0 * rho.max())
              + np.finfo(float).tiny)
     keep = 2.0 * rho + (2.0 * rho.max() + slack) > best
@@ -447,9 +455,10 @@ def _leaf_pairs_max(pa, pb):
     """Largest entry between the points of leaves pa[i] and pb[i], each (L, m, n):
     squared coordinate differences accumulated in dimension order."""
     acc = np.zeros((len(pa), pa.shape[1], pb.shape[1]))
+    diff = np.empty_like(acc)
     for k in range(pa.shape[2]):
-        diff = pa[:, :, None, k] - pb[:, None, :, k]
-        acc += diff * diff
+        np.subtract(pa[:, :, None, k], pb[:, None, :, k], out=diff)
+        acc += np.multiply(diff, diff, out=diff)
     return float(acc.max())
 
 
@@ -470,7 +479,8 @@ def _kd_leaves(p):
         span = np.maximum.reduceat(x, bounds[:-1:width]) - lo
         node = np.repeat(np.arange(len(lo)), np.diff(bounds[::width]))
         axis = np.argmax(span, axis=1)[node]
-        rel = (x[np.arange(n), axis] - lo[node, axis]) / np.maximum(span[node, axis], 1e-300)
+        x = x[np.arange(n), axis]  # each point's coordinate along its node's axis
+        rel = (x - lo[node, axis]) / np.maximum(span[node, axis], 1e-300)
         order = order[np.argsort(node + 0.5 * rel, kind="stable")]
         width //= 2
     sizes = np.diff(bounds)
@@ -648,17 +658,31 @@ def load_obj(path) -> SurfaceMesh:
 def save_mesh_json(mesh: SurfaceMesh, path):
     """Dimension-agnostic interchange: {dimension, vertices, triangles}, 0-based.
 
-    The text of ``json.dumps``, from one format string per array: ``%r`` is
-    the JSON repr of the finite floats a mesh holds."""
+    The text of ``json.dumps``, written a block of rows at a time."""
     v, t = mesh.vertices, mesh.triangles
-    row = "[" + ", ".join(["%r"] * v.shape[1]) + "]"
     with open(path, "w") as fh:
-        # one array's text alive at a time: each is freed once written
         fh.write(f'{{"dimension": {v.shape[1]}, "vertices": ')
-        fh.write(("[" + ", ".join([row] * len(v)) + "]") % tuple(v.ravel().tolist()))
+        _write_json_rows(fh, v, "[" + ", ".join(["%r"] * v.shape[1]) + "]")
         fh.write(', "triangles": ')
-        fh.write(("[" + ", ".join(["[%d, %d, %d]"] * len(t)) + "]") % tuple(t.ravel().tolist()))
+        _write_json_rows(fh, t, "[%d, %d, %d]")
         fh.write("}")
+
+
+def _write_json_rows(fh, a, row):
+    """Write the 2-D array a as the text ``json.dumps(a.tolist())`` gives.
+
+    ``row`` formats one row from its values: ``%r`` is the JSON repr of a
+    finite float, ``%d`` that of an integer. Each block of _JSON_ROWS rows
+    is formatted and written before the next, so the text of one block is
+    alive at a time.
+    """
+    fh.write("[")
+    for i in range(0, len(a), _JSON_ROWS):
+        block = a[i:i + _JSON_ROWS]
+        if i:
+            fh.write(", ")
+        fh.write(", ".join([row] * len(block)) % tuple(block.ravel().tolist()))
+    fh.write("]")
 
 
 def load_mesh_json(path) -> SurfaceMesh:

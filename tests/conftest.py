@@ -1,4 +1,5 @@
 import itertools
+import json
 import os
 import pathlib
 import sys
@@ -209,6 +210,52 @@ def brute_force_pair_distance(c: Contour, i, j) -> float:
     pi, pj = c.components[i], c.components[j]
     di, dj = np.roll(pi, -1, axis=0) - pi, np.roll(pj, -1, axis=0) - pj
     return float(segment_segment_distance(pi[:, None], di[:, None], pj[None], dj[None]).min())
+
+
+def reference_segment_distance(p1, d1, p2, d2):
+    """``segment_segment_distance`` as it stood before it read its coordinates
+    as planes: stacked (..., 3) arrays and np.sum's dot products."""
+    p1, d1, p2, d2 = (np.asarray(x, dtype=float) for x in (p1, d1, p2, d2))
+    r = p1 - p2
+    a = np.sum(d1 * d1, axis=-1)
+    e = np.sum(d2 * d2, axis=-1)
+    b = np.sum(d1 * d2, axis=-1)
+    cc = np.sum(d1 * r, axis=-1)
+    f = np.sum(d2 * r, axis=-1)
+    denom = a * e - b * b
+    safe = denom > 1e-14 * np.maximum(a * e, 1e-300)
+    s = np.where(safe, (b * f - cc * e) / np.where(safe, denom, 1.0), 0.0)
+    s = np.clip(s, 0.0, 1.0)
+    t = np.where(e > 0.0, (b * s + f) / np.where(e > 0.0, e, 1.0), 0.0)
+    t_cl = np.clip(t, 0.0, 1.0)
+    s = np.where(t != t_cl,
+                 np.clip(np.where(a > 0.0, (t_cl * b - cc) / np.where(a > 0.0, a, 1.0), 0.0),
+                         0.0, 1.0),
+                 s)
+    diff = r + s[..., None] * d1 - t_cl[..., None] * d2
+    return np.sqrt(np.sum(diff * diff, axis=-1))
+
+
+def reference_save_contour(c: Contour, path):
+    """The contour writer as one ``json.dumps`` of the whole nested-list document."""
+    doc = {"dimension": 3, "components": [{"vertices": a.tolist()} for a in c.components]}
+    with open(path, "w") as fh:
+        fh.write(json.dumps(doc))
+
+
+def reference_load_contour(path) -> Contour:
+    """The contour reader on the whole decoded document, every float a Python float."""
+    with open(path) as fh:
+        doc = json.load(fh)
+    if not isinstance(doc, dict) or doc.get("dimension") != 3:
+        raise ContourError("contour documents are 3-dimensional")
+    try:
+        comps = [np.array(entry["vertices"], dtype=float) for entry in doc["components"]]
+    except (KeyError, TypeError) as exc:
+        raise ContourError(f"malformed contour document: {exc!r}") from exc
+    if not comps:
+        raise ContourError("contour document has no components")
+    return Contour(comps)
 
 
 def brute_force_diameter(points, rows=256):

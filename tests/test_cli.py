@@ -88,6 +88,36 @@ class TestVerifyBound:
                     assert entry[key] == 2.0 ** k * base["modes"][mode][key], (k, mode, key)
                 assert entry["holds"] == base["modes"][mode]["holds"]
 
+    @pytest.mark.parametrize("k", [260, 300])
+    def test_coordinates_beyond_the_limit(self, capsys, tmp_path, k):
+        # once printed int|H| = 1.5e85 (about 1.0e79 is right) at 2^260, and nan
+        # at 2^300, both at exit 0: the corner-Gram products overflowed
+        mesh = gen.hemisphere(8, 32)
+        path = tmp_path / "scaled.mesh.json"
+        path.write_text(json.dumps({"dimension": 3, "vertices": (mesh.vertices * 2.0**k).tolist(),
+                                    "triangles": mesh.triangles.tolist()}))
+        code = main(["verify-bound", str(path)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == "error: vertex coordinates must be at most 2^240 in absolute value\n"
+
+    def test_largest_coordinates_scale_every_length(self, capsys, tmp_path):
+        # the hemisphere's largest coordinate is 1, so 2^240 is the limit itself
+        mesh = gen.hemisphere(8, 32)
+        docs = {}
+        for k in (0, 240):
+            save_mesh(SurfaceMesh(mesh.vertices * 2.0**k, mesh.triangles), tmp_path / "m.mesh.json")
+            code, _ = run(capsys, ["verify-bound", str(tmp_path / "m.mesh.json"),
+                                   "--json", str(tmp_path / "r.json")])
+            assert code == 0
+            docs[k] = json.loads((tmp_path / "r.json").read_text())
+        for key in ("diameter", "total_mean_curvature", "boundary_length"):
+            assert docs[240][key] == 2.0**240 * docs[0][key], key
+        for mode, entry in docs[240]["modes"].items():
+            assert entry["bound"] == 2.0**240 * docs[0]["modes"][mode]["bound"]
+            assert entry["holds"] == docs[0]["modes"][mode]["holds"]
+
     def test_missing_file(self, capsys):
         code, _ = run(capsys, ["verify-bound", "/nonexistent.obj"])
         assert code == 1
@@ -229,13 +259,33 @@ class TestCheckContour:
         '{"dimension": 3}',
         '{"dimension": 3, "components": [{"vertices": '
         '[[0, 0, 0], [1, 0, 0], [NaN, 1, 0]]}]}',
+        '{"dimension": 3, "components": [{"vertices": "[[0, 0, 0], [1, 0, 0], [0, 1, 0]]"}]}',
+        '{"dimension": 3, "components": [{"vertices": 5}]}',
+        '{"dimension": 3, "components": [{"vertices": [[0, 0, 0], [1, 0], [0, 1, 0]]}]}',
     ])
     def test_malformed_contour_exit_code(self, capsys, tmp_path, doc):
         path = tmp_path / "bad.contour.json"
         path.write_text(doc)
         code = main(["check-contour", str(path)])
+        captured = capsys.readouterr()
         assert code == 1
-        assert capsys.readouterr().err.startswith("error: ")
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("k, code", [(239, 2), (240, 1), (510, 1)])
+    def test_coordinate_limit(self, capsys, tmp_path, k, code):
+        # the 2048-gons' largest coordinate is 2; at 2^510 the check ended in an
+        # IndexError, and past 2^240 it is refused before any number is printed
+        c = gen.coaxial_circles_contour(1.0, 2.0, 64)
+        path = tmp_path / "scaled.contour.json"
+        path.write_text(json.dumps({"dimension": 3, "components": [
+            {"vertices": (a * 2.0**k).tolist()} for a in c.components]}))
+        assert main(["check-contour", str(path)]) == code
+        captured = capsys.readouterr()
+        if code == 1:
+            assert captured.out == ""
+            assert captured.err == ("error: component 0 has a coordinate beyond 2^240 "
+                                    "in absolute value\n")
 
     def test_empty_contour_document(self, capsys, tmp_path):
         path = tmp_path / "empty.contour.json"

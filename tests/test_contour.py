@@ -56,6 +56,9 @@ class TestContourValidation:
         ("flat", "repeated", r"component 1 must be \(m, 3\), got \(3, 2\)"),
         ("fine", "repeated", "component 2 has consecutive duplicate points"),
         ("fine", "two points", "component 2 has fewer than 3 points"),
+        ("large", "repeated", r"component 1 has a coordinate beyond 2\^240 in absolute value"),
+        ("non-finite", "large", "component 1 has non-finite coordinates"),
+        ("repeated", "large", "component 1 has consecutive duplicate points"),
     ])
     def test_first_bad_component_named(self, first, second, message):
         comps = {
@@ -64,6 +67,7 @@ class TestContourValidation:
             "non-finite": [[0, 0, 2], [np.nan, 0, 2], [0, 1, 2]],
             "two points": [[0, 0, 3], [1, 0, 3]],
             "flat": [[0, 0], [1, 0], [0, 1]],
+            "large": [[0, 0, 4], [-np.nextafter(2.0**240, np.inf), 0, 4], [0, 1, 4]],
         }
         with pytest.raises(ContourError, match=f"^{message}$"):
             Contour([comps["fine"], comps[first], comps[second]])
@@ -286,7 +290,7 @@ class TestContourIO:
         back = load_contour(path)
         assert back.n_components == 2
         for a, b in zip(back.components, c.components):
-            assert np.allclose(a, b)
+            assert a.tobytes() == b.tobytes()
 
     def test_dimension_enforced(self, tmp_path):
         path = tmp_path / "bad.contour.json"
@@ -300,6 +304,9 @@ class TestContourIO:
         '{"dimension": 3, "components": [{"verts": [[0, 0, 0]]}]}',
         '{"dimension": 3, "components": [[[0, 0, 0], [1, 0, 0], [0, 1, 0]]]}',
         '[3]',
+        '{"dimension": 3, "components": [{"vertices": "[[0, 0, 0], [1, 0, 0], [0, 1, 0]]"}]}',
+        '{"dimension": 3, "components": [{"vertices": 5}]}',
+        '{"dimension": 3, "components": [{"vertices": [[0, 0, 0], [1, 0], [0, 1, 0]]}]}',
     ])
     def test_malformed_document_rejected(self, tmp_path, doc):
         path = tmp_path / "bad.contour.json"

@@ -11,7 +11,7 @@ from curvebound import audit
 from curvebound import generators as gen
 from curvebound import mesh as mesh_module
 from curvebound.audit import run_audit
-from curvebound.mesh import (DIAMETER_TOL, MeshError, SurfaceMesh,
+from curvebound.mesh import (COORDINATE_LIMIT, DIAMETER_TOL, MeshError, SurfaceMesh,
                              boundary_length, extrinsic_diameter,
                              geodesic_distances, intrinsic_diameter, load_mesh,
                              save_mesh, validate)
@@ -620,8 +620,8 @@ class TestIO:
     @pytest.mark.parametrize("mesh", [
         gen.flat_disk(1.0, 4, 16),
         gen.embed_in_r4(gen.flat_disk(1.0, 4, 16)),
-        SurfaceMesh([[-0.0, 1e300, -1e-300], [1e-300, -0.0, 5e-324], [0.1, -1e300, 1.0]],
-                    [[0, 1, 2]]),
+        SurfaceMesh([[-0.0, 2.0**240, -1e-300], [1e-300, -0.0, 5e-324], [0.1, -2.0**240, 1.0]],
+                    [[0, 1, 2]]),  # the largest coordinates a mesh accepts
         SurfaceMesh([[0.0, 0.5, 1.0], [2.0, 3.0, 4.0]], np.empty((0, 3), dtype=np.int64)),
     ], ids=["disk", "disk_r4", "signed_zero_and_extremes", "no_triangles"])
     def test_mesh_json_bytes_match_json_dumps(self, tmp_path, mesh):
@@ -645,6 +645,16 @@ class TestConstruction:
     def test_non_finite_vertex_rejected(self, bad):
         with pytest.raises(MeshError, match="finite"):
             SurfaceMesh([[0, 0, 0], [1, 0, 0], [0, bad, 0]], [[0, 1, 2]])
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_coordinate_limit(self, sign):
+        # 2^240 keeps the degree-4 corner-Gram products finite; one ulp more is refused
+        limit = sign * COORDINATE_LIMIT
+        SurfaceMesh([[0, 0, 0], [1, 0, 0], [0, limit, 0]], [[0, 1, 2]])
+        with pytest.raises(MeshError, match=r"^vertex coordinates must be at most 2\^240 "
+                                            r"in absolute value$"):
+            SurfaceMesh([[0, 0, 0], [1, 0, 0], [0, np.nextafter(limit, 2 * limit), 0]],
+                        [[0, 1, 2]])
 
     def test_vertices_frozen(self, unit_disk):
         with pytest.raises(ValueError):
