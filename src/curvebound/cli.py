@@ -5,9 +5,11 @@ All floating output is printed at 12 significant digits; identical
 configuration and seed produce byte-identical reports.
 Exit codes: 0 analysis ran (and ``--help``), 2 at least one criterion
 certified nonexistence (check-contour only), 1 bad input or usage, with
-nothing on stdout. A contour whose components touch or cross is bad input,
-and so is an invalid mesh, or a disconnected one given to verify-bound or
-double.
+nothing on stdout. Every output file is written before the first line is
+printed, so an output path that cannot be written exits 1 too. A contour
+whose components touch or cross is bad input, and so is an invalid mesh, a
+disconnected one given to verify-bound or double, or a k below 1 in
+double's list (checked before any double is built or written).
 """
 
 import argparse
@@ -52,11 +54,8 @@ def cmd_verify_bound(args):
     curv = total_mean_curvature(mesh)
     blen = boundary_length(mesh)
     n = mesh.dimension
-    _print(f"mesh: {args.mesh}")
-    _print(f"dimension = {n}, closed = {report.closed}")
-    _print(f"d = {_fmt(d)}")
-    _print(f"int|H| = {_fmt(curv)}")
-    _print(f"boundary length = {_fmt(blen)}")
+    lines = [f"mesh: {args.mesh}", f"dimension = {n}, closed = {report.closed}",
+             f"d = {_fmt(d)}", f"int|H| = {_fmt(curv)}", f"boundary length = {_fmt(blen)}"]
     doc = {"mesh": str(args.mesh), "dimension": n, "closed": report.closed,
            "diameter": d, "total_mean_curvature": curv, "boundary_length": blen,
            "modes": {}}
@@ -68,13 +67,14 @@ def cmd_verify_bound(args):
         margin = rhs - d
         ok = d <= rhs
         tag = "" if mode == "proven" else " (conjectural constant, NOT a proof)"
-        _print(f"[{mode}] bound = {formula}/{_fmt(ct)} = {_fmt(rhs)}; "
-               f"d <= bound: {ok}, margin = {_fmt(margin)}{tag}")
+        lines.append(f"[{mode}] bound = {formula}/{_fmt(ct)} = {_fmt(rhs)}; "
+                     f"d <= bound: {ok}, margin = {_fmt(margin)}{tag}")
         doc["modes"][mode] = {"constant": ct, "bound": rhs, "holds": ok,
                               "margin": margin}
     if args.json:
         with open(args.json, "w") as fh:
             json.dump(doc, fh, indent=1, sort_keys=True)
+    _print("\n".join(lines))
     return 0
 
 
@@ -84,59 +84,61 @@ def cmd_double(args):
     header = ["k", "epsilon", "sigma_curvature", "sigma_diameter",
               "target_curvature", "target_diameter", "curvature_error",
               "diameter_error"]
-    if args.out_dir:
-        os.makedirs(args.out_dir, exist_ok=True)
     table = []
-    # export each double with its row instead of building it again afterwards
+    # export each double with its row instead of building it again afterwards;
+    # the directory is made once the mesh and every k have passed their checks
     for r, dbl in doubling_mod.convergence_rows(mesh, k_list):
         table.append([str(r["k"])] + [_fmt(r[h]) for h in header[1:]])
         if args.out_dir:
+            os.makedirs(args.out_dir, exist_ok=True)
             base = os.path.join(args.out_dir, f"double_k{r['k']}")
             save_mesh(dbl.sigma, base + ".mesh.json")
             with open(base + ".provenance.json", "w") as fh:
                 json.dump({label: [int(a), int(b)] for label, (a, b) in
                            dbl.provenance.items()}, fh, indent=1, sort_keys=True)
         del dbl  # one double alive: convergence_rows builds the next with this one freed
-    for line in [header] + table:
-        _print(" ".join(line))
     if args.csv:
         with open(args.csv, "w", newline="") as fh:
             csv.writer(fh).writerows([header] + table)
+    lines = [" ".join(line) for line in [header] + table]
     if args.out_dir:
-        _print(f"doubled meshes written to {args.out_dir}")
+        lines.append(f"doubled meshes written to {args.out_dir}")
+    _print("\n".join(lines))
     return 0
 
 
 def cmd_teardrop(args):
     # build every curve before printing, so a bad k leaves stdout empty
     curves = [teardrop_mod.build_teardrop(int(tok)) for tok in args.k.split(",")]
-    _print("k length total_abs_curvature deviation_from_pi max_radius")
+    lines = ["k length total_abs_curvature deviation_from_pi max_radius"]
     for curve in curves:
         turn = curve.turning()
-        _print(" ".join([str(curve.k), _fmt(curve.total_length), _fmt(turn),
-                         _fmt(abs(turn - np.pi)), _fmt(curve.max_radius())]))
+        lines.append(" ".join([str(curve.k), _fmt(curve.total_length), _fmt(turn),
+                               _fmt(abs(turn - np.pi)), _fmt(curve.max_radius())]))
         if args.export:
             os.makedirs(args.export, exist_ok=True)
             teardrop_mod.save_teardrop(
                 curve, os.path.join(args.export, f"teardrop_k{curve.k}.txt"))
+    _print("\n".join(lines))
     return 0
 
 
 def cmd_check_contour(args):
     contour = load_contour(args.contour)
     doc = criteria_mod.analyze(contour, mode=args.mode, search_budget=args.budget)
-    _print(f"contour: {doc['n_components']} component(s), "
-           f"d = {doc['diameter']:.12g}, length = {doc['length']:.12g}")
-    _print(f"{'criterion':<18} {'verdict':<26} {'margin':<22} notes")
+    lines = [f"contour: {doc['n_components']} component(s), "
+             f"d = {doc['diameter']:.12g}, length = {doc['length']:.12g}",
+             f"{'criterion':<18} {'verdict':<26} {'margin':<22} notes"]
     for e in doc["criteria"]:
         margin = "-" if e["margin"] is None else f"{e['margin']:.12g}"
-        _print(f"{e['name']:<18} {e['verdict']:<26} {margin:<22} {e['notes']}")
+        lines.append(f"{e['name']:<18} {e['verdict']:<26} {margin:<22} {e['notes']}")
     if len({e["verdict"] for e in doc["criteria"]} - {criteria_mod.VERDICT_NOT_APPLICABLE}) > 1:
-        _print("note: criteria disagree on this contour; they are "
-               "qualitatively independent and this is expected for some families.")
+        lines.append("note: criteria disagree on this contour; they are "
+                     "qualitatively independent and this is expected for some families.")
     if args.json:
         with open(args.json, "w") as fh:
             json.dump(doc, fh, indent=1, sort_keys=True)
+    _print("\n".join(lines))
     return 2 if doc["certified_any"] else 0
 
 
@@ -207,24 +209,26 @@ def cmd_audit(args):
         library = gen_mod.closed_library_meshes()
         shapes = {name: library[name] for name in ("icosphere3", "capped_cylinder_0.5_4")}
     doc = audit_mod.run_audit(shapes=shapes, probes_per_shape=args.probes, seed=args.seed)
-    _print("identity: coefficient = " + _fmt(doc["identity"]["coefficient"])
-           + ", perturbed(pi/3) = " + _fmt(doc["identity"]["perturbed_coefficient"])
-           + ", holds = " + str(doc["identity"]["holds"]))
+    lines = ["identity: coefficient = " + _fmt(doc["identity"]["coefficient"])
+             + ", perturbed(pi/3) = " + _fmt(doc["identity"]["perturbed_coefficient"])
+             + ", holds = " + str(doc["identity"]["holds"])]
     for shape, recs in doc["michael_simon"].items():
         worst = min(r["margin"] for r in recs)
-        _print(f"michael-simon {shape}: {len(recs)} test functions, "
-               f"all hold = {all(r['holds'] for r in recs)}, "
-               f"worst margin = {_fmt(worst)}")
+        lines.append(f"michael-simon {shape}: {len(recs)} test functions, "
+                     f"all hold = {all(r['holds'] for r in recs)}, "
+                     f"worst margin = {_fmt(worst)}")
     for shape, recs in doc["dichotomy"].items():
         worst = min(max(r["m"], r["kappa"]) for r in recs)
-        _print(f"dichotomy {shape}: {len(recs)} probes, "
-               f"all hold = {all(r['holds'] for r in recs)}, "
-               f"min max(m,kappa) = {_fmt(worst)} > pi/4 = {_fmt(np.pi / 4)}")
+        lines.append(f"dichotomy {shape}: {len(recs)} probes, "
+                     f"all hold = {all(r['holds'] for r in recs)}, "
+                     f"min max(m,kappa) = {_fmt(worst)} > pi/4 = {_fmt(np.pi / 4)}")
     for shape, rec in doc["covering"].items():
-        _print(f"covering {shape}: d_int in [{_fmt(rec['d_int'])}, {_fmt(rec['d_int_upper'])}], "
-               f"upper <= bound = {_fmt(rec['bound'])}: {rec['holds']}, "
-               f"curvature/d_int in [{_fmt(rec['ratio_lower'])}, {_fmt(rec['ratio_upper'])}]")
-    _print(f"audit all hold: {doc['all_hold']}")
+        lines.append(f"covering {shape}: d_int in [{_fmt(rec['d_int'])}, "
+                     f"{_fmt(rec['d_int_upper'])}], "
+                     f"upper <= bound = {_fmt(rec['bound'])}: {rec['holds']}, "
+                     f"curvature/d_int in [{_fmt(rec['ratio_lower'])}, "
+                     f"{_fmt(rec['ratio_upper'])}]")
+    lines.append(f"audit all hold: {doc['all_hold']}")
     if args.json:
         with open(args.json, "w") as fh:
             json.dump(doc, fh, indent=1, sort_keys=True)
@@ -244,6 +248,7 @@ def cmd_audit(args):
             for shape, rec in doc["covering"].items():
                 w.writerow(["covering", shape, "d_int_upper", _fmt(rec["d_int_upper"]),
                             _fmt(rec["bound"]), rec["holds"]])
+    _print("\n".join(lines))
     return 0
 
 

@@ -66,11 +66,7 @@ class Contour:
                 else f"component {i} has consecutive duplicate points")
         pts.setflags(write=False)
         self.components = [pts[o:o + m] for o, m in zip(offsets.tolist(), counts.tolist())]
-        self.dimension = 3
         self._cache = {}  # derived measures; components are never mutated
-
-    def __len__(self):
-        return len(self.components)
 
     @property
     def n_components(self):

@@ -50,7 +50,6 @@ class TauRoot:
     tau: float
     sinh_sq: float
     residual: float
-    iterations: int
 
 
 def tau_root() -> TauRoot:
@@ -61,11 +60,11 @@ def tau_root() -> TauRoot:
     iterations is a hard failure (it must not occur).
     """
     tau = 1.2
-    for it in range(1, TAU_MAX_ITER + 1):
+    for _ in range(TAU_MAX_ITER):
         g = np.cosh(tau) - tau * np.sinh(tau)
         if abs(g) <= TAU_TOL:
             return TauRoot(tau=float(tau), sinh_sq=float(np.sinh(tau) ** 2),
-                           residual=float(abs(g)), iterations=it)
+                           residual=float(abs(g)))
         tau = tau + g / (tau * np.cosh(tau))
     raise RuntimeError(f"tau Newton iteration failed to reach {TAU_TOL}")
 

@@ -14,8 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curvature import total_mean_curvature
-from .mesh import (MeshError, SurfaceMesh, boundary_length, degenerate_triangles,
-                   extrinsic_diameter, validate)
+from .mesh import MeshError, SurfaceMesh, boundary_length, extrinsic_diameter, validate
 from .teardrop import TeardropCurve, build_sweep_profile
 
 EPS_BAR_CAP = 0.5  # threshold cap when the frame has no measurable bending
@@ -163,24 +162,16 @@ def regularity_threshold(frame: BoundaryFrame) -> float:
 def build_tube(frame: BoundaryFrame, teardrop: TeardropCurve, epsilon: float) -> SurfaceMesh:
     """Sweep the teardrop profile along the framed loop into an annulus mesh.
 
-    Rows follow the profile samples; both end rows reproduce the loop
-    positions exactly (profile endpoints sit at the origin). Quads are split
-    on a consistent diagonal; the row-0 edges run against the loop direction
-    so the tube glues orientation-consistently onto the source mesh.
+    Rows follow the profile samples and columns the loop samples; both end
+    rows reproduce the loop positions exactly (profile endpoints sit at the
+    origin). Quads are split on a consistent diagonal; the row-0 edges run
+    against the loop direction so the tube glues orientation-consistently
+    onto the source mesh. Its cells are checked where they end up, by the
+    double's ``validate``.
     """
     eps_bar = regularity_threshold(frame)
     if not 0.0 < epsilon < eps_bar:
         raise MeshError(f"epsilon {epsilon} outside the regular range (0, {eps_bar})")
-    tube = SurfaceMesh(*_tube_grid(frame, teardrop, epsilon))
-    bad = degenerate_triangles(tube)
-    if len(bad):
-        raise MeshError(f"degenerate tube cell {bad[0]} "
-                        f"(area {tube.triangle_areas()[bad[0]]:.3e})")
-    return tube
-
-
-def _tube_grid(frame, teardrop, epsilon):
-    """Vertex grid (rows = profile samples, cols = loop samples) and triangles."""
     x = teardrop.points[:, 0]
     y = teardrop.points[:, 1]
     n_rows = len(x)
@@ -200,8 +191,7 @@ def _tube_grid(frame, teardrop, epsilon):
     d = rows * m + nxt           # (row, j+1)
     t1 = np.stack([a, b, c], axis=-1).reshape(-1, 3)
     t2 = np.stack([a, c, d], axis=-1).reshape(-1, 3)
-    tris = np.concatenate([t1, t2])
-    return verts, tris
+    return SurfaceMesh(verts, np.concatenate([t1, t2]))
 
 
 @dataclass
@@ -288,8 +278,12 @@ def convergence_rows(mesh: SurfaceMesh, k_list):
     Each row holds the double's measured curvature and diameter and their
     limits, computed from the input mesh with the same discrete operators:
     target curvature 2*int|H| + (pi/2)*l(boundary), target diameter d(M).
+    An unfit mesh or a k below 1 raises before the first double is built.
     """
     _framed(mesh)  # an unfit mesh is rejected before it is measured
+    k_list = list(k_list)
+    if any(k < 1 for k in k_list):
+        raise ValueError("k must be a positive integer")
     base_curv = total_mean_curvature(mesh)
     base_len = boundary_length(mesh)
     base_diam = extrinsic_diameter(mesh.vertices)

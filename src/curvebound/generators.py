@@ -349,8 +349,11 @@ def sphere_circles(X: SphericalPointSet, radius, segments=64) -> Contour:
 
     Each circle is the boundary of a geodesic cap: a Euclidean circle of
     radius sin(radius) in the plane at height cos(radius) along the center.
-    Disjointness requires radius < packing radius.
+    The radius must be positive, and disjointness requires radius < packing
+    radius.
     """
+    if not radius > 0.0:  # NaN too
+        raise ValueError(f"radius {radius} must be positive")
     if radius >= X.packing_radius:
         raise ValueError(
             f"radius {radius} >= packing radius {X.packing_radius}; circles would meet"

@@ -17,7 +17,6 @@ DEGENERATE_AREA_TOL = 1e-12  # relative to the triangle's longest squared edge
 COORDINATE_LIMIT = 2.0**240
 _DIAMETER_LEAF = 16  # points per kd leaf in extrinsic_diameter
 _DIAMETER_BATCH = 128  # leaf pairs per numpy call in extrinsic_diameter
-_ECC_BATCH = 2  # Dijkstra sources per call in intrinsic_diameter
 _JSON_ROWS = 4096  # array rows formatted per write in _write_json_rows
 DIAMETER_TOL = 1e-2  # relative width of the bracket intrinsic_diameter returns
 
@@ -140,10 +139,6 @@ class SurfaceMesh:
 
     # -- connectivity ------------------------------------------------------
 
-    def _directed_edges(self):
-        t = self.triangles
-        return np.concatenate([t[:, [0, 1]], t[:, [1, 2]], t[:, [2, 0]]])
-
     def _edge_tables(self):
         """Edge table from 1-D int64 keys, built once per mesh.
 
@@ -154,7 +149,8 @@ class SurfaceMesh:
         """
         if "edge_tables" not in self._cache:
             n = max(self.n_vertices, 1)
-            de = self._directed_edges()
+            t = self.triangles
+            de = np.concatenate([t[:, [0, 1]], t[:, [1, 2]], t[:, [2, 0]]])
             keys = de.min(axis=1)
             keys *= n
             keys += de.max(axis=1)
@@ -174,14 +170,6 @@ class SurfaceMesh:
     def edges(self):
         return self._edge_tables()[0]
 
-    def edge_lengths(self):
-        e = self.edges
-        return np.linalg.norm(self.vertices[e[:, 0]] - self.vertices[e[:, 1]], axis=1)
-
-    def boundary_edges(self):
-        edges, counts = self._edge_tables()[:2]
-        return edges[counts == 1]
-
     def is_closed(self):
         return bool(np.all(self._edge_tables()[1] == 2))
 
@@ -193,7 +181,7 @@ class SurfaceMesh:
         if "adjacency" not in self._cache:
             from scipy import sparse
             e = self.edges
-            w = self.edge_lengths()
+            w = np.linalg.norm(self.vertices[e[:, 0]] - self.vertices[e[:, 1]], axis=1)
             n = self.n_vertices
             i = np.concatenate([e[:, 0], e[:, 1]])
             j = np.concatenate([e[:, 1], e[:, 0]])
@@ -229,10 +217,9 @@ class SurfaceMesh:
         return self._cache["connected"]
 
     def boundary_vertex_mask(self):
+        """The vertices of the boundary edges (each held once, in its one direction)."""
         mask = np.zeros(self.n_vertices, dtype=bool)
-        be = self.boundary_edges()
-        if len(be):
-            mask[be.ravel()] = True
+        mask[self._edge_tables()[4].ravel()] = True
         return mask
 
     # -- boundary loops ----------------------------------------------------
@@ -274,24 +261,18 @@ class SurfaceMesh:
         return loops
 
 
-def degenerate_triangles(mesh: SurfaceMesh) -> np.ndarray:
-    """Indices of the triangles whose area is at most DEGENERATE_AREA_TOL times
-    their longest squared edge: scale-free, and <= keeps a triangle whose
-    corners coincide degenerate."""
-    return np.nonzero(mesh.triangle_areas()
-                      <= DEGENERATE_AREA_TOL * mesh.corner_gram()[0].max(axis=1))[0]
-
-
 def validate(mesh: SurfaceMesh) -> ValidationReport:
     """Check manifoldness, orientation, degeneracy and boundary structure.
 
     The mesh is usable by the other operations only when the report says
-    ``is_valid``.
+    ``is_valid``. A triangle is degenerate when its area is at most
+    DEGENERATE_AREA_TOL times its longest squared edge: scale-free, and <=
+    keeps a triangle whose corners coincide degenerate.
     """
     errors = []
 
     areas = mesh.triangle_areas()
-    degenerate = degenerate_triangles(mesh)
+    degenerate = np.nonzero(areas <= DEGENERATE_AREA_TOL * mesh.corner_gram()[0].max(axis=1))[0]
     for i in degenerate[:10]:
         errors.append(f"degenerate triangle {i} (area {areas[i]:.3e})")
     if len(degenerate) > 10:
@@ -315,7 +296,7 @@ def validate(mesh: SurfaceMesh) -> ValidationReport:
         for a, b in zip(*np.divmod(dkeys[de_counts > 1][:10], mesh.n_vertices)):
             errors.append(f"inconsistent orientation across edge ({a}, {b})")
 
-    closed = bool(np.all(ue_counts == 2))
+    closed = mesh.is_closed()
     n_loops, loops_traced = 0, True
     if manifold and oriented:
         try:
@@ -512,21 +493,22 @@ def intrinsic_diameter(mesh: SurfaceMesh) -> tuple[float, float]:
     """Certified bracket ``(lower, upper)`` on the max vertex eccentricity of the edge graph.
 
     Eccentricity bounds after BoundingDiameters (Takes & Kosters, CIKM 2011)
-    with the iFUB bound (Crescenzi et al., TCS 2013). Dijkstra runs from
-    batches of _ECC_BATCH candidates, one ``csgraph.dijkstra`` call each:
-    half in descending distance from u, the computed source of least
-    eccentricity (iFUB's order), and half with the smallest lower bounds
-    max(d, e - d) from sources of eccentricity e (central vertices). A
+    with the iFUB bound (Crescenzi et al., TCS 2013). Each
+    ``csgraph.dijkstra`` call runs from two sources: the candidate farthest
+    from u, the computed source of least eccentricity (iFUB's order), and
+    the other candidate with the smallest lower bound max(d, e - d) from
+    sources of eccentricity e (a central vertex); ties go to the first
+    candidate (a lone candidate is the one source of the last call). A
     candidate w is dropped once max(colmax[w], reach[w]), widened by a
     relative slack, is at most best * (1 + DIAMETER_TOL), with best the
     largest eccentricity computed so far. colmax[w], the largest computed
-    distance to w, is a running maximum over each batch's new rows, as is the
+    distance to w, is a running maximum over each call's new rows, as is the
     lower bound max(e - d). reach[w] bounds the distance from w to every
     vertex still a candidate: it is the least of d(v, w) + m_v over computed
     sources v, with m_v the largest distance from v to a candidate that is
-    not a source of this batch. Every computed row is kept on the
+    not a source of this call. Every computed row is kept on the
     candidates' columns (sources and dropped vertices leave in one
-    compaction per batch), so m_v and reach are read again after each batch;
+    compaction per call), so m_v and reach are read again after each call;
     u is a computed source, so this includes the iFUB bound. Every other
     vertex was computed or dropped. ``lower`` is the best
     eccentricity computed, and ``upper`` is lower * (1 + DIAMETER_TOL) *
@@ -567,10 +549,12 @@ def intrinsic_diameter(mesh: SurfaceMesh) -> tuple[float, float]:
     live, colmax, spread = np.arange(n), np.zeros(n), np.zeros(n)
     rows, from_u, best = np.zeros((0, n)), np.full(n, np.inf), 0.0
     while len(live):
-        far = live[_least(-from_u[live], _ECC_BATCH // 2)]
-        central = live[_least(np.maximum(colmax, spread), _ECC_BATCH)]
-        central = central[~np.isin(central, far, kind="sort")][:_ECC_BATCH - len(far)]
-        sources = np.concatenate([far, central])
+        picks = [int(np.argmax(from_u[live]))]
+        if len(live) > 1:
+            bound = np.maximum(colmax, spread)  # finite: the mesh is connected
+            bound[picks[0]] = np.inf
+            picks.append(int(np.argmin(bound)))
+        sources = live[picks]
         d = csgraph.dijkstra(graph, directed=True, indices=sources)
         ecc = d.max(axis=1)
         best = max(best, float(ecc.max()))
@@ -581,23 +565,12 @@ def intrinsic_diameter(mesh: SurfaceMesh) -> tuple[float, float]:
         rows = np.vstack([rows, new])
         colmax = np.maximum(colmax, new.max(axis=0))
         spread = np.maximum(spread, (ecc[:, None] - new).max(axis=0))
-        rest = ~np.isin(live, sources, kind="sort")
+        rest = np.ones(len(live), dtype=bool)
+        rest[picks] = False
         reach = (rows + rows.max(axis=1, where=rest, initial=0.0)[:, None]).min(axis=0)
         keep = rest & (np.maximum(colmax, reach) * (1.0 + slack) > best * (1.0 + DIAMETER_TOL))
         live, colmax, spread, rows = live[keep], colmax[keep], spread[keep], rows[:, keep]
     return best, float(best * (1.0 + DIAMETER_TOL) * (1.0 + slack))
-
-
-def _least(values, k):
-    """The first k indices of a stable argsort of ``values``, found by selection.
-
-    Every index whose value is at most the (k+1)-th least value is sorted,
-    in index order, so ties go to the first index as in the full sort.
-    """
-    if k >= len(values):
-        return np.argsort(values, kind="stable")
-    small = np.flatnonzero(values <= np.partition(values, k)[k])
-    return small[np.argsort(values[small], kind="stable")][:k]
 
 
 # -- file formats -------------------------------------------------------------

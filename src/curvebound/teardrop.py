@@ -106,11 +106,6 @@ class TeardropCurve:
         """Total absolute curvature (the cusp angle at the origin not included)."""
         return total_abs_curvature(self.points)
 
-    def to_rows(self):
-        """Rows of 's x y' for the two-column text export."""
-        return np.column_stack([self.s, self.points])
-
-
 def _assemble(k, upper_half):
     """Mirror the upper half across y = 0 and glue; snap endpoints to the origin."""
     m = len(upper_half)
@@ -127,25 +122,16 @@ def _assemble(k, upper_half):
     return TeardropCurve(k=int(k), s=s, points=pts)
 
 
-def build_teardrop(k, samples_per_unit=100) -> TeardropCurve:
+def build_teardrop(k) -> TeardropCurve:
     """Build the index-k teardrop, resampled at uniform arclength.
 
-    The sampling density is raised automatically so the half-circle (length
+    The sampling density per unit length is set so the half-circle (length
     pi/k) carries at least 4096 samples; that tight arc dominates the
-    turning-angle measurement.
-
-    Parameters
-    ----------
-    k : int
-        Cusp circle radius is 1/k. Must be >= 1.
-    samples_per_unit : int
-        Base resampling density (>= 100).
+    turning-angle measurement. The cusp circle radius is 1/k, k >= 1.
     """
     if k < 1:
         raise ValueError("k must be a positive integer")
-    if samples_per_unit < 100:
-        raise ValueError("samples_per_unit must be at least 100")
-    density = max(samples_per_unit, int(np.ceil(_MIN_CIRCLE_SAMPLES * k / np.pi)))
+    density = int(np.ceil(_MIN_CIRCLE_SAMPLES * k / np.pi))
 
     s_graph = _graph_arclength_grid(k)
     graph_len = s_graph[-1]
@@ -187,5 +173,5 @@ def save_teardrop(curve: TeardropCurve, path):
     """Two-column-per-point text export: 's x y' rows."""
     with open(path, "w") as fh:
         fh.write(f"# teardrop k={curve.k} length={curve.total_length:.12g}\n")
-        for s, x, y in curve.to_rows():
+        for s, x, y in np.column_stack([curve.s, curve.points]):
             fh.write("%.12g %.12g %.12g\n" % (s, x, y))

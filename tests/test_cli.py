@@ -402,6 +402,30 @@ class TestDoubleCommand:
         assert len(loops) == 2
         assert calls == [(k, loop) for k in (10, 25) for loop in loops]
 
+    def test_large_copy_rejected_by_the_double_validation(self, capsys, tmp_path):
+        # at 2^20 the absolute 1/(2k) amplitude flattens tube cells, and the
+        # double's validate, the one degeneracy check, names them
+        path = tmp_path / "hemisphere.mesh.json"
+        hemi = gen.hemisphere(8, 32)
+        save_mesh(SurfaceMesh(hemi.vertices * 2.0 ** 20, hemi.triangles), path)
+        code = main(["double", str(path), "--k-list", "10"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith("error: doubling produced a bad surface:\n")
+        assert "  error: degenerate triangle " in captured.err
+
+    def test_bad_k_rejected_before_any_double(self, capsys, tmp_path):
+        out_dir = tmp_path / "doubles"
+        path = tmp_path / "disk.mesh.json"
+        save_mesh(gen.flat_disk(1.0, 8, 32), path)
+        code = main(["double", str(path), "--k-list", "10,0", "--out-dir", str(out_dir)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == "error: k must be a positive integer\n"
+        assert not out_dir.exists()
+
     def test_closed_mesh_is_an_error(self, capsys, tmp_path):
         path = tmp_path / "sphere.obj"
         save_mesh(gen.icosphere(2), path)
@@ -537,6 +561,22 @@ class TestGenCommand:
         assert "segments" in captured.err and "Traceback" not in captured.err
         assert not out.exists()
 
+    @pytest.mark.parametrize("name,params", [
+        ("net", ["epsilon=0.3", "radius=-1"]),
+        ("sphere-circles", ["radius=-0.2"]),
+        ("sphere-circles", ["radius=0"]),
+    ])
+    def test_nonpositive_circle_radius(self, capsys, tmp_path, name, params):
+        out = tmp_path / "x.contour.json"
+        code = main(["gen", name] + [a for p in params for a in ("--param", p)]
+                    + ["--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith("error: radius ")
+        assert "must be positive" in captured.err
+        assert not out.exists()
+
     @pytest.mark.parametrize("name,param", [
         ("open-cylinder", "rings=0"),
         ("icosphere", "subdivisions=1.5"),
@@ -587,6 +627,30 @@ class TestGenCommand:
         assert captured.err.startswith("error: half_gap")
         assert "Traceback" not in captured.err
         assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify-bound", "{disk}", "--json", "{bad}"],
+    ["double", "{disk}", "--k-list", "10", "--csv", "{bad}"],
+    ["double", "{disk}", "--k-list", "10", "--out-dir", "{bad}"],
+    ["teardrop", "--k", "10", "--export", "{bad}"],
+    ["check-contour", "{contour}", "--json", "{bad}"],
+    ["audit", "--quick", "--probes", "2", "--csv", "{bad}"],
+    ["audit", "--quick", "--probes", "2", "--json", "{bad}"],
+], ids=["verify-bound-json", "double-csv", "double-out-dir", "teardrop-export",
+        "check-contour-json", "audit-csv", "audit-json"])
+def test_unwritable_output_leaves_stdout_empty(capsys, tmp_path, disk_obj, antipodal_contour,
+                                               argv):
+    # every file is written before the report is printed
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    paths = {"disk": disk_obj, "contour": antipodal_contour, "bad": str(blocker / "out")}
+    code = main([a.format(**paths) for a in argv])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
 
 
 class TestUsage:

@@ -267,6 +267,12 @@ class TestSphereCircles:
         with pytest.raises(ValueError):
             gen.sphere_circles(gen.antipodal_point_set(), np.pi / 2)
 
+    @pytest.mark.parametrize("radius", [0.0, -0.2, -1.0, float("nan")])
+    def test_nonpositive_radius_rejected(self, radius):
+        # a radius <= 0 would pass the packing-radius guard
+        with pytest.raises(ValueError, match=f"radius {radius} must be positive"):
+            gen.sphere_circles(gen.antipodal_point_set(), radius)
+
     def test_segment_floor(self):
         with pytest.raises(ValueError):
             gen.sphere_circles(gen.antipodal_point_set(), 0.1, segments=8)

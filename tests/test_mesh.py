@@ -443,14 +443,6 @@ class TestIntrinsicDiameter:
             assert len(batches_in_audit) == len(lone), name
             assert all(np.array_equal(a, b) for a, b in zip(batches_in_audit, lone)), name
 
-    @pytest.mark.parametrize("batch", [1, 2, 5, 64])
-    def test_any_batch_size_brackets_all_pairs(self, batch, monkeypatch):
-        # the certificate holds whatever the sources per Dijkstra call
-        monkeypatch.setattr("curvebound.mesh._ECC_BATCH", batch)
-        for mesh in (gen.icosphere(2), gen.flat_disk(1.0, 4, 16),
-                     gen.capped_cylinder(0.5, 3.0, segments=16, rings_cap=4), single_triangle()):
-            assert_brackets_all_pairs(mesh, intrinsic_diameter(mesh))
-
     def test_bound_equal_to_best_drops(self, monkeypatch):
         # a tolerance equal to the rounding slack makes bounds tie the best
         # eccentricity; a tie is "at most" the threshold, so the vertex drops
