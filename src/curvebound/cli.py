@@ -6,14 +6,17 @@ configuration and seed produce byte-identical reports.
 Exit codes: 0 analysis ran (and ``--help``), 2 at least one criterion
 certified nonexistence (check-contour only), 1 bad input or usage, with
 nothing on stdout. Every output file is written before the first line is
-printed, so an output path that cannot be written exits 1 too. A contour
+printed, so an output path that cannot be written exits 1 too; double
+writes every double of --out-dir or none. A contour
 whose components touch or cross is bad input, and so is an invalid mesh, a
 disconnected one given to verify-bound or double, or a k below 1 in
 double's list (checked before any double is built or written).
 """
 
 import argparse
+import contextlib
 import csv
+import functools
 import inspect
 import json
 import os
@@ -84,22 +87,38 @@ def cmd_double(args):
     header = ["k", "epsilon", "sigma_curvature", "sigma_diameter",
               "target_curvature", "target_diameter", "curvature_error",
               "diameter_error"]
-    table = []
-    # export each double with its row instead of building it again afterwards;
-    # the directory is made once the mesh and every k have passed their checks
-    for r, dbl in doubling_mod.convergence_rows(mesh, k_list):
-        table.append([str(r["k"])] + [_fmt(r[h]) for h in header[1:]])
-        if args.out_dir:
-            os.makedirs(args.out_dir, exist_ok=True)
-            base = os.path.join(args.out_dir, f"double_k{r['k']}")
-            save_mesh(dbl.sigma, base + ".mesh.json")
-            with open(base + ".provenance.json", "w") as fh:
-                json.dump({label: [int(a), int(b)] for label, (a, b) in
-                           dbl.provenance.items()}, fh, indent=1, sort_keys=True)
-        del dbl  # one double alive: convergence_rows builds the next with this one freed
-    if args.csv:
-        with open(args.csv, "w", newline="") as fh:
-            csv.writer(fh).writerows([header] + table)
+    table, staged = [], []  # (temporary, final) paths of the exported files
+    made = args.out_dir and not os.path.isdir(args.out_dir)
+    try:
+        # export each double with its row instead of building it again afterwards,
+        # under a temporary name until the last double has validated; the
+        # directory is made once the mesh and every k have passed their checks
+        for r, dbl in doubling_mod.convergence_rows(mesh, k_list):
+            table.append([str(r["k"])] + [_fmt(r[h]) for h in header[1:]])
+            if args.out_dir:
+                os.makedirs(args.out_dir, exist_ok=True)
+                name = f"double_k{r['k']}"
+                staged += [(os.path.join(args.out_dir, f".{name}{ext}"),
+                            os.path.join(args.out_dir, name + ext))
+                           for ext in (".mesh.json", ".provenance.json")]
+                save_mesh(dbl.sigma, staged[-2][0])
+                with open(staged[-1][0], "w") as fh:
+                    json.dump({label: [int(a), int(b)] for label, (a, b) in
+                               dbl.provenance.items()}, fh, indent=1, sort_keys=True)
+            del dbl  # one double alive: convergence_rows builds the next with this one freed
+        if args.csv:
+            with open(args.csv, "w", newline="") as fh:
+                csv.writer(fh).writerows([header] + table)
+        for temporary, final in staged:
+            os.replace(temporary, final)
+    except BaseException:  # every file or none: drop what was staged, then re-raise
+        for temporary, _ in staged:
+            with contextlib.suppress(OSError):
+                os.remove(temporary)
+        if made:
+            with contextlib.suppress(OSError):
+                os.rmdir(args.out_dir)
+        raise
     lines = [" ".join(line) for line in [header] + table]
     if args.out_dir:
         lines.append(f"doubled meshes written to {args.out_dir}")
@@ -265,19 +284,16 @@ def build_parser():
     p = sub.add_parser("verify-bound", help="diameter bound report for a mesh")
     p.add_argument("mesh")
     p.add_argument("--json", help="write the report as JSON")
-    p.set_defaults(func=cmd_verify_bound)
 
     p = sub.add_parser("double", help="close a mesh with boundary and tabulate convergence")
     p.add_argument("mesh")
     p.add_argument("--k-list", default="10,25,50")
     p.add_argument("--csv", help="write the convergence table as CSV")
     p.add_argument("--out-dir", help="export the doubled meshes and provenance here")
-    p.set_defaults(func=cmd_double)
 
     p = sub.add_parser("teardrop", help="teardrop curves and their total curvature")
     p.add_argument("--k", default="10,100,1000")
     p.add_argument("--export", help="write 's x y' sample files here")
-    p.set_defaults(func=cmd_teardrop)
 
     p = sub.add_parser("check-contour", help="run the nonexistence criteria")
     p.add_argument("contour")
@@ -285,7 +301,6 @@ def build_parser():
     p.add_argument("--budget", type=int, default=20000,
                    help="cone search budget (LP rounds)")
     p.add_argument("--json", help="write the report as JSON")
-    p.set_defaults(func=cmd_check_contour)
 
     p = sub.add_parser("gen", help="generate library shapes, contours and nets")
     p.add_argument("name", help="disk|icosphere|hemisphere|capped-cylinder|"
@@ -294,24 +309,31 @@ def build_parser():
     p.add_argument("--param", action="append", metavar="NAME=VALUE",
                    help="builder parameter, repeatable")
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("audit", help="inequality verification suite")
     p.add_argument("--probes", type=int, default=20)
     p.add_argument("--quick", action="store_true", help="small shape set")
     p.add_argument("--json", help="write the report as JSON")
     p.add_argument("--csv", help="write a flat CSV of every check")
-    p.set_defaults(func=cmd_audit)
     return parser
+
+
+@functools.cache
+def _parser():
+    return build_parser()  # one per process: parse_args leaves it as it was
 
 
 def main(argv=None):
     try:
-        args = build_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:  # argparse's usage-error 2 would read as "certified"
         return 1 if exc.code else 0
+    # looked up on each call, so a command rebound in this module runs as bound
+    commands = {"verify-bound": cmd_verify_bound, "double": cmd_double,
+                "teardrop": cmd_teardrop, "check-contour": cmd_check_contour,
+                "gen": cmd_gen, "audit": cmd_audit}
     try:
-        return args.func(args)
+        return commands[args.command](args)
     except (MeshError, ContourError, ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1

@@ -34,6 +34,7 @@ import numpy as np
 from .contour import (Contour, ContourError, component_pair_distances, contour_diameter,
                       contour_length)
 from .generators import icosphere
+from .mesh import component_labels, pairs_within
 
 STRICT_MARGIN = 1e-9  # floor for "strictly positive", relative to the contour's size
 TAU_TOL = 1e-12  # |cosh(tau) - tau*sinh(tau)| at which the Newton root is accepted
@@ -117,28 +118,56 @@ def diameter_length_check(c: Contour, mode="proven") -> CriterionEntry:
 # -- White's criterion -----------------------------------------------------------
 
 
-def bottleneck_split(dist_graph) -> tuple:
-    """Max over bipartitions of the min cross-group distance, with the split.
+def _spanning_tree(n, i, j, w):
+    """Positions of the edges of a minimum spanning tree, or None if the graph
+    on n vertices with edges (i[k], j[k]) of weight w[k] is not connected.
 
-    Equivalent to single linkage: the optimum is the longest edge of the
-    minimum spanning tree of the distance graph, and removing that edge
-    yields an optimal bipartition. Takes a sparse graph whose edge set
-    provably contains the minimum spanning tree.
+    Boruvka's rounds: every component takes its least edge out, ties going
+    to the earlier edge, and the components those edges join merge
+    (``component_labels``), at least halving their number.
     """
-    from scipy.sparse import csgraph
-    d = dist_graph.tocsr()
-    n = d.shape[0]
+    order = np.argsort(w, kind="stable")  # an edge's place here is its rank
+    i, j = i[order], j[order]
+    comp, live, tree = np.arange(n), np.arange(len(order)), []
+    while True:
+        a, b = comp[i[live]], comp[j[live]]
+        out = a != b
+        live, a, b = live[out], a[out], b[out]
+        if not len(live):
+            break
+        least = np.full(n, len(order))
+        np.minimum.at(least, a, live)
+        np.minimum.at(least, b, live)
+        picked = np.unique(least[least < len(order)])
+        tree.append(order[picked])
+        comp = component_labels(n, comp[i[picked]], comp[j[picked]])[comp]
+    return None if comp.any() else np.concatenate(tree)
+
+
+def bottleneck_split(n, i, j, w) -> tuple:
+    """Max over bipartitions of the min cross-group weight, with the split.
+
+    The graph has n vertices and edges (i[k], j[k]) of weight w[k]. The
+    value w* is the longest edge of its minimum spanning tree, the least
+    weight whose threshold graph is connected. The side of vertex 0 among
+    the components of the tree edges of weight < w*, which are those of all
+    edges < w*, is split from the rest: every crossing edge weighs >= w*,
+    and no bipartition does better, since the tree's edges of weight <= w*
+    cross each one. When the longest tree edge is unique, the split is the
+    tree's two sides without it. On a graph holding a minimum spanning tree
+    of the complete distance graph, value and split are the complete
+    graph's. ValueError for n < 2 or a graph that is not connected.
+    """
     if n < 2:
         raise ValueError("need at least 2 components")
-    mst = csgraph.minimum_spanning_tree(d)
-    order = np.argmax(mst.data)
-    value = float(mst.data[order])
-    mst.data[order] = 0.0  # drop the longest edge, split by connectivity
-    mst.eliminate_zeros()
-    _, labels = csgraph.connected_components(mst, directed=False)
-    side0 = tuple(int(i) for i in np.nonzero(labels == labels[0])[0])
-    side1 = tuple(int(i) for i in np.nonzero(labels != labels[0])[0])
-    return value, (side0, side1)
+    tree = _spanning_tree(n, i, j, w)
+    if tree is None:
+        raise ValueError("the graph is not connected")
+    value = w[tree].max()
+    below = tree[w[tree] < value]
+    labels = component_labels(n, i[below], j[below])
+    return float(value), (tuple(np.nonzero(labels == 0)[0].tolist()),
+                          tuple(np.nonzero(labels != 0)[0].tolist()))
 
 
 def white_check(c: Contour) -> CriterionEntry:
@@ -146,19 +175,23 @@ def white_check(c: Contour) -> CriterionEntry:
 
     The bottleneck split is found without any dense matrix. Centroid-ball
     bounds LB <= d(i,j) <= UB bracket every pairwise distance. A connected
-    spanning subgraph of the UB graph crosses every bipartition, so the
-    longest edge t* of its minimum spanning tree is >= the exact bottleneck;
-    here it joins each centroid to its k nearest, k = 8 doubled until
-    connected. Every exact-MST edge has LB <= d <= t*, so exact segment
-    distances are computed only for the pairs with LB <= t*, found by
-    kd-tree among centroids within t* + 2 r_max; their graph provably holds
+    spanning subgraph of the UB graph crosses every bipartition, so its
+    bottleneck t* is >= the exact bottleneck. t* is that of the whole UB
+    graph, taken on the centroid pairs within rho (``pairs_within``): rho
+    starts at 1.5 times the centroids' bounding-box diagonal over sqrt(n),
+    about 1.5 spacings of centroids spread over a surface, and doubles until
+    that graph is connected, then becomes its bottleneck b, until b <= rho.
+    The radius graph then holds every edge of UB < b, as UB >= the centroid
+    distance, so the whole UB graph is not connected below b either, and its
+    bottleneck is b. Every exact-MST edge has LB <= d <= t*, so exact
+    segment distances are computed only for the pairs with LB <= t*, all
+    among the centroid pairs within t* + 2 r_max; their graph provably holds
     the exact minimum spanning tree. LB is compared with t* up to a slack of
     1e-12 * (t* + r_i + r_j), far above the rounding in the bounds and
-    distances, so that rounding cannot drop a tree edge. Touching components
-    (d <= 1e-12 * (r_i + r_j), always candidates) raise ContourError.
+    distances, so that rounding cannot drop a tree edge, and both searches
+    reach 1e-9 beyond their radius. Touching components (d <= 1e-12 * (r_i +
+    r_j), always candidates) raise ContourError.
     """
-    from scipy.sparse import csgraph, csr_matrix
-    from scipy.spatial import cKDTree
     ell = contour_length(c)
     n = c.n_components
     if n < 2:
@@ -174,17 +207,21 @@ def white_check(c: Contour) -> CriterionEntry:
     rel *= rel  # np.linalg.norm's squares and sum, in place
     radii = np.maximum.reduceat(np.sqrt(rel.sum(axis=1)), c.offsets)
     del rel
-    tree, k, parts = cKDTree(cents), min(8, n - 1), 2
-    while parts > 1:  # k = n - 1 joins every pair
-        cd, jj = tree.query(cents, k=k + 1)  # each centroid itself, then its k nearest
-        ii, jj = np.repeat(np.arange(n), k + 1), jj.ravel()
-        ub = csr_matrix((cd.ravel() + (radii[ii] + radii[jj]), (ii, jj)), shape=(n, n))
-        ub, k = ub.maximum(ub.T), min(2 * k, n - 1)
-        parts = csgraph.connected_components(ub, directed=False)[0]
-    t_star = float(csgraph.minimum_spanning_tree(ub).data.max())
-    pairs = tree.query_pairs((t_star + 2.0 * radii.max()) * (1.0 + 1e-9), output_type="ndarray")
-    ii, jj = pairs[np.lexsort(pairs.T[::-1])].T  # by i, then j, as i < j
-    cd, rr = np.linalg.norm(cents[ii] - cents[jj], axis=1), radii[ii] + radii[jj]
+    reach = 1.5 * np.linalg.norm(cents.max(axis=0) - cents.min(axis=0)) / np.sqrt(n)
+    while True:
+        ii, jj = pairs_within(cents, reach * (1.0 + 1e-9))
+        cd, rr = np.linalg.norm(cents[ii] - cents[jj], axis=1), radii[ii] + radii[jj]
+        tree = _spanning_tree(n, ii, jj, cd + rr)
+        if tree is None:
+            reach *= 2.0
+            continue
+        t_star = float((cd + rr)[tree].max())
+        if t_star <= reach:
+            break
+        reach = t_star
+    if t_star + 2.0 * radii.max() > reach:
+        ii, jj = pairs_within(cents, (t_star + 2.0 * radii.max()) * (1.0 + 1e-9))
+        cd, rr = np.linalg.norm(cents[ii] - cents[jj], axis=1), radii[ii] + radii[jj]
     near = cd - rr <= t_star + 1e-12 * (t_star + rr)
     ii, jj = ii[near], jj[near]
     dist = component_pair_distances(c, ii, jj)
@@ -192,8 +229,7 @@ def white_check(c: Contour) -> CriterionEntry:
     if len(touch):
         raise ContourError(f"components {ii[touch[0]]} and {jj[touch[0]]} touch; "
                            "a contour's components must be disjoint")
-    graph = csr_matrix((dist, (ii, jj)), shape=(n, n))
-    value, split = bottleneck_split(graph + graph.T)
+    value, split = bottleneck_split(n, ii, jj, dist)
     threshold = ell / np.pi
     margin = value - threshold
     verdict = VERDICT_CERTIFIED if margin > STRICT_MARGIN * ell else VERDICT_NOT_TRIGGERED

@@ -5,14 +5,22 @@ contours satisfy the contour invariants.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .contour import Contour
-from .mesh import SurfaceMesh
+from .mesh import SurfaceMesh, pairs_within
 
 GOLDEN_ANGLE = math.pi * (3.0 - math.sqrt(5.0))
+_PACKING_REACH = 4.0  # first search radius of the packing radius, times sqrt(n)
+# first search radius of covering_radius_exact, times sqrt(n): a cap of chord
+# diameter r holds the hull facets of spirals, whose covering radius is about
+# 2.73 / sqrt(n)
+_COVERING_REACH = 6.0
+_COPLANAR = 1e-13  # how far beyond a facet's plane a neighbour may lie (ties such as the cube's)
+_FACET_ENTRIES = 2**15  # (vertex, neighbour, neighbour) entries per block of _least_facet_offset
 
 
 # -- meshes -------------------------------------------------------------------
@@ -250,36 +258,49 @@ def coaxial_circles_contour(radius=1.0, half_gap=2.0, segments=360) -> Contour:
 
 @dataclass
 class SphericalPointSet:
-    """Finite set on the unit sphere with an exact packing radius.
+    """Finite set on the unit sphere with an exact packing radius, computed on first use.
 
     ``covering_radius`` is left unset by the constructor; a set returned by
     ``fibonacci_net`` carries the exact value from ``covering_radius_exact``.
     """
 
     points: np.ndarray
-    packing_radius: float = field(init=False)
     covering_radius: float | None = None
 
     def __post_init__(self):
         p = np.asarray(self.points, dtype=float)
         norms = np.linalg.norm(p, axis=1)
-        if np.any(np.abs(norms - 1.0) > 1e-12):
+        if not np.all(np.abs(norms - 1.0) <= 1e-12):  # NaN too
             raise ValueError("points must lie on the unit sphere to 1e-12")
         self.points = p
-        self.packing_radius = _packing_radius(p)
+
+    @cached_property
+    def packing_radius(self):
+        """Half the minimum pairwise geodesic distance; exact.
+
+        The shortest chord is the least among the pairs within r
+        (``pairs_within``), with r = _PACKING_REACH / sqrt(n) doubled until
+        some pair is: n disjoint caps fit on S^2 only with chords below about
+        3.81 / sqrt(n), so the first search nearly always finds one.
+        """
+        p = self.points
+        if len(p) < 2:
+            return float("inf")
+        r = _PACKING_REACH / math.sqrt(len(p))
+        i, j = pairs_within(p, r)
+        while not len(i):
+            r *= 2.0
+            i, j = pairs_within(p, r)
+        return _least_half_angle(p, i, j)
 
     def __len__(self):
         return len(self.points)
 
 
-def _packing_radius(points):
-    """Half the minimum pairwise geodesic distance, arcsin(chord / 2) of the
-    shortest nearest-neighbour chord; exact."""
-    from scipy.spatial import cKDTree
-    if len(points) < 2:
-        return float("inf")
-    dist, _ = cKDTree(points).query(points, k=2)
-    return float(np.arcsin(min(1.0, dist[:, 1].min() / 2.0)))
+def _least_half_angle(p, i, j):
+    """arcsin(chord / 2) of the shortest chord among the pairs (i, j): half its angle."""
+    diff = p[i] - p[j]
+    return float(np.arcsin(min(1.0, np.sqrt(np.einsum("ij,ij->i", diff, diff).min()) / 2.0)))
 
 
 def fibonacci_sphere(n) -> np.ndarray:
@@ -299,21 +320,114 @@ def covering_radius_exact(X: SphericalPointSet) -> float:
     closed hemisphere, each is a hull facet's outward normal, whose nearest set
     points are that facet's vertices at its offset h as dot product (K. Q.
     Brown, "Voronoi diagrams from convex hulls", IPL 9(5), 1979); so the
-    supremum is arccos of the smallest offset. It exceeds pi/2 exactly for an
-    open hemisphere, where the farthest point can sit inside a Voronoi edge:
-    ValueError, as for points in one plane or repeated to 1e-6.
+    supremum is arccos of the smallest offset. The facets are found among the
+    neighbour pairs within r (``pairs_within``), r = _COVERING_REACH / sqrt(n)
+    doubled until ``_least_facet_offset`` accepts a set of them. Past r =
+    2 (1 + 1e-11) every pair is a neighbour pair, and every hull facet is
+    found unless some facet's plane passes through or beyond the centre:
+    then the points lie in a closed hemisphere and the covering radius is at
+    least pi/2, so ValueError, as for points in one plane or repeated to
+    1e-6. The first pairs hold the shortest chord when they are not empty,
+    so they set the packing radius of X too.
     """
-    from scipy.spatial import ConvexHull
     p = X.points
     if len(p) < 4 or np.linalg.matrix_rank(p - p[0], tol=1e-6) < 3:
         raise ValueError("points lie in one plane; the covering radius needs a 3-d hull")
-    if X.packing_radius < 5e-7:
-        raise ValueError("repeated points; the covering radius needs distinct points")
-    h = -ConvexHull(p).equations[:, 3].max()
-    radius = float(np.arccos(min(1.0, h)))
-    if radius > math.pi / 2.0:
-        raise ValueError("points lie in an open hemisphere; covering radius exceeds pi/2")
-    return radius
+    r = _COVERING_REACH / math.sqrt(len(p))
+    i, j = pairs_within(p, r)
+    if len(i):  # the shortest chord is among the pairs: X's packing radius, kept on X
+        X.packing_radius = _least_half_angle(p, i, j)
+        if X.packing_radius < 5e-7:
+            raise ValueError("repeated points; the covering radius needs distinct points")
+    while (h := _least_facet_offset(p, i, j, r)) is None:
+        if r > 2.0 * (1.0 + 1e-11):
+            raise ValueError("points lie in a closed hemisphere; covering radius is at "
+                             "least pi/2")
+        r *= 2.0
+        i, j = pairs_within(p, r)
+    return float(np.arccos(min(1.0, h)))
+
+
+def _least_facet_offset(p, i, j, r):
+    """The least plane offset h of a verified set of hull facets, or None.
+
+    ``p`` is the set, (i, j) its pairs within r. Each directed neighbour
+    edge (a, b) proposes the triangle (a, b, k) with k the neighbour of a on
+    its left (det(p_a, p_b, p_k) > 0) of least angle at the chord: gift
+    wrapping from the plane that touches the sphere at the chord's
+    midpoint. A triangle is kept when h > 0; when its cap, the points of the
+    unit ball beyond its plane, has chord diameter 2 sqrt(1 - h^2) <= r, so
+    any point beyond the plane is a neighbour of its vertex a; and when no
+    neighbour of a lies beyond the plane by more than _COPLANAR. The kept
+    set is accepted once every directed edge of a kept triangle occurs
+    reversed in another; then their cones cover S^2. Every kept triangle
+    turns positively about the centre (h > 0), so across each of its edges
+    the triangle holding the reversed edge lies on the other side, and the
+    triangles met in turn about a vertex close a full turn, each turning
+    one way by less than pi. The union of the cones is thus open as well as
+    closed on S^2, so all of it; this holds with ties such as the cube's,
+    whose faces the edges may split either way.
+
+    Why the least h over that set is the hull's: a direction in a kept
+    triangle's cone is no farther from the triangle's vertices than arccos
+    h, the spherical circumradius, so the covering radius is at most
+    arccos of the least kept h. The normal of a kept triangle is at least
+    arccos(h + _COPLANAR) from every point, so it is at least that too,
+    and the hull's least facet, which its edges propose, is kept.
+    """
+    n = len(p)
+    if not len(i):
+        return None
+    src, dst = np.concatenate([i, j]), np.concatenate([j, i])
+    order = np.argsort(src, kind="stable")
+    src, dst = src[order], dst[order]
+    deg = np.bincount(src, minlength=n)
+    # each vertex's neighbours in a row, padded with the vertex itself
+    nbr = np.repeat(np.arange(n), deg.max()).reshape(n, -1)
+    nbr[src, np.arange(len(src)) - (np.cumsum(deg) - deg)[src]] = dst
+    width, tris = nbr.shape[1], []
+    step = max(1, _FACET_ENTRIES // width**2)
+    for v0 in range(0, n, step):
+        nb, v = nbr[v0:v0 + step], np.arange(v0, min(n, v0 + step))
+        pv, pn = p[v0:v0 + len(nb), None, :], np.take(p, nb, axis=0)
+        mid = 0.5 * (pv + pn)  # of each chord (v, b), b in row b of nb
+        # (v, b, k) by row b and column k: the tangent of the angle from the plane
+        # touching the sphere at mid, times |mid| / |p_v x p_b| (the same along a row)
+        rise = np.einsum("vbi,vbi->vb", mid, mid)[:, :, None] - mid @ pn.transpose(0, 2, 1)
+        run = np.cross(pv, pn) @ pn.transpose(0, 2, 1)  # > 0 for k on the left of (v, b)
+        real = nb != v[:, None]
+        ok = (run > 0.0) & real[:, None, :] & ~np.eye(width, dtype=bool)
+        slope = np.divide(rise, run, out=np.full(run.shape, np.inf), where=ok)
+        best = slope.argmin(axis=2)
+        has = real & np.isfinite(np.take_along_axis(slope, best[:, :, None], axis=2)[:, :, 0])
+        tris.append(np.column_stack([np.broadcast_to(v[:, None], nb.shape)[has], nb[has],
+                                     np.take_along_axis(nb, best, axis=1)[has]]))
+    a, b, c = np.concatenate(tris).T
+    # each triangle from its least vertex, once
+    first_b, first_c = (b < a) & (b < c), (c < a) & (c < b)
+    a, b, c = (np.where(first_b, b, np.where(first_c, c, a)),
+               np.where(first_b, c, np.where(first_c, a, b)),
+               np.where(first_b, a, np.where(first_c, b, c)))
+    order = np.lexsort((c, a * n + b))
+    a, b, c = a[order], b[order], c[order]
+    once = np.append(True, (a[1:] != a[:-1]) | (b[1:] != b[:-1]) | (c[1:] != c[:-1]))
+    a, b, c = a[once], b[once], c[once]
+    pa = np.take(p, a, axis=0)
+    normal = np.cross(np.take(p, b, axis=0) - pa, np.take(p, c, axis=0) - pa)
+    normal /= np.linalg.norm(normal, axis=1)[:, None]
+    h = np.einsum("ij,ij->i", normal, pa)
+    # 1e-11 covers points off the unit sphere by up to 1e-12
+    keep = (h > 0.0) & (4.0 * (1.0 + 1e-11 - h * h) <= r * r * (1.0 - 1e-9))
+    a, b, c, normal, h = a[keep], b[keep], c[keep], normal[keep], h[keep]
+    beyond = (np.take(p, nbr[a], axis=0) @ normal[:, :, None])[:, :, 0].max(axis=1) - h
+    keep = beyond <= _COPLANAR
+    a, b, c, h = a[keep], b[keep], c[keep], h[keep]
+    if not len(h):
+        return None
+    edges = np.sort(np.concatenate([a * n + b, b * n + c, c * n + a]))
+    back = np.concatenate([b * n + a, c * n + b, a * n + c])
+    found = edges[np.minimum(np.searchsorted(edges, back), len(edges) - 1)] == back
+    return float(h.min()) if found.all() else None
 
 
 def fibonacci_net(target_epsilon, max_points=10**6) -> SphericalPointSet:

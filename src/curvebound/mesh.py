@@ -15,8 +15,8 @@ DEGENERATE_AREA_TOL = 1e-12  # relative to the triangle's longest squared edge
 # most 2^241, and their degree-4 products (the corner Gram determinants, the
 # segment distances' denominators) at most 2^964 times small factors: finite.
 COORDINATE_LIMIT = 2.0**240
-_DIAMETER_LEAF = 16  # points per kd leaf in extrinsic_diameter
-_DIAMETER_BATCH = 128  # leaf pairs per numpy call in extrinsic_diameter
+_DIAMETER_LEAF = 16  # points per kd leaf in extrinsic_diameter and pairs_within
+_DIAMETER_BATCH = 128  # leaf pairs per numpy call in extrinsic_diameter and pairs_within
 _JSON_ROWS = 4096  # array rows formatted per write in _write_json_rows
 DIAMETER_TOL = 1e-2  # relative width of the bracket intrinsic_diameter returns
 
@@ -154,10 +154,10 @@ class SurfaceMesh:
             keys = de.min(axis=1)
             keys *= n
             keys += de.max(axis=1)
-            ukeys, inverse, ue_counts = np.unique(keys, return_inverse=True,
-                                                  return_counts=True)
-            boundary = de[ue_counts[inverse] == 1]
-            del inverse
+            ukeys, ue_counts = np.unique(keys, return_counts=True)
+            # each directed edge's place among the undirected ones, looked up in
+            # a mask of the edges one triangle holds
+            boundary = de[np.take(ue_counts == 1, np.searchsorted(ukeys, keys))]
             keys = de[:, 0] * n
             keys += de[:, 1]
             del de
@@ -191,29 +191,16 @@ class SurfaceMesh:
         return self._cache["adjacency"]
 
     def is_connected(self):
-        """True iff the edge graph is one component (False without vertices); union-find.
+        """True iff the edge graph is one component (False without vertices).
 
-        Each round hooks the larger root of every edge joining two roots onto
-        the smaller, then pointer jumps to the roots. Parents only decrease, so
-        a root is its tree's least index: connected iff every root is 0, and a
-        vertex no triangle uses is a root of its own. Every component with such
-        an edge merges, so the number of components at least halves per round.
-        Computed once per mesh and kept in its cache.
+        Every label is 0 then, and a vertex no triangle uses is a component of
+        its own. Computed once per mesh and kept in its cache.
         """
         if "connected" in self._cache:
             return self._cache["connected"]
-        e, parent = self.edges, np.arange(self.n_vertices)
-        while True:
-            a, b = parent[e[:, 0]], parent[e[:, 1]]
-            live = a != b
-            if not live.any():
-                break
-            a, b = a[live], b[live]
-            np.minimum.at(parent, np.maximum(a, b), np.minimum(a, b))
-            jumped = parent[parent]
-            while not np.array_equal(jumped, parent):
-                parent, jumped = jumped, jumped[jumped]
-        self._cache["connected"] = self.n_vertices > 0 and not parent.any()
+        e = self.edges
+        labels = component_labels(self.n_vertices, e[:, 0], e[:, 1])
+        self._cache["connected"] = self.n_vertices > 0 and not labels.any()
         return self._cache["connected"]
 
     def boundary_vertex_mask(self):
@@ -403,11 +390,8 @@ def extrinsic_diameter(points) -> float:
     a = b = np.zeros(1, dtype=np.int64)
     for level in range(len(leaves).bit_length()):
         if level:
-            a = np.concatenate([2 * a, 2 * a, 2 * a + 1, 2 * a + 1])
-            b = np.concatenate([2 * b, 2 * b + 1, 2 * b, 2 * b + 1])
-            a, b = a[a <= b], b[a <= b]
-        lo_t = lo.reshape(1 << level, -1, n).min(axis=1)
-        hi_t = hi.reshape(1 << level, -1, n).max(axis=1)
+            a, b = _child_pairs(a, b)
+        lo_t, hi_t = _level_boxes(lo, hi, level)
         rho_t = rho_leaf.reshape(1 << level, -1).max(axis=1)
         bound = np.zeros(len(a))
         for k in range(n):
@@ -433,14 +417,19 @@ def extrinsic_diameter(points) -> float:
 
 
 def _leaf_pairs_max(pa, pb):
-    """Largest entry between the points of leaves pa[i] and pb[i], each (L, m, n):
+    """Largest entry between the points of leaves pa[i] and pb[i]."""
+    return float(_leaf_pairs_entries(pa, pb).max())
+
+
+def _leaf_pairs_entries(pa, pb):
+    """Entries (L, m, m) between the points of leaves pa[i] and pb[i], each (L, m, n):
     squared coordinate differences accumulated in dimension order."""
     acc = np.zeros((len(pa), pa.shape[1], pb.shape[1]))
     diff = np.empty_like(acc)
     for k in range(pa.shape[2]):
         np.subtract(pa[:, :, None, k], pb[:, None, :, k], out=diff)
         acc += np.multiply(diff, diff, out=diff)
-    return float(acc.max())
+    return acc
 
 
 def _kd_leaves(p):
@@ -466,6 +455,91 @@ def _kd_leaves(p):
         width //= 2
     sizes = np.diff(bounds)
     return order[bounds[:-1, None] + np.minimum(np.arange(sizes.max()), sizes[:, None] - 1)]
+
+
+def _child_pairs(a, b):
+    """The pairs a <= b of children of the node pairs a <= b, one level down."""
+    a = np.concatenate([2 * a, 2 * a, 2 * a + 1, 2 * a + 1])
+    b = np.concatenate([2 * b, 2 * b + 1, 2 * b, 2 * b + 1])
+    return a[a <= b], b[a <= b]
+
+
+def _level_boxes(lo, hi, level):
+    """Boxes (lo, hi) of the 2^level nodes of a level, from the boxes of the leaves."""
+    n = lo.shape[1]
+    return (lo.reshape(1 << level, -1, n).min(axis=1),
+            hi.reshape(1 << level, -1, n).max(axis=1))
+
+
+def pairs_within(points, r):
+    """Every pair i < j of rows of ``points`` whose entry is <= r * r; kd pair search.
+
+    The entry of a pair is its squared coordinate differences accumulated
+    in dimension order, as in ``extrinsic_diameter``, whose node-pair
+    traversal over ``_kd_leaves`` this is with the opposite test: a node
+    pair is kept while its gap bound, accumulated like an entry from
+    max(lo_b - hi_a, lo_a - hi_b, 0) per dimension, is <= r * r. Rounded
+    subtraction, squaring and addition are monotone, so the bound is at
+    most every entry it covers as computed, and no pair within r is
+    dropped. Returns (i, j) as int64 arrays sorted by i, then j.
+    """
+    p = np.asarray(points, dtype=float)
+    if not r >= 0.0:  # NaN too
+        raise ValueError(f"radius {r} must be >= 0")
+    n, r2 = len(p), float(r) * float(r)
+    if n < 2:
+        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
+    idx = _kd_leaves(p)
+    leaves = p[idx]
+    lo, hi = leaves.min(axis=1), leaves.max(axis=1)
+    a = b = np.zeros(1, dtype=np.int64)
+    for level in range(len(leaves).bit_length()):
+        if level:
+            a, b = _child_pairs(a, b)
+        lo_t, hi_t = _level_boxes(lo, hi, level)
+        gap = np.maximum(np.maximum(lo_t[b] - hi_t[a], lo_t[a] - hi_t[b]), 0.0)
+        gap *= gap
+        bound = gap[:, 0].copy()
+        for k in range(1, p.shape[1]):
+            bound += gap[:, k]
+        a, b = a[bound <= r2], b[bound <= r2]
+    # a short leaf repeats its last index, and a leaf meets itself in slots s < t
+    first = np.ones(idx.shape, dtype=bool)
+    first[:, 1:] = idx[:, 1:] != idx[:, :-1]
+    upper = np.triu(np.ones((idx.shape[1],) * 2, dtype=bool), 1)
+    keys = []
+    for s in range(0, len(a), _DIAMETER_BATCH):
+        sa, sb = a[s:s + _DIAMETER_BATCH], b[s:s + _DIAMETER_BATCH]
+        hit = _leaf_pairs_entries(leaves[sa], leaves[sb]) <= r2
+        hit &= first[sa, :, None] & first[sb, None, :]
+        hit[sa == sb] &= upper
+        pair, s_a, s_b = np.nonzero(hit)
+        i, j = idx[sa[pair], s_a], idx[sb[pair], s_b]
+        keys.append(np.minimum(i, j) * n + np.maximum(i, j))
+    return np.divmod(np.sort(np.concatenate(keys)), n)
+
+
+def component_labels(n, i, j):
+    """The least vertex of each vertex's component, in the graph on n vertices
+    with edges (i[k], j[k]); union-find.
+
+    Each round hooks the larger root of every edge joining two roots onto
+    the smaller, then pointer jumps to the roots. Parents only decrease, so
+    a root is its tree's least index, and a vertex on no edge is a root of
+    its own. Every component with such an edge merges, so the number of
+    components at least halves per round.
+    """
+    parent = np.arange(n)
+    while True:
+        a, b = parent[i], parent[j]
+        live = a != b
+        if not live.any():
+            return parent
+        a, b = a[live], b[live]
+        np.minimum.at(parent, np.maximum(a, b), np.minimum(a, b))
+        jumped = parent[parent]
+        while not np.array_equal(jumped, parent):
+            parent, jumped = jumped, jumped[jumped]
 
 
 def boundary_length(mesh: SurfaceMesh) -> float:

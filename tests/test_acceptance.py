@@ -20,7 +20,6 @@ import time
 
 import numpy as np
 import pytest
-from scipy.sparse import csr_matrix
 
 from conftest import (boundary_library_meshes, component_distance_matrix,
                       tau_root_bisection, white_bruteforce_oracle)
@@ -168,7 +167,8 @@ def test_criterion_07_white_oracle_equality():
             comps.append(ring + c)
         contour = Contour(comps)
         d = component_distance_matrix(contour)
-        if bottleneck_split(csr_matrix(d))[0] != white_bruteforce_oracle(d):
+        ii, jj = np.triu_indices(n, k=1)
+        if bottleneck_split(n, ii, jj, d[ii, jj])[0] != white_bruteforce_oracle(d):
             mismatches += 1
     elapsed = time.perf_counter() - t0
     report("criterion 7 equality", mismatches == 0,

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from conftest import holomorphic_graph, touching_contours
+from curvebound import cli
 from curvebound import generators as gen
 from curvebound.cli import main
 from curvebound.contour import load_contour, save_contour
@@ -415,6 +416,20 @@ class TestDoubleCommand:
         assert captured.err.startswith("error: doubling produced a bad surface:\n")
         assert "  error: degenerate triangle " in captured.err
 
+    def test_out_dir_gets_every_double_or_none(self, capsys, tmp_path):
+        # at 2^8 the k = 10 double validates and the k = 1000 one does not: the
+        # first one's files, written before the second is built, must go too
+        out_dir = tmp_path / "doubles"
+        path = tmp_path / "hemisphere.mesh.json"
+        hemi = gen.hemisphere(8, 32)
+        save_mesh(SurfaceMesh(hemi.vertices * 2.0 ** 8, hemi.triangles), path)
+        code = main(["double", str(path), "--k-list", "10,1000", "--out-dir", str(out_dir)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith("error: doubling produced a bad surface:\n")
+        assert not out_dir.exists() or not os.listdir(out_dir)
+
     def test_bad_k_rejected_before_any_double(self, capsys, tmp_path):
         out_dir = tmp_path / "doubles"
         path = tmp_path / "disk.mesh.json"
@@ -678,6 +693,23 @@ class TestUsage:
         assert code == 0
         assert "usage:" in out
 
+    def test_one_parser_serves_every_command(self, capsys, monkeypatch):
+        # main builds its parser once per process, and reusing it changes no output
+        built, build = [], cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+        cli._parser.cache_clear()
+        runs = []
+        for argv in 2 * [["--help"], ["check-contour", "--help"],
+                         ["check-contour", "x.json", "--bogus"], ["double", "x.obj", "--k-list"],
+                         ["teardrop", "--k", "10"]]:
+            code = main(argv)
+            captured = capsys.readouterr()
+            runs.append((code, captured.out, captured.err))
+        cli._parser.cache_clear()
+        assert built == [1]
+        assert runs[:5] == runs[5:]
+        assert [code for code, _, _ in runs[:5]] == [0, 0, 1, 1, 0]
+
 
 def test_cli_import_leaves_scipy_optimize_unloaded():
     # no command needs scipy.optimize, and importing the CLI must not load it
@@ -706,9 +738,30 @@ def test_certified_cone_leaves_scipy_optimize_unloaded(tmp_path, antipodal_micro
     assert out.splitlines()[-1] == "cone nonexistence-certified False"
 
 
+def test_contour_commands_leave_scipy_unloaded(tmp_path):
+    # the nets' packing and covering radii and White's bottleneck run on the kd
+    # pair search and the union-find of curvebound.mesh, not on scipy
+    code = textwrap.dedent("""
+        import sys
+        from curvebound.cli import main
+
+        for argv, rc in ((["gen", "net", "--param", "epsilon=0.1", "--out", "net.contour.json"], 0),
+                         (["gen", "sphere-circles", "--out", "antipodal.contour.json"], 0),
+                         (["gen", "coaxial-circles", "--out", "coaxial.contour.json"], 0),
+                         (["check-contour", "coaxial.contour.json"], 2),
+                         (["check-contour", "net.contour.json"], 0)):
+            assert main(argv) == rc, argv
+        print([m for m in sys.modules if m == "scipy" or m.startswith("scipy.")])
+    """)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, cwd=tmp_path, check=True).stdout
+    assert out.splitlines()[-1] == "[]"
+
+
 def test_doubling_commands_leave_scipy_unloaded(tmp_path):
-    # verify-bound, double, teardrop and gen for meshes never import scipy;
-    # gen for contours, check-contour and audit import it when they run
+    # verify-bound, double, teardrop and gen never import scipy, nor does
+    # check-contour; audit imports it when it runs (Dijkstra)
     code = textwrap.dedent("""
         import sys
         from curvebound.cli import main

@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-from scipy.sparse import csr_matrix
 
 from conftest import (component_distance_matrix, eager_cone_splits, polygon_lp,
                       polygon_lp_optimum, random_rotation, tau_root_bisection,
@@ -67,10 +66,16 @@ class TestDiameterLength:
             diameter_length_check(antipodal_microcircles, "hopeful")
 
 
+def matrix_split(d):
+    """``bottleneck_split`` on every pair i < j of the symmetric matrix d."""
+    ii, jj = np.triu_indices(len(d), k=1)
+    return bottleneck_split(len(d), ii, jj, d[ii, jj])
+
+
 class TestWhite:
     def test_three_component_matrix(self):
         d = np.array([[0.0, 1, 2], [1, 0, 3], [2, 3, 0]])
-        value, split = bottleneck_split(csr_matrix(d))
+        value, split = matrix_split(d)
         assert value == 2.0
         assert sorted(map(sorted, split)) == [[0, 1], [2]]
         assert white_bruteforce_oracle(d) == 2.0
@@ -105,7 +110,7 @@ class TestWhite:
             n = int(rng.integers(2, 11))
             pts = rng.normal(size=(n, 3))
             d = np.linalg.norm(pts[:, None] - pts[None, :], axis=-1)
-            v_mst, split = bottleneck_split(csr_matrix(d))
+            v_mst, split = matrix_split(d)
             assert v_mst == white_bruteforce_oracle(d)
             # the returned split realizes the optimum
             assert d[np.ix_(split[0], split[1])].min() == v_mst
@@ -113,7 +118,7 @@ class TestWhite:
     def test_large_contour_fast_path_equivalent(self):
         net = gen.fibonacci_net(0.18)
         gam = gen.sphere_circles(net, 0.18**2.5, segments=16)
-        v_full, s_full = bottleneck_split(csr_matrix(component_distance_matrix(gam)))
+        v_full, s_full = matrix_split(component_distance_matrix(gam))
         entry = white_check(gam)
         assert entry.measured["best_cross_distance"] == v_full
         assert sorted(map(sorted, s_full)) == sorted(entry.certificate["partition"])

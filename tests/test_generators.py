@@ -3,7 +3,7 @@ import time
 
 import numpy as np
 import pytest
-from scipy.spatial import cKDTree
+from scipy.spatial import ConvexHull, cKDTree
 
 from conftest import (circle_points, component_distance_matrix, covering_radius_voronoi,
                       icosphere_loop)
@@ -53,6 +53,11 @@ class TestSphericalPointSet:
         with pytest.raises(ValueError):
             gen.SphericalPointSet(np.array([[0.0, 0, 1.1], [0, 0, -1]]))
 
+    def test_nan_points_rejected(self):
+        # a NaN norm fails every comparison, so the check is that all norms pass
+        with pytest.raises(ValueError):
+            gen.SphericalPointSet(np.array([[0.0, 0, np.nan], [0, 0, -1]]))
+
     def test_antipodal_packing(self):
         X = gen.antipodal_point_set()
         assert abs(X.packing_radius - np.pi / 2) < 1e-12
@@ -62,14 +67,14 @@ class TestSphericalPointSet:
         X.covering_radius = gen.covering_radius_exact(X)
         assert X.packing_radius < X.covering_radius
 
-    def test_kdtree_path_matches_exact(self):
+    def test_pair_search_matches_dense_oracle(self):
         # the dense all-pairs arccos is the oracle for the nearest-neighbour chord
         for n in (2000, 3000):
             pts = gen.fibonacci_sphere(n)
             dots = np.clip(pts @ pts.T, -1, 1)
             np.fill_diagonal(dots, -1.0)
             ref = 0.5 * np.arccos(dots.max())
-            assert abs(gen._packing_radius(pts) - ref) < 1e-12
+            assert abs(gen.SphericalPointSet(pts).packing_radius - ref) < 1e-12
 
 
 def sampled_covering_radius(X, n):
@@ -115,6 +120,34 @@ class TestCoveringRadius:
         X = gen.SphericalPointSet(np.array(
             [[1.0, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0], [0, 0, 1], [0, 0, -1]]))
         assert abs(gen.covering_radius_exact(X) - np.arccos(1 / np.sqrt(3))) < 1e-12
+
+    def test_cube_ties(self):
+        # four points on every face's circle: the facet rule proposes either
+        # triangulation of a face, and Qhull's value holds to the last bit
+        cube = np.array([[x, y, z] for x in (-1, 1) for y in (-1, 1) for z in (-1, 1)])
+        X = gen.SphericalPointSet(cube / np.sqrt(3.0))
+        assert gen.covering_radius_exact(X) == 0.9553166181245092
+
+    @pytest.mark.parametrize("name", ["octahedron", "icosahedron", "cuboctahedron",
+                                      "icosphere2"])
+    def test_polyhedra_match_qhull(self, name):
+        octahedron = np.vstack([np.eye(3), -np.eye(3)])
+        cuboctahedron = np.array([np.roll([a, b, 0.0], shift) for shift in range(3)
+                                  for a in (-1, 1) for b in (-1, 1)]) / np.sqrt(2.0)
+        pts = {"octahedron": octahedron, "icosahedron": gen.icosphere(0).vertices,
+               "cuboctahedron": cuboctahedron, "icosphere2": gen.icosphere(2).vertices}[name]
+        hull = -ConvexHull(pts).equations[:, 3].max()
+        assert gen.covering_radius_exact(gen.SphericalPointSet(pts)) == np.arccos(hull)
+
+    def test_clustered_set_widens_the_search(self):
+        # 200 points in a cap of radius about 0.01 and four spread out: the
+        # first neighbour radius, 6 / sqrt(n), misses the large facets
+        rng = np.random.default_rng(1)
+        cluster = rng.normal(size=(200, 3)) * 0.01 + [0.0, 0.0, 1.0]
+        pts = np.vstack([cluster, [[1, 0, 0], [-0.5, 0.8, -0.3], [-0.5, -0.8, -0.3], [0, 0, -1]]])
+        pts /= np.linalg.norm(pts, axis=1)[:, None]
+        hull = -ConvexHull(pts).equations[:, 3].max()
+        assert gen.covering_radius_exact(gen.SphericalPointSet(pts)) == np.arccos(hull)
 
     def test_exact_rejects_open_hemisphere(self):
         pts = gen.fibonacci_sphere(40)

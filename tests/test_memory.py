@@ -42,15 +42,16 @@ def test_curvature_field_transient():
 
 
 def test_double_command_peak(tmp_path, capsys):
-    # 6.84 MiB measured with one double alive at a time (15.7 MiB when the
-    # previous double and its caches outlived the next one's construction);
-    # ceiling 8.6 MiB, +26%
+    # 6.02 MiB measured with one double alive at a time and the edge tables'
+    # boundary found by searchsorted (6.30 MiB through np.unique's inverse,
+    # 15.7 MiB when the previous double and its caches outlived the next one's
+    # construction); ceiling 6.15 MiB, +2%, which the inverse exceeds
     path = tmp_path / "cylinder.mesh.json"
     save_mesh(cylinder(), path)
     argv = ["double", str(path), "--k-list", "10,25,50", "--out-dir", str(tmp_path / "out")]
     peak = traced_peak(lambda: main(argv))
     assert capsys.readouterr().out.endswith(f"doubled meshes written to {tmp_path / 'out'}\n")
-    assert peak <= 8.6 * MIB
+    assert peak <= 6.15 * MIB
 
 
 # The epsilon = 0.05 net: 2,978 circles of 16 points, a 1.1 MiB coordinate array.
@@ -72,9 +73,10 @@ def test_load_contour_peak(tmp_path, net_family):
 
 def test_white_check_peak(net_family):
     c = net_family[0.05][1]
-    white_check(c)  # scipy's modules load outside the measurement
-    # 7.08 MiB measured, seeds batched and the segment kernel in place
-    # (16.3 MiB with every seed of a chunk at once); ceiling 8.5 MiB, +20%
+    white_check(c)  # a first call, outside the measurement
+    # 6.55 MiB measured with the kd pair search and Boruvka's tree (7.08 MiB
+    # with cKDTree and csgraph), seeds batched and the segment kernel in place
+    # (16.3 MiB with every seed of a chunk at once); ceiling 8.5 MiB, +30%
     assert traced_peak(lambda: white_check(c)) <= 8.5 * MIB
 
 
