@@ -17,7 +17,7 @@ from .doubling import (BoundaryFrame, DoubledSurface, build_boundary_frames,
 from .mesh import (BoundaryLoop, SurfaceMesh, ValidationReport, boundary_length,
                    extrinsic_diameter, geodesic_distances, intrinsic_diameter,
                    load_mesh, save_mesh, validate)
-from .teardrop import TeardropCurve, build_teardrop, transition_function
+from .teardrop import TeardropCurve, build_sweep_profile, transition_function
 
 __version__ = "0.1.0"
 
@@ -34,7 +34,7 @@ __all__ = [
     "boundary_length",
     "build_boundary_frames",
     "build_double",
-    "build_teardrop",
+    "build_sweep_profile",
     "build_tube",
     "cone_check",
     "contour_diameter",

@@ -9,8 +9,8 @@ nothing on stdout. Every output file is written before the first line is
 printed, so an output path that cannot be written exits 1 too; double
 writes every double of --out-dir or none. A contour
 whose components touch or cross is bad input, and so is an invalid mesh, a
-disconnected one given to verify-bound or double, or a k below 1 in
-double's list (checked before any double is built or written).
+disconnected one given to verify-bound or double, or a k outside [1, K_MAX]
+(double checks its whole list before it builds or writes a double).
 """
 
 import argparse
@@ -127,8 +127,8 @@ def cmd_double(args):
 
 
 def cmd_teardrop(args):
-    # build every curve before printing, so a bad k leaves stdout empty
-    curves = [teardrop_mod.build_teardrop(int(tok)) for tok in args.k.split(",")]
+    # build every profile before printing, so a bad k leaves stdout empty
+    curves = [teardrop_mod.build_sweep_profile(int(tok)) for tok in args.k.split(",")]
     lines = ["k length total_abs_curvature deviation_from_pi max_radius"]
     for curve in curves:
         turn = curve.turning()
@@ -291,9 +291,9 @@ def build_parser():
     p.add_argument("--csv", help="write the convergence table as CSV")
     p.add_argument("--out-dir", help="export the doubled meshes and provenance here")
 
-    p = sub.add_parser("teardrop", help="teardrop curves and their total curvature")
+    p = sub.add_parser("teardrop", help="the swept teardrop profiles and their total curvature")
     p.add_argument("--k", default="10,100,1000")
-    p.add_argument("--export", help="write 's x y' sample files here")
+    p.add_argument("--export", help="write the profiles' 's x y' samples here")
 
     p = sub.add_parser("check-contour", help="run the nonexistence criteria")
     p.add_argument("contour")

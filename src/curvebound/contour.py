@@ -15,6 +15,9 @@ _SEGMENT_LEAF = 32  # segments per leaf in component_pair_distances
 _SEGMENT_SUB = 4  # segments per sub-leaf there; divides _SEGMENT_LEAF
 _SEGMENT_BATCH = 65536  # segment pairs per numpy call there
 _PAIR_CHUNK = 8192  # leaf pairs per chunk of component pairs there
+# Shortest segment: a shorter one's squared length, and the squared distances
+# at its scale, fall below the least normal float 2^-1022 and lose digits.
+_MIN_SEGMENT = 2.0**-511
 
 
 class ContourError(Exception):
@@ -55,15 +58,17 @@ class Contour:
             seg *= seg
         self._seg_lengths = np.sqrt(seg.sum(axis=1))  # np.linalg.norm's sum, in place
         del seg
-        repeated = np.logical_or.reduceat(self._seg_lengths == 0.0, offsets)
+        short = np.logical_or.reduceat(self._seg_lengths < _MIN_SEGMENT, offsets)
         nonfinite = np.logical_or.reduceat(~np.isfinite(pts).all(axis=1), offsets)
         large = np.logical_or.reduceat(
             ((pts > COORDINATE_LIMIT) | (pts < -COORDINATE_LIMIT)).any(axis=1), offsets)
-        for i in np.flatnonzero(nonfinite | large | repeated)[:1]:  # the first unsound one
+        for i in np.flatnonzero(nonfinite | large | short)[:1]:  # the first unsound one
             raise ContourError(
                 f"component {i} has non-finite coordinates" if nonfinite[i] else
                 f"component {i} has a coordinate beyond 2^240 in absolute value" if large[i]
-                else f"component {i} has consecutive duplicate points")
+                else f"component {i} has consecutive duplicate points"
+                if (comps[i] == np.roll(comps[i], -1, axis=0)).all(axis=1).any()
+                else f"component {i} has a segment shorter than 2^-511")
         pts.setflags(write=False)
         self.components = [pts[o:o + m] for o, m in zip(offsets.tolist(), counts.tolist())]
         self._cache = {}  # derived measures; components are never mutated

@@ -15,7 +15,7 @@ import numpy as np
 
 from .curvature import total_mean_curvature
 from .mesh import MeshError, SurfaceMesh, boundary_length, extrinsic_diameter, validate
-from .teardrop import TeardropCurve, build_sweep_profile
+from .teardrop import TeardropCurve, build_sweep_profile, check_index
 
 EPS_BAR_CAP = 0.5  # threshold cap when the frame has no measurable bending
 
@@ -278,12 +278,13 @@ def convergence_rows(mesh: SurfaceMesh, k_list):
     Each row holds the double's measured curvature and diameter and their
     limits, computed from the input mesh with the same discrete operators:
     target curvature 2*int|H| + (pi/2)*l(boundary), target diameter d(M).
-    An unfit mesh or a k below 1 raises before the first double is built.
+    An unfit mesh or a k outside [1, K_MAX] raises before the first double
+    is built.
     """
     _framed(mesh)  # an unfit mesh is rejected before it is measured
     k_list = list(k_list)
-    if any(k < 1 for k in k_list):
-        raise ValueError("k must be a positive integer")
+    for k in k_list:
+        check_index(k)
     base_curv = total_mean_curvature(mesh)
     base_len = boundary_length(mesh)
     base_diam = extrinsic_diameter(mesh.vertices)

@@ -1,9 +1,13 @@
-"""Teardrop curves: planar closed-up curves with a cusp at the origin.
+"""Teardrop profiles: planar curves with a cusp at the origin.
 
-The curve of index k runs from the origin out along a flat graph, around a
-half-circle of radius 1/k, and back, so that both endpoint tangents are
-horizontal and the total absolute curvature tends to pi as k grows. It is the
-profile swept along boundary loops to glue two surface copies together.
+The profile of index k runs from the origin out along the graph y = f(x)/k
+of the transition function f, around a half-circle of radius 1/k, and back
+along the mirrored graph, so that both endpoint tangents are horizontal. It
+is swept along boundary loops to glue two surface copies together, and its
+total absolute curvature pi + 4*atan(s_max/k), with s_max the largest slope
+of f, tends to pi as k grows. One construction, ``build_sweep_profile``,
+samples it; the samples carry their cumulative chord length ``s``, and the
+curve's length comes from a quadrature of the smooth graph.
 """
 
 from dataclasses import dataclass
@@ -21,10 +25,13 @@ _SHOULDER_SHARPNESS = 2000.0
 _RISE_CENTER = 0.0575
 _FALL_CENTER = 1.0 - _RISE_CENTER
 
-_GRID_N = 32768  # fixed grid for the graph arclength quadrature
-_MIN_CIRCLE_SAMPLES = 4096  # density floor on the half-circle of build_teardrop
+_GRID_N = 32768  # intervals of the graph arclength quadrature
 _SWEEP_GRAPH_SAMPLES = 64  # build_sweep_profile: samples per graph piece
 _SWEEP_CIRCLE_SAMPLES = 48  # build_sweep_profile: samples on the half-circle
+# Largest index k. The samples' turning matches pi + 4*atan(s_max/k) to 2e-13
+# up to here; from about 10^13.75 the half-circle's radius 1/k nears the
+# rounding of its x = 1 + cos(theta)/k, and the turning is off by radians.
+K_MAX = 2**32
 
 
 def _log_cosh(y):
@@ -65,29 +72,26 @@ def transition_slope(x):
     return float(val) if np.isscalar(x) else val
 
 
-# Transition values and slope-squared samples on a fixed grid; graph pieces of
-# dense curves are interpolated from here (piecewise linear between knots, so
-# the turning-angle telescoping is exact between knots).
-_XGRID = np.linspace(0.0, 1.0, _GRID_N + 1)
-_FGRID = transition_function(_XGRID)
-_SLOPE2_GRID = transition_slope(_XGRID) ** 2
+def _graph_length(k):
+    """Arclength of x -> (x, f(x)/k) on [0, 1], by the trapezoid rule on a fixed grid."""
+    x = np.linspace(0.0, 1.0, _GRID_N + 1)
+    return float(np.trapezoid(np.sqrt(1.0 + transition_slope(x) ** 2 / (k * k)), x))
 
 
-def _graph_arclength_grid(k):
-    """Cumulative arclength of x -> (x, f(x)/k) on the fixed x grid."""
-    speed = np.sqrt(1.0 + _SLOPE2_GRID / (k * k))
-    ds = 0.5 * (speed[1:] + speed[:-1]) * np.diff(_XGRID)
-    return np.concatenate([[0.0], np.cumsum(ds)])
+def check_index(k):
+    """Raise ValueError unless k is a whole number with 1 <= k <= K_MAX."""
+    if not 1 <= k <= K_MAX or k % 1:
+        raise ValueError(f"k must be an integer from 1 to {K_MAX}")
 
 
 @dataclass
 class TeardropCurve:
-    """Sampled teardrop curve with arclength parametrization.
+    """The sampled teardrop of index k.
 
-    ``s`` is the cumulative chord length of the sample polyline (so the data
-    is unit-speed by construction), ``points`` the (x, y) samples. Both
-    endpoints sit at the origin with opposite horizontal tangents; the cusp
-    circle has radius 1/k.
+    ``points`` are the (x, y) samples and ``s`` their cumulative chord
+    length. Both endpoints sit at the origin with opposite horizontal
+    tangents; the cusp circle has radius 1/k. ``total_length`` is the length
+    of the smooth curve, not of the samples' polyline.
     """
 
     k: int
@@ -96,7 +100,8 @@ class TeardropCurve:
 
     @property
     def total_length(self):
-        return float(self.s[-1])
+        """2*(graph length + pi/(2k)), the graph length from the trapezoid rule."""
+        return 2.0 * (_graph_length(self.k) + (np.pi / 2.0) / self.k)
 
     def max_radius(self):
         x, y = self.points.T  # column sums: a norm along axis 1 is 3x slower
@@ -106,67 +111,31 @@ class TeardropCurve:
         """Total absolute curvature (the cusp angle at the origin not included)."""
         return total_abs_curvature(self.points)
 
-def _assemble(k, upper_half):
-    """Mirror the upper half across y = 0 and glue; snap endpoints to the origin."""
-    m = len(upper_half)
-    pts = np.concatenate([upper_half, upper_half[-2::-1]])
-    pts[m:, 1] *= -1.0
-    pts[0] = (0.0, 0.0)
-    pts[-1] = (0.0, 0.0)
-    # in place: on a curve of 10^6 samples each fresh temporary costs page faults
-    dx = np.diff(pts[:, 0])
-    dx *= dx
-    dx += np.diff(pts[:, 1]) ** 2
-    s = np.zeros(len(pts))
-    np.cumsum(np.sqrt(dx, out=dx), out=s[1:])
-    return TeardropCurve(k=int(k), s=s, points=pts)
-
-
-def build_teardrop(k) -> TeardropCurve:
-    """Build the index-k teardrop, resampled at uniform arclength.
-
-    The sampling density per unit length is set so the half-circle (length
-    pi/k) carries at least 4096 samples; that tight arc dominates the
-    turning-angle measurement. The cusp circle radius is 1/k, k >= 1.
-    """
-    if k < 1:
-        raise ValueError("k must be a positive integer")
-    density = int(np.ceil(_MIN_CIRCLE_SAMPLES * k / np.pi))
-
-    s_graph = _graph_arclength_grid(k)
-    graph_len = s_graph[-1]
-    half_len = graph_len + (np.pi / 2.0) / k
-    m = max(16, int(np.ceil(half_len * density))) + 1
-
-    targets = np.linspace(0.0, half_len, m)
-    n_graph = int(np.searchsorted(targets, graph_len, side="right"))
-    upper = np.empty((m, 2))
-    upper[:n_graph, 0] = np.interp(targets[:n_graph], s_graph, _XGRID)
-    np.divide(np.interp(targets[:n_graph], s_graph, _FGRID), k, out=upper[:n_graph, 1])
-    theta = np.pi / 2.0 - (targets[n_graph:] - graph_len) * k
-    upper[n_graph:, 0] = 1.0 + np.cos(theta) / k
-    upper[n_graph:, 1] = np.sin(theta) / k
-    if abs(upper[-1, 1]) > 0:  # force the apex (the symmetry midpoint) exactly
-        upper[-1] = (1.0 + 1.0 / k, 0.0)
-    return _assemble(k, upper)
-
 
 def build_sweep_profile(k) -> TeardropCurve:
-    """Coarse teardrop sampling for tube sweeping.
+    """The index-k teardrop at 177 samples: 65 per graph piece, uniform in x,
+    and 47 between them on the half-circle, uniform in angle.
 
-    Turning-angle telescoping makes swept curvature insensitive to the profile
-    density, so tubes stay small: 64 samples per graph piece and 48 on the
-    half-circle.
+    Turning angles telescope, so the samples turn as much as the smooth
+    curve: f' is flat at its maximum s_max between the shoulders, so each
+    graph piece turns by 2*atan(s_max/k), and the half-circle by pi.
+    ValueError for k outside [1, K_MAX].
     """
-    if k < 1:
-        raise ValueError("k must be a positive integer")
+    check_index(k)
     xs = np.linspace(0.0, 1.0, _SWEEP_GRAPH_SAMPLES + 1)
     upper_graph = np.column_stack([xs, transition_function(xs) / k])
     # Quarter circle from the graph junction down to the apex, junction excluded.
     theta = np.linspace(np.pi / 2.0, 0.0, _SWEEP_CIRCLE_SAMPLES // 2 + 1)[1:]
     upper_circle = np.column_stack([1.0 + np.cos(theta) / k, np.sin(theta) / k])
     upper = np.vstack([upper_graph, upper_circle])
-    return _assemble(k, upper)
+    # mirror the upper half across y = 0 and glue; snap the endpoints to the origin
+    m = len(upper)
+    pts = np.concatenate([upper, upper[-2::-1]])
+    pts[m:, 1] *= -1.0
+    pts[0] = pts[-1] = 0.0
+    s = np.zeros(len(pts))
+    np.cumsum(np.sqrt((np.diff(pts, axis=0) ** 2).sum(axis=1)), out=s[1:])
+    return TeardropCurve(k=int(k), s=s, points=pts)
 
 
 def save_teardrop(curve: TeardropCurve, path):

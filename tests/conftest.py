@@ -6,6 +6,7 @@ import sys
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 from scipy.sparse import csgraph, csr_matrix
 from scipy.spatial import SphericalVoronoi, cKDTree
 
@@ -19,6 +20,8 @@ from curvebound.contour import (Contour, ContourError, component_pair_distances,
                                 segment_segment_distance)
 from curvebound.curvature import COT_CLAMP, _curvature_weights, mean_curvature_field
 from curvebound.mesh import DIAMETER_TOL, SurfaceMesh, geodesic_distances
+from curvebound.teardrop import (_FALL_CENTER, _RISE_CENTER, transition_function,
+                                 transition_slope)
 
 try:
     from hypothesis import settings
@@ -205,6 +208,51 @@ def tau_root_bisection(lo=1.0, hi=1.5, tol=1e-10) -> float:
     return 0.5 * (lo + hi)
 
 
+def dense_teardrop(k, circle_samples=4096):
+    """The index-k teardrop resampled at uniform arclength, as (m, 2) points.
+
+    Graph samples are interpolated from a 32,768-interval table of the graph
+    x -> (x, f(x)/k) and its trapezoid arclength; the density per unit length
+    puts at least ``circle_samples`` samples on the half-circle. Its turning
+    carries rounding noise that grows with the density.
+    """
+    x = np.linspace(0.0, 1.0, 32769)
+    speed = np.sqrt(1.0 + transition_slope(x) ** 2 / (k * k))
+    s_graph = np.concatenate([[0.0], np.cumsum(0.5 * (speed[1:] + speed[:-1]) * np.diff(x))])
+    graph_len = s_graph[-1]
+    half_len = graph_len + (np.pi / 2.0) / k
+    m = max(16, int(np.ceil(half_len * np.ceil(circle_samples * k / np.pi)))) + 1
+    targets = np.linspace(0.0, half_len, m)
+    n_graph = int(np.searchsorted(targets, graph_len, side="right"))
+    upper = np.empty((m, 2))
+    upper[:n_graph, 0] = np.interp(targets[:n_graph], s_graph, x)
+    upper[:n_graph, 1] = np.interp(targets[:n_graph], s_graph, transition_function(x)) / k
+    theta = np.pi / 2.0 - (targets[n_graph:] - graph_len) * k
+    upper[n_graph:] = np.column_stack([1.0 + np.cos(theta) / k, np.sin(theta) / k])
+    upper[-1] = (1.0 + 1.0 / k, 0.0)  # the apex, the symmetry midpoint, exactly
+    pts = np.concatenate([upper, upper[-2::-1]])
+    pts[m:, 1] *= -1.0
+    pts[0] = pts[-1] = (0.0, 0.0)
+    return pts
+
+
+def teardrop_turning_closed_form(k) -> float:
+    """pi + 4*atan(s_max/k), s_max the transition slope's maximum (at x = 1/2).
+
+    The graph's slope f'/k rises from 0 to s_max/k and falls back, so each
+    graph piece turns by 2*atan(s_max/k), and the half-circle by pi.
+    """
+    return np.pi + 4.0 * np.arctan(transition_slope(0.5) / k)
+
+
+def teardrop_length_quad(k) -> float:
+    """Length of the smooth index-k teardrop: 2*(graph length + pi/(2k)), the
+    graph x -> (x, f(x)/k) integrated by scipy's adaptive quadrature."""
+    graph, _ = quad(lambda x: np.sqrt(1.0 + (transition_slope(x) / k) ** 2), 0.0, 1.0,
+                    points=(_RISE_CENTER, _FALL_CENTER), epsabs=0.0, epsrel=1e-13, limit=200)
+    return 2.0 * (graph + (np.pi / 2.0) / k)
+
+
 def brute_force_pair_distance(c: Contour, i, j) -> float:
     """Min of ``segment_segment_distance`` over all segment pairs of components i, j."""
     pi, pj = c.components[i], c.components[j]
@@ -283,9 +331,18 @@ def component_distance_matrix(c: Contour) -> np.ndarray:
 
 
 def white_bruteforce_oracle(c_or_matrix) -> float:
-    """Exhaustive bottleneck over all 2^(N-1) - 1 bipartitions, N <= 12."""
+    """Exhaustive bottleneck over all 2^(N-1) - 1 bipartitions, N <= 12.
+
+    Takes a contour, a symmetric distance matrix, or a graph as a tuple
+    (n, i, j, w) of edges (i[k], j[k]) of weight w[k]; a graph's absent
+    edges weigh +inf, so the search sees only its edges.
+    """
     if isinstance(c_or_matrix, Contour):
         d = component_distance_matrix(c_or_matrix)
+    elif isinstance(c_or_matrix, tuple):
+        n, i, j, w = c_or_matrix
+        d = np.full((n, n), np.inf)
+        d[i, j] = d[j, i] = w
     else:
         d = np.asarray(c_or_matrix, dtype=float)
     n = len(d)

@@ -34,7 +34,7 @@ from curvebound.criteria import (VERDICT_CERTIFIED, VERDICT_NO_CERTIFICATE,
 from curvebound.curvature import total_abs_curvature, total_mean_curvature
 from curvebound.doubling import build_double, convergence_rows
 from curvebound.mesh import boundary_length, extrinsic_diameter, validate
-from curvebound.teardrop import build_teardrop
+from curvebound.teardrop import build_sweep_profile
 
 
 def report(tag, ok, detail=""):
@@ -47,7 +47,7 @@ def test_criterion_01_teardrop_convergence():
     devs = {}
     max_radii = {}
     for k in (10, 100, 1000):
-        curve = build_teardrop(k)
+        curve = build_sweep_profile(k)
         devs[k] = abs(total_abs_curvature(curve.points) - np.pi)
         max_radii[k] = curve.max_radius()
     elapsed = time.perf_counter() - t0

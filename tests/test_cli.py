@@ -17,6 +17,7 @@ from curvebound.curvature import total_mean_curvature
 from curvebound.criteria import verify_cone_separator
 from curvebound.doubling import build_double
 from curvebound.mesh import MeshError, SurfaceMesh, load_mesh, save_mesh, validate
+from curvebound.teardrop import build_sweep_profile
 
 
 @pytest.fixture
@@ -207,24 +208,33 @@ class TestVerifyBound:
 
 
 class TestTeardropCommand:
-    def test_bad_k_leaves_stdout_empty(self, capsys, tmp_path):
+    @pytest.mark.parametrize("k", ["0", "4294967297", "1" + "0" * 399],
+                             ids=["zero", "above-k-max", "400-digits"])
+    def test_bad_k_leaves_stdout_empty(self, capsys, tmp_path, k):
         export = tmp_path / "curves"
-        code = main(["teardrop", "--k", "5,0", "--export", str(export)])
+        code = main(["teardrop", "--k", f"5,{k}", "--export", str(export)])
         captured = capsys.readouterr()
         assert code == 1
         assert captured.out == ""
-        assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+        assert captured.err == "error: k must be an integer from 1 to 4294967296\n"
         assert not export.exists()
 
     def test_table_and_export(self, capsys, tmp_path):
         export = str(tmp_path / "curves")
-        code, out = run(capsys, ["teardrop", "--k", "10,100", "--export", export])
+        code, out = run(capsys, ["teardrop", "--k", "10,100,4294967296", "--export", export])
         assert code == 0
         lines = [l for l in out.splitlines() if l and not l.startswith("k ")]
         devs = [float(l.split()[3]) for l in lines]
-        assert devs[0] > devs[1]
-        body = open(tmp_path / "curves" / "teardrop_k10.txt").read()
-        assert body.startswith("# teardrop k=10")
+        assert devs[0] > devs[1] > devs[2]
+        for line, k in zip(lines, (10, 100, 4294967296)):
+            # the swept profile's own measures, at the 12 digits printed
+            prof = build_sweep_profile(k)
+            turn = prof.turning()
+            assert line.split() == [str(k)] + ["%.12g" % v for v in (
+                prof.total_length, turn, abs(turn - np.pi), 1.0 + 1.0 / k)]
+            with open(tmp_path / "curves" / f"teardrop_k{k}.txt") as fh:
+                assert fh.readline() == f"# teardrop k={k} length={line.split()[1]}\n"
+            assert np.loadtxt(tmp_path / "curves" / f"teardrop_k{k}.txt").shape == (177, 3)
 
 
 class TestCheckContour:
@@ -287,6 +297,21 @@ class TestCheckContour:
             assert captured.out == ""
             assert captured.err == ("error: component 0 has a coordinate beyond 2^240 "
                                     "in absolute value\n")
+
+    @pytest.mark.parametrize("scale, code", [(2.0**-507, 2), (2.0**-508, 1), (1e-200, 1)])
+    def test_segment_limit(self, capsys, tmp_path, scale, code):
+        # the 64-gons' segments are about 2^-3.35 long; below 2^-511 their squared
+        # lengths and the squared distances at their scale underflow, and the
+        # contour is refused before any number is printed
+        c = gen.coaxial_circles_contour(1.0, 2.0, 64)
+        path = tmp_path / "scaled.contour.json"
+        path.write_text(json.dumps({"dimension": 3, "components": [
+            {"vertices": (a * scale).tolist()} for a in c.components]}))
+        assert main(["check-contour", str(path)]) == code
+        captured = capsys.readouterr()
+        if code == 1:
+            assert captured.out == ""
+            assert captured.err == "error: component 0 has a segment shorter than 2^-511\n"
 
     def test_empty_contour_document(self, capsys, tmp_path):
         path = tmp_path / "empty.contour.json"
@@ -430,15 +455,17 @@ class TestDoubleCommand:
         assert captured.err.startswith("error: doubling produced a bad surface:\n")
         assert not out_dir.exists() or not os.listdir(out_dir)
 
-    def test_bad_k_rejected_before_any_double(self, capsys, tmp_path):
+    @pytest.mark.parametrize("k", ["0", "4294967297", "1" + "0" * 399],
+                             ids=["zero", "above-k-max", "400-digits"])
+    def test_bad_k_rejected_before_any_double(self, capsys, tmp_path, k):
         out_dir = tmp_path / "doubles"
         path = tmp_path / "disk.mesh.json"
         save_mesh(gen.flat_disk(1.0, 8, 32), path)
-        code = main(["double", str(path), "--k-list", "10,0", "--out-dir", str(out_dir)])
+        code = main(["double", str(path), "--k-list", f"10,{k}", "--out-dir", str(out_dir)])
         captured = capsys.readouterr()
         assert code == 1
         assert captured.out == ""
-        assert captured.err == "error: k must be a positive integer\n"
+        assert captured.err == "error: k must be an integer from 1 to 4294967296\n"
         assert not out_dir.exists()
 
     def test_closed_mesh_is_an_error(self, capsys, tmp_path):

@@ -72,6 +72,26 @@ class TestContourValidation:
         with pytest.raises(ContourError, match=f"^{message}$"):
             Contour([comps["fine"], comps[first], comps[second]])
 
+    def test_scaling_exact_down_to_the_segment_limit(self):
+        # the 64-gons' segments are 2 sin(pi/64) ~ 2^-3.35 long: at 2^-507 they
+        # are longer than 2^-511, and from 2^-508 (and at 1e-200, where they
+        # were taken for duplicates) they are refused
+        c = gen.coaxial_circles_contour(1.0, 2.0, 64)
+        length, diameter = contour_length(c), contour_diameter(c)
+        for k in (1, 100, 400, 500, 506, 507):
+            scaled = Contour([2.0**-k * a for a in c.components])
+            assert contour_length(scaled) == 2.0**-k * length, k
+            assert contour_diameter(scaled) == 2.0**-k * diameter, k
+        for scale in (2.0**-508, 2.0**-510, 1e-200, 2.0**-600):
+            with pytest.raises(ContourError,
+                               match=r"^component 0 has a segment shorter than 2\^-511$"):
+                Contour([scale * a for a in c.components])
+
+    def test_tiny_exact_repeat_named_duplicate(self):
+        comp = 1e-200 * np.array([[0, 0, 1], [1, 0, 1], [1, 0, 1], [0, 1, 1]])
+        with pytest.raises(ContourError, match="^component 0 has consecutive duplicate points$"):
+            Contour([comp])
+
     def test_disjointness_check(self):
         def disjoint(c):
             d = component_distance_matrix(c)
