@@ -23,50 +23,63 @@ N_BUMPS = 3  # extrinsic bumps in probe_function_library
 PERTURBED_DELTA = np.pi / 3.0  # comparison_identity_check's off-sharp delta
 
 
-def _triangle_gradients_l1(mesh, f):
-    """L1 norm of the per-triangle linear gradient, any codimension.
+def _triangle_gradients_l1(mesh, fields):
+    """L1 norms of the per-triangle linear gradients of each field, any codimension.
 
     On each triangle solve the 2x2 Gram system for the tangential gradient of
-    the linear interpolant; |grad f|^2 = df^T G^{-1} df.
+    the linear interpolant; |grad f|^2 = df^T G^{-1} df. The Gram terms are
+    read once for all the fields; 2 * guw is exact, so the products round as
+    2.0 * guw * df1 * df2 does.
     """
     tri = mesh.triangles
     sq, dot, gram = mesh.corner_gram()
-    guu, gww, guw, det = sq[:, 0], sq[:, 2], dot[:, 0], gram[:, 0]
-    df1 = f[tri[:, 1]] - f[tri[:, 0]]
-    df2 = f[tri[:, 2]] - f[tri[:, 0]]
-    grad_sq = np.where(
-        det > 0,
-        (gww * df1 * df1 - 2.0 * guw * df1 * df2 + guu * df2 * df2)
-        / np.where(det > 0, det, 1.0),
-        0.0,
-    )
-    return float((np.sqrt(np.maximum(grad_sq, 0.0)) * mesh.triangle_areas()).sum())
+    guu, gww, guw2, det = sq[:, 0].copy(), sq[:, 2].copy(), 2.0 * dot[:, 0], gram[:, 0]
+    pos = det > 0
+    div = np.where(pos, det, 1.0)
+    areas = mesh.triangle_areas()
+    norms = []
+    for f in fields:
+        f0 = f[tri[:, 0]]
+        df1, df2 = f[tri[:, 1]] - f0, f[tri[:, 2]] - f0
+        grad_sq = np.where(pos, (gww * df1 * df1 - guw2 * df1 * df2 + guu * df2 * df2) / div,
+                           0.0)
+        norms.append(float((np.sqrt(np.maximum(grad_sq, 0.0)) * areas).sum()))
+    return norms
 
 
-def michael_simon_check(mesh: SurfaceMesh, f, name="f") -> dict:
-    """Discrete sharp Michael-Simon inequality for one finite nonnegative function.
+def michael_simon_check(mesh: SurfaceMesh, functions) -> list:
+    """Discrete sharp Michael-Simon inequality for named finite nonnegative functions.
 
-    Vertex-lumped L2 norm, per-triangle linear-gradient L1 norm, vertex-lumped
-    |H| f L1 norm; the inequality is granted a 5% slack for discretization.
-    Returns the report entry ``{"f", "lhs", "rhs", "margin", "holds"}``, with
-    ``f`` the function's name and ``margin = rhs - lhs``.
+    ``functions`` holds (name, per-vertex field) pairs, as
+    ``probe_function_library`` returns them. Vertex-lumped L2 norm,
+    per-triangle linear-gradient L1 norm, vertex-lumped |H| f L1 norm; the
+    inequality is granted a 5% slack for discretization. Returns one report
+    entry ``{"f", "lhs", "rhs", "margin", "holds"}`` per function, in order,
+    with ``f`` the function's name and ``margin = rhs - lhs``. The mesh's
+    terms (|H|, the vertex areas, the Gram terms) are computed once for all
+    the functions, and each entry has the bits it has alone.
     """
-    f = np.asarray(f, dtype=float)
-    if not np.all(np.isfinite(f)):
-        raise ValueError("test functions must be finite")
-    if np.any(f < 0):
-        raise ValueError("test functions must be nonnegative")
-    if len(f) != mesh.n_vertices:
-        raise ValueError("f must be a per-vertex field")
+    names = [name for name, _ in functions]
+    fields = [np.asarray(f, dtype=float) for _, f in functions]
+    for f in fields:
+        if not np.all(np.isfinite(f)):
+            raise ValueError("test functions must be finite")
+        if np.any(f < 0):
+            raise ValueError("test functions must be nonnegative")
+        if len(f) != mesh.n_vertices:
+            raise ValueError("f must be a per-vertex field")
     if not mesh.is_closed():
         raise ValueError("the inequality is checked on closed surfaces")
     field_ = mean_curvature_field(mesh)
-    lhs = float(SIGMA_SHARP * np.sqrt(np.sum(f * f * field_.areas)))
-    grad_l1 = _triangle_gradients_l1(mesh, f)
-    hf_l1 = float(np.sum(field_.magnitudes() * f * field_.areas))
-    rhs = grad_l1 + 2.0 * hf_l1
-    return {"f": name, "lhs": lhs, "rhs": rhs, "margin": rhs - lhs,
-            "holds": bool(lhs <= rhs * (1.0 + MS_DISCRETIZATION_SLACK))}
+    magnitudes = field_.magnitudes()
+    entries = []
+    for name, f, grad_l1 in zip(names, fields, _triangle_gradients_l1(mesh, fields)):
+        lhs = float(SIGMA_SHARP * np.sqrt(np.sum(f * f * field_.areas)))
+        hf_l1 = float(np.sum(magnitudes * f * field_.areas))
+        rhs = grad_l1 + 2.0 * hf_l1
+        entries.append({"f": name, "lhs": lhs, "rhs": rhs, "margin": rhs - lhs,
+                        "holds": bool(lhs <= rhs * (1.0 + MS_DISCRETIZATION_SLACK))})
+    return entries
 
 
 def probe_function_library(mesh: SurfaceMesh, seed=0):
@@ -116,6 +129,17 @@ def m_kappa(mesh: SurfaceMesh, p: int, R: float) -> dict:
     in triangle order. The weights are one C-ordered (2, T) array cached on
     the mesh; ``compress`` and ``take`` keep rows C-ordered, so each row sum
     adds as a 1-D sum would (a Fortran-ordered ``w[:, mask]`` would not).
+    The three sums of every radius go into one array, and m and kappa are
+    (a + b) + c over r_j and over r_j * r_j, the operations of one radius at
+    a time.
+
+    The search stops at limit = (R + the longest edge) * (1 + 1e-9): only
+    triangles with a corner within r_50 = R * 50 / 50 are read, and their
+    other corners lie within one edge of that corner, so at most
+    fl(r_50 + edge) <= (R + edge) * (1 + 3u) away, with u the unit
+    roundoff. Every distance <= limit has the bits of the unbounded search
+    (``geodesic_distances``), so every triangle read, and the set of them,
+    is the same.
     """
     if not 0 < R < np.inf:
         raise ValueError("R must be positive and finite")
@@ -125,12 +149,13 @@ def m_kappa(mesh: SurfaceMesh, p: int, R: float) -> dict:
         w.setflags(write=False)
         mesh._cache["ball_weights"] = w
     r = R * np.arange(1, R_SAMPLES + 1) / R_SAMPLES
-    dv = geodesic_distances(mesh, p)[mesh.triangles]
-    near = np.minimum(np.minimum(dv[:, 0], dv[:, 1]), dv[:, 2]) <= r[-1]
-    dv, w = dv.compress(near, axis=0), mesh._cache["ball_weights"].compress(near, axis=1)
+    limit = (R + mesh.vertex_adjacency().data.max(initial=0.0)) * (1.0 + 1e-9)
+    dv = geodesic_distances(mesh, p, limit)[mesh.triangles]
+    a, b, c = dv.T
+    near = np.minimum(np.minimum(a, b), c) <= r[-1]
+    a, b, c, w = a[near], b[near], c[near], mesh._cache["ball_weights"].compress(near, axis=1)
     # hi[k] (lo[k]): per triangle, the distance at the corner k after its largest (smallest)
-    flat, turn = 3 * np.arange(len(dv)), np.arange(3)[:, None]
-    hi, lo = (dv.ravel()[flat + (arg(dv, axis=1) + turn) % 3] for arg in (np.argmax, np.argmin))
+    hi, lo = _rotations(a, b, c)
     j_one, j_two, j_full = (np.searchsorted(r, x)
                             for x in (lo[0], np.maximum(hi[1], hi[2]), hi[0]))
 
@@ -139,26 +164,38 @@ def m_kappa(mesh: SurfaceMesh, p: int, R: float) -> dict:
         count = stop - first
         t = np.repeat(np.arange(len(count)), count)
         j = np.repeat(first + count - np.cumsum(count), count) + np.arange(len(t))
-        order = np.argsort(j, kind="stable")
+        # j < R_SAMPLES fits int16, whose stable sort is a radix sort
+        order = np.argsort(j.astype(np.int16), kind="stable")
         j, t = j[order], t[order]
-        return np.searchsorted(j, np.arange(R_SAMPLES + 1)), w.take(t, axis=1), r[j], d[:, t]
+        return (np.searchsorted(j, np.arange(R_SAMPLES + 1)), w.take(t, axis=1), r[j],
+                [x[t] for x in d])
 
     at_cut, w_cut, rc, (da, db, dc) = band(j_two, j_full, hi)
     cut = w_cut * (1.0 - ((da - rc) / (da - db)) * ((da - rc) / (da - dc)))
     at_one, w_one, rc, (da, db, dc) = band(j_one, j_two, lo)
     # w * tb * tc runs left to right; w * (tb * tc) would round differently
     one = w_one * ((rc - da) / (db - da)) * ((rc - da) / (dc - da))
-    m_best, k_best = -np.inf, np.inf
-    for j, rj in enumerate(r.tolist()):
-        curvature, area = (float(a) + float(b) + float(c) for a, b, c in zip(
-            w.compress(j_full <= j, axis=1).sum(axis=1),
-            cut[:, at_cut[j]:at_cut[j + 1]].sum(axis=1),
-            one[:, at_one[j]:at_one[j + 1]].sum(axis=1)))
-        m_best = max(m_best, curvature / rj)
-        k_best = min(k_best, area / (rj * rj))
-    m, kappa = float(m_best), float(k_best)
+    sums = np.empty((3, R_SAMPLES, 2))
+    for j in range(R_SAMPLES):
+        w.compress(j_full <= j, axis=1).sum(axis=1, out=sums[0, j])
+        cut[:, at_cut[j]:at_cut[j + 1]].sum(axis=1, out=sums[1, j])
+        one[:, at_one[j]:at_one[j + 1]].sum(axis=1, out=sums[2, j])
+    curvature, area = (sums[0] + sums[1] + sums[2]).T
+    m, kappa = float((curvature / r).max()), float((area / (r * r)).min())
     return {"probe": int(p), "R": float(R), "m": m, "kappa": kappa,
             "holds": max(m, kappa) > DELTA_SHARP}
+
+
+def _rotations(a, b, c):
+    """The corner values (a, b, c) rotated to start at the first largest, and
+    at the first smallest, the corners argmax and argmin pick: three
+    comparisons and three selects per corner."""
+    rotations = []
+    for op in (np.greater_equal, np.less_equal):
+        first_a, first_b = op(a, b) & op(a, c), op(b, c)
+        rotations.append([np.where(first_a, x, np.where(first_b, y, z))
+                          for x, y, z in ((a, b, c), (b, c, a), (c, a, b))])
+    return rotations
 
 
 def comparison_identity_check() -> dict:
@@ -228,8 +265,8 @@ def run_audit(shapes=None, probes_per_shape=20, seed=0) -> dict:
               "covering": {}}
     rng = np.random.default_rng(seed)
     for name, mesh in shapes.items():
-        report["michael_simon"][name] = [michael_simon_check(mesh, f, fname)
-                                         for fname, f in probe_function_library(mesh, seed=seed)]
+        report["michael_simon"][name] = michael_simon_check(
+            mesh, probe_function_library(mesh, seed=seed))
         diam_hint = float(np.linalg.norm(mesh.vertices.max(axis=0) - mesh.vertices.min(axis=0)))
         probes = rng.integers(0, mesh.n_vertices, size=probes_per_shape)
         report["dichotomy"][name] = [m_kappa(mesh, int(p), R=0.5 * diam_hint) for p in probes]

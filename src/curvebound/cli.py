@@ -223,10 +223,8 @@ def cmd_gen(args):
 
 
 def cmd_audit(args):
-    shapes = None
-    if args.quick:
-        library = gen_mod.closed_library_meshes()
-        shapes = {name: library[name] for name in ("icosphere3", "capped_cylinder_0.5_4")}
+    shapes = (gen_mod.closed_library_meshes(("icosphere3", "capped_cylinder_0.5_4"))
+              if args.quick else None)
     doc = audit_mod.run_audit(shapes=shapes, probes_per_shape=args.probes, seed=args.seed)
     lines = ["identity: coefficient = " + _fmt(doc["identity"]["coefficient"])
              + ", perturbed(pi/3) = " + _fmt(doc["identity"]["perturbed_coefficient"])

@@ -33,6 +33,13 @@ def _count(name, value, minimum):
     return int(value)
 
 
+def _length(name, value):
+    """``value``; ValueError naming ``name`` unless it is positive and finite."""
+    if isinstance(value, bool) or not 0 < value < math.inf:  # NaN too
+        raise ValueError(f"{name} must be positive and finite, got {value!r}")
+    return value
+
+
 def _steps(name, n, scale):
     """scale * i / n for i = 0..n, with n a checked count >= 1."""
     n = _count(name, n, 1)
@@ -81,8 +88,8 @@ def flat_disk(radius=1.0, rings=24, segments=96) -> SurfaceMesh:
     Spoke edges run straight through the center, so edge-graph distances from
     the center vertex are exact.
     """
-    return _polar_mesh((0.0, 0.0, 0.0),
-                       [(r, 0.0) for r in _steps("rings", rings, radius)[1:]], segments)
+    return _polar_mesh((0.0, 0.0, 0.0), [(r, 0.0) for r in _steps(
+        "rings", rings, _length("radius", radius))[1:]], segments)
 
 
 _ICO_T = (1.0 + math.sqrt(5.0)) / 2.0
@@ -111,6 +118,7 @@ def icosphere(subdivisions=3, radius=1.0) -> SurfaceMesh:
     Original icosahedron vertices survive subdivision, so antipodal vertex
     pairs exist and the vertex diameter equals 2*radius exactly.
     """
+    _length("radius", radius)
     verts = _ICO_VERTS / np.linalg.norm(_ICO_VERTS[0])
     faces = _ICO_FACES
     for _ in range(_count("subdivisions", subdivisions, 0)):
@@ -142,6 +150,7 @@ def _subdivide_midpoint(verts, faces):
 
 def hemisphere(rings=24, segments=96, radius=1.0) -> SurfaceMesh:
     """Upper unit hemisphere (z >= 0) with the equator as its boundary loop."""
+    _length("radius", radius)
     thetas = _steps("rings", rings, np.pi / 2.0)[1:]  # polar angles from the north pole
     return _polar_mesh((0.0, 0.0, radius),
                        [(radius * np.sin(t), radius * np.cos(t)) for t in thetas], segments)
@@ -154,6 +163,7 @@ def capped_cylinder(radius=1.0, length=20.0, segments=64, rings_lateral=None,
     Axis along z, caps centered at z = +-(length/2); the two pole vertices sit
     at z = +-(length/2 + radius), so the vertex diameter is length + 2*radius.
     """
+    radius, length = _length("radius", radius), _length("length", length)
     segments = _count("segments", segments, 3)
     if rings_lateral is None:
         rings_lateral = max(8, int(round(length / (2.0 * np.pi * radius / segments))))
@@ -175,6 +185,7 @@ def capped_cylinder(radius=1.0, length=20.0, segments=64, rings_lateral=None,
 
 def open_cylinder(radius=1.0, length=4.0, segments=64, rings=None) -> SurfaceMesh:
     """Lateral cylinder surface only: two boundary circles."""
+    radius, length = _length("radius", radius), _length("length", length)
     segments = _count("segments", segments, 3)
     if rings is None:
         rings = max(4, int(round(length / (2.0 * np.pi * radius / segments))))
@@ -186,7 +197,7 @@ def open_cylinder(radius=1.0, length=4.0, segments=64, rings=None) -> SurfaceMes
 def square_grid(n=32, size=1.0) -> SurfaceMesh:
     """Flat square [0, size]^2 as an n x n grid, each cell split on one diagonal."""
     n = _count("n", n, 1)
-    xs = np.linspace(0.0, size, n + 1)
+    xs = np.linspace(0.0, _length("size", size), n + 1)
     gx, gy = np.meshgrid(xs, xs, indexing="ij")
     vertices = np.column_stack([gx.ravel(), gy.ravel(), np.zeros((n + 1) ** 2)])
     a = (np.arange(n)[:, None] * (n + 1) + np.arange(n)).ravel()  # each cell's low corner
@@ -204,8 +215,8 @@ def embed_in_r4(mesh: SurfaceMesh) -> SurfaceMesh:
 
 
 def circle_contour(radius=1.0, segments=360, center=(0, 0, 0), normal=(0, 0, 1)) -> Contour:
-    return Contour(_circles(np.array([center], float), np.array([normal], float), radius,
-                            segments))
+    return Contour(_circles(np.array([center], float), np.array([normal], float),
+                            _length("radius", radius), segments))
 
 
 def _circles(centers, normals, radius, segments):
@@ -233,6 +244,7 @@ def stadium_contour(a=10.0, r=1.0, cap_segments=64, side_segments=64) -> Contour
     it is the canonical silent case for all nonexistence criteria.
     """
     pts = []
+    a, r = _length("a", a), _length("r", r)
     cap_segments = _count("cap_segments", cap_segments, 1)
     xs = np.linspace(-a / 2.0, a / 2.0, _count("side_segments", side_segments, 1),
                      endpoint=False)
@@ -250,7 +262,8 @@ def coaxial_circles_contour(radius=1.0, half_gap=2.0, segments=360) -> Contour:
     if not half_gap > 0:
         raise ValueError(f"half_gap must be positive, got {half_gap!r}")
     return Contour(_circles(np.array([[0.0, 0.0, half_gap], [0.0, 0.0, -half_gap]]),
-                            np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 1.0]]), radius, segments))
+                            np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 1.0]]),
+                            _length("radius", radius), segments))
 
 
 # -- spherical point sets -----------------------------------------------------
@@ -504,11 +517,15 @@ def shape_library(name, **params):
     return SHAPE_BUILDERS[name](**params)
 
 
-def closed_library_meshes():
-    """The closed shapes every 'holds on all closed library shapes' suite runs on."""
-    return {
-        "icosphere3": icosphere(3),
-        "icosphere4": icosphere(4),
-        "capped_cylinder_1_20": capped_cylinder(1.0, 20.0),
-        "capped_cylinder_0.5_4": capped_cylinder(0.5, 4.0, segments=48, rings_cap=10),
-    }
+# The closed shapes every 'holds on all closed library shapes' suite runs on.
+CLOSED_LIBRARY = {
+    "icosphere3": lambda: icosphere(3),
+    "icosphere4": lambda: icosphere(4),
+    "capped_cylinder_1_20": lambda: capped_cylinder(1.0, 20.0),
+    "capped_cylinder_0.5_4": lambda: capped_cylinder(0.5, 4.0, segments=48, rings_cap=10),
+}
+
+
+def closed_library_meshes(names=None):
+    """The closed library's meshes by name: every shape, or only those in ``names``."""
+    return {name: CLOSED_LIBRARY[name]() for name in (CLOSED_LIBRARY if names is None else names)}

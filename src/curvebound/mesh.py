@@ -547,20 +547,24 @@ def boundary_length(mesh: SurfaceMesh) -> float:
     return float(sum(loop.length for loop in mesh.boundary_loops))
 
 
-def geodesic_distances(mesh: SurfaceMesh, source: int) -> np.ndarray:
+def geodesic_distances(mesh: SurfaceMesh, source: int, limit=np.inf) -> np.ndarray:
     """Shortest-path distances from ``source`` on the edge graph (Dijkstra).
 
     Edge-graph geodesics overestimate true polyhedral geodesics; the bias is
     direction-dependent (up to a few percent on near-isotropic meshes, worse
     on lattices) and is absorbed into the tolerances of everything built on
-    top. Unreachable vertices get ``inf``.
+    top. Unreachable vertices get ``inf``, and so do vertices farther than
+    ``limit`` (>= 0), where the search stops; every distance <= ``limit``
+    has the bits of the unbounded search, since a settled distance is the
+    least of the same candidate sums, in whatever order they are relaxed.
     """
     if not 0 <= source < mesh.n_vertices:
         raise ValueError(f"source {source} out of range")
     from scipy.sparse import csgraph
     # the adjacency is symmetric, so the directed search gives the same bits
     # as directed=False in about half the time
-    return csgraph.dijkstra(mesh.vertex_adjacency(), directed=True, indices=source)
+    return csgraph.dijkstra(mesh.vertex_adjacency(), directed=True, indices=source,
+                            limit=limit)
 
 
 def intrinsic_diameter(mesh: SurfaceMesh) -> tuple[float, float]:
@@ -581,8 +585,9 @@ def intrinsic_diameter(mesh: SurfaceMesh) -> tuple[float, float]:
     vertex still a candidate: it is the least of d(v, w) + m_v over computed
     sources v, with m_v the largest distance from v to a candidate that is
     not a source of this call. Every computed row is kept on the
-    candidates' columns (sources and dropped vertices leave in one
-    compaction per call), so m_v and reach are read again after each call;
+    candidates' columns, in one buffer that doubles when full (sources and
+    dropped vertices leave in one in-place compaction per call), so m_v and
+    reach are read again after each call;
     u is a computed source, so this includes the iFUB bound. Every other
     vertex was computed or dropped. ``lower`` is the best
     eccentricity computed, and ``upper`` is lower * (1 + DIAMETER_TOL) *
@@ -619,9 +624,10 @@ def intrinsic_diameter(mesh: SurfaceMesh) -> tuple[float, float]:
         raise ValueError("intrinsic diameter needs a connected mesh")
     graph = mesh.vertex_adjacency()
     slack = max(1e-12, 4 * n * np.finfo(float).eps)
-    # the candidates, their column bounds, and every computed row on their columns
+    # the candidates, their column bounds, and every computed row on their
+    # columns: the first k rows and len(live) columns of a buffer that doubles
     live, colmax, spread = np.arange(n), np.zeros(n), np.zeros(n)
-    rows, from_u, best = np.zeros((0, n)), np.full(n, np.inf), 0.0
+    buf, k, from_u, best = np.empty((8, n)), 0, np.full(n, np.inf), 0.0
     while len(live):
         picks = [int(np.argmax(from_u[live]))]
         if len(live) > 1:
@@ -634,16 +640,23 @@ def intrinsic_diameter(mesh: SurfaceMesh) -> tuple[float, float]:
         best = max(best, float(ecc.max()))
         if ecc.min() < from_u.max():
             from_u = d[np.argmin(ecc)]
-        # bounds only matter on the vertices still candidates
-        new = d[:, live]
-        rows = np.vstack([rows, new])
-        colmax = np.maximum(colmax, new.max(axis=0))
-        spread = np.maximum(spread, (ecc[:, None] - new).max(axis=0))
+        if k + len(d) > len(buf):
+            grown = np.empty((2 * len(buf), n))
+            grown[:k, :len(live)] = buf[:k, :len(live)]
+            buf = grown
+        # bounds only matter on the vertices still candidates; the indices are
+        # in range, so mode="clip" only spares take a buffered copy
+        new = d.take(live, axis=1, out=buf[k:k + len(d), :len(live)], mode="clip")
+        k += len(d)
+        rows = buf[:k, :len(live)]
+        np.maximum(colmax, new.max(axis=0), out=colmax)
+        np.maximum(spread, (ecc[:, None] - new).max(axis=0), out=spread)
         rest = np.ones(len(live), dtype=bool)
         rest[picks] = False
         reach = (rows + rows.max(axis=1, where=rest, initial=0.0)[:, None]).min(axis=0)
         keep = rest & (np.maximum(colmax, reach) * (1.0 + slack) > best * (1.0 + DIAMETER_TOL))
-        live, colmax, spread, rows = live[keep], colmax[keep], spread[keep], rows[:, keep]
+        live, colmax, spread = live[keep], colmax[keep], spread[keep]
+        rows.compress(keep, axis=1, out=buf[:k, :len(live)])
     return best, float(best * (1.0 + DIAMETER_TOL) * (1.0 + slack))
 
 

@@ -25,40 +25,39 @@ def _disjoint_icospheres():
 
 class TestMichaelSimon:
     def test_icosphere_constant_function(self, icosphere4):
-        rec = michael_simon_check(icosphere4, np.ones(icosphere4.n_vertices), "const")
+        rec, = michael_simon_check(icosphere4, [("const", np.ones(icosphere4.n_vertices))])
         # closed form: lhs = 2 sqrt(pi) sqrt(4 pi) = 4 pi, rhs = 2 * 4 pi
         assert rec["holds"]
         assert abs(rec["lhs"] / rec["rhs"] - 0.5) < 0.01
-        assert _triangle_gradients_l1(icosphere4, np.ones(icosphere4.n_vertices)) < 1e-9
+        assert _triangle_gradients_l1(icosphere4, [np.ones(icosphere4.n_vertices)])[0] < 1e-9
 
     def test_icosphere_annular_cutoff(self, icosphere4):
         d = geodesic_distances(icosphere4, 0)
         f = np.clip(1.0 - (d - 1.0) / 0.3, 0.0, 1.0)
-        rec = michael_simon_check(icosphere4, f, "annular")
+        rec, = michael_simon_check(icosphere4, [("annular", f)])
         assert rec["holds"] and rec["margin"] > 0
 
     def test_capped_cylinder_constant(self, capped_cyl_1_20):
-        rec = michael_simon_check(capped_cyl_1_20,
-                                  np.ones(capped_cyl_1_20.n_vertices), "const")
+        rec, = michael_simon_check(capped_cyl_1_20,
+                                   [("const", np.ones(capped_cyl_1_20.n_vertices))])
         assert rec["holds"]
         # lhs = sigma sqrt(area), rhs = 2 int|H| = 2 pi (L + 4r)
         area = capped_cyl_1_20.triangle_areas().sum()
         assert abs(rec["lhs"] - SIGMA_SHARP * np.sqrt(area)) < 1e-9
 
     def test_function_library_all_hold(self, icosphere4):
-        for name, f in probe_function_library(icosphere4, seed=3):
-            rec = michael_simon_check(icosphere4, f, name)
-            assert rec["holds"], name
+        for rec in michael_simon_check(icosphere4, probe_function_library(icosphere4, seed=3)):
+            assert rec["holds"], rec["f"]
 
     def test_negative_function_rejected(self, icosphere4):
         f = np.ones(icosphere4.n_vertices)
         f[0] = -1e-9
         with pytest.raises(ValueError):
-            michael_simon_check(icosphere4, f)
+            michael_simon_check(icosphere4, [("f", f)])
 
     def test_open_mesh_rejected(self, unit_disk):
         with pytest.raises(ValueError):
-            michael_simon_check(unit_disk, np.ones(unit_disk.n_vertices))
+            michael_simon_check(unit_disk, [("f", np.ones(unit_disk.n_vertices))])
 
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_non_finite_function_rejected(self, value, icosphere4):
@@ -66,7 +65,7 @@ class TestMichaelSimon:
         f = np.ones(icosphere4.n_vertices)
         f[7] = value
         with pytest.raises(ValueError, match="^test functions must be finite$"):
-            michael_simon_check(icosphere4, f)
+            michael_simon_check(icosphere4, [("f", f)])
 
 
 class TestDichotomy:

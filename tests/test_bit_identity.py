@@ -77,8 +77,8 @@ def _outputs(mesh):
         "areas": mesh.triangle_areas(),
         "vectors": field.vectors,
         "voronoi": field.areas,
-        "gradients": [_triangle_gradients_l1(mesh, f)
-                      for _, f in probe_function_library(mesh, seed=0)],
+        "gradients": _triangle_gradients_l1(
+            mesh, [f for _, f in probe_function_library(mesh, seed=0)]),
         "m_kappa": [[r["m"], r["kappa"]] for r in dichotomy],
     }
 

@@ -585,7 +585,9 @@ class TestGenCommand:
 
     def test_invalid_mesh_is_an_error(self, capsys, tmp_path):
         out = tmp_path / "disk.mesh.json"
-        code = main(["gen", "disk", "--param", "radius=0", "--out", str(out)])
+        # a positive radius whose squared edges underflow to 0 (radius 0 is refused
+        # before the mesh is built)
+        code = main(["gen", "disk", "--param", "radius=1e-200", "--out", str(out)])
         captured = capsys.readouterr()
         assert code == 1
         assert captured.out == ""
@@ -654,6 +656,23 @@ class TestGenCommand:
         assert code == 1
         assert captured.out == ""
         assert captured.err.startswith("error: " + param.split("=")[0])
+        assert "Traceback" not in captured.err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("name,param", [
+        ("capped-cylinder", "radius=0"), ("open-cylinder", "radius=0"),
+        ("capped-cylinder", "length=inf"), ("capped-cylinder", "length=-3"),
+        ("hemisphere", "radius=-1"), ("disk", "radius=-1"), ("stadium", "r=-1"),
+        ("stadium", "a=nan"), ("coaxial-circles", "radius=-1"), ("square", "size=0"),
+        ("icosphere", "radius=-2"), ("circle", "radius=0")])
+    def test_length_not_positive_and_finite(self, capsys, tmp_path, name, param):
+        out = tmp_path / "x.json"
+        code = main(["gen", name, "--param", param, "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {param.split('=')[0]} must be positive "
+                                       "and finite, got ")
         assert "Traceback" not in captured.err
         assert not out.exists()
 
@@ -828,6 +847,14 @@ class TestAuditCommand:
         doc = json.loads(open(json_path).read())
         assert doc["all_hold"]
         assert len(open(csv_path).read().splitlines()) > 5
+
+    def test_quick_audit_builds_only_its_two_shapes(self, capsys, monkeypatch):
+        for name in ("icosphere4", "capped_cylinder_1_20"):
+            monkeypatch.setitem(gen.CLOSED_LIBRARY, name,
+                                lambda: pytest.fail("--quick built a shape it does not check"))
+        code, out = run(capsys, ["audit", "--quick", "--probes", "1"])
+        assert code == 0
+        assert "michael-simon icosphere3:" in out and "capped_cylinder_0.5_4" in out
 
     def test_zero_probes_rejected_before_output(self, capsys):
         code = main(["audit", "--quick", "--probes", "0"])

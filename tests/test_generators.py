@@ -407,3 +407,27 @@ class TestMeshGenerators:
         mesh4 = gen.embed_in_r4(unit_disk)
         assert mesh4.dimension == 4
         assert validate(mesh4).is_valid
+
+
+@pytest.mark.parametrize("builder,param", [
+    (gen.flat_disk, "radius"), (gen.icosphere, "radius"), (gen.hemisphere, "radius"),
+    (gen.capped_cylinder, "radius"), (gen.capped_cylinder, "length"),
+    (gen.open_cylinder, "radius"), (gen.open_cylinder, "length"), (gen.square_grid, "size"),
+    (gen.circle_contour, "radius"), (gen.stadium_contour, "a"), (gen.stadium_contour, "r"),
+    (gen.coaxial_circles_contour, "radius")])
+@pytest.mark.parametrize("value", [0.0, -3.0, float("inf"), float("nan")])
+def test_lengths_must_be_positive_and_finite(builder, param, value):
+    # radius 0 divided by zero, length inf overflowed, and a negative length
+    # folded the cylinder with its caps swapped
+    with pytest.raises(ValueError, match=f"^{param} must be positive and finite, got "):
+        builder(**{param: value})
+
+
+def test_closed_library_subset_builds_only_the_named_shapes(monkeypatch):
+    built = []
+    for name, build in gen.CLOSED_LIBRARY.items():
+        monkeypatch.setitem(gen.CLOSED_LIBRARY, name,
+                            lambda name=name, build=build: built.append(name) or build())
+    shapes = gen.closed_library_meshes(("capped_cylinder_0.5_4", "icosphere3"))
+    assert list(shapes) == built == ["capped_cylinder_0.5_4", "icosphere3"]
+    assert list(gen.closed_library_meshes()) == list(gen.CLOSED_LIBRARY)
