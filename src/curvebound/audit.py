@@ -150,31 +150,33 @@ def m_kappa(mesh: SurfaceMesh, p: int, R: float) -> dict:
         mesh._cache["ball_weights"] = w
     r = R * np.arange(1, R_SAMPLES + 1) / R_SAMPLES
     limit = (R + mesh.vertex_adjacency().data.max(initial=0.0)) * (1.0 + 1e-9)
-    dv = geodesic_distances(mesh, p, limit)[mesh.triangles]
-    a, b, c = dv.T
-    near = np.minimum(np.minimum(a, b), c) <= r[-1]
-    a, b, c, w = a[near], b[near], c[near], mesh._cache["ball_weights"].compress(near, axis=1)
+    d, tri = geodesic_distances(mesh, p, limit), mesh.triangles
+    inside = d <= r[-1]
+    near = inside[tri[:, 0]] | inside[tri[:, 1]] | inside[tri[:, 2]]
+    w = mesh._cache["ball_weights"].compress(near, axis=1)
     # hi[k] (lo[k]): per triangle, the distance at the corner k after its largest (smallest)
-    hi, lo = _rotations(a, b, c)
+    hi, lo = _rotations(*(d[tri[:, k][near]] for k in range(3)))
     j_one, j_two, j_full = (np.searchsorted(r, x)
                             for x in (lo[0], np.maximum(hi[1], hi[2]), hi[0]))
 
-    def band(first, stop, d):
-        """Radius indices, r and corner distances of the pairs first <= j < stop, by radius."""
+    def band(first, stop, d, clip):
+        """Where each radius starts, and the clipped weights, of the pairs first <= j < stop
+        by radius; their temporaries go on return."""
         count = stop - first
-        t = np.repeat(np.arange(len(count)), count)
-        j = np.repeat(first + count - np.cumsum(count), count) + np.arange(len(t))
+        t = np.repeat(np.arange(len(count), dtype=np.int32), count)
+        j = np.repeat(first + count - np.cumsum(count), count)
+        j += np.arange(len(t))
         # j < R_SAMPLES fits int16, whose stable sort is a radix sort
-        order = np.argsort(j.astype(np.int16), kind="stable")
+        j = j.astype(np.int16)
+        order = np.argsort(j, kind="stable")
         j, t = j[order], t[order]
-        return (np.searchsorted(j, np.arange(R_SAMPLES + 1)), w.take(t, axis=1), r[j],
-                [x[t] for x in d])
+        del order
+        return (np.searchsorted(j, np.arange(R_SAMPLES + 1)),
+                clip(w.take(t, axis=1), r[j], *(x[t] for x in d)))
 
-    at_cut, w_cut, rc, (da, db, dc) = band(j_two, j_full, hi)
-    cut = w_cut * (1.0 - ((da - rc) / (da - db)) * ((da - rc) / (da - dc)))
-    at_one, w_one, rc, (da, db, dc) = band(j_one, j_two, lo)
-    # w * tb * tc runs left to right; w * (tb * tc) would round differently
-    one = w_one * ((rc - da) / (db - da)) * ((rc - da) / (dc - da))
+    at_cut, cut = band(j_two, j_full, hi, _cut_weights)
+    at_one, one = band(j_one, j_two, lo, _corner_weights)
+    del hi, lo
     sums = np.empty((3, R_SAMPLES, 2))
     for j in range(R_SAMPLES):
         w.compress(j_full <= j, axis=1).sum(axis=1, out=sums[0, j])
@@ -184,6 +186,17 @@ def m_kappa(mesh: SurfaceMesh, p: int, R: float) -> dict:
     m, kappa = float((curvature / r).max()), float((area / (r * r)).min())
     return {"probe": int(p), "R": float(R), "m": m, "kappa": kappa,
             "holds": max(m, kappa) > DELTA_SHARP}
+
+
+def _cut_weights(w, r, da, db, dc):
+    """w times the part of a triangle within r whose corner a alone is out."""
+    return w * (1.0 - ((da - r) / (da - db)) * ((da - r) / (da - dc)))
+
+
+def _corner_weights(w, r, da, db, dc):
+    """w times the part of a triangle within r whose corner a alone is in."""
+    # w * tb * tc runs left to right; w * (tb * tc) would round differently
+    return w * ((r - da) / (db - da)) * ((r - da) / (dc - da))
 
 
 def _rotations(a, b, c):
@@ -247,7 +260,9 @@ def run_audit(shapes=None, probes_per_shape=20, seed=0) -> dict:
 
     Every shape is checked first, in shape order: the first that is not a
     valid closed mesh, or not connected, raises ValueError before any check
-    runs. Then the checks run shape by shape, in this process.
+    runs. Then the checks run shape by shape, in this process, and each
+    shape's cache is cleared once its checks are done: while a shape is
+    checked, the shapes still to come hold only their validation tables.
     """
     from .generators import closed_library_meshes
 
@@ -277,6 +292,7 @@ def run_audit(shapes=None, probes_per_shape=20, seed=0) -> dict:
             "holds": d_int_upper <= bound,
             "ratio_lower": curvature / d_int_upper if d_int_upper > 0 else np.inf,
             "ratio_upper": curvature / d_int if d_int > 0 else np.inf}
+        mesh._cache.clear()  # its tables go before the next shape's are built
     report["all_hold"] = (
         all(r["holds"] for key in ("michael_simon", "dichotomy")
             for entries in report[key].values() for r in entries)

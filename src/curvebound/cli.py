@@ -4,10 +4,10 @@ Subcommands: verify-bound, double, teardrop, check-contour, gen, audit.
 All floating output is printed at 12 significant digits; identical
 configuration and seed produce byte-identical reports.
 Exit codes: 0 analysis ran (and ``--help``), 2 at least one criterion
-certified nonexistence (check-contour only), 1 bad input or usage, with
-nothing on stdout. Every output file is written before the first line is
-printed, so an output path that cannot be written exits 1 too; double
-writes every double of --out-dir or none. A contour
+certified nonexistence (check-contour only), 1 bad input or usage, or
+memory the run cannot get, with nothing on stdout. Every output file is
+written before the first line is printed, so an output path that cannot
+be written exits 1 too; double writes every double of --out-dir or none. A contour
 whose components touch or cross is bad input, and so is an invalid mesh, a
 disconnected one given to verify-bound or double, or a k outside [1, K_MAX]
 (double checks its whole list before it builds or writes a double).
@@ -332,7 +332,7 @@ def main(argv=None):
                 "gen": cmd_gen, "audit": cmd_audit}
     try:
         return commands[args.command](args)
-    except (MeshError, ContourError, ValueError, OSError) as exc:
+    except (MeshError, ContourError, ValueError, OSError, MemoryError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
 

@@ -59,26 +59,24 @@ def mixed_voronoi_areas(mesh: SurfaceMesh, cots) -> np.ndarray:
     pieces tile each triangle, so the vertex areas sum to the mesh area.
     """
     tri = mesh.triangles
-    areas = mesh.triangle_areas()
-    # Squared edge lengths opposite each corner: l2[:, k] = |p_{k+1} - p_{k+2}|^2
-    l2 = mesh.corner_gram()[0][:, [1, 2, 0]]
-
+    sq = mesh.corner_gram()[0]  # sq[:, k] = |p_{k+1} - p_k|^2
     obtuse = cots.min(axis=1) < 0.0
-    # Voronoi part (non-obtuse triangles): corner k gets
-    # (|edge to k+1|^2 cot(at k+2) + |edge to k+2|^2 cot(at k+1)) / 8.
-    lc = l2[~obtuse]
-    del l2
-    lc *= cots[~obtuse]
-    voronoi = lc[:, [2, 0, 1]] + lc[:, [1, 2, 0]]
-    del lc
-    voronoi /= 8.0
-    # Obtuse triangles: 1/2 at the obtuse corner, 1/4 elsewhere.
-    share = np.where(cots[obtuse] < 0.0, 0.5, 0.25) * areas[obtuse, None]
-    weights = np.concatenate([voronoi.T.ravel(), share.T.ravel()])
-    del voronoi, share
-    # one scatter, corner by corner, in the order of a sequential sum
-    return np.bincount(np.concatenate([tri[~obtuse].T.ravel(), tri[obtuse].T.ravel()]),
-                       weights=weights, minlength=mesh.n_vertices)
+    acute = ~obtuse
+    out = np.zeros(mesh.n_vertices)
+    # one scatter per corner and part, in the order of a sequential sum over the
+    # Voronoi pieces, corner by corner, then the obtuse shares, corner by corner
+    for k in range(3):
+        # Voronoi part (non-obtuse triangles): corner k gets
+        # (|edge to k+1|^2 cot(at k+2) + |edge to k+2|^2 cot(at k+1)) / 8.
+        piece = sq[:, k] * cots[:, (k + 2) % 3]
+        piece += sq[:, (k + 2) % 3] * cots[:, (k + 1) % 3]
+        piece /= 8.0
+        np.add.at(out, tri[:, k][acute], piece[acute])
+    areas = mesh.triangle_areas()[obtuse]
+    for k in range(3):
+        # Obtuse triangles: 1/2 at the obtuse corner, 1/4 elsewhere.
+        np.add.at(out, tri[:, k][obtuse], np.where(cots[:, k][obtuse] < 0.0, 0.5, 0.25) * areas)
+    return out
 
 
 def mean_curvature_field(mesh: SurfaceMesh) -> MeanCurvatureField:
@@ -97,18 +95,19 @@ def mean_curvature_field(mesh: SurfaceMesh) -> MeanCurvatureField:
     cots = _corner_cotangents(mesh)
 
     # corner k weights edge (a, b) = (k+1, k+2) by its cotangent; np.add.at adds the
-    # terms to a then b, corner by corner, from +0.0, so only one corner's terms are
-    # alive at a time; -term is w * (x[b] - x[a]) up to a zero's sign, which such a
-    # sum ignores. Column by column: numpy's 1-D np.add.at is the fast one
+    # terms to a then b, corner by corner, from +0.0, so only one corner's terms of
+    # one coordinate are alive at a time; -term is w * (x[b] - x[a]) up to a zero's
+    # sign, which such a sum ignores. Column by column: numpy's 1-D np.add.at is the
+    # fast one
     lap = np.zeros_like(x)
     for k in range(3):
         a, b = tri[:, (k + 1) % 3], tri[:, (k + 2) % 3]
-        term = x[a]
-        term -= x[b]
-        term *= cots[:, k, None]
         for c in range(x.shape[1]):
-            np.add.at(lap[:, c], a, term[:, c])
-            np.add.at(lap[:, c], b, -term[:, c])
+            term = x[:, c][a]
+            term -= x[:, c][b]
+            term *= cots[:, k]
+            np.add.at(lap[:, c], a, term)
+            np.add.at(lap[:, c], b, np.negative(term, out=term))
 
     areas = mixed_voronoi_areas(mesh, cots)
     safe = np.maximum(areas, 1e-300)

@@ -18,6 +18,7 @@ COORDINATE_LIMIT = 2.0**240
 _DIAMETER_LEAF = 16  # points per kd leaf in extrinsic_diameter and pairs_within
 _DIAMETER_BATCH = 128  # leaf pairs per numpy call in extrinsic_diameter and pairs_within
 _JSON_ROWS = 4096  # array rows formatted per write in _write_json_rows
+_REACH_BLOCK = 2**15  # entries per block of rows in intrinsic_diameter's reach
 DIAMETER_TOL = 1e-2  # relative width of the bracket intrinsic_diameter returns
 
 
@@ -116,15 +117,21 @@ class SurfaceMesh:
         4 area^2 in any codimension, not clamped at 0.
         """
         if "corner_gram" not in self._cache:
-            p0, p1, p2 = (self.vertices[self.triangles[:, k]] for k in range(3))
-            e = (p1 - p0, p2 - p1, p0 - p2)
-            del p0, p1, p2
-            sq = np.column_stack([np.einsum("ij,ij->i", a, a) for a in e])
-            dot = -np.column_stack([np.einsum("ij,ij->i", e[k], e[k - 1])
-                                    for k in range(3)])
+            p = [self.vertices[self.triangles[:, k]] for k in range(3)]
+            # e_1, then e_0 and e_2 in place of p_1 and p_0: four (T, n) arrays alive
+            e1 = p[2] - p[1]
+            p[1] -= p[0]
+            p[0] -= p[2]
+            e = (p[1], e1, p[0])
+            del p, e1
+            sq, dot, gram = (np.empty((len(e[0]), 3)) for _ in range(3))
+            for k in range(3):
+                sq[:, k] = np.einsum("ij,ij->i", e[k], e[k])
+                np.negative(np.einsum("ij,ij->i", e[k], e[k - 1]), out=dot[:, k])
             del e
-            gram = sq * sq[:, [2, 0, 1]]
-            gram -= dot * dot
+            for k in range(3):
+                np.multiply(sq[:, k], sq[:, k - 1], out=gram[:, k])
+                gram[:, k] -= np.square(dot[:, k])
             for a in (sq, dot, gram):
                 a.setflags(write=False)
             self._cache["corner_gram"] = (sq, dot, gram)
@@ -140,30 +147,46 @@ class SurfaceMesh:
     # -- connectivity ------------------------------------------------------
 
     def _edge_tables(self):
-        """Edge table from 1-D int64 keys, built once per mesh.
+        """Edge table from one sort of 1-D int64 keys, built once per mesh.
 
-        Returns (edges, undirected counts, directed keys, directed counts,
-        boundary directed edges). Undirected keys are min*V + max and
-        directed keys u*V + v; both sort like their index pairs, so ``edges``
-        is in the lexicographic order of ``np.unique(axis=0)``.
+        Returns (edges, counts, boundary, repeated): the undirected edges in
+        the lexicographic order of ``np.unique(axis=0)``, the number of
+        triangles holding each, the directed edges of the edges one triangle
+        holds (corner k's edge (t_k, t_k+1) of every triangle, then corner
+        k + 1's), and each directed edge that occurs more than once, by
+        (u, v). The directed edge (u, v) has the key (min*V + max)*2 +
+        (u > v): sorted, the keys run edge by edge in that order, and a key
+        that repeats is a repeated directed edge.
         """
         if "edge_tables" not in self._cache:
             n = max(self.n_vertices, 1)
             t = self.triangles
-            de = np.concatenate([t[:, [0, 1]], t[:, [1, 2]], t[:, [2, 0]]])
-            keys = de.min(axis=1)
-            keys *= n
-            keys += de.max(axis=1)
-            ukeys, ue_counts = np.unique(keys, return_counts=True)
-            # each directed edge's place among the undirected ones, looked up in
-            # a mask of the edges one triangle holds
-            boundary = de[np.take(ue_counts == 1, np.searchsorted(ukeys, keys))]
-            keys = de[:, 0] * n
-            keys += de[:, 1]
-            del de
-            dkeys, de_counts = np.unique(keys, return_counts=True)
-            edges = np.stack(np.divmod(ukeys, n), axis=1)
-            self._cache["edge_tables"] = (edges, ue_counts, dkeys, de_counts, boundary)
+            keys = np.empty(3 * len(t), dtype=np.int64)
+            for k in range(3):
+                u, v, key = t[:, k], t[:, (k + 1) % 3], keys[k * len(t):(k + 1) * len(t)]
+                np.minimum(u, v, out=key)
+                key *= n
+                key += np.maximum(u, v)
+                key *= 2
+                key += u > v
+            order = np.argsort(keys)
+            keys = keys[order]
+            # an edge starts where a key differs from the last above the tag bit
+            start = np.ones(len(keys), dtype=bool)
+            np.greater(keys[1:] ^ keys[:-1], 1, out=start[1:])
+            start = np.flatnonzero(start)
+            counts = np.diff(start, append=len(keys))
+            # the edges one triangle holds, back in (corner, triangle) order
+            k, tri = np.divmod(np.sort(order[start[counts == 1]]), max(len(t), 1))
+            del order
+            boundary = np.stack([t[tri, k], t[tri, (k + 1) % 3]], axis=1)
+            twice = np.unique(keys[1:][keys[1:] == keys[:-1]])
+            repeated = np.stack(np.divmod(twice >> 1, n), axis=1)
+            flip = (twice & 1) == 1
+            repeated[flip] = repeated[flip, ::-1]
+            repeated = repeated[np.lexsort(repeated.T[::-1])]
+            edges = np.stack(np.divmod(keys[start] >> 1, n), axis=1)
+            self._cache["edge_tables"] = (edges, counts, boundary, repeated)
         return self._cache["edge_tables"]
 
     @property
@@ -177,17 +200,33 @@ class SurfaceMesh:
         return self.n_vertices - len(self.edges) + self.n_triangles
 
     def vertex_adjacency(self):
-        """Symmetric sparse matrix of edge lengths; Dijkstra is its only user."""
+        """Symmetric sparse matrix of edge lengths, for Dijkstra and ``m_kappa``'s
+        longest edge.
+
+        Built in canonical CSR form (rows in order, columns ascending in each)
+        straight from the sorted edge table: an edge (i, j), i < j, is entry
+        (j, i) in the first half and (i, j) in the second, and a stable sort
+        by row puts row r's columns below r, ascending, before those above.
+        """
         if "adjacency" not in self._cache:
             from scipy import sparse
-            e = self.edges
-            w = np.linalg.norm(self.vertices[e[:, 0]] - self.vertices[e[:, 1]], axis=1)
-            n = self.n_vertices
-            i = np.concatenate([e[:, 0], e[:, 1]])
-            j = np.concatenate([e[:, 1], e[:, 0]])
+            e, n = self.edges, self.n_vertices
+            # the lengths as np.linalg.norm(axis=1) sums them, a coordinate at a time
+            w = np.zeros(len(e))
+            for x in self.vertices.T:
+                diff = x[e[:, 0]]
+                diff -= x[e[:, 1]]
+                w += np.square(diff, out=diff)
+            np.sqrt(w, out=w)
+            ends = np.empty(2 * len(e), dtype=np.int32)  # the entries' rows, then columns
+            ends[:len(e)], ends[len(e):] = e[:, 1], e[:, 0]
+            order = np.argsort(ends, kind="stable")
+            indptr = np.zeros(n + 1, dtype=np.int32)
+            np.cumsum(np.bincount(ends, minlength=n), out=indptr[1:])
+            ends[:len(e)], ends[len(e):] = e[:, 0], e[:, 1]
+            # entry order[k] is edge order[k] mod E
             self._cache["adjacency"] = sparse.csr_matrix(
-                (np.concatenate([w, w]), (i, j)), shape=(n, n)
-            )
+                (w.take(order, mode="wrap"), ends.take(order), indptr), shape=(n, n))
         return self._cache["adjacency"]
 
     def is_connected(self):
@@ -206,7 +245,7 @@ class SurfaceMesh:
     def boundary_vertex_mask(self):
         """The vertices of the boundary edges (each held once, in its one direction)."""
         mask = np.zeros(self.n_vertices, dtype=bool)
-        mask[self._edge_tables()[4].ravel()] = True
+        mask[self._edge_tables()[2].ravel()] = True
         return mask
 
     # -- boundary loops ----------------------------------------------------
@@ -221,7 +260,7 @@ class SurfaceMesh:
 
     def _trace_boundary_loops(self):
         succ = {}
-        for u, v in self._edge_tables()[4]:
+        for u, v in self._edge_tables()[2]:
             if u in succ:
                 raise MeshError(
                     f"boundary is not a union of simple loops (vertex {u} repeats)"
@@ -271,17 +310,16 @@ def validate(mesh: SurfaceMesh) -> ValidationReport:
     if len(repeats):
         errors.append(f"triangle {repeats[0]} repeats a vertex")
 
-    edges, ue_counts, dkeys, de_counts, _ = mesh._edge_tables()
-    bad = np.nonzero(ue_counts > 2)[0]
+    edges, counts, _, repeated = mesh._edge_tables()
+    bad = np.nonzero(counts > 2)[0]
     manifold = len(bad) == 0
     for i in bad[:10]:
         errors.append(f"non-manifold edge ({edges[i, 0]}, {edges[i, 1]}) "
-                      f"in {ue_counts[i]} triangles")
+                      f"in {counts[i]} triangles")
 
-    oriented = bool(np.all(de_counts == 1))
-    if not oriented:
-        for a, b in zip(*np.divmod(dkeys[de_counts > 1][:10], mesh.n_vertices)):
-            errors.append(f"inconsistent orientation across edge ({a}, {b})")
+    oriented = len(repeated) == 0
+    for a, b in repeated[:10]:
+        errors.append(f"inconsistent orientation across edge ({a}, {b})")
 
     closed = mesh.is_closed()
     n_loops, loops_traced = 0, True
@@ -585,9 +623,13 @@ def intrinsic_diameter(mesh: SurfaceMesh) -> tuple[float, float]:
     vertex still a candidate: it is the least of d(v, w) + m_v over computed
     sources v, with m_v the largest distance from v to a candidate that is
     not a source of this call. Every computed row is kept on the
-    candidates' columns, in one buffer that doubles when full (sources and
-    dropped vertices leave in one in-place compaction per call), so m_v and
-    reach are read again after each call;
+    candidates' columns, in one buffer, so m_v and reach are read again
+    after each call: when full, the buffer doubles its rows on the
+    columns of the candidates left; reach is a running minimum over blocks
+    of rows of at most _REACH_BLOCK entries (a minimum is exact, so the
+    blocks do not change its bits); and sources and dropped vertices leave
+    the buffer block by block, each block's kept entries copied out and back
+    in place, so no temporary has the buffer's size;
     u is a computed source, so this includes the iFUB bound. Every other
     vertex was computed or dropped. ``lower`` is the best
     eccentricity computed, and ``upper`` is lower * (1 + DIAMETER_TOL) *
@@ -641,8 +683,8 @@ def intrinsic_diameter(mesh: SurfaceMesh) -> tuple[float, float]:
         if ecc.min() < from_u.max():
             from_u = d[np.argmin(ecc)]
         if k + len(d) > len(buf):
-            grown = np.empty((2 * len(buf), n))
-            grown[:k, :len(live)] = buf[:k, :len(live)]
+            grown = np.empty((2 * len(buf), len(live)))  # candidates only leave
+            grown[:k] = buf[:k, :len(live)]
             buf = grown
         # bounds only matter on the vertices still candidates; the indices are
         # in range, so mode="clip" only spares take a buffered copy
@@ -653,10 +695,15 @@ def intrinsic_diameter(mesh: SurfaceMesh) -> tuple[float, float]:
         np.maximum(spread, (ecc[:, None] - new).max(axis=0), out=spread)
         rest = np.ones(len(live), dtype=bool)
         rest[picks] = False
-        reach = (rows + rows.max(axis=1, where=rest, initial=0.0)[:, None]).min(axis=0)
+        m_v = rows.max(axis=1, where=rest, initial=0.0)
+        reach = np.full(len(live), np.inf)
+        step = max(1, _REACH_BLOCK // len(live))
+        for s in range(0, k, step):
+            np.minimum(reach, (rows[s:s + step] + m_v[s:s + step, None]).min(axis=0), out=reach)
         keep = rest & (np.maximum(colmax, reach) * (1.0 + slack) > best * (1.0 + DIAMETER_TOL))
         live, colmax, spread = live[keep], colmax[keep], spread[keep]
-        rows.compress(keep, axis=1, out=buf[:k, :len(live)])
+        for i in range(0, k, step):  # a block's kept entries copied out, then back
+            rows[i:i + step, :len(live)] = rows[i:i + step][:, keep]
     return best, float(best * (1.0 + DIAMETER_TOL) * (1.0 + slack))
 
 

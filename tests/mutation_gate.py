@@ -31,8 +31,8 @@ MUTANTS = [
      "limit = R * (1.0 + 1e-9)",
      ["tests/test_audit.py::TestDichotomy::test_matches_reference_loop"]),
     ("curvebound/audit.py",
-     'order = np.argsort(j.astype(np.int16), kind="stable")',
-     "order = np.argsort(j.astype(np.int16))",
+     'order = np.argsort(j, kind="stable")',
+     "order = np.argsort(j)",
      ["tests/test_dichotomy_properties.py::test_matches_reference_loop"]),
     ("curvebound/mesh.py",
      "slack = max(1e-12, 4 * n * np.finfo(float).eps)",
@@ -43,6 +43,30 @@ MUTANTS = [
      "j_one, j_two, j_full = (np.searchsorted(r, x)",
      'j_one, j_two, j_full = (np.searchsorted(r, x, side="right")',
      ["tests/test_audit.py::TestDichotomy::test_radius_equal_to_a_corner_distance"]),
+    # the direction tag flipped: a repeated directed edge is reported reversed.
+    # u >= v for u > v is an equivalent mutant: the tag then differs only on a
+    # self-loop (u, u), which every occurrence tags alike, so no table changes
+    ("curvebound/mesh.py",
+     "key += u > v",
+     "key += u < v",
+     ["tests/test_mesh.py::TestEdgeTable::test_matches_unique_over_pairs[directed_thrice]",
+      "tests/test_mesh.py::TestValidateMessages::test_inconsistent_orientation"]),
+    ("curvebound/mesh.py",
+     'order = np.argsort(ends, kind="stable")',
+     "order = np.arange(len(ends))",
+     ["tests/test_memory.py::test_adjacency_is_scipys_csr[icosphere3]"]),
+    ("curvebound/mesh.py",
+     "for s in range(0, k, step):",
+     "for s in range(0, k - step, step):",
+     ["tests/test_mesh.py::TestIntrinsicDiameter::test_library_dijkstra_sources"]),
+    ("curvebound/criteria.py",
+     "if np.any(sign * z <= 0.0):",
+     "if np.any(sign * z < 0.0):",
+     ["tests/test_criteria.py::TestCone::test_point_on_the_apex_plane_fails_the_sign_test"]),
+    ("curvebound/mesh.py",
+     "degenerate = np.nonzero(areas <= DEGENERATE_AREA_TOL",
+     "degenerate = np.nonzero(areas < DEGENERATE_AREA_TOL",
+     ["tests/test_cli.py::TestGenCommand::test_invalid_mesh_is_an_error"]),
 ]
 
 

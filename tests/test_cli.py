@@ -863,6 +863,14 @@ class TestAuditCommand:
         assert captured.out == ""
         assert "probes_per_shape" in captured.err
 
+    def test_probes_beyond_memory_rejected_before_output(self, capsys):
+        # 10^11 int64 probe indices (745 GiB): numpy refuses the allocation at once
+        code = main(["audit", "--quick", "--probes", "100000000000"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
     def test_seeded_reruns_identical(self, capsys, tmp_path):
         _, out1 = run(capsys, ["--seed", "7", "audit", "--quick", "--probes", "2"])
         _, out2 = run(capsys, ["--seed", "7", "audit", "--quick", "--probes", "2"])

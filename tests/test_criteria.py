@@ -242,6 +242,16 @@ class TestCone:
         entry = cone_check(gen.circle_contour(1.0, 64))
         assert entry.verdict == VERDICT_NOT_APPLICABLE
 
+    def test_point_on_the_apex_plane_fails_the_sign_test(self):
+        # the upper square lies in the plane through the apex normal to the axis:
+        # z = 0 there exactly, which is in neither nappe, so the check stops at the
+        # sign test with -inf and never reaches a margin
+        square = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, -1.0, 0.0]])
+        c = Contour([square + [0.0, 0.0, 1.0], square - [0.0, 0.0, 1.0]])
+        sep = {"apex": [0.0, 0.0, 1.0], "axis": [0.0, 0.0, 1.0], "tau": tau_root().tau,
+               "sinh_sq": tau_root().sinh_sq, "partition": [[0], [1]], "margin": 0.0}
+        assert verify_cone_separator(c, sep) == (False, -np.inf)
+
     def test_linked_circles_have_no_split(self):
         # linked curves overlap in projection along every axis, so no
         # threshold split exists and no apex is ever solved

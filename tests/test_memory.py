@@ -1,4 +1,4 @@
-"""Memory ceilings of the doubling and contour pipelines, in bytes traced by tracemalloc.
+"""Memory ceilings of the doubling, contour and audit pipelines, in bytes traced by tracemalloc.
 
 tracemalloc counts what Python and numpy allocate, not the resident set, so
 each figure is the same from run to run under one numpy release. Each
@@ -7,13 +7,19 @@ ceiling is the measured figure plus a stated margin.
 
 import tracemalloc
 
+import numpy as np
+import pytest
+from scipy import sparse
+from scipy.sparse import csgraph  # noqa: F401  imported here, so no ceiling counts its import
+
 from curvebound import generators as gen
+from curvebound.audit import run_audit
 from curvebound.cli import main
 from curvebound.contour import load_contour, save_contour
 from curvebound.criteria import cone_check, white_check
 from curvebound.curvature import mean_curvature_field
 from curvebound.doubling import build_double
-from curvebound.mesh import save_mesh
+from curvebound.mesh import intrinsic_diameter, save_mesh, validate
 
 MIB = 2**20
 
@@ -86,3 +92,60 @@ def test_cone_check_peak():
     # 2.65 MiB measured, each LP round's slack matrix in one buffer (4.5 MiB
     # with two fresh matrices per round); ceiling 3.2 MiB, +21%
     assert traced_peak(lambda: cone_check(c, 2000)) <= 3.2 * MIB
+
+
+# The audit: the closed library's 29,056-triangle capped_cylinder(1, 20) is its largest mesh.
+
+
+def test_audit_peak():
+    run_audit(gen.closed_library_meshes(["icosphere3"]), probes_per_shape=1, seed=1)
+    # 10.80 MiB measured with compact edge tables, each shape's tables released
+    # once its checks are done and m_kappa's band temporaries gone on return
+    # (15.36 MiB with every shape's tables kept to the end, the directed edge
+    # keys cached and m_kappa's (T, 3) distance gather); ceiling 12.0 MiB, +11%
+    peak = traced_peak(lambda: run_audit(gen.closed_library_meshes(), probes_per_shape=5,
+                                         seed=1))
+    assert peak <= 12.0 * MIB
+
+
+def test_validate_and_adjacency_peak():
+    mesh = gen.capped_cylinder(1.0, 20.0)
+
+    def build():
+        validate(mesh)
+        mesh.vertex_adjacency()
+    # 5.93 MiB measured with the one-sort edge table, the corner Gram from four
+    # (T, 3) arrays and the CSR built from the sorted edges (8.59 MiB with two
+    # np.unique calls, six (T, 3) arrays and a COO round trip); ceiling 6.5 MiB, +10%
+    assert traced_peak(build) <= 6.5 * MIB
+
+
+def test_intrinsic_diameter_peak():
+    mesh = gen.icosphere(4)
+    validate(mesh)
+    mesh.vertex_adjacency()
+    # 1.33 MiB measured with reach and the compaction over blocks of rows and the
+    # buffer grown on the candidates' columns only (3.85 MiB with a k x live
+    # reach temporary, compress's buffered copy and every growth n wide);
+    # ceiling 1.8 MiB, +35%
+    assert traced_peak(lambda: intrinsic_diameter(mesh)) <= 1.8 * MIB
+
+
+@pytest.mark.parametrize("shape", ["icosphere3", "capped_cylinder_0.5_4", "disk", "disk_r4"])
+def test_adjacency_is_scipys_csr(shape):
+    if shape == "disk":
+        mesh = gen.flat_disk(1.0, 8, 32)
+    elif shape == "disk_r4":
+        mesh = gen.embed_in_r4(gen.flat_disk(1.0, 8, 32))
+    else:
+        mesh = gen.closed_library_meshes([shape])[shape]
+    e, n = mesh.edges, mesh.n_vertices
+    w = np.linalg.norm(mesh.vertices[e[:, 0]] - mesh.vertices[e[:, 1]], axis=1)
+    expected = sparse.csr_matrix((np.concatenate([w, w]),
+                                  (np.concatenate([e[:, 0], e[:, 1]]),
+                                   np.concatenate([e[:, 1], e[:, 0]]))), shape=(n, n))
+    got = mesh.vertex_adjacency()
+    assert got.shape == expected.shape
+    for name in ("indptr", "indices", "data"):
+        a, b = getattr(got, name), getattr(expected, name)
+        assert a.dtype == b.dtype and a.shape == b.shape and (a == b).all()

@@ -71,18 +71,21 @@ class TestValidate:
 
 
 def oracle_edge_tables(mesh):
-    """Edge tables by np.unique over index pairs, the pre-key construction."""
+    """Edge tables by np.unique over index pairs, the pre-key construction:
+    edges, their triangle counts, the boundary directed edges and the
+    directed edges that occur more than once."""
     t = mesh.triangles
     de = np.concatenate([t[:, [0, 1]], t[:, [1, 2]], t[:, [2, 0]]])
     edges, inverse, ue_counts = np.unique(
         np.sort(de, axis=1), axis=0, return_inverse=True, return_counts=True)
     directed, de_counts = np.unique(de, axis=0, return_counts=True)
-    return edges, ue_counts, directed, de_counts, de[ue_counts[inverse] == 1]
+    return edges, ue_counts, de[ue_counts[inverse] == 1], directed[de_counts > 1]
 
 
 class TestEdgeTable:
     @pytest.mark.parametrize("shape", [
-        "disk", "cylinder", "disk_r4", "double_k10", "triangle", "non_manifold"])
+        "disk", "cylinder", "disk_r4", "double_k10", "triangle", "non_manifold",
+        "directed_thrice"])
     def test_matches_unique_over_pairs(self, shape, unit_disk):
         if shape == "disk":
             mesh = unit_disk
@@ -95,17 +98,22 @@ class TestEdgeTable:
             mesh = build_double(gen.flat_disk(1.0, 8, 32), 10).sigma
         elif shape == "triangle":
             mesh = single_triangle()
-        else:
+        elif shape == "non_manifold":
             mesh = SurfaceMesh(
                 [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1], [0, -1, 0]],
                 [[0, 1, 2], [1, 0, 3], [0, 1, 4]])
-        edges, ue_counts, directed, de_counts, boundary = oracle_edge_tables(mesh)
-        got_edges, got_ue, dkeys, got_de, got_boundary = mesh._edge_tables()
-        n = mesh.n_vertices
-        assert got_edges.shape == edges.shape and (got_edges == edges).all()
-        assert (got_ue == ue_counts).all() and (got_de == de_counts).all()
-        assert (np.stack([dkeys // n, dkeys % n], axis=1) == directed).all()
-        assert got_boundary.shape == boundary.shape and (got_boundary == boundary).all()
+        else:
+            # (0, 1) three times, and (2, 1), whose key carries the direction tag, twice
+            mesh = SurfaceMesh(
+                np.random.default_rng(0).normal(size=(7, 3)),
+                [[0, 1, 2], [0, 1, 3], [0, 1, 4], [2, 1, 5], [2, 1, 6]])
+        expected = oracle_edge_tables(mesh)
+        got = mesh._edge_tables()
+        assert len(got) == len(expected)
+        for a, b in zip(got, expected):
+            assert a.shape == b.shape and (a == b).all()
+        if shape == "directed_thrice":
+            assert got[3].tolist() == [[0, 1], [2, 1]]
 
     def test_empty_mesh(self):
         mesh = SurfaceMesh(np.zeros((0, 3)), np.zeros((0, 3), dtype=np.int64))
